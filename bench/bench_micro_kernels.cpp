@@ -3,7 +3,7 @@
 // LU solve of the full LNA netlist, the spot noise analysis, one
 // optimizer objective evaluation, and the full band-evaluation kernel in
 // its optimizer shape (one design parameter moves per point, evaluated
-// through the compiled netlist plan).  These bound the cost model used to
+// through the batched evaluation plan).  These bound the cost model used to
 // budget the optimization runs.
 //
 // Extra modes on top of the usual google-benchmark flags:
@@ -112,7 +112,7 @@ void BM_DesignObjectiveEvaluation(benchmark::State& state) {
 BENCHMARK(BM_DesignObjectiveEvaluation);
 
 /// Advances one microstrip length within its bounds: the optimizer-realistic
-/// "next design point" step both band-evaluation benches share.
+/// "next design point" step of the band-evaluation bench.
 void step_design(amplifier::DesignVector& d) {
   d.l_in_m += 1e-5;
   if (d.l_in_m > 0.039) d.l_in_m = 0.001;
@@ -138,23 +138,6 @@ void BM_BandEvaluation(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_BandEvaluation);
-
-/// The scalar compiled-plan path (use_batched_plan off): kept measured so
-/// BENCH_kernels.json records what the batched core buys on this host.
-void BM_BandEvaluationCompiled(benchmark::State& state) {
-  const device::Phemt dev = device::Phemt::reference_device();
-  amplifier::AmplifierConfig config;
-  config.use_batched_plan = false;
-  amplifier::BandEvaluator evaluator(dev, config);
-  amplifier::DesignVector d;
-  (void)evaluator.evaluate(d);  // warm up: builds netlist + plan
-  step_design(d);
-  run_counted(state, "BM_BandEvaluationCompiled", [&] {
-    benchmark::DoNotOptimize(evaluator.evaluate(d));
-    step_design(d);
-  });
-}
-BENCHMARK(BM_BandEvaluationCompiled);
 
 /// The raw batched kernel: assemble + blocked LU + all three solves over
 /// the full 16-lane grid, no retabulation and no figure extraction.  The
@@ -215,8 +198,9 @@ void BM_YieldSampleMc(benchmark::State& state) {
 BENCHMARK(BM_YieldSampleMc);
 
 /// The pre-engine yield path for comparison: full LnaDesign rebuild per
-/// trial (what run_yield falls back to with reuse_plan == false).  The
-/// BM_YieldSampleMc / BM_YieldSampleRebuild ratio is the engine's speedup.
+/// trial (what run_yield falls back to when the nominal design cannot be
+/// built).  The BM_YieldSampleMc / BM_YieldSampleRebuild ratio is the
+/// engine's speedup.
 void BM_YieldSampleRebuild(benchmark::State& state) {
   const device::Phemt dev = device::Phemt::reference_device();
   amplifier::AmplifierConfig config;
@@ -236,20 +220,6 @@ void BM_YieldSampleRebuild(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_YieldSampleRebuild);
-
-void BM_BandEvaluationLegacy(benchmark::State& state) {
-  const device::Phemt dev = device::Phemt::reference_device();
-  amplifier::AmplifierConfig config;
-  config.use_eval_plan = false;  // per-call assembly + double factorization
-  const std::vector<double> band = amplifier::LnaDesign::default_band();
-  amplifier::DesignVector d;
-  run_counted(state, "BM_BandEvaluationLegacy", [&] {
-    const amplifier::LnaDesign lna(dev, config, d);
-    benchmark::DoNotOptimize(lna.evaluate(band));
-    step_design(d);
-  });
-}
-BENCHMARK(BM_BandEvaluationLegacy);
 
 /// Thread CPU time [s]: immune to descheduling on loaded hosts (the gate
 /// below also normalizes away frequency scaling via a reference kernel).
@@ -368,7 +338,7 @@ double time_yield_sample_ns(double* allocs_per_op = nullptr) {
 }
 
 /// The host-speed reference: the analytic FET S-parameter kernel, which
-/// the compiled plan does not touch.  Its ratio to the band evaluation
+/// the batched plan does not touch.  Its ratio to the band evaluation
 /// cancels uniform host slowdown (frequency scaling, shared CPU).
 double time_fet_reference_ns() {
   const device::Phemt dev = device::Phemt::reference_device();

@@ -3,11 +3,8 @@
 // Measures the three numbers the yield engine is sold on:
 //
 //   1. Per-sample cost: one persistent-engine trial (re-stamp + batched
-//      evaluate) vs a full per-trial LnaDesign rebuild, measured against
-//      both rebuild generations — the batched-core rebuild (the strongest
-//      baseline) and the legacy assemble-and-factor path (what a yield
-//      loop cost before the evaluation core; the >= 10x acceptance target
-//      is stated against this one).
+//      evaluate) vs a full per-trial LnaDesign rebuild (netlist + transient
+//      batched plan per trial).
 //   2. Steady-state allocations per trial (contract: exactly 0).
 //   3. Throughput at scale: a full run_yield() at --samples (default
 //      65536; pass --samples 1000000 for the acceptance run) with both
@@ -101,16 +98,12 @@ double time_engine_sample_ns(double* allocs_per_op) {
   return best;
 }
 
-/// Serial per-trial cost of a full LnaDesign rebuild.  With legacy ==
-/// false the rebuilt design still evaluates through the batched core (the
-/// strongest baseline: everything PR-gained except plan reuse); with
-/// legacy == true it evaluates through the per-call assemble-and-factor
-/// path, i.e. what a naive yield loop cost before the evaluation core
-/// existed.
-double time_rebuild_sample_ns(bool legacy) {
+/// Serial per-trial cost of a full LnaDesign rebuild: the rebuilt design
+/// still evaluates through the batched core, so this isolates what plan
+/// reuse buys.
+double time_rebuild_sample_ns() {
   const device::Phemt dev = device::Phemt::reference_device();
-  amplifier::AmplifierConfig config = resolved_config();
-  if (legacy) config.use_eval_plan = false;
+  const amplifier::AmplifierConfig config = resolved_config();
   const amplifier::DesignVector nominal;
   const amplifier::DesignGoals goals = bench_goals();
   const std::vector<double> band = amplifier::LnaDesign::default_band();
@@ -118,7 +111,7 @@ double time_rebuild_sample_ns(bool legacy) {
   std::uint64_t trial = 0;
   double best = 1e300;
   for (int batch = 0; batch < 3; ++batch) {
-    const int iters = legacy ? 25 : 40;
+    const int iters = 40;
     const double t0 = thread_cpu_seconds();
     for (int i = 0; i < iters; ++i) {
       const amplifier::TrialDraw draw = amplifier::pseudo_trial_draw(
@@ -207,20 +200,15 @@ int main(int argc, char** argv) {
   std::printf("== yield engine: per-sample cost (serial) ==\n");
   double engine_allocs = -1.0;
   const double engine_ns = time_engine_sample_ns(&engine_allocs);
-  const double rebuild_ns = time_rebuild_sample_ns(false);
-  const double legacy_ns = time_rebuild_sample_ns(true);
+  const double rebuild_ns = time_rebuild_sample_ns();
   const double speedup = rebuild_ns / engine_ns;
-  const double legacy_speedup = legacy_ns / engine_ns;
   std::printf(
       "  engine            %10.0f ns/sample  "
       "(%.3f allocs/sample steady-state)\n"
-      "  rebuild (batched) %10.0f ns/sample  -> %5.1fx\n"
-      "  rebuild (legacy)  %10.0f ns/sample  -> %5.1fx\n",
-      engine_ns, engine_allocs, rebuild_ns, speedup, legacy_ns,
-      legacy_speedup);
+      "  rebuild (batched) %10.0f ns/sample  -> %5.1fx\n",
+      engine_ns, engine_allocs, rebuild_ns, speedup);
   json.add("YieldSampleEngine", 900, engine_ns, -1.0, engine_allocs);
   json.add("YieldSampleRebuild", 120, rebuild_ns);
-  json.add("YieldSampleRebuildLegacy", 75, legacy_ns);
 
   std::printf("\n== yield at scale: %zu samples, %zu threads ==\n", samples,
               threads);
@@ -265,18 +253,5 @@ int main(int argc, char** argv) {
   }
 
   if (json.enabled()) json.write();
-  // Informational, not a gate (perf_smoke gates in CI with host
-  // normalization); still flag a blown acceptance target loudly.  The 10x
-  // target is stated against a per-trial rebuild with no evaluation-core
-  // reuse at all (the legacy assemble-and-factor path); the batched-core
-  // rebuild baseline is far stronger because PR 6 already moved most of
-  // the per-evaluation cost into the reusable plan.
-  if (legacy_speedup < 10.0) {
-    std::fprintf(stderr,
-                 "WARNING: engine speedup %.1fx vs the legacy per-trial "
-                 "rebuild (%.1fx vs the batched-core rebuild) is below the "
-                 "10x acceptance target on this host\n",
-                 legacy_speedup, speedup);
-  }
   return 0;
 }

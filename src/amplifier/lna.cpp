@@ -259,110 +259,6 @@ device::Phemt LnaDesign::adjusted_device() const {
   return dev;
 }
 
-void LnaDesign::rebind_netlist(circuit::Netlist& nl, const DesignBindings& b,
-                               const DesignVector* previous) const {
-  const double t = config_.t_ambient_k;
-  // An element whose governing parameter did not move since `previous`
-  // already holds exactly the closure this design would install (the
-  // builders are pure functions of the parameter), so skipping it keeps
-  // the netlist bit-identical while leaving its revision — and therefore
-  // its tabulated values in any compiled plan — untouched.
-  const auto changed = [&](double DesignVector::* m) {
-    return previous == nullptr || previous->*m != design_.*m;
-  };
-  if (config_.dispersive_passives) {
-    if (changed(&DesignVector::c_in_f)) {
-      nl.set_lossy_impedance(
-          b.cin,
-          z_of(passives::make_capacitor(design_.c_in_f, config_.package)), t);
-    }
-    if (changed(&DesignVector::l_shunt_h)) {
-      nl.set_lossy_impedance(
-          b.lshunt,
-          z_of(passives::make_inductor(design_.l_shunt_h, config_.package)), t);
-    }
-    if (changed(&DesignVector::c_mid_f)) {
-      nl.set_lossy_impedance(
-          b.cmid,
-          z_of(passives::make_capacitor(design_.c_mid_f, config_.package)), t);
-    }
-    if (changed(&DesignVector::l_sdeg_h)) {
-      nl.set_lossy_impedance(
-          b.lsdeg,
-          z_of(passives::make_inductor(design_.l_sdeg_h, config_.package)), t);
-    }
-    if (changed(&DesignVector::c_out_sh_f)) {
-      nl.set_lossy_impedance(
-          b.coutsh,
-          z_of(passives::make_capacitor(design_.c_out_sh_f, config_.package)),
-          t);
-    }
-  } else {
-    if (changed(&DesignVector::c_in_f)) {
-      nl.set_capacitor(b.cin.element, design_.c_in_f);
-    }
-    if (changed(&DesignVector::l_shunt_h)) {
-      nl.set_inductor(b.lshunt.element, design_.l_shunt_h);
-    }
-    if (changed(&DesignVector::c_mid_f)) {
-      nl.set_capacitor(b.cmid.element, design_.c_mid_f);
-    }
-    if (changed(&DesignVector::l_sdeg_h)) {
-      nl.set_inductor(b.lsdeg.element, design_.l_sdeg_h);
-    }
-    if (changed(&DesignVector::c_out_sh_f)) {
-      nl.set_capacitor(b.coutsh.element, design_.c_out_sh_f);
-    }
-  }
-  if (changed(&DesignVector::r_fb_ohm)) {
-    nl.set_resistor(b.rfb, design_.r_fb_ohm, t);
-  }
-
-  // The bias network (r_drain, id) and the FET small-signal/noise closures
-  // are pure functions of the operating point.
-  const bool bias_changed =
-      changed(&DesignVector::vgs) || changed(&DesignVector::vds);
-  if (bias_changed) {
-    nl.set_resistor(b.rdrain, bias_.r_drain, t);
-  }
-
-  if (changed(&DesignVector::l_in_m)) {
-    circuit::rebind_passive_twoport(
-        nl, b.tlin1,
-        line_y(microstrip::Line(config_.substrate, config_.w50_m,
-                                design_.l_in_m)),
-        t);
-  }
-  if (changed(&DesignVector::l_in2_m)) {
-    circuit::rebind_passive_twoport(
-        nl, b.tlin2,
-        line_y(microstrip::Line(config_.substrate, config_.w50_m,
-                                design_.l_in2_m)),
-        t);
-  }
-  if (changed(&DesignVector::l_out_m)) {
-    circuit::rebind_passive_twoport(
-        nl, b.tlout1,
-        line_y(microstrip::Line(config_.substrate, config_.w50_m,
-                                design_.l_out_m)),
-        t);
-  }
-  if (changed(&DesignVector::l_out2_m)) {
-    circuit::rebind_passive_twoport(
-        nl, b.tlout2,
-        line_y(microstrip::Line(config_.substrate, config_.w50_m,
-                                design_.l_out2_m)),
-        t);
-  }
-
-  if (bias_changed) {
-    FetClosures fet = fet_closures(adjusted_device(),
-                                   device::Bias{design_.vgs, design_.vds});
-    circuit::rebind_noisy_three_terminal(nl, b.q1, std::move(fet.y),
-                                         std::move(fet.np));
-  }
-}
-
 rf::SParams LnaDesign::s_params(double frequency_hz) const {
   return circuit::s_params(build_netlist(), frequency_hz);
 }
@@ -385,16 +281,17 @@ std::vector<double> LnaDesign::stability_grid() {
   return rf::linear_grid(0.5e9, 3.5e9, 9);
 }
 
-namespace {
-
-/// Per-point band figures; reduced in grid order so the report is
-/// bit-identical at any thread count.
-struct PointFigures {
-  double nf = 0.0, gt = 0.0, s11 = 0.0, s22 = 0.0;
-};
-
-BandReport reduce_report(const std::vector<PointFigures>& points,
-                         const std::vector<double>& mus, double id_a) {
+BandReport band_report(const circuit::BatchedPlan& plan,
+                       circuit::EvalWorkspace& ws, std::size_t band_points,
+                       double id_a, std::vector<circuit::NoiseResult>& noise) {
+  const std::size_t nf = plan.size();
+  plan.factor(ws, 0, nf);
+  plan.solve_ports(ws);
+  plan.solve_output_transfer(ws, 1, 0, band_points);
+  noise.resize(band_points);  // steady state: no-op, no allocation
+  plan.noise_sweep(ws, 0, 1, noise.data());
+  // Serial grid-order walk: the in-band figures first, then mu over the
+  // stability lanes.
   BandReport rep;
   rep.id_a = id_a;
   double nf_sum = 0.0, gt_sum = 0.0;
@@ -402,136 +299,38 @@ BandReport reduce_report(const std::vector<PointFigures>& points,
   rep.gt_min_db = 1e9;
   rep.s11_worst_db = -1e9;
   rep.s22_worst_db = -1e9;
-  for (const PointFigures& p : points) {
-    nf_sum += p.nf;
-    gt_sum += p.gt;
-    rep.nf_max_db = std::max(rep.nf_max_db, p.nf);
-    rep.gt_min_db = std::min(rep.gt_min_db, p.gt);
-    rep.s11_worst_db = std::max(rep.s11_worst_db, p.s11);
-    rep.s22_worst_db = std::max(rep.s22_worst_db, p.s22);
+  for (std::size_t fi = 0; fi < band_points; ++fi) {
+    const rf::SParams s = plan.s_params_at(ws, fi);
+    const double nf_db = noise[fi].noise_figure_db;
+    const double gt = rf::db20(s.s21);
+    nf_sum += nf_db;
+    gt_sum += gt;
+    rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
+    rep.gt_min_db = std::min(rep.gt_min_db, gt);
+    rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
+    rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
   }
-  rep.nf_avg_db = nf_sum / static_cast<double>(points.size());
-  rep.gt_avg_db = gt_sum / static_cast<double>(points.size());
+  rep.nf_avg_db = nf_sum / static_cast<double>(band_points);
+  rep.gt_avg_db = gt_sum / static_cast<double>(band_points);
   rep.mu_min = 1e9;
-  for (const double mu : mus) rep.mu_min = std::min(rep.mu_min, mu);
+  for (std::size_t fi = band_points; fi < nf; ++fi) {
+    const rf::SParams s = plan.s_params_at(ws, fi);
+    rep.mu_min =
+        std::min(rep.mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
+  }
   return rep;
 }
 
-}  // namespace
-
-BandReport LnaDesign::evaluate(const std::vector<double>& band_hz,
-                               std::size_t threads) const {
+BandReport LnaDesign::evaluate(const std::vector<double>& band_hz) const {
   GNSSLNA_OBS_SPAN("amplifier.lna_evaluate");
   GNSSLNA_OBS_COUNT("amplifier.band_evaluations");
-  if (config_.use_eval_plan) {
-    // Transient plan over (band + stability grid): one LU per frequency
-    // shared by the S and noise solves, every element evaluated once per
-    // frequency.  The batched core additionally factors all frequencies
-    // of a chunk as one blocked LU; results are bit-identical either way.
-    const circuit::Netlist nl = build_netlist();
-    std::vector<double> grid = band_hz;
-    const std::vector<double> mu_grid = stability_grid();
-    grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
-    if (config_.use_batched_plan) {
-      const circuit::BatchedPlan plan(nl, std::move(grid));
-      return evaluate_from_batched(plan, band_hz.size(), threads);
-    }
-    circuit::CompiledNetlist plan(nl, std::move(grid));
-    return evaluate_from_plan(plan, band_hz.size(), threads);
-  }
-
-  // Legacy per-call path (use_eval_plan == false): assembles and factors
-  // per analysis.  Kept as the equivalence reference for tests/benches.
-  const circuit::Netlist nl = build_netlist();
-  const std::vector<PointFigures> points = rf::sweep_map(
-      band_hz,
-      [&](double f) {
-        const rf::SParams s = circuit::s_params(nl, f);
-        PointFigures p;
-        p.gt = rf::db20(s.s21);
-        p.s11 = rf::db20(s.s11);
-        p.s22 = rf::db20(s.s22);
-        p.nf = circuit::noise_analysis(nl, 0, 1, f).noise_figure_db;
-        return p;
-      },
-      threads);
-
-  const std::vector<double> mus = rf::sweep_map(
-      stability_grid(),
-      [&](double f) {
-        const rf::SParams s = circuit::s_params(nl, f);
-        return std::min(rf::mu_source(s), rf::mu_load(s));
-      },
-      threads);
-  return reduce_report(points, mus, bias_.id_a);
-}
-
-BandReport LnaDesign::evaluate_from_plan(circuit::CompiledNetlist& plan,
-                                         std::size_t band_points,
-                                         std::size_t threads) const {
-  const std::vector<PointFigures> points = numeric::parallel_map(
-      threads, band_points, [&](std::size_t i) {
-        const circuit::CompiledNetlist::SAndNoise sn =
-            plan.s_and_noise_at(i, 0, 1);
-        PointFigures p;
-        p.gt = rf::db20(sn.s.s21);
-        p.s11 = rf::db20(sn.s.s11);
-        p.s22 = rf::db20(sn.s.s22);
-        p.nf = sn.noise.noise_figure_db;
-        return p;
-      });
-
-  const std::size_t mu_points = plan.size() - band_points;
-  const std::vector<double> mus = numeric::parallel_map(
-      threads, mu_points, [&](std::size_t i) {
-        const rf::SParams s = plan.s_params_at(band_points + i);
-        return std::min(rf::mu_source(s), rf::mu_load(s));
-      });
-  return reduce_report(points, mus, bias_.id_a);
-}
-
-BandReport LnaDesign::evaluate_from_batched(const circuit::BatchedPlan& plan,
-                                            std::size_t band_points,
-                                            std::size_t threads) const {
-  const std::size_t nf = plan.size();
-  const std::size_t nchunks = std::min(numeric::resolve_threads(threads), nf);
-  std::vector<PointFigures> points(band_points);
-  std::vector<double> mus(nf - band_points);
-  std::vector<circuit::EvalWorkspace> workspaces(nchunks);
-  // Per-lane results never depend on which chunk a lane landed in (the
-  // batched kernels are lane-independent), so any chunk count produces
-  // the same index-addressed figures — reduced in grid order below.
-  const auto run_chunk = [&](std::size_t c) {
-    const circuit::ChunkRange r = circuit::chunk_range(c, nchunks, nf);
-    circuit::EvalWorkspace& ws = workspaces[c];
-    plan.factor(ws, r.begin, r.end);
-    plan.solve_ports(ws);
-    // Noise is only priced in-band, so the transfer solve covers just the
-    // band lanes of this chunk (identical bits: lanes are independent).
-    if (r.begin < band_points) {
-      plan.solve_output_transfer(ws, 1, r.begin,
-                                 std::min(r.end, band_points));
-    }
-    for (std::size_t fi = r.begin; fi < r.end; ++fi) {
-      const rf::SParams s = plan.s_params_at(ws, fi);
-      if (fi < band_points) {
-        PointFigures p;
-        p.gt = rf::db20(s.s21);
-        p.s11 = rf::db20(s.s11);
-        p.s22 = rf::db20(s.s22);
-        p.nf = plan.noise_at(ws, fi, 0, 1).noise_figure_db;
-        points[fi] = p;
-      } else {
-        mus[fi - band_points] = std::min(rf::mu_source(s), rf::mu_load(s));
-      }
-    }
-  };
-  if (nchunks == 1) {
-    run_chunk(0);
-  } else {
-    numeric::parallel_for(threads, nchunks, run_chunk);
-  }
-  return reduce_report(points, mus, bias_.id_a);
+  std::vector<double> grid = band_hz;
+  const std::vector<double> mu_grid = stability_grid();
+  grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
+  const circuit::BatchedPlan plan(build_netlist(), std::move(grid));
+  circuit::EvalWorkspace ws;
+  std::vector<circuit::NoiseResult> noise;
+  return band_report(plan, ws, band_hz.size(), bias_.id_a, noise);
 }
 
 BandEvaluator::BandEvaluator(const device::Phemt& device,
@@ -547,40 +346,6 @@ BandEvaluator::BandEvaluator(const device::Phemt& device,
 BandReport BandEvaluator::evaluate(const DesignVector& design) {
   GNSSLNA_OBS_SPAN("amplifier.band_evaluate");
   GNSSLNA_OBS_COUNT("amplifier.band_evaluations");
-  if (config_.use_batched_plan) return evaluate_batched(design);
-  return evaluate_compiled(design);
-}
-
-BandReport BandEvaluator::evaluate_compiled(const DesignVector& design) {
-  const LnaDesign lna(device_, config_, design);  // config already resolved
-  if (!built_) {
-    DesignBindings bindings;
-    circuit::Netlist nl = lna.build_netlist(&bindings);
-    std::vector<double> grid = band_hz_;
-    const std::vector<double> mu_grid = LnaDesign::stability_grid();
-    grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
-    circuit::CompiledNetlist plan(nl, std::move(grid));
-    // Commit to the members only once everything built, so a throwing
-    // design leaves the evaluator reusable.
-    netlist_ = std::move(nl);
-    bindings_ = bindings;
-    plan_ = std::move(plan);
-    last_ = design;
-    built_ = true;
-  } else {
-    lna.rebind_netlist(netlist_, bindings_, &last_);
-    plan_.sync(netlist_);
-    last_ = design;
-  }
-  last_retabulated_ = plan_.last_sync_retabulated();
-  return lna.evaluate_from_plan(plan_, band_hz_.size(), /*threads=*/1);
-}
-
-// The direct-retabulation writers used below live in
-// amplifier/plan_writers.h (namespace planw), shared with the yield
-// engine's per-trial evaluator.
-
-BandReport BandEvaluator::evaluate_batched(const DesignVector& design) {
   if (!built_) {
     // Cold build: closures, tabulation, and workspace blocks allocate
     // freely here; every subsequent call is allocation-free.
@@ -614,25 +379,25 @@ BandReport BandEvaluator::evaluate_batched(const DesignVector& design) {
     built_ = true;
     last_retabulated_ = 0;
   } else {
-    retabulate_batched(design);
+    retabulate(design);
   }
-  return batched_pass();
+  return band_report(bplan_, workspace_, band_hz_.size(), bias_.id_a,
+                     noise_buf_);
 }
 
-void BandEvaluator::retabulate_batched(const DesignVector& design) {
+void BandEvaluator::retabulate(const DesignVector& design) {
   const bool all = force_full_retab_;
-  // Same skip rule as LnaDesign::rebind_netlist: an element whose
-  // governing parameter did not move already holds exactly the values
-  // this design would tabulate (the writers are pure functions of the
-  // parameter), so its tables are left untouched.
+  // An element whose governing parameter did not move already holds
+  // exactly the values this design would tabulate (the writers are pure
+  // functions of the parameter), so its tables are left untouched.
   const auto changed = [&](double DesignVector::* m) {
     return all || last_.*m != design.*m;
   };
   const bool bias_changed =
       changed(&DesignVector::vgs) || changed(&DesignVector::vds);
   // Bias first: design_bias rejects infeasible operating points BEFORE
-  // any table is touched, leaving the evaluator reusable exactly like the
-  // scalar path (whose LnaDesign constructor throws before rebinding).
+  // any table is touched, leaving the evaluator reusable (an LnaDesign
+  // for the same point throws from its constructor the same way).
   BiasNetwork bias = bias_;
   if (bias_changed) bias = design_bias(device_, design, config_);
 
@@ -747,45 +512,6 @@ void BandEvaluator::retabulate_batched(const DesignVector& design) {
   bias_ = bias;
   last_ = design;
   last_retabulated_ = retabulated;
-}
-
-BandReport BandEvaluator::batched_pass() {
-  const std::size_t nf = bplan_.size();
-  const std::size_t band_points = band_hz_.size();
-  bplan_.factor(workspace_, 0, nf);
-  bplan_.solve_ports(workspace_);
-  bplan_.solve_output_transfer(workspace_, 1, 0, band_points);
-  noise_buf_.resize(band_points);
-  bplan_.noise_sweep(workspace_, 0, 1, noise_buf_.data());
-  // Serial grid-order walk with the reduction inlined; the accumulation
-  // sequence replays reduce_report exactly.
-  BandReport rep;
-  rep.id_a = bias_.id_a;
-  double nf_sum = 0.0, gt_sum = 0.0;
-  rep.nf_max_db = -1e9;
-  rep.gt_min_db = 1e9;
-  rep.s11_worst_db = -1e9;
-  rep.s22_worst_db = -1e9;
-  for (std::size_t fi = 0; fi < band_points; ++fi) {
-    const rf::SParams s = bplan_.s_params_at(workspace_, fi);
-    const double nf_db = noise_buf_[fi].noise_figure_db;
-    const double gt = rf::db20(s.s21);
-    nf_sum += nf_db;
-    gt_sum += gt;
-    rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
-    rep.gt_min_db = std::min(rep.gt_min_db, gt);
-    rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
-    rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
-  }
-  rep.nf_avg_db = nf_sum / static_cast<double>(band_points);
-  rep.gt_avg_db = gt_sum / static_cast<double>(band_points);
-  rep.mu_min = 1e9;
-  for (std::size_t fi = band_points; fi < nf; ++fi) {
-    const rf::SParams s = bplan_.s_params_at(workspace_, fi);
-    rep.mu_min =
-        std::min(rep.mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
-  }
-  return rep;
 }
 
 }  // namespace gnsslna::amplifier

@@ -11,7 +11,6 @@
 #include "amplifier/topology.h"
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
-#include "circuit/compiled.h"
 
 namespace gnsslna::amplifier {
 
@@ -31,7 +30,7 @@ struct BandReport {
 /// Handles to the elements of an LNA netlist that depend on the design
 /// vector (or its derived bias network).  Everything else — decoupling,
 /// bias line, tee parasitics, blocking caps — is fixed by the config, so a
-/// compiled plan never needs to re-tabulate it between design points.
+/// batched plan never needs to re-tabulate it between design points.
 ///
 /// The yield engine additionally perturbs the SUBSTRATE (epsilon_r,
 /// height), which reaches elements a design step never moves: the
@@ -59,19 +58,9 @@ class LnaDesign {
   circuit::Netlist build_netlist() const;
 
   /// Like build_netlist(), also returning handles to the design-dependent
-  /// elements so they can later be rebound in place.
+  /// elements, whose tables a BatchedPlan compiled from the netlist can
+  /// later rewrite in place (amplifier/plan_writers.h).
   circuit::Netlist build_netlist(DesignBindings* bindings) const;
-
-  /// Rebinds the design-dependent elements of a netlist previously built
-  /// by build_netlist(&bindings) — possibly for a different design vector —
-  /// to THIS design's values.  The rebound netlist is bit-identical to
-  /// build_netlist() on this design; topology is untouched.  When
-  /// `previous` is the design the netlist is currently bound to (same
-  /// device and config), elements whose parameters are unchanged are
-  /// skipped entirely, so a subsequent CompiledNetlist::sync() re-tabulates
-  /// only what the design step actually moved.
-  void rebind_netlist(circuit::Netlist& netlist, const DesignBindings& bindings,
-                      const DesignVector* previous = nullptr) const;
 
   /// Two-port S-parameters at a frequency.
   rf::SParams s_params(double frequency_hz) const;
@@ -85,29 +74,11 @@ class LnaDesign {
   double noise_figure_db(double frequency_hz) const;
 
   /// Band evaluation over the given in-band grid; stability is also
-  /// checked on an extended grid (0.5-3.5 GHz).  Per-frequency analyses
-  /// fan out across `threads`; the report is reduced in grid order, so it
-  /// is bit-identical for any thread count.
-  BandReport evaluate(const std::vector<double>& band_hz,
-                      std::size_t threads = 1) const;
-
-  /// Reduces a band report from an already-synced compiled plan whose grid
-  /// is `band_points` in-band frequencies followed by stability_grid().
-  /// Shared by evaluate() and BandEvaluator; bit-identical to the legacy
-  /// per-call path.
-  BandReport evaluate_from_plan(circuit::CompiledNetlist& plan,
-                                std::size_t band_points,
-                                std::size_t threads = 1) const;
-
-  /// Like evaluate_from_plan(), but over a frequency-batched plan: the
-  /// grid is split into contiguous lane chunks (one EvalWorkspace each),
-  /// every chunk factored as one blocked LU batch.  Chunk boundaries
-  /// depend only on the thread count and per-lane results are independent
-  /// of chunking, so the report is bit-identical to evaluate_from_plan()
-  /// and to the legacy path at every thread count.
-  BandReport evaluate_from_batched(const circuit::BatchedPlan& plan,
-                                   std::size_t band_points,
-                                   std::size_t threads = 1) const;
+  /// checked on an extended grid (0.5-3.5 GHz).  One-shot: builds the
+  /// netlist and a transient BatchedPlan, then runs the band pass every
+  /// evaluator shares (band_report, amplifier/plan_writers.h).  Loops over
+  /// many design points should hold a BandEvaluator instead.
+  BandReport evaluate(const std::vector<double>& band_hz) const;
 
   /// Default 7-point evaluation grid across 1.1-1.7 GHz.
   static std::vector<double> default_band();
@@ -129,20 +100,16 @@ class LnaDesign {
   BiasNetwork bias_;
 };
 
-/// Reusable band evaluator for optimizer loops: keeps one evaluation plan
+/// Reusable band evaluator for optimizer loops: keeps one batched plan
 /// alive across design points, re-tabulating only the elements the design
 /// vector changes — fixed elements (and their dispersion curves) are
 /// tabulated once for the whole run, and every frequency shares a single
-/// LU factorization between the S-parameter and noise solves.  Reports
-/// are bit-identical to LnaDesign::evaluate().
-///
-/// With config.use_batched_plan (the default) the evaluator runs on the
-/// allocation-free circuit::BatchedPlan core: changed element values are
-/// written straight into the plan's tables (no closures, no Netlist), and
-/// after the first call the steady state performs ZERO heap allocations
-/// (pinned by tests/test_alloc_free.cpp and the bench allocs_per_op
-/// counter).  With use_batched_plan == false it falls back to the scalar
-/// CompiledNetlist rebind/sync machinery.
+/// LU factorization between the S-parameter and noise solves.  Changed
+/// element values are written straight into the plan's tables (no
+/// closures, no Netlist), and after the first call the steady state
+/// performs ZERO heap allocations (pinned by tests/test_alloc_free.cpp and
+/// the bench allocs_per_op counter).  Reports are bit-identical to
+/// LnaDesign::evaluate().
 ///
 /// NOT thread-safe: hold one instance per thread (see
 /// objectives.cpp::ReportCache).
@@ -157,22 +124,19 @@ class BandEvaluator {
   BandReport evaluate(const DesignVector& design);
 
   /// Element/noise tables refreshed by the last evaluate() (diagnostics
-  /// and cache-invalidation tests).  Same counting on both paths: one per
-  /// value table (stamp, two-port, or noise CSD) rewritten.
+  /// and cache-invalidation tests): one per value table (stamp, two-port,
+  /// or noise CSD) rewritten; 0 for the cold build.
   std::size_t last_retabulated() const { return last_retabulated_; }
 
-  /// Arena high-water mark of the persistent batched workspace [bytes]
-  /// (0 on the scalar path); pinned by the zero-allocation test so silent
-  /// workspace growth fails CI.
+  /// Arena high-water mark of the persistent batched workspace [bytes];
+  /// pinned by the zero-allocation test so silent workspace growth fails
+  /// CI.
   std::size_t workspace_high_water() const {
     return workspace_.arena_high_water();
   }
 
  private:
-  BandReport evaluate_compiled(const DesignVector& design);
-  BandReport evaluate_batched(const DesignVector& design);
-  void retabulate_batched(const DesignVector& design);
-  BandReport batched_pass();
+  void retabulate(const DesignVector& design);
 
   device::Phemt device_;
   AmplifierConfig config_;
@@ -181,14 +145,9 @@ class BandEvaluator {
   DesignVector last_;  ///< design the plan is currently bound to
   std::size_t last_retabulated_ = 0;
 
-  // Scalar path (use_batched_plan == false): netlist closures rebound in
-  // place, then CompiledNetlist::sync picks up the bumped revisions.
-  circuit::Netlist netlist_;
+  // Values are written through the plan's table views, so no netlist is
+  // retained — only the element handles.
   DesignBindings bindings_;
-  circuit::CompiledNetlist plan_;
-
-  // Batched direct path: values are written through the plan's table
-  // views, so no netlist is retained — only the element handles.
   circuit::BatchedPlan bplan_;
   circuit::EvalWorkspace workspace_;
   /// Dispersion curve of a w50-wide line over the plan grid, cached at

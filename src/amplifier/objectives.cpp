@@ -1,42 +1,25 @@
 #include "amplifier/objectives.h"
 
-#include <atomic>
-#include <cmath>
-#include <cstdint>
 #include <memory>
-#include <unordered_map>
 
+#include "numeric/parallel.h"
 #include "obs/obs.h"
 
 namespace gnsslna::amplifier {
 
 namespace {
 
-/// Sentinel report for design points that cannot be built (bias
-/// unreachable etc.): terrible but finite, so optimizers move away
-/// smoothly instead of crashing.
-BandReport infeasible_report() {
-  BandReport r;
-  r.nf_avg_db = 50.0;
-  r.nf_max_db = 50.0;
-  r.gt_min_db = -50.0;
-  r.gt_avg_db = -50.0;
-  r.s11_worst_db = 0.0;
-  r.s22_worst_db = 0.0;
-  r.mu_min = 0.0;
-  r.id_a = 1.0;
-  return r;
-}
-
 /// Memoizes the BandReport of the most recent design point so the
 /// objective and every constraint share one evaluation.
 ///
-/// The memo slot is per thread (keyed by a per-instance id): the closures
+/// The memo slot is per thread (numeric::PerThreadSlots): the closures
 /// holding one cache may be evaluated concurrently by parallel_map, and a
 /// slot shared across threads would race — one thread could read the
 /// report computed for another thread's design point.  Recomputation is
 /// pure, so per-thread slots keep results bit-identical for any thread
-/// count while preserving the objective-then-constraints memo hit.
+/// count while preserving the objective-then-constraints memo hit.  The
+/// cache owns its slots, so destroying the problem frees the evaluator
+/// every thread built for it.
 class ReportCache {
  public:
   /// `borrowed` (optional) is an externally owned evaluator built for the
@@ -51,38 +34,31 @@ class ReportCache {
       : device_(std::move(device)),
         config_(std::move(config)),
         band_(std::move(band)),
-        borrowed_(std::move(borrowed)),
-        id_(next_id()) {
+        borrowed_(std::move(borrowed)) {
     config_.resolve();
   }
 
   const BandReport& at(const std::vector<double>& x) const {
-    Slot& slot = borrowed_ ? borrowed_slot_ : local_slot();
+    Slot& slot = borrowed_ ? borrowed_slot_ : slots_.local();
     if (!slot.valid || x != slot.x) {
       GNSSLNA_OBS_COUNT("amplifier.report_cache.misses");
       slot.valid = true;
       slot.x = x;
       try {
-        if (borrowed_) {
-          // Borrowed-evaluator path: same values as below (the rebind
-          // machinery only decides WHICH elements re-stamp, never what
-          // they evaluate to), so reports are bit-identical whatever
-          // design the lease last touched.
-          slot.report = borrowed_->evaluate(DesignVector::from_vector(x));
-        } else if (config_.use_eval_plan) {
-          // Persistent per-thread evaluator: the netlist skeleton, the
-          // fixed-element tables, and all solver workspaces live across
-          // design points; only the design-dependent elements re-stamp.
+        // Borrowed: reports are bit-identical whatever design the lease
+        // last touched (re-tabulation only decides WHICH tables are
+        // rewritten, never what they hold).  Per thread: the persistent
+        // evaluator keeps its plan and workspace across design points, so
+        // only the design-dependent elements re-stamp.
+        BandEvaluator* evaluator = borrowed_.get();
+        if (evaluator == nullptr) {
           if (!slot.evaluator) {
             slot.evaluator =
                 std::make_unique<BandEvaluator>(device_, config_, band_);
           }
-          slot.report = slot.evaluator->evaluate(DesignVector::from_vector(x));
-        } else {
-          const LnaDesign lna(device_, config_,
-                              DesignVector::from_vector(x));
-          slot.report = lna.evaluate(band_);
+          evaluator = slot.evaluator.get();
         }
+        slot.report = evaluator->evaluate(DesignVector::from_vector(x));
       } catch (const std::exception&) {
         GNSSLNA_OBS_COUNT("amplifier.report_cache.infeasible");
         slot.report = infeasible_report();
@@ -101,24 +77,12 @@ class ReportCache {
     std::unique_ptr<BandEvaluator> evaluator;
   };
 
-  static std::uint64_t next_id() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  Slot& local_slot() const {
-    // Keyed by the monotonically unique id (not `this`): an address can be
-    // reused by a later cache, which would alias a stale slot.
-    thread_local std::unordered_map<std::uint64_t, Slot> slots;
-    return slots[id_];
-  }
-
   device::Phemt device_;
   AmplifierConfig config_;
   std::vector<double> band_;
   std::shared_ptr<BandEvaluator> borrowed_;
   mutable Slot borrowed_slot_;  ///< single slot of the serial borrowed mode
-  std::uint64_t id_;
+  numeric::PerThreadSlots<Slot> slots_;
 };
 
 std::vector<double> band_or_default(std::vector<double> band_hz) {
@@ -126,6 +90,19 @@ std::vector<double> band_or_default(std::vector<double> band_hz) {
 }
 
 }  // namespace
+
+BandReport infeasible_report() {
+  BandReport r;
+  r.nf_avg_db = 50.0;
+  r.nf_max_db = 50.0;
+  r.gt_min_db = -50.0;
+  r.gt_avg_db = -50.0;
+  r.s11_worst_db = 0.0;
+  r.s22_worst_db = 0.0;
+  r.mu_min = 0.0;
+  r.id_a = 1.0;
+  return r;
+}
 
 const std::vector<std::string>& objective_names() {
   static const std::vector<std::string> kNames = {

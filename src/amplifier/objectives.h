@@ -39,8 +39,14 @@ struct DesignGoals {
 inline constexpr std::size_t kObjectiveCount = 4;
 const std::vector<std::string>& objective_names();
 
+/// Sentinel report for design points that cannot be built (bias
+/// unreachable etc.): terrible but finite, so optimizers move away
+/// smoothly instead of crashing.  Shared by every objective built on
+/// BandReport (the band-average problems and mission::ScenarioObjective).
+BandReport infeasible_report();
+
 /// Evaluates the four objectives of a design point (throws nothing; an
-/// unbuildable point returns large sentinel values).
+/// unbuildable point returns infeasible_report()'s values).
 std::vector<double> evaluate_objectives(const device::Phemt& device,
                                         const AmplifierConfig& config,
                                         const DesignVector& d,

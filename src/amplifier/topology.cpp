@@ -1,6 +1,5 @@
 #include "amplifier/topology.h"
 
-#include <cstdlib>
 #include <numbers>
 #include <stdexcept>
 
@@ -54,15 +53,6 @@ const std::vector<std::string>& DesignVector::names() {
 
 void AmplifierConfig::resolve() {
   substrate.validate();
-  // Escape hatch for plan-on/off A/B runs of the full benches: results
-  // are bit-identical either way (see tests/test_compiled.cpp), only the
-  // evaluation cost changes.
-  if (std::getenv("GNSSLNA_NO_EVAL_PLAN") != nullptr) {
-    use_eval_plan = false;
-  }
-  if (std::getenv("GNSSLNA_NO_BATCHED_PLAN") != nullptr) {
-    use_batched_plan = false;
-  }
   const double f_centre =
       0.5 * (rf::kGnssBandLowHz + rf::kGnssBandHighHz);
   if (w50_m <= 0.0) {

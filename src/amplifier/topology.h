@@ -92,21 +92,6 @@ struct AmplifierConfig {
   double t_ambient_k = 290.0;       ///< physical temperature of the board;
                                     ///< passive thermal noise and the device
                                     ///< noise temperatures scale with it
-  bool use_eval_plan = true;        ///< evaluate through the compiled
-                                    ///< netlist plan (bit-identical to the
-                                    ///< legacy per-call path; false only
-                                    ///< for equivalence tests/benches).
-                                    ///< resolve() forces false when the
-                                    ///< GNSSLNA_NO_EVAL_PLAN env var is set
-                                    ///< (plan on/off A/B of full benches)
-  bool use_batched_plan = true;     ///< with use_eval_plan, evaluate through
-                                    ///< the frequency-batched allocation-free
-                                    ///< core (circuit::BatchedPlan) instead
-                                    ///< of the scalar compiled plan; results
-                                    ///< are bit-identical either way.
-                                    ///< resolve() forces false when the
-                                    ///< GNSSLNA_NO_BATCHED_PLAN env var is
-                                    ///< set (three-way path A/B runs)
 
   /// Resolves w50_m / l_bias_m if unset (synthesized at band centre).
   void resolve();

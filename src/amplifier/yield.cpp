@@ -16,7 +16,6 @@
 #include "numeric/stats.h"
 #include "obs/obs.h"
 #include "passives/catalog.h"
-#include "rf/metrics.h"
 #include "rf/units.h"
 
 namespace gnsslna::amplifier {
@@ -72,10 +71,9 @@ TrialOutcome outcome_from(const BandReport& rep, const DesignGoals& goals) {
   return out;
 }
 
-/// The pre-engine reference path: a full LnaDesign + transient plan per
-/// trial.  Kept live (options.reuse_plan == false) as the equivalence
-/// reference the engine is pinned against, and as the benchmark baseline
-/// for the per-sample speedup claim.
+/// A full LnaDesign + transient plan per trial: the fallback when the
+/// nominal design itself cannot be built (so no persistent evaluator
+/// exists), classifying each trial on its own draw.
 TrialOutcome rebuild_trial(const device::Phemt& device,
                            const AmplifierConfig& base,
                            const std::vector<double>& band,
@@ -425,7 +423,6 @@ void YieldTrialEvaluator::retabulate(const TrialDraw& draw,
 TrialOutcome YieldTrialEvaluator::evaluate(const TrialDraw& draw,
                                            const DesignGoals& goals) {
   GNSSLNA_OBS_COUNT("yield.resyncs");
-  TrialOutcome out;
   try {
     // Reject exactly what the rebuild path rejects, in the same order:
     // board first (AmplifierConfig::resolve validates the substrate),
@@ -433,43 +430,14 @@ TrialOutcome YieldTrialEvaluator::evaluate(const TrialDraw& draw,
     draw.substrate.validate();
     const BiasNetwork bias = design_bias(device_, draw.design, config_);
     retabulate(draw, bias);
-
-    const std::size_t lanes = bplan_.size();
-    const std::size_t band_points = band_hz_.size();
-    bplan_.factor(workspace_, 0, lanes);
-    bplan_.solve_ports(workspace_);
-    bplan_.solve_output_transfer(workspace_, 1, 0, band_points);
-    bplan_.noise_sweep(workspace_, 0, 1, noise_buf_.data());
-    // Serial grid-order reduction replaying BandEvaluator::batched_pass
-    // (itself pinned bit-identical to LnaDesign::evaluate).
-    double nf_sum = 0.0;
-    double gt_min = 1e9, s11_worst = -1e9, s22_worst = -1e9;
-    for (std::size_t fi = 0; fi < band_points; ++fi) {
-      const rf::SParams s = bplan_.s_params_at(workspace_, fi);
-      nf_sum += noise_buf_[fi].noise_figure_db;
-      gt_min = std::min(gt_min, rf::db20(s.s21));
-      s11_worst = std::max(s11_worst, rf::db20(s.s11));
-      s22_worst = std::max(s22_worst, rf::db20(s.s22));
-    }
-    double mu_min = 1e9;
-    for (std::size_t fi = band_points; fi < lanes; ++fi) {
-      const rf::SParams s = bplan_.s_params_at(workspace_, fi);
-      mu_min = std::min(mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
-    }
-    out.nf_avg_db = nf_sum / static_cast<double>(band_points);
-    out.gt_min_db = gt_min;
-    out.pass = meets_goals(out.nf_avg_db, out.gt_min_db, s11_worst, s22_worst,
-                           mu_min, goals);
+    return outcome_from(band_report(bplan_, workspace_, band_hz_.size(),
+                                    bias.id_a, noise_buf_),
+                        goals);
   } catch (const std::exception&) {
-    out = TrialOutcome{};
+    TrialOutcome out;
     out.failed = true;
     return out;
   }
-  if (!std::isfinite(out.nf_avg_db) || !std::isfinite(out.gt_min_db)) {
-    out = TrialOutcome{};
-    out.failed = true;
-  }
-  return out;
 }
 
 YieldReport run_yield(const device::Phemt& device,
@@ -520,17 +488,15 @@ YieldReport run_yield(const device::Phemt& device,
     }
     auto fresh = std::make_unique<Worker>();
     fresh->stats.init(bins);
-    if (options.reuse_plan) {
-      try {
-        fresh->eval =
-            std::make_unique<YieldTrialEvaluator>(device, base, design, band);
-        GNSSLNA_OBS_COUNT("yield.plan_builds");
-      } catch (const std::exception&) {
-        // Nominal design itself infeasible: fall back to the per-trial
-        // rebuild path, which classifies each trial on its own draw —
-        // exactly what the engine would report trial by trial.
-        fresh->eval = nullptr;
-      }
+    try {
+      fresh->eval =
+          std::make_unique<YieldTrialEvaluator>(device, base, design, band);
+      GNSSLNA_OBS_COUNT("yield.plan_builds");
+    } catch (const std::exception&) {
+      // Nominal design itself infeasible: fall back to the per-trial
+      // rebuild path, which classifies each trial on its own draw —
+      // exactly what the engine would report trial by trial.
+      fresh->eval = nullptr;
     }
     const std::lock_guard<std::mutex> lock(pool_mutex);
     pool.push_back(std::move(fresh));

@@ -63,9 +63,6 @@ struct YieldOptions {
   std::size_t shard = 256;
   YieldSampler sampler = YieldSampler::kPseudoRandom;
   ToleranceModel tolerances = {};
-  /// false = per-trial LnaDesign rebuild (the pre-engine path, kept as
-  /// the bit-identical equivalence reference for tests and benches).
-  bool reuse_plan = true;
   /// When set, receives one record per power-of-two sample count:
   /// phase "yield_mc"/"yield_qmc", evaluations = samples so far,
   /// best_value = running pass rate, attainment = Wilson-CI width,
@@ -148,7 +145,8 @@ struct TrialOutcome {
 /// perturbed tables plus one allocation-free batched evaluate.  The
 /// steady state performs ZERO heap allocations per trial (pinned by
 /// tests/test_alloc_free.cpp).  Results are bit-identical to rebuilding
-/// an LnaDesign per trial (pinned by tests/test_yield.cpp).
+/// the trial's netlist and running the per-call analyses on it (pinned by
+/// tests/test_yield.cpp).
 ///
 /// NOT thread-safe: hold one instance per thread (run_yield keeps a pool).
 class YieldTrialEvaluator {

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "circuit/batched.h"
-#include "circuit/compiled.h"
 #include "numeric/parallel.h"
 #include "rf/units.h"
 

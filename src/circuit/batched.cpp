@@ -41,7 +41,7 @@ namespace gnsslna::circuit {
 #endif
 
 // ---------------------------------------------------------------------------
-// Construction and tabulation (mirrors CompiledNetlist)
+// Construction and tabulation
 
 BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     : grid_(std::move(grid_hz)) {
@@ -58,7 +58,7 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     const Netlist::Stamp& st = netlist.stamps_[si];
     StampTable& t = stamps_[si];
     t.frequency_independent = st.frequency_independent;
-    // Legacy bump order: (out_p,in_p,+) (out_p,in_n,-) (out_n,in_p,-)
+    // Netlist::assemble bump order: (out_p,in_p,+) (out_p,in_n,-) (out_n,in_p,-)
     // (out_n,in_n,+), ground-touching terms skipped.
     const NodeId rows[4] = {st.out_p, st.out_p, st.out_n, st.out_n};
     const NodeId cols[4] = {st.in_p, st.in_n, st.in_p, st.in_n};
@@ -68,14 +68,19 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
       t.bumps.push_back({static_cast<std::uint32_t>(rows[b] - 1),
                          static_cast<std::uint32_t>(cols[b] - 1), signs[b]});
     }
-    tabulate_stamp(si, netlist);
+    if (!grid_.empty()) {
+      t.values.resize(t.frequency_independent ? 1 : grid_.size());
+      for (std::size_t k = 0; k < t.values.size(); ++k) {
+        t.values[k] = st.value(grid_[k]);
+      }
+    }
   }
 
   twoports_.resize(netlist.twoports_.size());
   for (std::size_t ti = 0; ti < twoports_.size(); ++ti) {
     const Netlist::TwoPortStamp& tp = netlist.twoports_[ti];
     TwoPortTable& t = twoports_[ti];
-    // The nine legacy bump() calls of CompiledNetlist::slot_with_lu, in
+    // The nine bump() calls of Netlist::assemble's two-port expansion, in
     // order, with ground-touching terms dropped at compile time.
     const NodeId a = tp.t1, b = tp.t2, c = tp.common;
     const NodeId rows[9] = {a, a, a, b, b, b, c, c, c};
@@ -90,113 +95,41 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
       t.terms.push_back({static_cast<std::uint32_t>(rows[k] - 1),
                          static_cast<std::uint32_t>(cols[k] - 1), kinds[k]});
     }
-    tabulate_twoport(ti, netlist);
+    t.values.resize(grid_.size());
+    t.kind_re.resize(9 * grid_.size());
+    t.kind_im.resize(9 * grid_.size());
+    const TwoPortView v = twoport_view(ti);
+    for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
+      v.set(fi, tp.y(grid_[fi]));
+    }
   }
 
   noise_.resize(netlist.noise_groups_.size());
   for (std::size_t gi = 0; gi < noise_.size(); ++gi) {
-    noise_[gi].injections = netlist.noise_groups_[gi].injections;
-    noise_[gi].order = noise_[gi].injections.size();
-    tabulate_noise(gi, netlist);
+    const NoiseGroup& g = netlist.noise_groups_[gi];
+    NoiseTable& t = noise_[gi];
+    t.injections = g.injections;
+    t.order = g.injections.size();
+    const std::size_t k = t.order;
+    t.csd.resize(grid_.size() * k * k);
+    for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
+      const numeric::ComplexMatrix m = g.csd(grid_[fi]);
+      if (m.rows() != k || m.cols() != k) {
+        throw std::invalid_argument("noise_analysis: CSD size mismatch in '" +
+                                    g.label + "'");
+      }
+      for (std::size_t r = 0; r < k; ++r) {
+        for (std::size_t c = 0; c < k; ++c) {
+          t.csd[fi * k * k + r * k + c] = m(r, c);
+        }
+      }
+    }
   }
-  last_sync_retabulated_ = stamps_.size() + twoports_.size() + noise_.size();
 
   max_injections_ = 1;
   for (const NoiseTable& g : noise_) {
     max_injections_ = std::max(max_injections_, g.injections.size());
   }
-}
-
-void BatchedPlan::tabulate_stamp(std::size_t si, const Netlist& netlist) {
-  const Netlist::Stamp& st = netlist.stamps_[si];
-  StampTable& t = stamps_[si];
-  t.revision = st.revision;
-  if (grid_.empty()) return;
-  if (t.frequency_independent) {
-    t.values.assign(1, st.value(grid_[0]));
-    return;
-  }
-  t.values.resize(grid_.size());
-  for (std::size_t k = 0; k < grid_.size(); ++k) {
-    t.values[k] = st.value(grid_[k]);
-  }
-}
-
-void BatchedPlan::tabulate_twoport(std::size_t ti, const Netlist& netlist) {
-  const Netlist::TwoPortStamp& tp = netlist.twoports_[ti];
-  TwoPortTable& t = twoports_[ti];
-  t.revision = tp.revision;
-  t.values.resize(grid_.size());
-  t.kind_re.resize(9 * grid_.size());
-  t.kind_im.resize(9 * grid_.size());
-  const TwoPortView v = twoport_view(ti);
-  for (std::size_t k = 0; k < grid_.size(); ++k) {
-    v.set(k, tp.y(grid_[k]));
-  }
-}
-
-void BatchedPlan::tabulate_noise(std::size_t gi, const Netlist& netlist) {
-  const NoiseGroup& g = netlist.noise_groups_[gi];
-  NoiseTable& t = noise_[gi];
-  t.revision = g.revision;
-  const std::size_t k = t.order;
-  t.csd.resize(grid_.size() * k * k);
-  for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
-    const numeric::ComplexMatrix m = g.csd(grid_[fi]);
-    if (m.rows() != k || m.cols() != k) {
-      throw std::invalid_argument("noise_analysis: CSD size mismatch in '" +
-                                  g.label + "'");
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-      for (std::size_t c = 0; c < k; ++c) {
-        t.csd[fi * k * k + r * k + c] = m(r, c);
-      }
-    }
-  }
-}
-
-void BatchedPlan::check_structure(const Netlist& netlist) const {
-  if (netlist.node_count() - 1 != unknowns_ ||
-      netlist.stamps_.size() != stamps_.size() ||
-      netlist.twoports_.size() != twoports_.size() ||
-      netlist.noise_groups_.size() != noise_.size() ||
-      netlist.ports().size() != ports_.size()) {
-    throw std::invalid_argument("BatchedPlan::sync: netlist structure changed");
-  }
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    if (netlist.ports()[p].node != ports_[p].node ||
-        netlist.ports()[p].z0 != ports_[p].z0) {
-      throw std::invalid_argument("BatchedPlan::sync: netlist ports changed");
-    }
-  }
-}
-
-void BatchedPlan::sync(const Netlist& netlist) {
-  GNSSLNA_OBS_SPAN("circuit.batch.sync");
-  check_structure(netlist);
-  std::size_t matrix_changes = 0, noise_changes = 0;
-  for (std::size_t si = 0; si < stamps_.size(); ++si) {
-    if (netlist.stamps_[si].revision != stamps_[si].revision) {
-      tabulate_stamp(si, netlist);
-      matrix_changes++;
-    }
-  }
-  for (std::size_t ti = 0; ti < twoports_.size(); ++ti) {
-    if (netlist.twoports_[ti].revision != twoports_[ti].revision) {
-      tabulate_twoport(ti, netlist);
-      matrix_changes++;
-    }
-  }
-  for (std::size_t gi = 0; gi < noise_.size(); ++gi) {
-    if (netlist.noise_groups_[gi].revision != noise_[gi].revision) {
-      tabulate_noise(gi, netlist);
-      noise_changes++;
-    }
-  }
-  if (matrix_changes > 0) {
-    ++revision_;
-  }
-  last_sync_retabulated_ = matrix_changes + noise_changes;
 }
 
 BatchedPlan::StampView BatchedPlan::stamp_view(std::size_t stamp_index) {
@@ -324,9 +257,9 @@ void BatchedPlan::assemble(EvalWorkspace& ws) const {
 
   for (const TwoPortTable& t : twoports_) {
     for (const TpTerm& term : t.terms) {
-      // The expanded kind rows already hold exactly the complex value the
-      // legacy assembly forms for this term (see TwoPortView::set), so the
-      // lane loop is a contiguous add just like the stamp path.
+      // The expanded kind rows already hold exactly the complex value
+      // Netlist::assemble forms for this term (see TwoPortView::set), so
+      // the lane loop is a contiguous add just like the stamp path.
       const std::size_t kk = static_cast<std::size_t>(term.kind);
       const double* const vr = t.kind_re.data() + kk * G + fb;
       const double* const vi = t.kind_im.data() + kk * G + fb;
@@ -910,7 +843,7 @@ void BatchedPlan::solve_output_transfer(EvalWorkspace& ws,
 
 // ---------------------------------------------------------------------------
 // Per-frequency result extraction (scalar std::complex arithmetic, exactly
-// as CompiledNetlist computes it from its per-frequency solutions)
+// as circuit::s_matrix / noise_analysis compute it from their solutions)
 
 rf::SParams BatchedPlan::s_params_at(const EvalWorkspace& ws,
                                      std::size_t fi) const {

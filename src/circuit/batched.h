@@ -1,8 +1,10 @@
 // Frequency-batched, allocation-free evaluation core.
 //
-// A BatchedPlan is the structure-of-arrays sibling of CompiledNetlist: it
-// tabulates the same per-element value tables over a fixed frequency grid,
-// but evaluates ALL frequencies of one design as a blocked LU batch.  The
+// A BatchedPlan is the production evaluation path of every netlist
+// analysis that runs on a fixed frequency grid.  It tabulates every
+// element's value (admittance, two-port Y-block, noise CSD) once per grid
+// frequency, then evaluates ALL frequencies of one design as a blocked LU
+// batch.  The
 // assembled admittance system is stored as separate re/im double arrays
 // with the frequency lane as the innermost (contiguous, vectorizable)
 // index; one pass of the factorization advances every frequency in
@@ -10,8 +12,9 @@
 // pivot choices agree (the common case) and falling back to per-lane row
 // swaps when they do not.
 //
-// Determinism contract: every result is bit-identical to CompiledNetlist
-// and to the legacy per-call analyses.  The batched kernels replay, per
+// Determinism contract: every result is bit-identical to the per-call
+// analyses (circuit::s_params / noise_analysis), which stay the reference
+// oracle of the tests.  The batched kernels replay, per
 // frequency lane, the exact arithmetic of numeric::LuDecomposition —
 // pivot_magnitude selection, scalar_inverse reciprocals, naive complex
 // multiply (which equals the libgcc __muldc3 fast path for the finite,
@@ -132,21 +135,15 @@ class BatchedPlan {
   BatchedPlan() = default;
 
   /// Compiles `netlist` over the grid, tabulating every element and noise
-  /// group at every grid frequency (exactly CompiledNetlist's tables, laid
-  /// out for batched assembly).  The netlist is not retained.
+  /// group at every grid frequency (the values the closures return, laid
+  /// out for batched assembly).  The netlist is not retained: later value
+  /// changes go through the direct table views below.
   BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz);
-
-  /// Re-tabulates exactly the elements/noise groups whose revision changed
-  /// (same semantics as CompiledNetlist::sync); bumps the plan revision —
-  /// invalidating bound workspaces' factorizations — when any matrix-side
-  /// table changed.
-  void sync(const Netlist& netlist);
 
   const std::vector<double>& grid() const { return grid_; }
   std::size_t size() const { return grid_.size(); }
   const std::vector<Port>& ports() const { return ports_; }
   std::size_t unknowns() const { return unknowns_; }
-  std::size_t last_sync_retabulated() const { return last_sync_retabulated_; }
 
   /// Monotone revision; bumped whenever tabulated matrix values change.
   std::uint64_t revision() const { return revision_; }
@@ -157,7 +154,8 @@ class BatchedPlan {
   // into the plan through these views and then calls mark_values_dirty().
   // The written values must be exactly what the corresponding Netlist
   // closure would have returned — that is what keeps the direct path
-  // bit-identical to sync()-driven retabulation (pinned by tests).
+  // bit-identical to compiling a fresh plan from a rebuilt netlist (pinned
+  // by tests).
 
   /// Stamp value table; count == 1 for frequency-independent stamps,
   /// grid().size() otherwise.
@@ -178,7 +176,7 @@ class BatchedPlan {
     double* kind_im;
 
     /// Stores `y` at grid index fi and expands the nine assembly term
-    /// values with exactly the component expressions the legacy assembly
+    /// values with exactly the component expressions Netlist::assemble
     /// forms (same operand order, so the expansion is bit-invisible).
     void set(std::size_t fi, const rf::YParams& y) const {
       values[fi] = y;
@@ -219,7 +217,8 @@ class BatchedPlan {
   NoiseView noise_view(std::size_t group_index);
 
   /// Invalidates cached factorizations after direct writes through the
-  /// views above (noise-only writes do not need it, matching sync()).
+  /// views above (noise-only writes do not need it: factorizations read
+  /// only the matrix-side tables).
   void mark_values_dirty() { ++revision_; }
 
   // -- Evaluation ------------------------------------------------------
@@ -252,12 +251,12 @@ class BatchedPlan {
 
   /// Two-port S-parameters at grid index fi (must lie in the bound lane
   /// range; solve_ports must have run).  Bit-identical to
-  /// CompiledNetlist::s_params_at and circuit::s_params.
+  /// circuit::s_params.
   rf::SParams s_params_at(const EvalWorkspace& ws, std::size_t fi) const;
 
   /// Standard (z0-source) noise analysis at grid index fi
   /// (solve_output_transfer must have run for `output_port`).
-  /// Bit-identical to CompiledNetlist::noise_at and circuit::noise_analysis.
+  /// Bit-identical to circuit::noise_analysis.
   NoiseResult noise_at(const EvalWorkspace& ws, std::size_t fi,
                        std::size_t input_port, std::size_t output_port,
                        double t_source_k = rf::kT0) const;
@@ -281,8 +280,8 @@ class BatchedPlan {
   };
 
   // One ground-eliminated term of a two-port Y-block, tagged with which of
-  // the nine legacy bump expressions produces its value.  The numeric
-  // order is the row order of the expanded kind tables written by
+  // the nine Netlist::assemble bump expressions produces its value.  The
+  // numeric order is the row order of the expanded kind tables written by
   // TwoPortView::set.
   enum class TpKind : std::uint8_t {
     kY11, kY12, kNeg1112, kY21, kY22, kNeg2122, kNeg1121, kNeg1222, kSum
@@ -295,12 +294,10 @@ class BatchedPlan {
   struct StampTable {
     std::vector<Bump> bumps;
     bool frequency_independent = false;
-    std::uint64_t revision = 0;
     std::vector<Complex> values;  // 1 entry if frequency-independent
   };
   struct TwoPortTable {
-    std::vector<TpTerm> terms;  // legacy 9-term order, ground terms dropped
-    std::uint64_t revision = 0;
+    std::vector<TpTerm> terms;  // Netlist::assemble 9-term order, no ground
     std::vector<rf::YParams> values;
     // Expanded per-kind term values ([kind * grid + fi], TpKind order):
     // assembly adds these rows contiguously instead of re-deriving the
@@ -309,15 +306,10 @@ class BatchedPlan {
   };
   struct NoiseTable {
     std::vector<std::pair<NodeId, NodeId>> injections;
-    std::uint64_t revision = 0;
     std::size_t order = 0;
     std::vector<Complex> csd;  // [fi*order*order + r*order + c]
   };
 
-  void tabulate_stamp(std::size_t si, const Netlist& netlist);
-  void tabulate_twoport(std::size_t ti, const Netlist& netlist);
-  void tabulate_noise(std::size_t gi, const Netlist& netlist);
-  void check_structure(const Netlist& netlist) const;
   void bind(EvalWorkspace& ws, std::size_t f_begin, std::size_t f_end) const;
   void assemble(EvalWorkspace& ws) const;
   void factor_lanes(EvalWorkspace& ws) const;
@@ -329,7 +321,6 @@ class BatchedPlan {
   std::vector<StampTable> stamps_;
   std::vector<TwoPortTable> twoports_;
   std::vector<NoiseTable> noise_;
-  std::size_t last_sync_retabulated_ = 0;
   std::uint64_t revision_ = 1;
 };
 

@@ -8,9 +8,9 @@ namespace gnsslna::circuit {
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-// Closure builders shared by the add_* and set_* element entry points, so
-// an in-place value rebind produces bit-identical results to rebuilding
-// the netlist from scratch.
+// Closure builders of the add_* element entry points.  BatchedPlan's
+// direct table writers (amplifier/plan_writers.h) replay these bodies, so
+// any change here must be mirrored there.
 
 AdmittanceFn capacitor_admittance(double farads) {
   return [farads](double f) { return Complex{0.0, kTwoPi * f * farads}; };
@@ -101,7 +101,7 @@ ElementId Netlist::add_admittance(NodeId a, NodeId b, AdmittanceFn y,
     throw std::invalid_argument("add_admittance: null admittance function");
   }
   stamps_.push_back({a, b, a, b, std::move(y), std::move(label),
-                     frequency_independent, 0});
+                     frequency_independent});
   return {ElementId::Kind::kStamp, stamps_.size() - 1};
 }
 
@@ -167,7 +167,7 @@ ElementId Netlist::add_vccs(NodeId np, NodeId nn, NodeId cp, NodeId cn,
   check_node(cp, "add_vccs");
   check_node(cn, "add_vccs");
   if (!gm) throw std::invalid_argument("add_vccs: null gm function");
-  stamps_.push_back({np, nn, cp, cn, std::move(gm), std::move(label), false, 0});
+  stamps_.push_back({np, nn, cp, cn, std::move(gm), std::move(label), false});
   return {ElementId::Kind::kStamp, stamps_.size() - 1};
 }
 
@@ -186,7 +186,7 @@ ElementId Netlist::add_three_terminal(NodeId t1, NodeId t2, NodeId common,
         "add_three_terminal: terminals must be distinct nodes");
   }
   if (!y) throw std::invalid_argument("add_three_terminal: null Y function");
-  twoports_.push_back({t1, t2, common, std::move(y), std::move(label), 0});
+  twoports_.push_back({t1, t2, common, std::move(y), std::move(label)});
   return {ElementId::Kind::kTwoPort, twoports_.size() - 1};
 }
 
@@ -200,110 +200,6 @@ std::size_t Netlist::add_noise_group(NoiseGroup group) {
   }
   noise_groups_.push_back(std::move(group));
   return noise_groups_.size() - 1;
-}
-
-void Netlist::set_admittance_fn(ElementId id, AdmittanceFn y) {
-  if (id.kind != ElementId::Kind::kStamp || id.index >= stamps_.size()) {
-    throw std::invalid_argument("set_admittance_fn: bad element id");
-  }
-  if (!y) {
-    throw std::invalid_argument("set_admittance_fn: null admittance function");
-  }
-  stamps_[id.index].value = std::move(y);
-  stamps_[id.index].revision++;
-}
-
-void Netlist::set_twoport_fn(ElementId id, YBlockFn y) {
-  if (id.kind != ElementId::Kind::kTwoPort || id.index >= twoports_.size()) {
-    throw std::invalid_argument("set_twoport_fn: bad element id");
-  }
-  if (!y) {
-    throw std::invalid_argument("set_twoport_fn: null Y function");
-  }
-  twoports_[id.index].y = std::move(y);
-  twoports_[id.index].revision++;
-}
-
-void Netlist::set_noise_csd(std::size_t group,
-                            std::function<numeric::ComplexMatrix(double)> csd) {
-  if (group >= noise_groups_.size()) {
-    throw std::invalid_argument("set_noise_csd: bad noise group index");
-  }
-  if (!csd) {
-    throw std::invalid_argument("set_noise_csd: null CSD function");
-  }
-  noise_groups_[group].csd = std::move(csd);
-  noise_groups_[group].revision++;
-}
-
-void Netlist::set_capacitor(ElementId id, double farads) {
-  if (farads <= 0.0) {
-    throw std::invalid_argument("set_capacitor: capacitance must be positive");
-  }
-  set_admittance_fn(id, capacitor_admittance(farads));
-}
-
-void Netlist::set_inductor(ElementId id, double henries) {
-  if (henries <= 0.0) {
-    throw std::invalid_argument("set_inductor: inductance must be positive");
-  }
-  set_admittance_fn(id, inductor_admittance(henries));
-}
-
-void Netlist::set_resistor(const ElementRef& ref, double ohms,
-                           double temperature_k) {
-  if (ohms <= 0.0) {
-    throw std::invalid_argument("set_resistor: resistance must be positive");
-  }
-  const double g = 1.0 / ohms;
-  set_admittance_fn(ref.element, resistor_admittance(g));
-  if (ref.noise_group != kNoNoiseGroup) {
-    if (temperature_k <= 0.0) {
-      throw std::invalid_argument(
-          "set_resistor: element has registered noise; temperature must "
-          "stay positive");
-    }
-    set_noise_csd(ref.noise_group,
-                  resistor_csd(4.0 * rf::kBoltzmann * temperature_k * g));
-  }
-}
-
-void Netlist::set_lossy_impedance(const ElementRef& ref,
-                                  std::function<Complex(double)> impedance,
-                                  double temperature_k) {
-  if (!impedance) {
-    throw std::invalid_argument("set_lossy_impedance: null impedance function");
-  }
-  set_admittance_fn(ref.element, lossy_admittance(impedance));
-  if (ref.noise_group != kNoNoiseGroup) {
-    if (temperature_k <= 0.0) {
-      throw std::invalid_argument(
-          "set_lossy_impedance: element has registered noise; temperature "
-          "must stay positive");
-    }
-    set_noise_csd(ref.noise_group, lossy_csd(std::move(impedance),
-                                             temperature_k));
-  }
-}
-
-std::uint64_t Netlist::element_revision(ElementId id) const {
-  if (id.kind == ElementId::Kind::kStamp) {
-    if (id.index >= stamps_.size()) {
-      throw std::invalid_argument("element_revision: bad element id");
-    }
-    return stamps_[id.index].revision;
-  }
-  if (id.index >= twoports_.size()) {
-    throw std::invalid_argument("element_revision: bad element id");
-  }
-  return twoports_[id.index].revision;
-}
-
-std::uint64_t Netlist::noise_revision(std::size_t group) const {
-  if (group >= noise_groups_.size()) {
-    throw std::invalid_argument("noise_revision: bad noise group index");
-  }
-  return noise_groups_[group].revision;
 }
 
 std::size_t Netlist::add_port(NodeId node, double z0, std::string label) {

@@ -40,7 +40,6 @@ struct NoiseGroup {
   std::vector<std::pair<NodeId, NodeId>> injections;  ///< (from, to) node pairs
   std::function<numeric::ComplexMatrix(double)> csd;
   std::string label;
-  std::uint64_t revision = 0;  ///< bumped by Netlist::set_noise_csd
 };
 
 /// External port definition.
@@ -54,7 +53,8 @@ inline constexpr std::size_t kNoNoiseGroup = static_cast<std::size_t>(-1);
 
 /// Stable handle to a stamped element.  Elements are identified by their
 /// position in assembly order (all 4-node stamps first, then all two-port
-/// blocks), which CompiledNetlist relies on for bit-identical re-assembly.
+/// blocks), which BatchedPlan relies on for bit-identical re-assembly and
+/// which its direct table views are indexed by.
 struct ElementId {
   enum class Kind : std::uint8_t { kStamp, kTwoPort };
   Kind kind = Kind::kStamp;
@@ -83,7 +83,7 @@ class Netlist {
 
   /// Adds a noiseless two-terminal admittance between nodes a and b.
   /// `frequency_independent` marks y as constant over frequency, letting a
-  /// CompiledNetlist tabulate it with a single evaluation.
+  /// BatchedPlan tabulate it with a single evaluation.
   ElementId add_admittance(NodeId a, NodeId b, AdmittanceFn y,
                            std::string label = {},
                            bool frequency_independent = false);
@@ -128,34 +128,6 @@ class Netlist {
   /// Registers a correlated noise-current group.  Returns its index.
   std::size_t add_noise_group(NoiseGroup group);
 
-  /// Replaces the value function of an existing 4-node stamp (admittance /
-  /// R / L / C / VCCS) in place, preserving topology.  Bumps the element's
-  /// revision so compiled plans re-tabulate exactly this element.
-  void set_admittance_fn(ElementId id, AdmittanceFn y);
-
-  /// Replaces the Y-block of an existing two-port element in place.
-  void set_twoport_fn(ElementId id, YBlockFn y);
-
-  /// Replaces the CSD function of an existing noise group in place.
-  void set_noise_csd(std::size_t group,
-                     std::function<numeric::ComplexMatrix(double)> csd);
-
-  /// Value-level rebinds: update an existing element to a new component
-  /// value, constructing exactly the closures the matching add_* overload
-  /// would (so a rebound netlist is bit-identical to a freshly built one).
-  void set_capacitor(ElementId id, double farads);
-  void set_inductor(ElementId id, double henries);
-  void set_resistor(const ElementRef& ref, double ohms,
-                    double temperature_k = rf::kT0);
-  void set_lossy_impedance(const ElementRef& ref,
-                           std::function<Complex(double)> impedance,
-                           double temperature_k = rf::kT0);
-
-  /// Monotonic per-element change counter (starts at 0, bumped by the
-  /// set_* mutators); compiled plans use it for cache invalidation.
-  std::uint64_t element_revision(ElementId id) const;
-  std::uint64_t noise_revision(std::size_t group) const;
-
   std::size_t stamp_count() const { return stamps_.size(); }
   std::size_t twoport_count() const { return twoports_.size(); }
 
@@ -174,7 +146,6 @@ class Netlist {
   numeric::ComplexMatrix assemble_terminated(double frequency_hz) const;
 
  private:
-  friend class CompiledNetlist;
   friend class BatchedPlan;
 
   struct Stamp {
@@ -185,13 +156,11 @@ class Netlist {
     AdmittanceFn value;
     std::string label;
     bool frequency_independent = false;
-    std::uint64_t revision = 0;
   };
   struct TwoPortStamp {
     NodeId t1, t2, common;
     YBlockFn y;
     std::string label;
-    std::uint64_t revision = 0;
   };
 
   void check_node(NodeId n, const char* who) const;

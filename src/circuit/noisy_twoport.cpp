@@ -155,31 +155,4 @@ ElementRef add_passive_twoport(Netlist& netlist, NodeId t1, NodeId t2,
   return ref;
 }
 
-void rebind_noisy_three_terminal(Netlist& netlist, const ElementRef& ref,
-                                 YBlockFn y, NoiseParamsFn np) {
-  if (!y || !np) {
-    throw std::invalid_argument(
-        "rebind_noisy_three_terminal: null parameter function");
-  }
-  netlist.set_twoport_fn(ref.element, y);
-  if (ref.noise_group != kNoNoiseGroup) {
-    netlist.set_noise_csd(ref.noise_group, [y = std::move(y),
-                                            np = std::move(np)](double f) {
-      return noise_correlation_y(y(f), np(f));
-    });
-  }
-}
-
-void rebind_passive_twoport(Netlist& netlist, const ElementRef& ref,
-                            YBlockFn y, double temperature_k) {
-  if (!y) {
-    throw std::invalid_argument("rebind_passive_twoport: null Y function");
-  }
-  netlist.set_twoport_fn(ref.element, y);
-  if (ref.noise_group != kNoNoiseGroup) {
-    netlist.set_noise_csd(ref.noise_group,
-                          passive_twoport_csd(std::move(y), temperature_k));
-  }
-}
-
 }  // namespace gnsslna::circuit

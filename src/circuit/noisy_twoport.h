@@ -32,8 +32,8 @@ numeric::ComplexMatrix noise_correlation_y(const rf::YParams& y,
 
 /// Stamps a three-terminal noisy two-port: the Y-block (common-terminal
 /// grounded convention) plus its correlated noise current pair.  Returns
-/// handles to the stamped element and its noise group for later in-place
-/// rebinding via Netlist::set_twoport_fn / set_noise_csd.
+/// handles to the stamped element and its noise group (the indices of
+/// their tables in a BatchedPlan compiled from the netlist).
 ElementRef add_noisy_three_terminal(Netlist& netlist, NodeId t1, NodeId t2,
                                     NodeId common, YBlockFn y, NoiseParamsFn np,
                                     std::string label = {});
@@ -66,13 +66,5 @@ void noise_correlation_y_into(const rf::YParams& y, const rf::NoiseParams& np,
 /// closure's ComplexMatrix result.
 void passive_twoport_csd_into(const rf::YParams& yp, double temperature_k,
                               Complex out[4]);
-
-/// In-place rebinds of elements previously stamped by the add_* functions
-/// above: replace the Y-block (and the derived noise CSD) while keeping
-/// the topology, constructing exactly the closures the add_* call would.
-void rebind_noisy_three_terminal(Netlist& netlist, const ElementRef& ref,
-                                 YBlockFn y, NoiseParamsFn np);
-void rebind_passive_twoport(Netlist& netlist, const ElementRef& ref,
-                            YBlockFn y, double temperature_k = rf::kT0);
 
 }  // namespace gnsslna::circuit

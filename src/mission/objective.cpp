@@ -1,32 +1,11 @@
 #include "mission/objective.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdint>
-#include <unordered_map>
 
+#include "numeric/parallel.h"
 #include "obs/obs.h"
 
 namespace gnsslna::mission {
-
-namespace {
-
-/// Same finite sentinel as the band-average objectives: terrible but
-/// smooth enough that optimizers move away instead of crashing.
-amplifier::BandReport infeasible_report() {
-  amplifier::BandReport r;
-  r.nf_avg_db = 50.0;
-  r.nf_max_db = 50.0;
-  r.gt_min_db = -50.0;
-  r.gt_avg_db = -50.0;
-  r.s11_worst_db = 0.0;
-  r.s22_worst_db = 0.0;
-  r.mu_min = 0.0;
-  r.id_a = 1.0;
-  return r;
-}
-
-}  // namespace
 
 std::vector<double> sub_band_grid(double carrier_hz) {
   return {carrier_hz - kSubBandHalfWidthHz, carrier_hz,
@@ -35,15 +14,16 @@ std::vector<double> sub_band_grid(double carrier_hz) {
 
 /// Memoizes the Figures of the most recent design point, with one
 /// persistent BandEvaluator per distinct evaluation grid.  Slots are per
-/// thread (keyed by a monotonically unique instance id), exactly like
+/// thread (numeric::PerThreadSlots), exactly like
 /// amplifier/objectives.cpp::ReportCache: closures may be evaluated
 /// concurrently by parallel_map, recomputation is pure, so reports are
-/// bit-identical for any thread count.
+/// bit-identical for any thread count.  The cache owns its slots, so
+/// destroying the objective frees every thread's evaluators.
 class ScenarioObjective::Cache {
  public:
   Cache(device::Phemt device, amplifier::AmplifierConfig config,
         const ScenarioAnalysis& analysis)
-      : device_(std::move(device)), config_(std::move(config)), id_(next_id()) {
+      : device_(std::move(device)), config_(std::move(config)) {
     config_.resolve();
     // Distinct sub-band grids (GPS and Galileo share 1575.42 MHz; one
     // evaluator serves both).
@@ -59,7 +39,7 @@ class ScenarioObjective::Cache {
   }
 
   const Figures& at(const std::vector<double>& x) const {
-    Slot& slot = local_slot();
+    Slot& slot = slots_.local();
     if (slot.valid && x == slot.x) return slot.figures;
     GNSSLNA_OBS_COUNT("mission.objective.evaluations");
     slot.valid = true;
@@ -91,7 +71,7 @@ class ScenarioObjective::Cache {
       }
     } catch (const std::exception&) {
       GNSSLNA_OBS_COUNT("mission.objective.infeasible");
-      const amplifier::BandReport bad = infeasible_report();
+      const amplifier::BandReport bad = amplifier::infeasible_report();
       f.full = bad;
       for (auto& rep : f.sub_bands) rep = bad;
       f.nf_weighted_db = bad.nf_avg_db;
@@ -109,22 +89,12 @@ class ScenarioObjective::Cache {
     std::vector<std::unique_ptr<amplifier::BandEvaluator>> sub;
   };
 
-  static std::uint64_t next_id() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  Slot& local_slot() const {
-    thread_local std::unordered_map<std::uint64_t, Slot> slots;
-    return slots[id_];
-  }
-
   device::Phemt device_;
   amplifier::AmplifierConfig config_;
   std::vector<double> carriers_;        ///< distinct sub-band carriers
   std::vector<std::size_t> grid_of_band_;  ///< sub-band -> carrier index
   std::vector<double> weights_;
-  std::uint64_t id_;
+  numeric::PerThreadSlots<Slot> slots_;
 };
 
 ScenarioObjective::ScenarioObjective(const device::Phemt& device,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <unordered_map>
 
 namespace gnsslna::numeric {
 
@@ -13,7 +14,39 @@ namespace {
 // worker must not wait on the pool it is running on, and the caller already
 // holds the submission lock.
 thread_local bool tls_in_parallel_region = false;
+
+/// The calling thread's PerThreadSlots index: owner id -> its slot, plus a
+/// weak liveness token so entries of destroyed owners can be dropped.
+struct ThreadSlotEntry {
+  std::weak_ptr<void> alive;
+  void* slot = nullptr;
+};
+thread_local std::unordered_map<std::uint64_t, ThreadSlotEntry> tls_slots;
 }  // namespace
+
+namespace detail {
+
+std::uint64_t next_slot_owner_id() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+void* find_thread_slot(std::uint64_t id) {
+  const auto it = tls_slots.find(id);
+  return it == tls_slots.end() ? nullptr : it->second.slot;
+}
+
+void remember_thread_slot(std::uint64_t id, std::weak_ptr<void> alive,
+                          void* slot) {
+  // Pruning on every first touch keeps the index no larger than the live
+  // owners this thread touched plus those destroyed since its last first
+  // touch — bounded on a long-lived worker that serves one owner per job.
+  std::erase_if(tls_slots,
+                [](const auto& entry) { return entry.second.alive.expired(); });
+  tls_slots[id] = {std::move(alive), slot};
+}
+
+}  // namespace detail
 
 std::size_t hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();

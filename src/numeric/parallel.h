@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -94,5 +95,56 @@ auto parallel_map(std::size_t threads, std::size_t n, F&& f)
   parallel_for(threads, n, [&](std::size_t i) { out[i] = f(i); });
   return out;
 }
+
+namespace detail {
+/// Unique, never reused PerThreadSlots instance id.
+std::uint64_t next_slot_owner_id();
+/// The calling thread's slot of owner `id`, or nullptr; takes no lock.
+void* find_thread_slot(std::uint64_t id);
+/// Indexes `slot` as the calling thread's slot of owner `id`, first
+/// dropping the entries of owners whose `alive` token has expired.
+void remember_thread_slot(std::uint64_t id, std::weak_ptr<void> alive,
+                          void* slot);
+}  // namespace detail
+
+/// One lazily constructed Slot per calling thread, OWNED by this object:
+/// the per-thread memo of an object whose closures parallel_map may run
+/// concurrently (one Slot per thread, so no two threads share mutable
+/// state).  Destroying the owner frees the slots of every thread that
+/// touched it.  A thread finds its existing slot through a thread-local
+/// index keyed by the owner's unique instance id (never by address, which
+/// a later owner could reuse) without taking a lock; only a thread's first
+/// touch locks, to create and register its slot.
+template <typename Slot>
+class PerThreadSlots {
+ public:
+  PerThreadSlots() = default;
+  PerThreadSlots(const PerThreadSlots&) = delete;
+  PerThreadSlots& operator=(const PerThreadSlots&) = delete;
+
+  /// The calling thread's slot, default-constructed on first use.
+  Slot& local() const {
+    if (void* hit = detail::find_thread_slot(id_)) {
+      return *static_cast<Slot*>(hit);
+    }
+    Slot* slot = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(owned_->mutex);
+      slot = owned_->slots.emplace_back(std::make_unique<Slot>()).get();
+    }
+    detail::remember_thread_slot(id_, owned_, slot);
+    return *slot;
+  }
+
+ private:
+  struct Owned {
+    std::mutex mutex;
+    std::vector<std::unique_ptr<Slot>> slots;
+  };
+  std::uint64_t id_ = detail::next_slot_owner_id();
+  /// Sole strong reference: the thread-local index entries hold weak ones,
+  /// which is how a thread learns that an owner it touched is gone.
+  std::shared_ptr<Owned> owned_ = std::make_shared<Owned>();
+};
 
 }  // namespace gnsslna::numeric

@@ -45,7 +45,6 @@ struct MetricsRegistry {
 /// matched here is STABLE: a pure function of the work that ran.
 constexpr const char* kObservationalPrefixes[] = {
     "service.plan_cache.",           // lease hit/miss depends on interleaving
-    "circuit.plan.",                 // re-tabulation depends on lease warmth
     "circuit.batch.workspace_reuses",  // per-thread workspace reuse
     "circuit.batch.arena_bytes_hwm",   // summed per-thread high-water marks
     "amplifier.report_cache.",       // per-thread memo hit pattern

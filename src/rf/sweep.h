@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "numeric/parallel.h"
 #include "rf/noise.h"
 #include "rf/twoport.h"
 
@@ -29,20 +28,6 @@ std::vector<double> linear_grid(double lo, double hi, std::size_t n);
 
 /// n points logarithmically spaced over [lo, hi] inclusive; lo, hi > 0.
 std::vector<double> log_grid(double lo, double hi, std::size_t n);
-
-/// Evaluates fn(f) at every grid frequency and returns the results in grid
-/// order.  Frequency points are independent, so they fan out across
-/// `threads` (0 = hardware_concurrency, 1 = serial); results are
-/// bit-identical for any thread count.  With threads != 1, fn must be safe
-/// to call concurrently.
-template <typename F>
-auto sweep_map(const std::vector<double>& grid_hz, F&& fn,
-               std::size_t threads = 1)
-    -> std::vector<std::decay_t<decltype(fn(double{}))>> {
-  return numeric::parallel_map(
-      threads, grid_hz.size(),
-      [&](std::size_t i) { return fn(grid_hz[i]); });
-}
 
 /// A swept S-parameter record (one SParams per frequency, ascending).
 using SweepData = std::vector<SParams>;

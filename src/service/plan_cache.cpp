@@ -67,8 +67,6 @@ std::uint64_t topology_revision(const amplifier::AmplifierConfig& config,
   h.add(resolved.dispersive_passives);
   h.add(resolved.model_tee);
   h.add(resolved.t_ambient_k);
-  h.add(resolved.use_eval_plan);
-  h.add(resolved.use_batched_plan);
 
   h.add(static_cast<std::uint64_t>(band_hz.size()));
   for (const double f : band_hz) h.add(f);

@@ -2,8 +2,8 @@
 // instances keyed by netlist revision, so concurrent jobs on the same
 // topology reuse compiled stamp tables instead of rebuilding them.
 //
-// A BandEvaluator owns the expensive per-topology state (compiled netlist
-// skeleton, fixed-element stamp tables, dispersion curves, batched-solve
+// A BandEvaluator owns the expensive per-topology state (the batched plan
+// with its fixed-element stamp tables, dispersion curves, batched-solve
 // workspaces) and re-tabulates only what a design point moves.  It is NOT
 // thread-safe, so the cache hands out exclusive leases: acquire() pops an
 // idle evaluator for the revision (hit) or builds a fresh one outside the
@@ -12,8 +12,9 @@
 //
 // Determinism: an evaluator's internal state (which design it last
 // touched, hence which elements re-stamp) never changes evaluation
-// VALUES — only how much re-tabulation work a call performs (the
-// rebind-equivalence contract pinned by tests/test_batched.cpp).  A job
+// VALUES — only how much re-tabulation work a call performs (pinned
+// against the per-call oracle along a design walk by
+// tests/test_batched.cpp).  A job
 // therefore computes bit-identical results whether its lease is freshly
 // built or arbitrarily pre-used, which is what makes the cache safe to
 // share between unrelated concurrent jobs.

@@ -130,16 +130,5 @@ TEST(AllocFree, SteadyStateYieldTrialDoesNotTouchTheHeap) {
   }
 }
 
-TEST(AllocFree, ScalarCompiledPathStillAllocatesButStaysBounded) {
-  // The compiled scalar fallback is NOT allocation-free (per-call netlist
-  // rebinding); this guards the flag actually switching implementations.
-  AmplifierConfig scalar;
-  scalar.use_batched_plan = false;
-  BandEvaluator ev(device::Phemt::reference_device(), scalar);
-  DesignVector d;
-  (void)ev.evaluate(d);
-  EXPECT_EQ(ev.workspace_high_water(), 0u);
-}
-
 }  // namespace
 }  // namespace gnsslna::amplifier

@@ -1,8 +1,8 @@
 // BatchedPlan equivalence and EvalWorkspace property tests.
 //
 // The frequency-batched evaluation core promises BIT-IDENTICAL results to
-// both the compiled scalar plan (CompiledNetlist) and the legacy per-call
-// analyses, for every chunking of the grid across workspaces: the SoA
+// the per-call analyses (circuit::s_params / noise_analysis, the reference
+// oracle), for every chunking of the grid across workspaces: the SoA
 // tables hold exactly the values the element closures return, batched
 // assembly replays the same additions in the same order, and the blocked
 // LU/substitution kernels perform per-lane exactly the scalar
@@ -11,18 +11,20 @@
 // bottom, which guards absolute values across toolchains.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <numbers>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "amplifier/lna.h"
+#include "amplifier/plan_writers.h"
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
-#include "circuit/compiled.h"
 #include "circuit/netlist.h"
 #include "circuit/noisy_twoport.h"
 #include "device/phemt.h"
+#include "reference_band.h"
 #include "rf/sweep.h"
 #include "rf/units.h"
 
@@ -61,7 +63,7 @@ void expect_report_eq(const amplifier::BandReport& a,
 }
 
 /// Random two-port ladder drawing from every element kind the netlist
-/// supports (same corpus family as test_compiled.cpp, fresh seed).
+/// supports.
 Netlist random_netlist(std::mt19937& rng) {
   std::uniform_real_distribution<double> ur(0.0, 1.0);
   const auto r_val = [&] { return 10.0 + 290.0 * ur(rng); };
@@ -140,11 +142,10 @@ Netlist random_netlist(std::mt19937& rng) {
 
 /// Runs the batched plan over `grid` split into `nchunks` contiguous
 /// workspace chunks and checks every lane bit-identical against the
-/// compiled scalar plan AND the legacy per-call analyses; also checks
-/// noise_sweep against lane-by-lane noise_at.
+/// per-call analyses; also checks noise_sweep against lane-by-lane
+/// noise_at.
 void expect_batched_matches(const Netlist& nl, const std::vector<double>& grid,
                             std::size_t nchunks) {
-  CompiledNetlist cplan(nl, grid);
   const BatchedPlan bplan(nl, grid);
   const std::size_t nf = grid.size();
   nchunks = std::min(nchunks, nf);
@@ -160,10 +161,8 @@ void expect_batched_matches(const Netlist& nl, const std::vector<double>& grid,
       SCOPED_TRACE("lane " + std::to_string(fi) + " of chunk " +
                    std::to_string(c) + "/" + std::to_string(nchunks));
       const rf::SParams s = bplan.s_params_at(ws, fi);
-      expect_bitwise_eq(s, cplan.s_params_at(fi));
       expect_bitwise_eq(s, s_params(nl, grid[fi]));
       const NoiseResult n = bplan.noise_at(ws, fi, 0, 1);
-      expect_bitwise_eq(n, cplan.noise_at(fi, 0, 1));
       expect_bitwise_eq(n, noise_analysis(nl, 0, 1, grid[fi]));
       expect_bitwise_eq(sweep[fi - r.begin], n);
     }
@@ -236,58 +235,90 @@ TEST(BatchedPlan, TransferSubRangeMatchesFullRange) {
 }
 
 // ---------------------------------------------------------------------------
-// BandReport three-path identity across thread counts and design steps
+// BandReport identity with the per-call oracle along a design walk
 
 TEST(BatchedPlan, BandReportIdenticalAcrossPathsAndThreads) {
+  // A walk through design space, evaluated by one persistent BandEvaluator
+  // (incremental re-tabulation through the plan views) and by one-shot
+  // LnaDesign::evaluate, both compared with the per-call reference loop,
+  // with dispersive and with ideal chip passives.  Even steps move all 12
+  // design variables at once (a differential-evolution step: bias
+  // re-extraction plus FET, line and passive re-tabulation); odd steps
+  // move one field and pin exactly which value tables the evaluator
+  // rewrote.
   const device::Phemt dev = device::Phemt::reference_device();
   const std::vector<double> band = amplifier::LnaDesign::default_band();
+  const optimize::Bounds box = amplifier::DesignVector::bounds();
 
-  amplifier::AmplifierConfig batched;           // default: batched plan
-  amplifier::AmplifierConfig compiled;
-  compiled.use_batched_plan = false;
-  amplifier::AmplifierConfig legacy;
-  legacy.use_eval_plan = false;
+  struct SingleStep {
+    const char* field;
+    double amplifier::DesignVector::* member;
+    double lo, hi;
+    bool chip_passive;
+  };
+  const SingleStep steps[] = {
+      {"c_mid_f", &amplifier::DesignVector::c_mid_f, 0.5e-12, 5e-12, true},
+      {"l_in_m", &amplifier::DesignVector::l_in_m, 2e-3, 30e-3, false},
+      {"vgs", &amplifier::DesignVector::vgs, -0.55, -0.25, false},
+      {"r_fb_ohm", &amplifier::DesignVector::r_fb_ohm, 300.0, 1200.0, false},
+      {"l_sdeg_h", &amplifier::DesignVector::l_sdeg_h, 0.2e-9, 2e-9, true},
+      {"l_out2_m", &amplifier::DesignVector::l_out2_m, 2e-3, 30e-3, false},
+      {"vds", &amplifier::DesignVector::vds, 1.5, 3.5, false},
+  };
+  // Tables one move rewrites: a dispersive chip passive its stamp plus
+  // its thermal-noise CSD, an ideal (noiseless) L/C its stamp alone; a
+  // microstrip section its Y-block plus Twiss CSD, R_fb its stamp plus
+  // CSD; a bias move re-sizes R_drain (stamp + CSD) and re-extracts the
+  // FET (Y-block + CSD).
+  const auto tables = [](const SingleStep& st, bool dispersive) {
+    if (st.chip_passive) return dispersive ? 2u : 1u;
+    const bool bias = st.member == &amplifier::DesignVector::vgs ||
+                      st.member == &amplifier::DesignVector::vds;
+    return bias ? 4u : 2u;
+  };
 
-  amplifier::BandEvaluator ev_batched(dev, batched);
-  amplifier::BandEvaluator ev_compiled(dev, compiled);
-
-  // A short random walk through design space: every step must agree on
-  // all three paths, at several thread counts, and between the rebinding
-  // evaluators (incremental re-tabulation) and one-shot evaluation.
-  std::mt19937 rng(7u);
-  std::uniform_real_distribution<double> ur(0.0, 1.0);
-  amplifier::DesignVector d;
-  for (int step = 0; step < 12; ++step) {
-    SCOPED_TRACE("design step " + std::to_string(step));
-    const amplifier::LnaDesign on(dev, batched, d);
-    const amplifier::BandReport ref = on.evaluate(band, 1);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      expect_report_eq(ref, on.evaluate(band, threads));
+  for (const bool dispersive : {true, false}) {
+    SCOPED_TRACE(dispersive ? "dispersive passives" : "ideal passives");
+    amplifier::AmplifierConfig config;
+    config.dispersive_passives = dispersive;
+    amplifier::BandEvaluator evaluator(dev, config);
+    std::mt19937 rng(7u);
+    std::uniform_real_distribution<double> ur(0.0, 1.0);
+    amplifier::DesignVector d;
+    std::size_t single = 0;
+    for (int step = 0; step < 16; ++step) {
+      SCOPED_TRACE("design step " + std::to_string(step));
+      std::size_t expected_tables = 0;  // cold build
+      if (step % 2 == 1) {
+        const SingleStep& st = steps[single++ % std::size(steps)];
+        SCOPED_TRACE(std::string("single-field step on ") + st.field);
+        d.*st.member = st.lo + (st.hi - st.lo) * ur(rng);
+        expected_tables = tables(st, dispersive);
+      } else if (step > 0) {
+        // DE-shaped step: every variable moves, inside the feasible part
+        // of the box (bias kept where the drain current stays reachable).
+        std::vector<double> x(amplifier::DesignVector::kDimension);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          x[i] = box.lower[i] + (box.upper[i] - box.lower[i]) * ur(rng);
+        }
+        x[0] = -0.55 + 0.3 * ur(rng);  // vgs
+        x[1] = 1.5 + 2.0 * ur(rng);    // vds
+        d = amplifier::DesignVector::from_vector(x);
+        // Five chip passives, four lines, R_fb, R_drain and the FET.
+        expected_tables = (dispersive ? 10u : 5u) + 8u + 2u + 2u + 2u;
+      }
+      const amplifier::LnaDesign lna(dev, config, d);
+      const amplifier::BandReport ref =
+          reference::reference_band_report(lna, band);
+      expect_report_eq(ref, evaluator.evaluate(d));
+      EXPECT_EQ(evaluator.last_retabulated(), expected_tables);
+      expect_report_eq(ref, lna.evaluate(band));
     }
-    const amplifier::LnaDesign off(dev, compiled, d);
-    expect_report_eq(ref, off.evaluate(band, 1));
-    expect_report_eq(ref, off.evaluate(band, 4));
-    const amplifier::LnaDesign old(dev, legacy, d);
-    expect_report_eq(ref, old.evaluate(band, 1));
-    // Rebinding evaluators: direct table writes (batched) and
-    // rebind+sync (compiled) land on the same report.
-    const amplifier::BandReport via_batched = ev_batched.evaluate(d);
-    expect_report_eq(ref, via_batched);
-    expect_report_eq(ref, ev_compiled.evaluate(d));
-    // Both evaluators refresh the same number of value tables per step
-    // (the cold first call counts differently: direct tabulation at plan
-    // construction vs a post-build sync).
-    if (step > 0) {
-      EXPECT_EQ(ev_batched.last_retabulated(), ev_compiled.last_retabulated());
-    }
-
-    // Random single-field step for the next round.
-    switch (step % 4) {
-      case 0: d.l_in_m = 2e-3 + 30e-3 * ur(rng); break;
-      case 1: d.c_mid_f = 0.5e-12 + 5e-12 * ur(rng); break;
-      case 2: d.vgs = -0.55 + 0.3 * ur(rng); break;
-      default: d.r_fb_ohm = 300.0 + 900.0 * ur(rng); break;
-    }
+    // Re-evaluating the current point rewrites nothing.
+    const amplifier::BandReport again = evaluator.evaluate(d);
+    EXPECT_EQ(evaluator.last_retabulated(), 0u);
+    expect_report_eq(again,
+                     amplifier::LnaDesign(dev, config, d).evaluate(band));
   }
 }
 
@@ -369,11 +400,12 @@ TEST(EvalWorkspace, PartialRangeRebindKeepsLaneIdentity) {
 
 TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
   const device::Phemt dev = device::Phemt::reference_device();
-  const amplifier::AmplifierConfig config;
+  amplifier::AmplifierConfig config;
+  config.resolve();
   amplifier::DesignVector d;
   const amplifier::LnaDesign lna(dev, config, d);
   amplifier::DesignBindings b;
-  Netlist nl = lna.build_netlist(&b);
+  const Netlist nl = lna.build_netlist(&b);
   const std::vector<double> grid = amplifier::LnaDesign::default_band();
 
   BatchedPlan plan(nl, grid);
@@ -382,21 +414,25 @@ TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
   plan.solve_ports(ws);
   EXPECT_TRUE(ws.factored());
 
-  // Mutating a matrix-side element bumps the plan revision: the old
-  // factorization must refuse to serve solves...
+  // Writing a matrix-side table through a plan view and marking the values
+  // dirty bumps the plan revision: the old factorization must refuse to
+  // serve solves...
   d.c_mid_f = 0.9e-12;
-  const amplifier::LnaDesign lna2(dev, config, d);
-  lna2.rebind_netlist(nl, b, &lna.design());
   const std::uint64_t before = plan.revision();
-  plan.sync(nl);
+  plan.mark_values_dirty();
+  amplifier::planw::write_lossy(
+      plan, b.cmid, passives::make_capacitor(d.c_mid_f, config.package),
+      config.t_ambient_k);
   EXPECT_GT(plan.revision(), before);
   EXPECT_THROW(plan.solve_ports(ws), std::logic_error);
   EXPECT_THROW(plan.s_params_at(ws, 0), std::logic_error);
 
-  // ...and a re-factor answers exactly like a plan compiled fresh.
+  // ...and a re-factor answers exactly like a plan compiled fresh from the
+  // netlist of the moved design.
   plan.factor(ws, 0, grid.size());
   plan.solve_ports(ws);
-  const BatchedPlan fresh_plan(nl, grid);
+  const BatchedPlan fresh_plan(
+      amplifier::LnaDesign(dev, config, d).build_netlist(), grid);
   EvalWorkspace fresh_ws;
   fresh_plan.factor(fresh_ws, 0, grid.size());
   fresh_plan.solve_ports(fresh_ws);
@@ -405,8 +441,9 @@ TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
                       fresh_plan.s_params_at(fresh_ws, fi));
   }
 
-  // A sync that changes nothing keeps the factorization valid.
-  plan.sync(nl);
+  // Factoring again without a new write keeps the factorization valid.
+  plan.factor(ws, 0, grid.size());
+  EXPECT_TRUE(ws.factored());
   expect_bitwise_eq(plan.s_params_at(ws, 0),
                     fresh_plan.s_params_at(fresh_ws, 0));
 }

@@ -276,7 +276,6 @@ TEST(ObsMetrics, DeterministicFlagRoundTrips) {
 TEST(ObsMetrics, ObservationalClassificationFollowsThePrefixTable) {
   EXPECT_TRUE(obs::metric_is_observational("service.plan_cache.hits"));
   EXPECT_TRUE(obs::metric_is_observational("service.plan_cache.idle"));
-  EXPECT_TRUE(obs::metric_is_observational("circuit.plan.retabulations"));
   EXPECT_TRUE(obs::metric_is_observational("circuit.batch.workspace_reuses"));
   EXPECT_TRUE(obs::metric_is_observational("circuit.batch.arena_bytes_hwm"));
   EXPECT_TRUE(obs::metric_is_observational("amplifier.report_cache.hits"));

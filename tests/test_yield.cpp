@@ -1,4 +1,4 @@
-// Yield engine: sampler correctness, engine-vs-rebuild equivalence, and
+// Yield engine: sampler correctness, engine-vs-oracle equivalence, and
 // full-report bit-identity under every parallel decomposition.
 //
 // The determinism contract is the strongest one in the repo: run_yield's
@@ -16,6 +16,7 @@
 #include "device/phemt.h"
 #include "numeric/sobol.h"
 #include "numeric/stats.h"
+#include "reference_band.h"
 
 namespace gnsslna::amplifier {
 namespace {
@@ -202,23 +203,68 @@ TEST(YieldDraws, SobolDrawPerturbsEveryToleratedParameter) {
 // ---------------------------------------------------------------------------
 // Engine equivalence and determinism
 
+/// One trial through the per-call oracle: the trial's netlist rebuilt from
+/// scratch and analysed frequency by frequency (tests/reference_band.h).
+TrialOutcome reference_trial(const TrialDraw& draw, const DesignGoals& goals) {
+  AmplifierConfig cfg = resolved_config();
+  cfg.substrate = draw.substrate;  // w50 stays at the nominal mask width
+  TrialOutcome out;
+  try {
+    const LnaDesign lna(ref(), cfg, draw.design);
+    const BandReport r =
+        reference::reference_band_report(lna, LnaDesign::default_band());
+    out.nf_avg_db = r.nf_avg_db;
+    out.gt_min_db = r.gt_min_db;
+    out.pass = r.nf_avg_db <= goals.nf_goal_db &&
+               r.gt_min_db >= goals.gain_goal_db &&
+               r.s11_worst_db <= goals.s11_goal_db &&
+               r.s22_worst_db <= goals.s22_goal_db &&
+               r.mu_min >= goals.mu_margin;
+  } catch (const std::exception&) {
+    out = TrialOutcome{};
+    out.failed = true;
+  }
+  return out;
+}
+
 TEST(YieldEngine, PlanReuseMatchesPerTrialRebuildBitForBit) {
-  const DesignGoals goals = loose_goals();
+  // Goals a hair looser than the nominal design's figures, so tolerance
+  // draws land on both sides of every goal and the pass flags carry
+  // information.
+  DesignGoals goals;
+  goals.nf_goal_db = 0.72;
+  goals.gain_goal_db = 11.9;
+  goals.s11_goal_db = -2.0;
+  goals.s22_goal_db = -1.5;
+  goals.mu_margin = 1.0;
+  const AmplifierConfig config = resolved_config();
+  const DesignVector nominal;
+  const numeric::Rng root(314);
+  const numeric::ScrambledSobol sobol(kYieldTrialDimensions, root);
   for (const YieldSampler sampler :
        {YieldSampler::kPseudoRandom, YieldSampler::kSobol}) {
-    YieldOptions engine;
-    engine.sampler = sampler;
-    YieldOptions rebuild = engine;
-    rebuild.reuse_plan = false;
-    numeric::Rng rng_a(314);
-    numeric::Rng rng_b(314);
-    const YieldReport a = run_yield(ref(), resolved_config(), DesignVector{},
-                                    goals, 10, rng_a, engine);
-    const YieldReport b = run_yield(ref(), resolved_config(), DesignVector{},
-                                    goals, 10, rng_b, rebuild);
-    expect_reports_identical(a, b, sampler == YieldSampler::kSobol
-                                       ? "sobol engine-vs-rebuild"
-                                       : "pseudo engine-vs-rebuild");
+    // One persistent evaluator across all trials: each trial must match a
+    // from-scratch rebuild no matter which trials the plan saw before.
+    YieldTrialEvaluator engine(ref(), config, nominal);
+    std::size_t passes = 0;
+    for (std::uint64_t trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE((sampler == YieldSampler::kSobol ? "sobol trial "
+                                                    : "pseudo trial ") +
+                   std::to_string(trial));
+      const TrialDraw draw =
+          sampler == YieldSampler::kSobol
+              ? sobol_trial_draw(sobol, trial, nominal, config.substrate, {})
+              : pseudo_trial_draw(root, trial, nominal, config.substrate, {});
+      const TrialOutcome a = engine.evaluate(draw, goals);
+      const TrialOutcome b = reference_trial(draw, goals);
+      EXPECT_EQ(a.failed, b.failed);
+      EXPECT_EQ(a.pass, b.pass);
+      EXPECT_EQ(a.nf_avg_db, b.nf_avg_db);
+      EXPECT_EQ(a.gt_min_db, b.gt_min_db);
+      passes += a.pass ? 1 : 0;
+    }
+    EXPECT_GT(passes, 0u);
+    EXPECT_LT(passes, 12u);
   }
 }
 
