@@ -29,6 +29,7 @@
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
 #include "device/phemt.h"
+#include "numeric/rng.h"
 #include "obs/obs.h"
 
 namespace {
@@ -138,6 +139,43 @@ void BM_BandEvaluation(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_BandEvaluation);
+
+/// The band evaluation in its design-run shape: every step moves all 12
+/// design variables (a differential-evolution move around the nominal
+/// design, 2% of each box width, as the end-to-end benchmark's
+/// de_step_design draws it), so each evaluation re-extracts the bias and
+/// re-tabulates the FET, the four lines and every passive.  Informational
+/// (not gated by perf_smoke).
+void BM_BandEvaluationDeStep(benchmark::State& state) {
+  const device::Phemt dev = device::Phemt::reference_device();
+  amplifier::AmplifierConfig config;
+  amplifier::BandEvaluator evaluator(dev, config);
+  const optimize::Bounds box = amplifier::DesignVector::bounds();
+  numeric::Rng rng(20261017u);
+  // A ring of feasible moves, drawn and warmed up outside the counted
+  // loop (the first pass builds the plan and registers the obs counters).
+  std::vector<amplifier::DesignVector> ring;
+  while (ring.size() < 64) {
+    std::vector<double> x = amplifier::DesignVector{}.to_vector();
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] += 0.02 * (box.upper[i] - box.lower[i]) * rng.normal();
+    }
+    const amplifier::DesignVector d =
+        amplifier::DesignVector::from_vector(box.clamp(x));
+    try {
+      (void)evaluator.evaluate(d);
+      ring.push_back(d);
+    } catch (const std::exception&) {
+      // infeasible bias: not a move the optimizer's evaluations reach
+    }
+  }
+  std::size_t step = 0;
+  run_counted(state, "BM_BandEvaluationDeStep", [&] {
+    benchmark::DoNotOptimize(evaluator.evaluate(ring[step]));
+    step = (step + 1) % ring.size();
+  });
+}
+BENCHMARK(BM_BandEvaluationDeStep);
 
 /// The raw batched kernel: assemble + blocked LU + all three solves over
 /// the full 16-lane grid, no retabulation and no figure extraction.  The

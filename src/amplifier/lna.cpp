@@ -421,31 +421,35 @@ void BandEvaluator::retabulate(const DesignVector& design) {
   force_full_retab_ = true;
   std::size_t retabulated = 0;
   const double t = config_.t_ambient_k;
+  // Noise is only read on the in-band lanes (the transfer solve and the
+  // noise sweep stop at the band), so the stability lanes' CSDs are left
+  // as they are.
+  const std::size_t nb = band_hz_.size();
   if (config_.dispersive_passives) {
     if (changed(&DesignVector::c_in_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.cin,
-          passives::make_capacitor(design.c_in_f, config_.package), t);
+          passives::make_capacitor(design.c_in_f, config_.package), t, nb);
     }
     if (changed(&DesignVector::l_shunt_h)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.lshunt,
-          passives::make_inductor(design.l_shunt_h, config_.package), t);
+          passives::make_inductor(design.l_shunt_h, config_.package), t, nb);
     }
     if (changed(&DesignVector::c_mid_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.cmid,
-          passives::make_capacitor(design.c_mid_f, config_.package), t);
+          passives::make_capacitor(design.c_mid_f, config_.package), t, nb);
     }
     if (changed(&DesignVector::l_sdeg_h)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.lsdeg,
-          passives::make_inductor(design.l_sdeg_h, config_.package), t);
+          passives::make_inductor(design.l_sdeg_h, config_.package), t, nb);
     }
     if (changed(&DesignVector::c_out_sh_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.coutsh,
-          passives::make_capacitor(design.c_out_sh_f, config_.package), t);
+          passives::make_capacitor(design.c_out_sh_f, config_.package), t, nb);
     }
   } else {
     if (changed(&DesignVector::c_in_f)) {
@@ -470,34 +474,28 @@ void BandEvaluator::retabulate(const DesignVector& design) {
     }
   }
   if (changed(&DesignVector::r_fb_ohm)) {
-    retabulated += planw::write_resistor(bplan_, bindings_.rfb, design.r_fb_ohm, t);
+    retabulated += planw::write_resistor(bplan_, bindings_.rfb, design.r_fb_ohm,
+                                         t, nb);
   }
   if (bias_changed) {
-    retabulated += planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain, t);
+    retabulated += planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain,
+                                         t, nb);
   }
   if (changed(&DesignVector::l_in_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlin1,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_in_m),
-        w50_prop_, t);
+    retabulated += planw::write_line(bplan_, bindings_.tlin1, design.l_in_m,
+                                     w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_in2_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlin2,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_in2_m),
-        w50_prop_, t);
+    retabulated += planw::write_line(bplan_, bindings_.tlin2, design.l_in2_m,
+                                     w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_out_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlout1,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_out_m),
-        w50_prop_, t);
+    retabulated += planw::write_line(bplan_, bindings_.tlout1, design.l_out_m,
+                                     w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_out2_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlout2,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_out2_m),
-        w50_prop_, t);
+    retabulated += planw::write_line(bplan_, bindings_.tlout2, design.l_out2_m,
+                                     w50_prop_, t, nb);
   }
   if (bias_changed) {
     // Same hoisting as fet_closures: the small-signal extraction is a
@@ -505,8 +503,8 @@ void BandEvaluator::retabulate(const DesignVector& design) {
     // ambient-adjusted device of build_netlist yields identical values).
     const device::IntrinsicParams ip =
         device_.small_signal(device::Bias{design.vgs, design.vds});
-    retabulated += planw::write_fet(bplan_, bindings_.q1, ip, device_.extrinsics(),
-                             nt_adj_);
+    retabulated += planw::write_fet(bplan_, bindings_.q1, ip,
+                                    device_.extrinsics(), nt_adj_, nb);
   }
   force_full_retab_ = false;
   bias_ = bias;

@@ -142,17 +142,24 @@ inline std::size_t write_resistor(circuit::BatchedPlan& plan,
 
 inline std::size_t write_line(
     circuit::BatchedPlan& plan, const circuit::ElementRef& ref,
-    const microstrip::Line& line,
-    const std::vector<microstrip::Line::Propagation>& prop,
+    double length_m, const std::vector<microstrip::Line::Propagation>& prop,
     double temperature_k, std::size_t noise_lanes = kAllLanes) {
   // `prop` caches the length-independent dispersion curve of this line's
-  // (substrate, width) over the plan grid; abcd_from(propagation(f)) is
-  // bit-identical to abcd(f), so the written tables match the closure
-  // path's exactly while skipping the dispersion-model re-evaluation.
+  // (substrate, width) over the plan grid — the caller built it from a
+  // Line of that substrate and width, which validated both — and
+  // abcd_from(propagation(f), length) is bit-identical to abcd(f) of a
+  // Line of that length, so the written tables match the closure path's
+  // exactly while skipping the dispersion-model re-evaluation and the
+  // per-length Line construction.  The length check is the one the Line
+  // constructor applies.
+  if (length_m <= 0.0) {
+    throw std::invalid_argument("Line: width and length must be positive");
+  }
   const circuit::BatchedPlan::TwoPortView tv =
       plan.twoport_view(ref.element.index);
   for (std::size_t fi = 0; fi < tv.count; ++fi) {
-    tv.set(fi, rf::y_from_abcd(line.abcd_from(prop[fi])));
+    tv.set(fi,
+           rf::y_from_abcd(microstrip::Line::abcd_from(prop[fi], length_m)));
   }
   if (ref.noise_group == circuit::kNoNoiseGroup) return 1;
   const circuit::BatchedPlan::NoiseView nv = plan.noise_view(ref.noise_group);

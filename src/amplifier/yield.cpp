@@ -384,24 +384,15 @@ void YieldTrialEvaluator::retabulate(const TrialDraw& draw,
   planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain, t, nb);
 
   // Design-vector matching lines on the trial board.
-  planw::write_line(bplan_, bindings_.tlin1,
-                    microstrip::Line(sub, config_.w50_m, d.l_in_m), w50_prop_,
-                    t, nb);
-  planw::write_line(bplan_, bindings_.tlin2,
-                    microstrip::Line(sub, config_.w50_m, d.l_in2_m), w50_prop_,
-                    t, nb);
-  planw::write_line(bplan_, bindings_.tlout1,
-                    microstrip::Line(sub, config_.w50_m, d.l_out_m), w50_prop_,
-                    t, nb);
-  planw::write_line(bplan_, bindings_.tlout2,
-                    microstrip::Line(sub, config_.w50_m, d.l_out2_m),
-                    w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlin1, d.l_in_m, w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlin2, d.l_in2_m, w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlout1, d.l_out_m, w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlout2, d.l_out2_m, w50_prop_, t, nb);
 
   // Substrate-dependent fixed elements the optimizer path never touches:
   // the bias line and the tee parasitics follow the trial's board.
-  planw::write_line(bplan_, bindings_.tlbias,
-                    microstrip::Line(sub, config_.w_bias_m, config_.l_bias_m),
-                    wbias_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlbias, config_.l_bias_m, wbias_prop_,
+                    t, nb);
   if (bindings_.has_tee) {
     const microstrip::TeeJunction tee(sub, config_.w50_m, config_.w_bias_m);
     planw::write_inductor(bplan_, bindings_.ltee1, tee.arm_inductance_main());

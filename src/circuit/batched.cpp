@@ -52,22 +52,36 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
   }
   ports_ = netlist.ports();
   unknowns_ = netlist.node_count() - 1;
+  const std::size_t n = unknowns_;
+  mask_words_ = (n + 63) / 64;
+  pattern_.assign(n * mask_words_, 0);
+
+  // The flat scatter list in Netlist::assemble_terminated order, with
+  // ground-touching terms dropped; every slot it writes is structural.
+  std::vector<bool> touched(n * n, false);
+  const auto scatter = [&](NodeId row, NodeId col, std::uint32_t table,
+                           Source source, TpKind kind, bool subtract) {
+    if (row == kGround || col == kGround) return;
+    const std::size_t r = row - 1, c = col - 1;
+    const std::size_t slot = r * n + c;
+    scatter_.push_back({static_cast<std::uint32_t>(slot), table, source, kind,
+                        subtract, !touched[slot]});
+    touched[slot] = true;
+    pattern_[r * mask_words_ + c / 64] |= std::uint64_t{1} << (c % 64);
+  };
 
   stamps_.resize(netlist.stamps_.size());
   for (std::size_t si = 0; si < stamps_.size(); ++si) {
     const Netlist::Stamp& st = netlist.stamps_[si];
     StampTable& t = stamps_[si];
     t.frequency_independent = st.frequency_independent;
-    // Netlist::assemble bump order: (out_p,in_p,+) (out_p,in_n,-) (out_n,in_p,-)
-    // (out_n,in_n,+), ground-touching terms skipped.
-    const NodeId rows[4] = {st.out_p, st.out_p, st.out_n, st.out_n};
-    const NodeId cols[4] = {st.in_p, st.in_n, st.in_p, st.in_n};
-    const double signs[4] = {1.0, -1.0, -1.0, 1.0};
-    for (int b = 0; b < 4; ++b) {
-      if (rows[b] == kGround || cols[b] == kGround) continue;
-      t.bumps.push_back({static_cast<std::uint32_t>(rows[b] - 1),
-                         static_cast<std::uint32_t>(cols[b] - 1), signs[b]});
-    }
+    // Netlist::assemble bump order: (out_p,in_p,+) (out_p,in_n,-)
+    // (out_n,in_p,-) (out_n,in_n,+).
+    const auto idx = static_cast<std::uint32_t>(si);
+    scatter(st.out_p, st.in_p, idx, Source::kStamp, TpKind::kY11, false);
+    scatter(st.out_p, st.in_n, idx, Source::kStamp, TpKind::kY11, true);
+    scatter(st.out_n, st.in_p, idx, Source::kStamp, TpKind::kY11, true);
+    scatter(st.out_n, st.in_n, idx, Source::kStamp, TpKind::kY11, false);
     if (!grid_.empty()) {
       t.values.resize(t.frequency_independent ? 1 : grid_.size());
       for (std::size_t k = 0; k < t.values.size(); ++k) {
@@ -81,19 +95,13 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     const Netlist::TwoPortStamp& tp = netlist.twoports_[ti];
     TwoPortTable& t = twoports_[ti];
     // The nine bump() calls of Netlist::assemble's two-port expansion, in
-    // order, with ground-touching terms dropped at compile time.
+    // order.
     const NodeId a = tp.t1, b = tp.t2, c = tp.common;
     const NodeId rows[9] = {a, a, a, b, b, b, c, c, c};
     const NodeId cols[9] = {a, b, c, a, b, c, a, b, c};
-    const TpKind kinds[9] = {TpKind::kY11,     TpKind::kY12,
-                             TpKind::kNeg1112, TpKind::kY21,
-                             TpKind::kY22,     TpKind::kNeg2122,
-                             TpKind::kNeg1121, TpKind::kNeg1222,
-                             TpKind::kSum};
     for (int k = 0; k < 9; ++k) {
-      if (rows[k] == kGround || cols[k] == kGround) continue;
-      t.terms.push_back({static_cast<std::uint32_t>(rows[k] - 1),
-                         static_cast<std::uint32_t>(cols[k] - 1), kinds[k]});
+      scatter(rows[k], cols[k], static_cast<std::uint32_t>(ti),
+              Source::kTwoPort, static_cast<TpKind>(k), false);
     }
     t.values.resize(grid_.size());
     t.kind_re.resize(9 * grid_.size());
@@ -102,6 +110,11 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
       v.set(fi, tp.y(grid_[fi]));
     }
+  }
+
+  for (std::size_t pi = 0; pi < ports_.size(); ++pi) {
+    scatter(ports_[pi].node, ports_[pi].node, static_cast<std::uint32_t>(pi),
+            Source::kPort, TpKind::kY11, false);
   }
 
   noise_.resize(netlist.noise_groups_.size());
@@ -170,6 +183,8 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
     a.reset();
     ws.a_re_ = a.alloc_array<double>(n * n * lanes);
     ws.a_im_ = a.alloc_array<double>(n * n * lanes);
+    ws.row_mask_ = a.alloc_array<std::uint64_t>(n * mask_words_);
+    ws.col_mask_ = a.alloc_array<std::uint64_t>(n * mask_words_);
     ws.dinv_re_ = a.alloc_array<double>(n * lanes);
     ws.dinv_im_ = a.alloc_array<double>(n * lanes);
     ws.perm_ = a.alloc_array<std::uint32_t>(n * lanes);
@@ -211,84 +226,167 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
 
 GNSSLNA_BATCHED_CLONES
 void BatchedPlan::assemble(EvalWorkspace& ws) const {
-  const std::size_t n = unknowns_;
   const std::size_t L = ws.lanes_;
   const std::size_t fb = ws.f_begin_;
   const std::size_t G = grid_.size();
   double* const are = ws.a_re_;
   double* const aim = ws.a_im_;
-  std::fill_n(are, n * n * L, 0.0);
-  std::fill_n(aim, n * n * L, 0.0);
 
-  for (const StampTable& t : stamps_) {
-    for (const Bump& b : t.bumps) {
-      double* re = are + (b.row * n + b.col) * L;
-      double* im = aim + (b.row * n + b.col) * L;
-      if (t.frequency_independent) {
-        const double vr = t.values[0].real();
-        const double vi = t.values[0].imag();
-        if (b.sign > 0.0) {
-          for (std::size_t l = 0; l < L; ++l) {
-            re[l] += vr;
-            im[l] += vi;
+  // Only the structural slots are written (and zeroed on their first
+  // write, which replays the zero-initialized accumulator of
+  // Netlist::assemble); every other position stays unread until the
+  // factorization's masks first admit it.
+  for (const Scatter& sc : scatter_) {
+    double* const re = are + std::size_t{sc.slot} * L;
+    double* const im = aim + std::size_t{sc.slot} * L;
+    if (sc.first) {
+      std::fill_n(re, L, 0.0);
+      std::fill_n(im, L, 0.0);
+    }
+    switch (sc.source) {
+      case Source::kStamp: {
+        const StampTable& t = stamps_[sc.table];
+        if (t.frequency_independent) {
+          const double vr = t.values[0].real();
+          const double vi = t.values[0].imag();
+          if (!sc.subtract) {
+            for (std::size_t l = 0; l < L; ++l) {
+              re[l] += vr;
+              im[l] += vi;
+            }
+          } else {
+            for (std::size_t l = 0; l < L; ++l) {
+              re[l] -= vr;
+              im[l] -= vi;
+            }
           }
         } else {
-          for (std::size_t l = 0; l < L; ++l) {
-            re[l] -= vr;
-            im[l] -= vi;
+          const Complex* const v = t.values.data() + fb;
+          if (!sc.subtract) {
+            for (std::size_t l = 0; l < L; ++l) {
+              re[l] += v[l].real();
+              im[l] += v[l].imag();
+            }
+          } else {
+            for (std::size_t l = 0; l < L; ++l) {
+              re[l] -= v[l].real();
+              im[l] -= v[l].imag();
+            }
           }
         }
-      } else {
-        const Complex* v = t.values.data() + fb;
-        if (b.sign > 0.0) {
-          for (std::size_t l = 0; l < L; ++l) {
-            re[l] += v[l].real();
-            im[l] += v[l].imag();
-          }
-        } else {
-          for (std::size_t l = 0; l < L; ++l) {
-            re[l] -= v[l].real();
-            im[l] -= v[l].imag();
-          }
+        break;
+      }
+      case Source::kTwoPort: {
+        // The expanded kind rows already hold exactly the complex value
+        // Netlist::assemble forms for this term (see TwoPortView::set), so
+        // the lane loop is a contiguous add just like the stamp path.
+        const TwoPortTable& t = twoports_[sc.table];
+        const std::size_t kk = static_cast<std::size_t>(sc.kind);
+        const double* const vr = t.kind_re.data() + kk * G + fb;
+        const double* const vi = t.kind_im.data() + kk * G + fb;
+        for (std::size_t l = 0; l < L; ++l) {
+          re[l] += vr[l];
+          im[l] += vi[l];
         }
+        break;
       }
-    }
-  }
-
-  for (const TwoPortTable& t : twoports_) {
-    for (const TpTerm& term : t.terms) {
-      // The expanded kind rows already hold exactly the complex value
-      // Netlist::assemble forms for this term (see TwoPortView::set), so
-      // the lane loop is a contiguous add just like the stamp path.
-      const std::size_t kk = static_cast<std::size_t>(term.kind);
-      const double* const vr = t.kind_re.data() + kk * G + fb;
-      const double* const vi = t.kind_im.data() + kk * G + fb;
-      double* const re = are + (term.row * n + term.col) * L;
-      double* const im = aim + (term.row * n + term.col) * L;
-      for (std::size_t l = 0; l < L; ++l) {
-        re[l] += vr[l];
-        im[l] += vi[l];
+      case Source::kPort: {
+        const double g = 1.0 / ports_[sc.table].z0;
+        for (std::size_t l = 0; l < L; ++l) {
+          // Mirror `y += Complex{g, 0.0}`: the imaginary part also
+          // receives a +0.0 addition (which normalizes a -0.0
+          // accumulator, as the scalar path's complex addition does).
+          re[l] += g;
+          im[l] += 0.0;
+        }
+        break;
       }
-    }
-  }
-
-  for (const Port& p : ports_) {
-    const std::size_t base = ((p.node - 1) * n + (p.node - 1)) * L;
-    const double g = 1.0 / p.z0;
-    for (std::size_t l = 0; l < L; ++l) {
-      // Mirror `y += Complex{g, 0.0}`: the imaginary part also receives a
-      // +0.0 addition (which normalizes a -0.0 accumulator, as the scalar
-      // path's complex addition does).
-      are[base + l] += g;
-      aim[base + l] += 0.0;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Blocked LU factorization (replays numeric::LuDecomposition per lane)
+// Structure-aware LU factorization (replays numeric::LuDecomposition per
+// lane)
+//
+// Each row of the system carries a bit mask of the columns that may be
+// nonzero in ANY lane (a conservative superset).  Invariant: every masked
+// position holds the value the scalar factorization holds there (up to
+// the sign of an exact zero in an L entry, which the scalar kernel forms
+// as pivot-reciprocal x 0), and an unmasked position is an exact zero in
+// every lane of the scalar factorization and is never read here.  A
+// position is zeroed the first time its bit is set.  Skipping an unmasked
+// position is exact for finite operands: it could only add or subtract an
+// exact zero into an accumulator that cannot hold -0, or offer a zero
+// magnitude to the strict-`>` pivot scan, which never wins.
 
 namespace {
+
+constexpr std::size_t kMaskBits = 64;
+
+inline bool mask_has(const std::uint64_t* const m, const std::size_t j) {
+  return ((m[j / kMaskBits] >> (j % kMaskBits)) & 1u) != 0;
+}
+
+/// Calls f(j) in ascending j for every set bit j in [lo, hi) of the
+/// multi-word mask m.  Ascending order keeps every accumulation in the
+/// scalar kernel's term order.
+template <typename F>
+inline __attribute__((always_inline)) void for_each_bit(
+    const std::uint64_t* const m, const std::size_t lo, const std::size_t hi,
+    F&& f) {
+  if (lo >= hi) return;
+  const std::size_t w_first = lo / kMaskBits;
+  const std::size_t w_last = (hi - 1) / kMaskBits;
+  for (std::size_t w = w_first; w <= w_last; ++w) {
+    std::uint64_t bits = m[w];
+    if (w == w_first) bits &= ~std::uint64_t{0} << (lo % kMaskBits);
+    if (w == w_last && hi % kMaskBits != 0) {
+      bits &= (std::uint64_t{1} << (hi % kMaskBits)) - 1;
+    }
+    while (bits != 0) {
+      f(w * kMaskBits + static_cast<std::size_t>(__builtin_ctzll(bits)));
+      bits &= bits - 1;
+    }
+  }
+}
+
+// The two complex lane operations every kernel below is built from, over
+// L lanes (LF = compile-time count, 0 = runtime L_rt).  Their operands are
+// always distinct positions of the factors and solution vectors, which
+// __restrict tells the vectorizer (no runtime overlap check per call).
+// Per lane they are exactly the naive complex forms the scalar path
+// evaluates.
+
+/// t -= a * b.
+template <std::size_t LF>
+inline __attribute__((always_inline)) void sub_mul_lanes(
+    const std::size_t L_rt, double* __restrict tr, double* __restrict ti,
+    const double* __restrict ar, const double* __restrict ai,
+    const double* __restrict br, const double* __restrict bi) {
+  const std::size_t L = LF != 0 ? LF : L_rt;
+  for (std::size_t l = 0; l < L; ++l) {
+    tr[l] -= ar[l] * br[l] - ai[l] * bi[l];
+    ti[l] -= ar[l] * bi[l] + ai[l] * br[l];
+  }
+}
+
+/// x *= p in place; returns how many lanes of the product are nonzero.
+template <std::size_t LF>
+inline __attribute__((always_inline)) std::size_t mul_lanes(
+    const std::size_t L_rt, double* __restrict xr, double* __restrict xi,
+    const double* __restrict pr, const double* __restrict pi) {
+  const std::size_t L = LF != 0 ? LF : L_rt;
+  std::size_t nonzero = 0;
+  for (std::size_t l = 0; l < L; ++l) {
+    const double a = xr[l];
+    const double b = xi[l];
+    xr[l] = a * pr[l] - b * pi[l];
+    xi[l] = a * pi[l] + b * pr[l];
+    nonzero += (xr[l] != 0.0 || xi[l] != 0.0) ? 1 : 0;
+  }
+  return nonzero;
+}
 
 // LF is a compile-time lane count (0 = use the runtime count).  The band
 // evaluator always binds 16-lane workspaces, and a constant trip count
@@ -299,31 +397,64 @@ namespace {
 // identical order, so the specialization is invisible in the results.
 template <std::size_t LF>
 inline __attribute__((always_inline)) void factor_lanes_body(
-    const std::size_t n, const std::size_t L_rt, double* const are,
-    double* const aim, double* const dre, double* const dim,
-    std::uint32_t* const perm, std::uint32_t* const piv, double* const mag) {
+    const std::size_t n, const std::size_t W, const std::size_t L_rt,
+    double* const are, double* const aim, double* const dre,
+    double* const dim, std::uint32_t* const perm, std::uint32_t* const piv,
+    double* const mag, std::uint64_t* const mask) {
   const std::size_t L = LF != 0 ? LF : L_rt;
+  // Admits the columns in [lo, n) of `add` into row `row`'s mask `m`,
+  // zeroing every lane of each newly admitted position.
+  const auto admit = [&](std::uint64_t* const m, const std::uint64_t* const add,
+                         const std::size_t row, const std::size_t lo) {
+    for (std::size_t w = lo / kMaskBits; w < W; ++w) {
+      std::uint64_t fresh = add[w] & ~m[w];
+      if (w == lo / kMaskBits) fresh &= ~std::uint64_t{0} << (lo % kMaskBits);
+      m[w] |= fresh;
+      while (fresh != 0) {
+        const std::size_t j =
+            w * kMaskBits + static_cast<std::size_t>(__builtin_ctzll(fresh));
+        fresh &= fresh - 1;
+        std::fill_n(are + (row * n + j) * L, L, 0.0);
+        std::fill_n(aim + (row * n + j) * L, L, 0.0);
+      }
+    }
+  };
+  // Smallest pivot row above `prev` that some lane chose (n if none).
+  const auto next_pivot = [&](const std::size_t prev) {
+    std::size_t p = n;
+    for (std::size_t l = 0; l < L; ++l) {
+      if (piv[l] > prev && piv[l] < p) p = piv[l];
+    }
+    return p;
+  };
+
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t l = 0; l < L; ++l) {
       perm[i * L + l] = static_cast<std::uint32_t>(i);
     }
   }
   for (std::size_t k = 0; k < n; ++k) {
+    std::uint64_t* const mk = mask + k * W;
     // Per-lane partial pivoting with the shared pivot_magnitude rule.
-    // Lanes usually agree on the pivot row (the sparsity pattern is
-    // frequency-independent and magnitudes vary smoothly), enabling the
-    // contiguous whole-vector swap below; disagreeing lanes fall back to
-    // per-lane strided swaps.  Either way each lane performs exactly the
-    // swaps the scalar factorization would.
     // Lane-innermost scan so the compare/select vectorizes; per lane this
-    // is the identical strict-`>` running-max scan in the identical row
-    // order, so each lane picks exactly the scalar kernel's pivot.
-    for (std::size_t l = 0; l < L; ++l) {
-      mag[l] = std::abs(are[(k * n + k) * L + l]) +
-               std::abs(aim[(k * n + k) * L + l]);
-      piv[l] = static_cast<std::uint32_t>(k);
+    // is the scalar kernel's strict-`>` running-max scan in the same row
+    // order, minus rows whose column-k entry is structurally zero (their
+    // magnitude 0 can never win), so each lane picks exactly the scalar
+    // kernel's pivot.
+    if (mask_has(mk, k)) {
+      for (std::size_t l = 0; l < L; ++l) {
+        mag[l] = std::abs(are[(k * n + k) * L + l]) +
+                 std::abs(aim[(k * n + k) * L + l]);
+        piv[l] = static_cast<std::uint32_t>(k);
+      }
+    } else {
+      for (std::size_t l = 0; l < L; ++l) {
+        mag[l] = 0.0;
+        piv[l] = static_cast<std::uint32_t>(k);
+      }
     }
     for (std::size_t i = k + 1; i < n; ++i) {
+      if (!mask_has(mask + i * W, k)) continue;
       const double* const cr = are + (i * n + k) * L;
       const double* const ci = aim + (i * n + k) * L;
       for (std::size_t l = 0; l < L; ++l) {
@@ -340,28 +471,68 @@ inline __attribute__((always_inline)) void factor_lanes_body(
       }
       if (piv[l] != piv[0]) uniform = false;
     }
+
+    // Row swaps.  Lanes agree on the pivot row in only about a third of
+    // the steps of a typical design (the magnitudes of competing rows
+    // cross within the band), so both cases are first-class.  Each lane
+    // performs exactly the swaps the scalar factorization would; only the
+    // masks are shared.
     if (uniform) {
-      const std::uint32_t p = piv[0];
+      // Every lane swaps rows k and p: swap the columns either row may
+      // hold, then the masks themselves.
+      const std::size_t p = piv[0];
       if (p != k) {
-        for (std::size_t j = 0; j < n; ++j) {
-          std::swap_ranges(are + (k * n + j) * L, are + (k * n + j) * L + L,
-                           are + (p * n + j) * L);
-          std::swap_ranges(aim + (k * n + j) * L, aim + (k * n + j) * L + L,
-                           aim + (p * n + j) * L);
+        std::uint64_t* const mp = mask + p * W;
+        for (std::size_t w = 0; w < W; ++w) {
+          std::uint64_t cols = mk[w] | mp[w];
+          while (cols != 0) {
+            const std::size_t j =
+                w * kMaskBits + static_cast<std::size_t>(__builtin_ctzll(cols));
+            cols &= cols - 1;
+            std::swap_ranges(are + (k * n + j) * L, are + (k * n + j) * L + L,
+                             are + (p * n + j) * L);
+            std::swap_ranges(aim + (k * n + j) * L, aim + (k * n + j) * L + L,
+                             aim + (p * n + j) * L);
+          }
+          std::swap(mk[w], mp[w]);
         }
         for (std::size_t l = 0; l < L; ++l) {
           std::swap(perm[k * L + l], perm[p * L + l]);
         }
       }
     } else {
+      // Divergent lanes: each lane swaps row k with its own pivot row.
+      // First every pivot row p admits row k's mask (a lane may move row
+      // k into p); then row k admits each p's grown mask — the union of
+      // the two rows — and the lanes that chose p swap over it with a
+      // per-lane select.  Afterwards mask[k] is the OR of every row that
+      // moved into position k, and each mask[p] is mask[p] | old mask[k].
+      for (std::size_t p = next_pivot(k); p < n; p = next_pivot(p)) {
+        admit(mask + p * W, mk, p, 0);
+      }
+      for (std::size_t p = next_pivot(k); p < n; p = next_pivot(p)) {
+        const std::uint64_t* const mp = mask + p * W;
+        admit(mk, mp, k, 0);
+        const auto sel = static_cast<std::uint32_t>(p);
+        for_each_bit(mp, 0, n, [&](const std::size_t j) {
+          double* const kr = are + (k * n + j) * L;
+          double* const ki = aim + (k * n + j) * L;
+          double* const pr = are + (p * n + j) * L;
+          double* const pi = aim + (p * n + j) * L;
+          for (std::size_t l = 0; l < L; ++l) {
+            const bool take = piv[l] == sel;
+            const double a = kr[l], b = pr[l];
+            kr[l] = take ? b : a;
+            pr[l] = take ? a : b;
+            const double c = ki[l], d = pi[l];
+            ki[l] = take ? d : c;
+            pi[l] = take ? c : d;
+          }
+        });
+      }
       for (std::size_t l = 0; l < L; ++l) {
         const std::uint32_t p = piv[l];
-        if (p == k) continue;
-        for (std::size_t j = 0; j < n; ++j) {
-          std::swap(are[(k * n + j) * L + l], are[(p * n + j) * L + l]);
-          std::swap(aim[(k * n + j) * L + l], aim[(p * n + j) * L + l]);
-        }
-        std::swap(perm[k * L + l], perm[p * L + l]);
+        if (p != k) std::swap(perm[k * L + l], perm[p * L + l]);
       }
     }
 
@@ -377,35 +548,28 @@ inline __attribute__((always_inline)) void factor_lanes_body(
       pi[l] = -zi * s;
     }
 
-    // Column scale and rank-1 update.  The scalar kernel skips row i when
-    // l(i,k) == 0; per lane that skip becomes "keep the original value",
-    // with an all-lanes-zero early-out for structurally empty entries and
-    // a branch-free fast path when every lane is nonzero.
+    // Column scale and rank-1 update over the rows whose column-k entry
+    // is structural, and within a row over U row k's structural columns.
+    // The scalar kernel skips row i when l(i,k) == 0; per lane that skip
+    // becomes "keep the original value", with an all-lanes-zero early-out
+    // and a branch-free fast path when every lane is nonzero.  A row that
+    // is updated first admits U row k's columns (fill-in).
     for (std::size_t i = k + 1; i < n; ++i) {
+      std::uint64_t* const mi = mask + i * W;
+      if (!mask_has(mi, k)) continue;
       double* const lre = are + (i * n + k) * L;
       double* const lim = aim + (i * n + k) * L;
-      std::size_t nonzero = 0;
-      for (std::size_t l = 0; l < L; ++l) {
-        const double a = lre[l];
-        const double b = lim[l];
-        lre[l] = a * pr[l] - b * pi[l];
-        lim[l] = a * pi[l] + b * pr[l];
-        if (lre[l] != 0.0 || lim[l] != 0.0) ++nonzero;
-      }
+      const std::size_t nonzero = mul_lanes<LF>(L, lre, lim, pr, pi);
       if (nonzero == 0) continue;
+      admit(mi, mk, i, k + 1);
       if (nonzero == L) {
-        for (std::size_t j = k + 1; j < n; ++j) {
-          const double* const ur = are + (k * n + j) * L;
-          const double* const ui = aim + (k * n + j) * L;
-          double* const tr = are + (i * n + j) * L;
-          double* const ti = aim + (i * n + j) * L;
-          for (std::size_t l = 0; l < L; ++l) {
-            tr[l] -= lre[l] * ur[l] - lim[l] * ui[l];
-            ti[l] -= lre[l] * ui[l] + lim[l] * ur[l];
-          }
-        }
+        for_each_bit(mk, k + 1, n, [&](const std::size_t j) {
+          sub_mul_lanes<LF>(L, are + (i * n + j) * L, aim + (i * n + j) * L,
+                            lre, lim, are + (k * n + j) * L,
+                            aim + (k * n + j) * L);
+        });
       } else {
-        for (std::size_t j = k + 1; j < n; ++j) {
+        for_each_bit(mk, k + 1, n, [&](const std::size_t j) {
           const double* const ur = are + (k * n + j) * L;
           const double* const ui = aim + (k * n + j) * L;
           double* const tr = are + (i * n + j) * L;
@@ -415,31 +579,43 @@ inline __attribute__((always_inline)) void factor_lanes_body(
             tr[l] -= lre[l] * ur[l] - lim[l] * ui[l];
             ti[l] -= lre[l] * ui[l] + lim[l] * ur[l];
           }
-        }
+        });
       }
     }
   }
 }
 
 GNSSLNA_BATCHED_CLONES
-void factor_lanes_kernel(const std::size_t n, const std::size_t L,
-                         double* const are, double* const aim,
-                         double* const dre, double* const dim,
-                         std::uint32_t* const perm, std::uint32_t* const piv,
-                         double* const mag) {
+void factor_lanes_kernel(const std::size_t n, const std::size_t W,
+                         const std::size_t L, double* const are,
+                         double* const aim, double* const dre,
+                         double* const dim, std::uint32_t* const perm,
+                         std::uint32_t* const piv, double* const mag,
+                         std::uint64_t* const mask) {
   if (L == 16) {
-    factor_lanes_body<16>(n, L, are, aim, dre, dim, perm, piv, mag);
+    factor_lanes_body<16>(n, W, L, are, aim, dre, dim, perm, piv, mag, mask);
   } else {
-    factor_lanes_body<0>(n, L, are, aim, dre, dim, perm, piv, mag);
+    factor_lanes_body<0>(n, W, L, are, aim, dre, dim, perm, piv, mag, mask);
   }
 }
-
 
 }  // namespace
 
 void BatchedPlan::factor_lanes(EvalWorkspace& ws) const {
-  factor_lanes_kernel(unknowns_, ws.lanes_, ws.a_re_, ws.a_im_, ws.dinv_re_,
-                      ws.dinv_im_, ws.perm_, ws.pivrow_, ws.pivmag_);
+  const std::size_t n = unknowns_;
+  const std::size_t W = mask_words_;
+  std::copy(pattern_.begin(), pattern_.end(), ws.row_mask_);
+  factor_lanes_kernel(n, W, ws.lanes_, ws.a_re_, ws.a_im_, ws.dinv_re_,
+                      ws.dinv_im_, ws.perm_, ws.pivrow_, ws.pivmag_,
+                      ws.row_mask_);
+  // Column masks of the packed factors, for the transpose solve.
+  std::fill_n(ws.col_mask_, n * W, std::uint64_t{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % kMaskBits);
+    for_each_bit(ws.row_mask_ + i * W, 0, n, [&](const std::size_t j) {
+      ws.col_mask_[j * W + i / kMaskBits] |= bit;
+    });
+  }
 }
 
 void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
@@ -458,26 +634,29 @@ void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
 
 // ---------------------------------------------------------------------------
 // Batched substitutions (replay LuDecomposition::solve_into /
-// solve_transposed_into per lane)
+// solve_transposed_into per lane, over the structural entries of the
+// factors only)
 
 namespace {
 
 // Seeding plus forward and back substitution through the packed LU
 // factors for the two port right-hand sides (lane-major, L lanes each,
-// laid out [rhs * n + row], substituted in place).  The sides advance row
-// step by row step in lock-step — each LU row is streamed from cache once
-// and applied to both sides in separate lane loops — but within a side
-// the operations and their order are exactly those of a standalone
-// single-side substitution, so the fusion cannot change a bit of either
-// solution.
+// laid out [rhs * n + row], substituted in place).  Row i's L and U terms
+// are the set bits of its mask below and above the diagonal; every
+// skipped term is an exact zero subtracted from an accumulator that
+// cannot hold -0.  The sides advance row step by row step in lock-step —
+// each LU row is streamed from cache once and applied to both sides in
+// separate lane loops — but within a side the operations and their order
+// are exactly those of a standalone single-side substitution, so the
+// fusion cannot change a bit of either solution.
 template <std::size_t LF>
 inline __attribute__((always_inline)) void substitute_ports_body(
-    const std::size_t n, const std::size_t L_rt,
-    const std::uint32_t* const perm, const std::uint32_t src0,
-    const std::uint32_t src1, const double v0, const double v1,
-    const double* const are, const double* const aim, const double* const dre,
-    const double* const dim, double* const xr0, double* const xi0,
-    double* const xr1, double* const xi1) {
+    const std::size_t n, const std::size_t W, const std::size_t L_rt,
+    const std::uint64_t* const mask, const std::uint32_t* const perm,
+    const std::uint32_t src0, const std::uint32_t src1, const double v0,
+    const double v1, const double* const are, const double* const aim,
+    const double* const dre, const double* const dim, double* const xr0,
+    double* const xi0, double* const xr1, double* const xi1) {
   const std::size_t L = LF != 0 ? LF : L_rt;
   // Seed both sides in place: x[i] = b[perm[i]] with b = v * e_src.
   for (std::size_t i = 0; i < n; ++i) {
@@ -505,18 +684,12 @@ inline __attribute__((always_inline)) void substitute_ports_body(
         ar1[l] = xr1[i * L + l];
         ai1[l] = xi1[i * L + l];
       }
-      for (std::size_t jj = 0; jj < i; ++jj) {
+      for_each_bit(mask + i * W, 0, i, [&](const std::size_t jj) {
         const double* const lr = are + (i * n + jj) * L;
         const double* const li = aim + (i * n + jj) * L;
-        for (std::size_t l = 0; l < L; ++l) {
-          ar0[l] -= lr[l] * xr0[jj * L + l] - li[l] * xi0[jj * L + l];
-          ai0[l] -= lr[l] * xi0[jj * L + l] + li[l] * xr0[jj * L + l];
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-          ar1[l] -= lr[l] * xr1[jj * L + l] - li[l] * xi1[jj * L + l];
-          ai1[l] -= lr[l] * xi1[jj * L + l] + li[l] * xr1[jj * L + l];
-        }
-      }
+        sub_mul_lanes<LF>(L, ar0, ai0, lr, li, xr0 + jj * L, xi0 + jj * L);
+        sub_mul_lanes<LF>(L, ar1, ai1, lr, li, xr1 + jj * L, xi1 + jj * L);
+      });
       for (std::size_t l = 0; l < L; ++l) {
         xr0[i * L + l] = ar0[l];
         xi0[i * L + l] = ai0[l];
@@ -533,18 +706,12 @@ inline __attribute__((always_inline)) void substitute_ports_body(
         ar1[l] = xr1[ii * L + l];
         ai1[l] = xi1[ii * L + l];
       }
-      for (std::size_t jj = ii + 1; jj < n; ++jj) {
+      for_each_bit(mask + ii * W, ii + 1, n, [&](const std::size_t jj) {
         const double* const ur = are + (ii * n + jj) * L;
         const double* const ui = aim + (ii * n + jj) * L;
-        for (std::size_t l = 0; l < L; ++l) {
-          ar0[l] -= ur[l] * xr0[jj * L + l] - ui[l] * xi0[jj * L + l];
-          ai0[l] -= ur[l] * xi0[jj * L + l] + ui[l] * xr0[jj * L + l];
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-          ar1[l] -= ur[l] * xr1[jj * L + l] - ui[l] * xi1[jj * L + l];
-          ai1[l] -= ur[l] * xi1[jj * L + l] + ui[l] * xr1[jj * L + l];
-        }
-      }
+        sub_mul_lanes<LF>(L, ar0, ai0, ur, ui, xr0 + jj * L, xi0 + jj * L);
+        sub_mul_lanes<LF>(L, ar1, ai1, ur, ui, xr1 + jj * L, xi1 + jj * L);
+      });
       const double* const pr = dre + ii * L;
       const double* const pi = dim + ii * L;
       for (std::size_t l = 0; l < L; ++l) {
@@ -564,53 +731,37 @@ inline __attribute__((always_inline)) void substitute_ports_body(
     // Runtime lane count (arbitrary chunk width): in-place form.
     // Forward substitution with unit-lower L.
     for (std::size_t i = 1; i < n; ++i) {
-      for (std::size_t jj = 0; jj < i; ++jj) {
+      for_each_bit(mask + i * W, 0, i, [&](const std::size_t jj) {
         const double* const lr = are + (i * n + jj) * L;
         const double* const li = aim + (i * n + jj) * L;
-        for (std::size_t l = 0; l < L; ++l) {
-          xr0[i * L + l] -= lr[l] * xr0[jj * L + l] - li[l] * xi0[jj * L + l];
-          xi0[i * L + l] -= lr[l] * xi0[jj * L + l] + li[l] * xr0[jj * L + l];
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-          xr1[i * L + l] -= lr[l] * xr1[jj * L + l] - li[l] * xi1[jj * L + l];
-          xi1[i * L + l] -= lr[l] * xi1[jj * L + l] + li[l] * xr1[jj * L + l];
-        }
-      }
+        sub_mul_lanes<0>(L, xr0 + i * L, xi0 + i * L, lr, li, xr0 + jj * L,
+                         xi0 + jj * L);
+        sub_mul_lanes<0>(L, xr1 + i * L, xi1 + i * L, lr, li, xr1 + jj * L,
+                         xi1 + jj * L);
+      });
     }
     // Back substitution with U, multiplying by the stored reciprocals.
     for (std::size_t ii = n; ii-- > 0;) {
-      for (std::size_t jj = ii + 1; jj < n; ++jj) {
+      for_each_bit(mask + ii * W, ii + 1, n, [&](const std::size_t jj) {
         const double* const ur = are + (ii * n + jj) * L;
         const double* const ui = aim + (ii * n + jj) * L;
-        for (std::size_t l = 0; l < L; ++l) {
-          xr0[ii * L + l] -= ur[l] * xr0[jj * L + l] - ui[l] * xi0[jj * L + l];
-          xi0[ii * L + l] -= ur[l] * xi0[jj * L + l] + ui[l] * xr0[jj * L + l];
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-          xr1[ii * L + l] -= ur[l] * xr1[jj * L + l] - ui[l] * xi1[jj * L + l];
-          xi1[ii * L + l] -= ur[l] * xi1[jj * L + l] + ui[l] * xr1[jj * L + l];
-        }
-      }
-      const double* const pr = dre + ii * L;
-      const double* const pi = dim + ii * L;
-      for (std::size_t l = 0; l < L; ++l) {
-        const double a = xr0[ii * L + l];
-        const double b = xi0[ii * L + l];
-        xr0[ii * L + l] = a * pr[l] - b * pi[l];
-        xi0[ii * L + l] = a * pi[l] + b * pr[l];
-      }
-      for (std::size_t l = 0; l < L; ++l) {
-        const double a = xr1[ii * L + l];
-        const double b = xi1[ii * L + l];
-        xr1[ii * L + l] = a * pr[l] - b * pi[l];
-        xi1[ii * L + l] = a * pi[l] + b * pr[l];
-      }
+        sub_mul_lanes<0>(L, xr0 + ii * L, xi0 + ii * L, ur, ui, xr0 + jj * L,
+                         xi0 + jj * L);
+        sub_mul_lanes<0>(L, xr1 + ii * L, xi1 + ii * L, ur, ui, xr1 + jj * L,
+                         xi1 + jj * L);
+      });
+      (void)mul_lanes<0>(L, xr0 + ii * L, xi0 + ii * L, dre + ii * L,
+                         dim + ii * L);
+      (void)mul_lanes<0>(L, xr1 + ii * L, xi1 + ii * L, dre + ii * L,
+                         dim + ii * L);
     }
   }
 }
 
 GNSSLNA_BATCHED_CLONES
-void substitute_ports_kernel(const std::size_t n, const std::size_t L,
+void substitute_ports_kernel(const std::size_t n, const std::size_t W,
+                             const std::size_t L,
+                             const std::uint64_t* const mask,
                              const std::uint32_t* const perm,
                              const std::uint32_t src0, const std::uint32_t src1,
                              const double v0, const double v1,
@@ -619,23 +770,31 @@ void substitute_ports_kernel(const std::size_t n, const std::size_t L,
                              double* const xr0, double* const xi0,
                              double* const xr1, double* const xi1) {
   if (L == 16) {
-    substitute_ports_body<16>(n, L, perm, src0, src1, v0, v1, are, aim, dre,
-                              dim, xr0, xi0, xr1, xi1);
+    substitute_ports_body<16>(n, W, L, mask, perm, src0, src1, v0, v1, are,
+                              aim, dre, dim, xr0, xi0, xr1, xi1);
   } else {
-    substitute_ports_body<0>(n, L, perm, src0, src1, v0, v1, are, aim, dre,
-                             dim, xr0, xi0, xr1, xi1);
+    substitute_ports_body<0>(n, W, L, mask, perm, src0, src1, v0, v1, are,
+                             aim, dre, dim, xr0, xi0, xr1, xi1);
   }
 }
 
 // Transposed substitution (U^T forward with reciprocals, then unit L^T
-// back) for the e_out right-hand side, over SL lanes at stride L.  The
-// base pointers are pre-offset to the first solved lane.  LF/SLF pin the
-// stride and trip count at compile time for the band evaluator's hot
-// shapes (full 16-lane range and the 7-lane in-band slice).
+// back) for the e_out right-hand side, over SL lanes at stride L, reading
+// the factors through their column masks.  The base pointers are
+// pre-offset to the first solved lane.  LF/SLF pin the stride and trip
+// count at compile time for the band evaluator's hot shapes (full 16-lane
+// range and the 7-lane in-band slice).
+//
+// The U^T pass accumulates from b (never -0), so its skipped terms are
+// exact.  The L^T pass starts from the U^T pass's products, which may be
+// -0: a skipped exact-zero term there can flip the sign of an exactly-zero
+// transfer entry (and nothing else).  noise_at and noise_sweep start
+// every sum at +0, so no reported bit depends on that sign.
 template <std::size_t LF, std::size_t SLF>
 inline __attribute__((always_inline)) void transpose_substitute_body(
-    const std::size_t n, const std::size_t L_rt, const std::size_t SL_rt,
-    const std::size_t out_row, const double* const are,
+    const std::size_t n, const std::size_t W, const std::size_t L_rt,
+    const std::size_t SL_rt, const std::size_t out_row,
+    const std::uint64_t* const cmask, const double* const are,
     const double* const aim, const double* const dre, const double* const dim,
     double* const wr, double* const wi) {
   const std::size_t L = LF != 0 ? LF : L_rt;
@@ -655,16 +814,10 @@ inline __attribute__((always_inline)) void transpose_substitute_body(
         tr[l] = b0;
         ti[l] = 0.0;
       }
-      for (std::size_t j = 0; j < i; ++j) {
-        const double* const ur = are + (j * n + i) * L;
-        const double* const ui = aim + (j * n + i) * L;
-        const double* const br = wr + j * L;
-        const double* const bi = wi + j * L;
-        for (std::size_t l = 0; l < SL; ++l) {
-          tr[l] -= ur[l] * br[l] - ui[l] * bi[l];
-          ti[l] -= ur[l] * bi[l] + ui[l] * br[l];
-        }
-      }
+      for_each_bit(cmask + i * W, 0, i, [&](const std::size_t j) {
+        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + i) * L,
+                           aim + (j * n + i) * L, wr + j * L, wi + j * L);
+      });
       const double* const pr = dre + i * L;
       const double* const pi = dim + i * L;
       for (std::size_t l = 0; l < SL; ++l) {
@@ -680,16 +833,10 @@ inline __attribute__((always_inline)) void transpose_substitute_body(
         tr[l] = wr[ii * L + l];
         ti[l] = wi[ii * L + l];
       }
-      for (std::size_t j = ii + 1; j < n; ++j) {
-        const double* const lr = are + (j * n + ii) * L;
-        const double* const li = aim + (j * n + ii) * L;
-        const double* const br = wr + j * L;
-        const double* const bi = wi + j * L;
-        for (std::size_t l = 0; l < SL; ++l) {
-          tr[l] -= lr[l] * br[l] - li[l] * bi[l];
-          ti[l] -= lr[l] * bi[l] + li[l] * br[l];
-        }
-      }
+      for_each_bit(cmask + ii * W, ii + 1, n, [&](const std::size_t j) {
+        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + ii) * L,
+                           aim + (j * n + ii) * L, wr + j * L, wi + j * L);
+      });
       for (std::size_t l = 0; l < SL; ++l) {
         wr[ii * L + l] = tr[l];
         wi[ii * L + l] = ti[l];
@@ -706,64 +853,45 @@ inline __attribute__((always_inline)) void transpose_substitute_body(
         tr[l] = b0;
         ti[l] = 0.0;
       }
-      for (std::size_t j = 0; j < i; ++j) {
-        const double* const ur = are + (j * n + i) * L;
-        const double* const ui = aim + (j * n + i) * L;
-        const double* const br = wr + j * L;
-        const double* const bi = wi + j * L;
-        for (std::size_t l = 0; l < SL; ++l) {
-          tr[l] -= ur[l] * br[l] - ui[l] * bi[l];
-          ti[l] -= ur[l] * bi[l] + ui[l] * br[l];
-        }
-      }
-      const double* const pr = dre + i * L;
-      const double* const pi = dim + i * L;
-      for (std::size_t l = 0; l < SL; ++l) {
-        const double a = tr[l];
-        const double b = ti[l];
-        tr[l] = a * pr[l] - b * pi[l];
-        ti[l] = a * pi[l] + b * pr[l];
-      }
+      for_each_bit(cmask + i * W, 0, i, [&](const std::size_t j) {
+        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + i) * L,
+                           aim + (j * n + i) * L, wr + j * L, wi + j * L);
+      });
+      (void)mul_lanes<SLF>(SL, tr, ti, dre + i * L, dim + i * L);
     }
     // Back substitution with L^T (unit diagonal).
     for (std::size_t ii = n; ii-- > 0;) {
       double* const tr = wr + ii * L;
       double* const ti = wi + ii * L;
-      for (std::size_t j = ii + 1; j < n; ++j) {
-        const double* const lr = are + (j * n + ii) * L;
-        const double* const li = aim + (j * n + ii) * L;
-        const double* const br = wr + j * L;
-        const double* const bi = wi + j * L;
-        for (std::size_t l = 0; l < SL; ++l) {
-          tr[l] -= lr[l] * br[l] - li[l] * bi[l];
-          ti[l] -= lr[l] * bi[l] + li[l] * br[l];
-        }
-      }
+      for_each_bit(cmask + ii * W, ii + 1, n, [&](const std::size_t j) {
+        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + ii) * L,
+                           aim + (j * n + ii) * L, wr + j * L, wi + j * L);
+      });
     }
   }
 }
 
 GNSSLNA_BATCHED_CLONES
-void transpose_substitute_kernel(const std::size_t n, const std::size_t L,
-                                 const std::size_t SL,
+void transpose_substitute_kernel(const std::size_t n, const std::size_t W,
+                                 const std::size_t L, const std::size_t SL,
                                  const std::size_t out_row,
+                                 const std::uint64_t* const cmask,
                                  const double* const are,
                                  const double* const aim,
                                  const double* const dre,
                                  const double* const dim, double* const wr,
                                  double* const wi) {
   if (L == 16 && SL == 16) {
-    transpose_substitute_body<16, 16>(n, L, SL, out_row, are, aim, dre, dim,
-                                      wr, wi);
+    transpose_substitute_body<16, 16>(n, W, L, SL, out_row, cmask, are, aim,
+                                      dre, dim, wr, wi);
   } else if (L == 16 && SL == 7) {
-    transpose_substitute_body<16, 7>(n, L, SL, out_row, are, aim, dre, dim,
-                                     wr, wi);
+    transpose_substitute_body<16, 7>(n, W, L, SL, out_row, cmask, are, aim,
+                                     dre, dim, wr, wi);
   } else {
-    transpose_substitute_body<0, 0>(n, L, SL, out_row, are, aim, dre, dim, wr,
-                                    wi);
+    transpose_substitute_body<0, 0>(n, W, L, SL, out_row, cmask, are, aim,
+                                    dre, dim, wr, wi);
   }
 }
-
 
 }  // namespace
 
@@ -785,7 +913,8 @@ void BatchedPlan::solve_ports(EvalWorkspace& ws) const {
   GNSSLNA_OBS_SPAN("circuit.batch.solve");
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", 2 * L);
   substitute_ports_kernel(
-      n, L, ws.perm_, static_cast<std::uint32_t>(ports_[0].node - 1),
+      n, mask_words_, L, ws.row_mask_, ws.perm_,
+      static_cast<std::uint32_t>(ports_[0].node - 1),
       static_cast<std::uint32_t>(ports_[1].node - 1),
       2.0 / std::sqrt(ports_[0].z0), 2.0 / std::sqrt(ports_[1].z0), are, aim,
       ws.dinv_re_, ws.dinv_im_, ws.sol_re_, ws.sol_im_, ws.sol_re_ + n * L,
@@ -824,9 +953,9 @@ void BatchedPlan::solve_output_transfer(EvalWorkspace& ws,
   const std::size_t out_row = ports_[output_port].node - 1;
 
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", SL);
-  transpose_substitute_kernel(n, L, SL, out_row, are + s0, aim + s0,
-                              ws.dinv_re_ + s0, ws.dinv_im_ + s0, wr + s0,
-                              wi + s0);
+  transpose_substitute_kernel(n, mask_words_, L, SL, out_row, ws.col_mask_,
+                              are + s0, aim + s0, ws.dinv_re_ + s0,
+                              ws.dinv_im_ + s0, wr + s0, wi + s0);
   // x[perm[i]] = work[i], per lane.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t l = s0; l < s0 + SL; ++l) {

@@ -3,25 +3,39 @@
 // A BatchedPlan is the production evaluation path of every netlist
 // analysis that runs on a fixed frequency grid.  It tabulates every
 // element's value (admittance, two-port Y-block, noise CSD) once per grid
-// frequency, then evaluates ALL frequencies of one design as a blocked LU
-// batch.  The
-// assembled admittance system is stored as separate re/im double arrays
-// with the frequency lane as the innermost (contiguous, vectorizable)
-// index; one pass of the factorization advances every frequency in
-// lock-step, sharing the pivot pattern across lanes whenever the per-lane
-// pivot choices agree (the common case) and falling back to per-lane row
-// swaps when they do not.
+// frequency, then evaluates ALL frequencies of one design as one LU batch.
+// The assembled admittance system is stored as separate re/im double
+// arrays with the frequency lane as the innermost (contiguous,
+// vectorizable) index; one pass of the factorization advances every
+// frequency in lock-step.
+//
+// Structure: the MNA system is sparse (the fig. 3 amplifier has 47
+// structural nonzeros among 15 x 15 entries), so the plan records the
+// assembled system's structural row pattern as bit masks when it is built.
+// The factorization carries those masks through each step's per-lane
+// partial pivoting — the lanes agree on the pivot row in only about a
+// third of the steps of a typical design, so the masks follow every lane's
+// swaps as a conservative union rather than a fixed schedule — and the
+// pivot scan, swaps, scaling, rank-1 updates and all substitutions touch
+// only structurally nonzero entries.  DESIGN.md ("Batched evaluation
+// core") states the mask rules.
 //
 // Determinism contract: every result is bit-identical to the per-call
 // analyses (circuit::s_params / noise_analysis), which stay the reference
-// oracle of the tests.  The batched kernels replay, per
-// frequency lane, the exact arithmetic of numeric::LuDecomposition —
+// oracle of the tests, for finite operands.  The batched kernels replay,
+// per frequency lane, the exact arithmetic of numeric::LuDecomposition —
 // pivot_magnitude selection, scalar_inverse reciprocals, naive complex
 // multiply (which equals the libgcc __muldc3 fast path for the finite,
 // non-NaN values circuit analysis produces), and the same
-// addition/subtraction order in assembly and substitution.  batched.cpp is
-// compiled with -ffp-contract=off so FMA-capable hosts (GNSSLNA_NATIVE)
-// cannot contract these expressions away from the scalar path's results.
+// addition/subtraction order in assembly and substitution.  Every
+// operation the structure lets them skip would add or subtract an exact
+// zero into an accumulator that cannot hold -0 (it starts at +0 or at a
+// value and is only added to or subtracted from), which leaves it
+// unchanged.  The one place a skipped term can differ is the sign of an
+// exactly-zero noise-transfer entry, which no noise figure can see
+// (DESIGN.md).  batched.cpp is compiled with -ffp-contract=off so
+// FMA-capable hosts (GNSSLNA_NATIVE) cannot contract these expressions
+// away from the scalar path's results.
 //
 // Memory model: the plan itself is immutable during evaluation and may be
 // shared by any number of threads.  All mutable state lives in
@@ -108,9 +122,12 @@ class EvalWorkspace {
   std::size_t reported_hwm_ = 0; // arena bytes already reported to obs
 
   // Arena-carved spans.  Matrix storage is (row*n + col)*lanes + lane;
-  // vector storage is i*lanes + lane.
-  double* a_re_ = nullptr;       // assembled system -> packed LU factors
-  double* a_im_ = nullptr;
+  // vector storage is i*lanes + lane; structure masks are row*words + w
+  // (bit j of a row's mask lives in word j / 64).
+  double* a_re_ = nullptr;       // assembled system -> packed LU factors;
+  double* a_im_ = nullptr;       //   only positions in row_mask_ are valid
+  std::uint64_t* row_mask_ = nullptr;  // structural row pattern of a_re_/a_im_
+  std::uint64_t* col_mask_ = nullptr;  // its transpose, set after factor
   double* dinv_re_ = nullptr;    // stored pivot reciprocals, n lanes
   double* dinv_im_ = nullptr;
   std::uint32_t* perm_ = nullptr;   // row permutation per lane
@@ -272,32 +289,32 @@ class BatchedPlan {
                    double t_source_k = rf::kT0) const;
 
  private:
-  // One (row, col, sign) addition of a stamp value into the assembled
-  // (ground-eliminated) matrix; order matches Netlist::assemble exactly.
-  struct Bump {
-    std::uint32_t row, col;
-    double sign;
-  };
-
-  // One ground-eliminated term of a two-port Y-block, tagged with which of
-  // the nine Netlist::assemble bump expressions produces its value.  The
-  // numeric order is the row order of the expanded kind tables written by
-  // TwoPortView::set.
+  // Netlist::assemble's two-port expansion: which of the nine bump
+  // expressions produces a term's value.  The numeric order is the row
+  // order of the expanded kind tables written by TwoPortView::set.
   enum class TpKind : std::uint8_t {
     kY11, kY12, kNeg1112, kY21, kY22, kNeg2122, kNeg1121, kNeg1222, kSum
   };
-  struct TpTerm {
-    std::uint32_t row, col;
-    TpKind kind;
+  enum class Source : std::uint8_t { kStamp, kTwoPort, kPort };
+
+  // One addition of a table value into one slot of the assembled
+  // (ground-eliminated, port-terminated) matrix.  The flat list holds them
+  // in exactly Netlist::assemble_terminated's order: every stamp bump,
+  // then every two-port term, then every port termination.
+  struct Scatter {
+    std::uint32_t slot;   // row * n + col of the assembled matrix
+    std::uint32_t table;  // stamp, two-port or port index
+    Source source;
+    TpKind kind;          // two-port term expression (kTwoPort only)
+    bool subtract;        // stamp bump of sign -1
+    bool first;           // first write to `slot`: zero it before adding
   };
 
   struct StampTable {
-    std::vector<Bump> bumps;
     bool frequency_independent = false;
     std::vector<Complex> values;  // 1 entry if frequency-independent
   };
   struct TwoPortTable {
-    std::vector<TpTerm> terms;  // Netlist::assemble 9-term order, no ground
     std::vector<rf::YParams> values;
     // Expanded per-kind term values ([kind * grid + fi], TpKind order):
     // assembly adds these rows contiguously instead of re-deriving the
@@ -317,7 +334,10 @@ class BatchedPlan {
   std::vector<double> grid_;
   std::vector<Port> ports_;
   std::size_t unknowns_ = 0;
+  std::size_t mask_words_ = 0;      // 64-bit words per structure-mask row
   std::size_t max_injections_ = 1;
+  std::vector<Scatter> scatter_;
+  std::vector<std::uint64_t> pattern_;  // assembled row pattern, as masks
   std::vector<StampTable> stamps_;
   std::vector<TwoPortTable> twoports_;
   std::vector<NoiseTable> noise_;

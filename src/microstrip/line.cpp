@@ -59,6 +59,11 @@ Line::Line(const Substrate& substrate, double width_m, double length_m)
   u_eff_ = thickness_corrected_u(u, t_over_h, substrate_.epsilon_r);
   eeff0_ = eeff_static(u_eff_, substrate_.epsilon_r);
   z0_static_ = z01_homogeneous(u_eff_) / std::sqrt(eeff0_);
+  const double er = substrate_.epsilon_r;
+  kj_p1_exp_ = 0.065683 * std::exp(-8.7513 * u_eff_);
+  kj_p2_ = 0.33622 * (1.0 - std::exp(-0.03442 * er));
+  kj_p3_exp_ = 0.0363 * std::exp(-4.6 * u_eff_);
+  kj_p4_ = 1.0 + 2.751 * (1.0 - std::exp(-std::pow(er / 15.916, 8)));
 }
 
 double Line::epsilon_eff(double frequency_hz) const {
@@ -66,21 +71,19 @@ double Line::epsilon_eff(double frequency_hz) const {
     throw std::invalid_argument("Line::epsilon_eff: frequency must be > 0");
   }
   // Kirschning-Jansen dispersion model.  fn is the normalized frequency
-  // f * h in GHz * cm.
+  // f * h in GHz * cm.  The frequency-independent factors come from the
+  // constructor; the association order is unchanged, so every value is
+  // bit-identical to evaluating the whole model here.
   const double er = substrate_.epsilon_r;
   const double u = u_eff_;
   const double fn = frequency_hz / 1e9 * substrate_.height_m * 100.0;
 
   const double p1 =
-      0.27488 +
-      (0.6315 + 0.525 / std::pow(1.0 + 0.157 * fn, 20)) * u -
-      0.065683 * std::exp(-8.7513 * u);
-  const double p2 = 0.33622 * (1.0 - std::exp(-0.03442 * er));
+      0.27488 + (0.6315 + 0.525 / std::pow(1.0 + 0.157 * fn, 20)) * u -
+      kj_p1_exp_;
   const double p3 =
-      0.0363 * std::exp(-4.6 * u) *
-      (1.0 - std::exp(-std::pow(fn / 3.87, 4.97)));
-  const double p4 = 1.0 + 2.751 * (1.0 - std::exp(-std::pow(er / 15.916, 8)));
-  const double p = p1 * p2 * std::pow((0.1844 + p3 * p4) * fn, 1.5763);
+      kj_p3_exp_ * (1.0 - std::exp(-std::pow(fn / 3.87, 4.97)));
+  const double p = p1 * kj_p2_ * std::pow((0.1844 + p3 * kj_p4_) * fn, 1.5763);
 
   return er - (er - eeff0_) / (1.0 + p);
 }
@@ -163,12 +166,12 @@ Line::Propagation Line::propagation(double frequency_hz) const {
 }
 
 rf::AbcdParams Line::abcd(double frequency_hz) const {
-  return abcd_from(propagation(frequency_hz));
+  return abcd_from(propagation(frequency_hz), length_m_);
 }
 
-rf::AbcdParams Line::abcd_from(const Propagation& p) const {
+rf::AbcdParams Line::abcd_from(const Propagation& p, double length_m) {
   const std::complex<double> gamma{p.alpha_np_m, p.beta_rad_m};
-  const std::complex<double> gl = gamma * length_m_;
+  const std::complex<double> gl = gamma * length_m;
   const std::complex<double> zc{p.z0_ohm, 0.0};
   const std::complex<double> ch = std::cosh(gl);
   const std::complex<double> sh = std::sinh(gl);

@@ -74,9 +74,12 @@ class Line {
   /// ABCD parameters of the lossy line at f.
   rf::AbcdParams abcd(double frequency_hz) const;
 
-  /// ABCD parameters from precomputed propagation data (applies this
-  /// line's length); abcd(f) == abcd_from(propagation(f)) bit-for-bit.
-  rf::AbcdParams abcd_from(const Propagation& p) const;
+  /// ABCD parameters of a line of `length_m` from precomputed propagation
+  /// data; abcd(f) == abcd_from(propagation(f), length()) bit-for-bit.
+  /// Reads nothing but its arguments, so a table of Propagation rows
+  /// serves every length of one (substrate, width) without building a
+  /// Line per length.
+  static rf::AbcdParams abcd_from(const Propagation& p, double length_m);
 
   /// S-parameters at f referenced to z0_ref.
   rf::SParams s_params(double frequency_hz, double z0_ref = rf::kZ0) const;
@@ -96,6 +99,12 @@ class Line {
   double u_eff_;      // thickness-corrected w/h
   double eeff0_;      // static effective permittivity
   double z0_static_;  // static characteristic impedance
+  // Frequency-independent Kirschning-Jansen factors of epsilon_eff(f),
+  // each exactly the subexpression epsilon_eff would otherwise re-derive.
+  double kj_p1_exp_;  // 0.065683 * exp(-8.7513 u)
+  double kj_p2_;      // P2
+  double kj_p3_exp_;  // 0.0363 * exp(-4.6 u)
+  double kj_p4_;      // P4
 };
 
 /// Finds the width giving characteristic impedance z0_target at the given

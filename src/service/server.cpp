@@ -237,8 +237,12 @@ void Session::handle_submit(const Json& doc) {
         // path clear the entry so it never re-registers a finished job.
         finished_early_.insert(id);
       }
+      // Notify while still holding the lock: once it is released, drain()
+      // may return and the session (with this condition variable) be
+      // destroyed, so a broadcast after the unlock could touch freed
+      // memory.
+      drained_cv_.notify_all();
     }
-    drained_cv_.notify_all();
   };
 
   const Scheduler::TicketPtr ticket =

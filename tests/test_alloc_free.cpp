@@ -77,9 +77,10 @@ TEST(AllocFree, WorkspaceHighWaterMarkIsPinned) {
   DesignVector d;
   (void)ev.evaluate(d);
   const std::size_t after_first = ev.workspace_high_water();
-  // 16 lanes (7 band + 9 stability), 15 unknowns: matrix + pivot + port /
-  // transfer / noise-sweep lanes as laid out by BatchedPlan::bind.
-  EXPECT_EQ(after_first, 78760u);
+  // 16 lanes (7 band + 9 stability), 15 unknowns: matrix + row/column
+  // structure masks + pivot + port / transfer / noise-sweep lanes as laid
+  // out by BatchedPlan::bind.
+  EXPECT_EQ(after_first, 79000u);
 
   for (int i = 0; i < 20; ++i) {
     d.l_in_m += 1e-4;

@@ -11,6 +11,7 @@
 // bottom, which guards absolute values across toolchains.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <iterator>
 #include <numbers>
 #include <random>
@@ -24,6 +25,8 @@
 #include "circuit/netlist.h"
 #include "circuit/noisy_twoport.h"
 #include "device/phemt.h"
+#include "numeric/matrix.h"
+#include "numeric/rng.h"
 #include "reference_band.h"
 #include "rf/sweep.h"
 #include "rf/units.h"
@@ -63,15 +66,16 @@ void expect_report_eq(const amplifier::BandReport& a,
 }
 
 /// Random two-port ladder drawing from every element kind the netlist
-/// supports.
-Netlist random_netlist(std::mt19937& rng) {
+/// supports: 2..4 sections drawn from `rng`, or exactly `sections` when
+/// given (a ladder of s sections has s + 1 unknowns).
+Netlist random_netlist(std::mt19937& rng, int sections = 0) {
   std::uniform_real_distribution<double> ur(0.0, 1.0);
   const auto r_val = [&] { return 10.0 + 290.0 * ur(rng); };
   const auto l_val = [&] { return 1e-9 + 20e-9 * ur(rng); };
   const auto c_val = [&] { return 0.2e-12 + 10e-12 * ur(rng); };
 
   Netlist nl;
-  const int sections = 2 + static_cast<int>(ur(rng) * 3.0);  // 2..4
+  if (sections <= 0) sections = 2 + static_cast<int>(ur(rng) * 3.0);  // 2..4
   NodeId prev = nl.add_node();
   const NodeId first = prev;
   for (int s = 0; s < sections; ++s) {
@@ -172,7 +176,7 @@ void expect_batched_matches(const Netlist& nl, const std::vector<double>& grid,
 // ---------------------------------------------------------------------------
 // Equivalence on the fig. 3 preamplifier netlist, every chunking
 
-TEST(BatchedPlan, MatchesCompiledAndLegacyOnPreamplifier) {
+TEST(BatchedPlan, MatchesOracleOnPreamplifier) {
   const device::Phemt dev = device::Phemt::reference_device();
   const amplifier::LnaDesign lna(dev, amplifier::AmplifierConfig{},
                                  amplifier::DesignVector{});
@@ -188,9 +192,10 @@ TEST(BatchedPlan, MatchesCompiledAndLegacyOnPreamplifier) {
 
 // ---------------------------------------------------------------------------
 // Equivalence on a randomized corpus: >= 200 netlist perturbations, each
-// checked at every thread-chunk count
+// checked at every thread-chunk count, plus long ladders whose structure
+// masks span several 64-bit words
 
-TEST(BatchedPlan, MatchesCompiledAndLegacyOnRandomCorpus) {
+TEST(BatchedPlan, MatchesOracleOnRandomCorpus) {
   std::mt19937 rng(20260807u);
   const std::vector<double> grid = rf::linear_grid(0.8e9, 2.4e9, 5);
   for (int k = 0; k < 200; ++k) {
@@ -200,6 +205,136 @@ TEST(BatchedPlan, MatchesCompiledAndLegacyOnRandomCorpus) {
       expect_batched_matches(nl, grid, nchunks);
     }
   }
+  // 64, 65 and 130 unknowns: one full mask word, a second word, a third.
+  for (const int sections : {63, 64, 129}) {
+    SCOPED_TRACE("ladder of " + std::to_string(sections) + " sections");
+    const Netlist nl = random_netlist(rng, sections);
+    ASSERT_EQ(nl.node_count() - 1, static_cast<std::size_t>(sections) + 1);
+    for (const std::size_t nchunks : {1u, 2u, 4u, 8u}) {
+      expect_batched_matches(nl, grid, nchunks);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence where the lanes disagree on the pivot row
+
+/// Pivot row chosen at each elimination step of `y` by the scalar
+/// factorization (numeric::LuDecomposition's partial-pivoting rule and
+/// elimination, replayed on a copy).
+std::vector<std::size_t> scalar_pivot_rows(numeric::ComplexMatrix y) {
+  const std::size_t n = y.rows();
+  std::vector<std::size_t> rows(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t p = k;
+    double best = numeric::pivot_magnitude(y(k, k));
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double mag = numeric::pivot_magnitude(y(i, k));
+      if (mag > best) {
+        best = mag;
+        p = i;
+      }
+    }
+    rows[k] = p;
+    for (std::size_t j = 0; j < n; ++j) std::swap(y(k, j), y(p, j));
+    const Complex pinv = numeric::scalar_inverse(y(k, k));
+    for (std::size_t i = k + 1; i < n; ++i) {
+      y(i, k) *= pinv;
+      const Complex lik = y(i, k);
+      if (lik == Complex{}) continue;
+      for (std::size_t j = k + 1; j < n; ++j) y(i, j) -= lik * y(k, j);
+    }
+  }
+  return rows;
+}
+
+TEST(BatchedPlan, MatchesOracleOnPivotDivergentDesigns) {
+  // Differential-evolution-shaped moves of all 12 design variables around
+  // the nominal fig. 3 design (the design run's traffic), on the 16-lane
+  // band + stability grid.  Across these lanes the pivot row of a step
+  // often differs, which exercises the per-lane swap path and the mask
+  // unions it builds; the corpus must really contain such steps.
+  const device::Phemt dev = device::Phemt::reference_device();
+  amplifier::AmplifierConfig config;
+  config.resolve();
+  std::vector<double> grid = amplifier::LnaDesign::default_band();
+  const std::vector<double> mu = amplifier::LnaDesign::stability_grid();
+  grid.insert(grid.end(), mu.begin(), mu.end());
+  const optimize::Bounds box = amplifier::DesignVector::bounds();
+  numeric::Rng rng(20261017u);
+
+  // One workspace reused across every design's plan: its arena hands the
+  // next factorization the previous one's memory, so a position the
+  // masks admit without zeroing would read a stale value.  (The plans
+  // stay alive: a workspace recognizes its plan by address.)
+  std::deque<BatchedPlan> plans;
+  EvalWorkspace reused;
+  std::size_t designs = 0, steps = 0, divergent_steps = 0;
+  for (int draw = 0; designs < 100 && draw < 1000; ++draw) {
+    std::vector<double> x = amplifier::DesignVector{}.to_vector();
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] += 0.02 * (box.upper[i] - box.lower[i]) * rng.normal();
+    }
+    const amplifier::DesignVector d =
+        amplifier::DesignVector::from_vector(box.clamp(x));
+    Netlist nl;
+    try {
+      nl = amplifier::LnaDesign(dev, config, d).build_netlist();
+    } catch (const std::exception&) {
+      continue;  // infeasible bias: not an evaluation the core ever sees
+    }
+    SCOPED_TRACE("design draw #" + std::to_string(draw));
+    ++designs;
+    for (const std::size_t nchunks : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("chunks " + std::to_string(nchunks));
+      expect_batched_matches(nl, grid, nchunks);
+    }
+    const BatchedPlan& plan = plans.emplace_back(nl, grid);
+    plan.factor(reused, 0, grid.size());
+    plan.solve_ports(reused);
+    plan.solve_output_transfer(reused, 1);
+    for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+      SCOPED_TRACE("reused workspace, lane " + std::to_string(fi));
+      expect_bitwise_eq(plan.s_params_at(reused, fi), s_params(nl, grid[fi]));
+      expect_bitwise_eq(plan.noise_at(reused, fi, 0, 1),
+                        noise_analysis(nl, 0, 1, grid[fi]));
+    }
+    std::vector<std::vector<std::size_t>> pivots;
+    for (const double f : grid) {
+      pivots.push_back(scalar_pivot_rows(nl.assemble_terminated(f)));
+    }
+    for (std::size_t k = 0; k < pivots[0].size(); ++k) {
+      ++steps;
+      for (const std::vector<std::size_t>& lane : pivots) {
+        if (lane[k] != pivots[0][k]) {
+          ++divergent_steps;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(designs, 100u);
+  EXPECT_GT(divergent_steps, steps / 10)
+      << divergent_steps << " of " << steps << " steps divergent";
+}
+
+TEST(BatchedPlan, StructurallySingularSystemThrows) {
+  // A node no element touches leaves an all-zero row and column: the
+  // factorization must still report it as singular, like the oracle.
+  Netlist nl;
+  const NodeId a = nl.add_node();
+  const NodeId b = nl.add_node();
+  (void)nl.add_node();  // isolated
+  nl.add_resistor(a, b, 50.0);
+  nl.add_capacitor(b, kGround, 1e-12);
+  nl.add_port(a);
+  nl.add_port(b);
+  const std::vector<double> grid = rf::linear_grid(1.0e9, 2.0e9, 4);
+  const BatchedPlan plan(nl, grid);
+  EvalWorkspace ws;
+  EXPECT_THROW(plan.factor(ws, 0, grid.size()), std::domain_error);
+  EXPECT_FALSE(ws.factored());
+  EXPECT_THROW((void)s_params(nl, grid[0]), std::domain_error);
 }
 
 // ---------------------------------------------------------------------------
