@@ -267,11 +267,36 @@ double thread_cpu_seconds() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
 }
 
-/// Times the band-evaluation kernel directly (no google-benchmark): the
-/// same BandEvaluator workload as BM_BandEvaluation, min-of-3 batches.
-/// Also reports the steady-state heap allocations per op (post-warm-up;
-/// exactly 0 on the batched path) through `allocs_per_op` when non-null.
-double time_band_evaluation_ns(double* allocs_per_op = nullptr) {
+/// Thread CPU time [ns] per call over `iters` calls of `op`; adds the
+/// heap allocations the calls made to *allocs when non-null.
+template <typename Op>
+double batch_ns(int iters, Op&& op, std::uint64_t* allocs = nullptr) {
+  const std::uint64_t count0 = bench::alloc_count();
+  const double t0 = thread_cpu_seconds();
+  for (int i = 0; i < iters; ++i) {
+    op();
+  }
+  const double ns = (thread_cpu_seconds() - t0) * 1e9 / iters;
+  if (allocs != nullptr) *allocs += bench::alloc_count() - count0;
+  return ns;
+}
+
+/// The band-evaluation kernel (the BM_BandEvaluation workload) and one
+/// steady-state yield-engine trial (the BM_YieldSampleMc workload: pseudo
+/// draw + full re-stamp + batched evaluate), timed directly (no
+/// google-benchmark), each the minimum of 5 batches, with the steady-state
+/// heap allocations per call (exactly 0 on the batched path).
+struct BandAndYieldTimes {
+  double band_ns = 1e300;
+  double band_allocs_per_op = 0.0;
+  double yield_ns = 1e300;
+  double yield_allocs_per_op = 0.0;
+};
+
+/// The two kernels' batches alternate, so a change of host speed while
+/// the gate runs moves both terms of the yield/band ratio alike instead of
+/// landing on whichever kernel happened to run later.
+BandAndYieldTimes time_band_and_yield() {
   const device::Phemt dev = device::Phemt::reference_device();
   amplifier::AmplifierConfig config;
   amplifier::BandEvaluator evaluator(dev, config);
@@ -283,25 +308,39 @@ double time_band_evaluation_ns(double* allocs_per_op = nullptr) {
   // the steady-state zero-alloc contract being measured.
   step_design(d);
   (void)evaluator.evaluate(d);
-  double best = 1e300;
-  std::uint64_t allocs = 0, total_iters = 0;
-  for (int batch = 0; batch < 3; ++batch) {
-    const int iters = 400;
-    const std::uint64_t count0 = bench::alloc_count();
-    const double t0 = thread_cpu_seconds();
-    for (int i = 0; i < iters; ++i) {
+
+  amplifier::AmplifierConfig yield_config;
+  yield_config.resolve();
+  const amplifier::DesignVector nominal;
+  amplifier::YieldTrialEvaluator trials(dev, yield_config, nominal);
+  const amplifier::DesignGoals goals;
+  const numeric::Rng root(12345);
+  std::uint64_t trial = 0;
+  const auto next_trial = [&] {
+    (void)trials.evaluate(
+        amplifier::pseudo_trial_draw(root, trial++, nominal,
+                                     yield_config.substrate, {}),
+        goals);
+  };
+  next_trial();  // warm up as in BM_YieldSampleMc: cold build + counters
+  next_trial();
+
+  constexpr int kBatches = 5, kBandIters = 400, kYieldIters = 300;
+  BandAndYieldTimes t;
+  std::uint64_t band_allocs = 0, yield_allocs = 0;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    t.band_ns = std::min(t.band_ns, batch_ns(kBandIters, [&] {
       step_design(d);
       (void)evaluator.evaluate(d);
-    }
-    best = std::min(best, (thread_cpu_seconds() - t0) * 1e9 / iters);
-    allocs += bench::alloc_count() - count0;
-    total_iters += iters;
+    }, &band_allocs));
+    t.yield_ns = std::min(t.yield_ns,
+                          batch_ns(kYieldIters, next_trial, &yield_allocs));
   }
-  if (allocs_per_op != nullptr) {
-    *allocs_per_op =
-        static_cast<double>(allocs) / static_cast<double>(total_iters);
-  }
-  return best;
+  t.band_allocs_per_op =
+      static_cast<double>(band_allocs) / (kBatches * kBandIters);
+  t.yield_allocs_per_op =
+      static_cast<double>(yield_allocs) / (kBatches * kYieldIters);
+  return t;
 }
 
 /// Times the raw batched assemble+factor+solve kernel (the BM_BatchedSolve
@@ -320,57 +359,12 @@ double time_batched_solve_ns() {
   plan.factor(ws, 0, plan.size());  // warm up: commits the arena
   double best = 1e300;
   for (int batch = 0; batch < 3; ++batch) {
-    const int iters = 1000;
-    const double t0 = thread_cpu_seconds();
-    for (int i = 0; i < iters; ++i) {
+    best = std::min(best, batch_ns(1000, [&] {
       plan.mark_values_dirty();
       plan.factor(ws, 0, plan.size());
       plan.solve_ports(ws);
       plan.solve_output_transfer(ws, 1);
-    }
-    best = std::min(best, (thread_cpu_seconds() - t0) * 1e9 / iters);
-  }
-  return best;
-}
-
-/// Times one steady-state yield-engine trial (the BM_YieldSampleMc
-/// workload): pseudo draw + full re-stamp + batched evaluate.  Also
-/// reports steady-state allocations per trial (exactly 0 by contract).
-double time_yield_sample_ns(double* allocs_per_op = nullptr) {
-  const device::Phemt dev = device::Phemt::reference_device();
-  amplifier::AmplifierConfig config;
-  config.resolve();
-  const amplifier::DesignVector nominal;
-  amplifier::YieldTrialEvaluator evaluator(dev, config, nominal);
-  const amplifier::DesignGoals goals;
-  const numeric::Rng root(12345);
-  std::uint64_t trial = 0;
-  (void)evaluator.evaluate(
-      amplifier::pseudo_trial_draw(root, trial++, nominal, config.substrate,
-                                   {}),
-      goals);
-  (void)evaluator.evaluate(
-      amplifier::pseudo_trial_draw(root, trial++, nominal, config.substrate,
-                                   {}),
-      goals);
-  double best = 1e300;
-  std::uint64_t allocs = 0, total_iters = 0;
-  for (int batch = 0; batch < 3; ++batch) {
-    const int iters = 300;
-    const std::uint64_t count0 = bench::alloc_count();
-    const double t0 = thread_cpu_seconds();
-    for (int i = 0; i < iters; ++i) {
-      const amplifier::TrialDraw draw = amplifier::pseudo_trial_draw(
-          root, trial++, nominal, config.substrate, {});
-      (void)evaluator.evaluate(draw, goals);
-    }
-    best = std::min(best, (thread_cpu_seconds() - t0) * 1e9 / iters);
-    allocs += bench::alloc_count() - count0;
-    total_iters += iters;
-  }
-  if (allocs_per_op != nullptr) {
-    *allocs_per_op =
-        static_cast<double>(allocs) / static_cast<double>(total_iters);
+    }));
   }
   return best;
 }
@@ -385,13 +379,10 @@ double time_fet_reference_ns() {
   rf::SParams sink{};
   double best = 1e300;
   for (int batch = 0; batch < 3; ++batch) {
-    const int iters = 100000;
-    const double t0 = thread_cpu_seconds();
-    for (int i = 0; i < iters; ++i) {
+    best = std::min(best, batch_ns(100000, [&] {
       sink = dev.s_params(bias, f);
       f = f < 1.7e9 ? f + 1e6 : 1.1e9;
-    }
-    best = std::min(best, (thread_cpu_seconds() - t0) * 1e9 / iters);
+    }));
   }
   // Defeat dead-code elimination of the timing loop.
   if (sink.frequency_hz < 0.0) std::printf("impossible\n");
@@ -457,8 +448,9 @@ int perf_smoke(const std::string& baseline_path) {
   const double baseline_allocs = bench::bench_json_ns(
       bench::load_bench_json_field(baseline_path, "allocs_per_op"),
       "BM_BandEvaluation");
-  double now_allocs = -1.0;
-  const double now_ns = time_band_evaluation_ns(&now_allocs);
+  const BandAndYieldTimes band_and_yield = time_band_and_yield();
+  const double now_allocs = band_and_yield.band_allocs_per_op;
+  const double now_ns = band_and_yield.band_ns;
   const double ref_ns = time_fet_reference_ns();
   const double batched_ns = time_batched_solve_ns();
   const double limit_ns = 1.25 * baseline_ns;
@@ -485,15 +477,16 @@ int perf_smoke(const std::string& baseline_path) {
       batched_ratio > batched_ratio_limit;
   // Yield-engine per-sample gate: the cost of one yield trial is pinned
   // as a RATIO to the band-evaluation kernel measured in the same
-  // process, so host speed cancels exactly; the baseline ratio comes from
-  // the committed BM_YieldSampleMc / BM_BandEvaluation entries.  Skipped
-  // (with a note) against baselines that predate the yield engine.
+  // process, in batches alternating with it, so host speed cancels; the
+  // baseline ratio comes from the committed BM_YieldSampleMc /
+  // BM_BandEvaluation entries.  Skipped (with a note) against baselines
+  // that predate the yield engine.
   bool yield_regressed = false;
   const double baseline_yield_ns =
       bench::bench_json_ns(entries, "BM_YieldSampleMc");
   if (baseline_yield_ns > 0.0) {
-    double yield_allocs = -1.0;
-    const double yield_ns = time_yield_sample_ns(&yield_allocs);
+    const double yield_allocs = band_and_yield.yield_allocs_per_op;
+    const double yield_ns = band_and_yield.yield_ns;
     const double yield_ratio = yield_ns / now_ns;
     const double yield_ratio_limit = 1.25 * baseline_yield_ns / baseline_ns;
     const double baseline_yield_allocs = bench::bench_json_ns(

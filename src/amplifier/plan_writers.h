@@ -77,7 +77,7 @@ std::size_t write_lossy(circuit::BatchedPlan& plan,
             : circuit::BatchedPlan::NoiseView{};
   for (std::size_t fi = 0; fi < sv.count; ++fi) {
     const circuit::Complex z = part.impedance(grid[fi]);
-    if (std::abs(z) < 1e-12) {
+    if (rf::magnitude_below(z, 1e-12)) {
       throw std::domain_error("add_lossy_impedance: near-short element");
     }
     const circuit::Complex y = 1.0 / z;

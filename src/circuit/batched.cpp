@@ -11,6 +11,7 @@
 #include "circuit/batched.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -42,6 +43,15 @@ namespace gnsslna::circuit {
 
 // ---------------------------------------------------------------------------
 // Construction and tabulation
+
+namespace {
+// Starts above EvalWorkspace's initial seen revision (0).
+std::atomic<std::uint64_t> g_next_revision{1};
+}  // namespace
+
+std::uint64_t BatchedPlan::next_revision() {
+  return g_next_revision.fetch_add(1);
+}
 
 BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     : grid_(std::move(grid_hz)) {

@@ -162,7 +162,11 @@ class BatchedPlan {
   const std::vector<Port>& ports() const { return ports_; }
   std::size_t unknowns() const { return unknowns_; }
 
-  /// Monotone revision; bumped whenever tabulated matrix values change.
+  /// Revision of the tabulated matrix values, drawn from one process-wide
+  /// counter at construction and again whenever the values change, so no
+  /// two plans ever share one: a workspace that recognizes its plan by
+  /// (address, revision) cannot mistake a plan built at a destroyed
+  /// plan's address for the old one.
   std::uint64_t revision() const { return revision_; }
 
   // -- Direct retabulation views -------------------------------------
@@ -236,7 +240,7 @@ class BatchedPlan {
   /// Invalidates cached factorizations after direct writes through the
   /// views above (noise-only writes do not need it: factorizations read
   /// only the matrix-side tables).
-  void mark_values_dirty() { ++revision_; }
+  void mark_values_dirty() { revision_ = next_revision(); }
 
   // -- Evaluation ------------------------------------------------------
   // All methods are const: the plan is shared read-only state and every
@@ -327,6 +331,7 @@ class BatchedPlan {
     std::vector<Complex> csd;  // [fi*order*order + r*order + c]
   };
 
+  static std::uint64_t next_revision();
   void bind(EvalWorkspace& ws, std::size_t f_begin, std::size_t f_end) const;
   void assemble(EvalWorkspace& ws) const;
   void factor_lanes(EvalWorkspace& ws) const;
@@ -341,7 +346,7 @@ class BatchedPlan {
   std::vector<StampTable> stamps_;
   std::vector<TwoPortTable> twoports_;
   std::vector<NoiseTable> noise_;
-  std::uint64_t revision_ = 1;
+  std::uint64_t revision_ = next_revision();
 };
 
 }  // namespace gnsslna::circuit

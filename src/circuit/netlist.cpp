@@ -37,7 +37,7 @@ std::function<numeric::ComplexMatrix(double)> resistor_csd(double psd) {
 AdmittanceFn lossy_admittance(std::function<Complex(double)> impedance) {
   return [impedance = std::move(impedance)](double f) -> Complex {
     const Complex z = impedance(f);
-    if (std::abs(z) < 1e-12) {
+    if (rf::magnitude_below(z, 1e-12)) {
       throw std::domain_error("add_lossy_impedance: near-short element");
     }
     return 1.0 / z;

@@ -48,7 +48,7 @@ rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
   // 1. Intrinsic Y -> Z.
   const rf::YParams yi = intrinsic_y(in, frequency_hz);
   const Complex det = yi.y11 * yi.y22 - yi.y12 * yi.y21;
-  if (std::abs(det) < 1e-300) {
+  if (rf::magnitude_below(det, 1e-300)) {
     throw std::domain_error("fet_s_params: singular intrinsic core");
   }
   rf::ZParams z;
@@ -69,7 +69,7 @@ rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
 
   // 3. Z -> Y, add pad capacitances.
   const Complex zdet = z.z11 * z.z22 - z.z12 * z.z21;
-  if (std::abs(zdet) < 1e-300) {
+  if (rf::magnitude_below(zdet, 1e-300)) {
     throw std::domain_error("fet_s_params: singular embedded network");
   }
   rf::YParams y;

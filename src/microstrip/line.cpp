@@ -1,6 +1,7 @@
 #include "microstrip/line.h"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -173,8 +174,27 @@ rf::AbcdParams Line::abcd_from(const Propagation& p, double length_m) {
   const std::complex<double> gamma{p.alpha_np_m, p.beta_rad_m};
   const std::complex<double> gl = gamma * length_m;
   const std::complex<double> zc{p.z0_ohm, 0.0};
-  const std::complex<double> ch = std::cosh(gl);
-  const std::complex<double> sh = std::sinh(gl);
+  const double al = gl.real();
+  const double bl = gl.imag();
+  std::complex<double> ch, sh;
+  if (al >= 0.0 && al < 709.0 &&
+      std::abs(bl) > std::numeric_limits<double>::min()) {
+    // cosh(al + j bl) = cosh(al) cos(bl) + j sinh(al) sin(bl) and
+    // sinh(al + j bl) = sinh(al) cos(bl) + j cosh(al) sin(bl): exactly the
+    // component formulas glibc's ccosh/csinh evaluate on this range, but
+    // sharing one sincos (GCC merges the sin/cos pair), one cosh and one
+    // sinh between the pair.  Outside it (and for NaN) the library calls
+    // keep their own overflow and tiny-argument handling.
+    const double sin_bl = std::sin(bl);
+    const double cos_bl = std::cos(bl);
+    const double cosh_al = std::cosh(al);
+    const double sinh_al = std::sinh(al);
+    ch = {cosh_al * cos_bl, sinh_al * sin_bl};
+    sh = {sinh_al * cos_bl, cosh_al * sin_bl};
+  } else {
+    ch = std::cosh(gl);
+    sh = std::sinh(gl);
+  }
   return {p.frequency_hz, ch, zc * sh, sh / zc, ch};
 }
 

@@ -22,7 +22,7 @@ YParams y_from_s(const SParams& s) {
   const double y0 = 1.0 / s.z0;
   const Complex den =
       (kOne + s.s11) * (kOne + s.s22) - s.s12 * s.s21;
-  if (std::abs(den) < 1e-300) {
+  if (magnitude_below(den, 1e-300)) {
     throw std::domain_error("y_from_s: network has no Y representation");
   }
   YParams y;
@@ -38,7 +38,7 @@ SParams s_from_y(const YParams& y, double z0) {
   const double y0 = 1.0 / z0;
   const Complex den =
       (y.y11 + y0) * (y.y22 + y0) - y.y12 * y.y21;
-  if (std::abs(den) < 1e-300) {
+  if (magnitude_below(den, 1e-300)) {
     throw std::domain_error("s_from_y: singular conversion");
   }
   SParams s;
@@ -54,7 +54,7 @@ SParams s_from_y(const YParams& y, double z0) {
 ZParams z_from_s(const SParams& s) {
   const Complex den =
       (kOne - s.s11) * (kOne - s.s22) - s.s12 * s.s21;
-  if (std::abs(den) < 1e-300) {
+  if (magnitude_below(den, 1e-300)) {
     throw std::domain_error("z_from_s: network has no Z representation");
   }
   ZParams z;
@@ -69,7 +69,7 @@ ZParams z_from_s(const SParams& s) {
 SParams s_from_z(const ZParams& z, double z0) {
   const Complex den =
       (z.z11 + z0) * (z.z22 + z0) - z.z12 * z.z21;
-  if (std::abs(den) < 1e-300) {
+  if (magnitude_below(den, 1e-300)) {
     throw std::domain_error("s_from_z: singular conversion");
   }
   SParams s;
@@ -83,7 +83,7 @@ SParams s_from_z(const ZParams& z, double z0) {
 }
 
 AbcdParams abcd_from_s(const SParams& s) {
-  if (std::abs(s.s21) < 1e-300) {
+  if (magnitude_below(s.s21, 1e-300)) {
     throw std::domain_error("abcd_from_s: S21 = 0 has no chain representation");
   }
   const double z0 = s.z0;
@@ -100,7 +100,7 @@ AbcdParams abcd_from_s(const SParams& s) {
 SParams s_from_abcd(const AbcdParams& abcd, double z0) {
   const Complex den =
       abcd.a + abcd.b / z0 + abcd.c * z0 + abcd.d;
-  if (std::abs(den) < 1e-300) {
+  if (magnitude_below(den, 1e-300)) {
     throw std::domain_error("s_from_abcd: singular conversion");
   }
   SParams s;
@@ -120,7 +120,7 @@ SParams cascade(const SParams& first, const SParams& second) {
 }
 
 YParams y_from_abcd(const AbcdParams& abcd) {
-  if (std::abs(abcd.b) < 1e-300) {
+  if (magnitude_below(abcd.b, 1e-300)) {
     throw std::domain_error("y_from_abcd: B = 0 has no Y representation");
   }
   YParams y;
@@ -148,7 +148,7 @@ AbcdParams abcd_ideal_line(double frequency_hz, double z0, double theta_rad) {
 }
 
 TParams t_from_s(const SParams& s) {
-  if (std::abs(s.s21) < 1e-300) {
+  if (magnitude_below(s.s21, 1e-300)) {
     throw std::domain_error("t_from_s: S21 = 0 has no T representation");
   }
   // Convention: [b1; a1] = T [a2; b2]  (port-2 waves on the right), which
@@ -164,7 +164,7 @@ TParams t_from_s(const SParams& s) {
 }
 
 SParams s_from_t(const TParams& t) {
-  if (std::abs(t.t22) < 1e-300) {
+  if (magnitude_below(t.t22, 1e-300)) {
     throw std::domain_error("s_from_t: T22 = 0 has no S representation");
   }
   SParams s;
@@ -197,7 +197,7 @@ SParams deembed(const SParams& total, const SParams& fixture_in,
   require_same_grid(total, fixture_out, "deembed");
   const auto invert = [](const TParams& t) {
     const Complex det = t.t11 * t.t22 - t.t12 * t.t21;
-    if (std::abs(det) < 1e-300) {
+    if (magnitude_below(det, 1e-300)) {
       throw std::domain_error("deembed: fixture half is not invertible");
     }
     TParams inv;

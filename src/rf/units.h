@@ -89,11 +89,22 @@ inline std::complex<double> gamma_from_z(std::complex<double> z,
   return (z - z0) / (z + z0);
 }
 
+/// |z| < eps, deciding with hypot() (std::abs) only when both components
+/// already lie below eps.  Same answer as std::abs(z) < eps for every
+/// operand: |z| >= max(|re z|, |im z|), so a component at or above eps
+/// settles it, and a NaN component makes both forms false.  The guards on
+/// the element-tabulation path use it because their operands almost never
+/// come near eps.
+inline bool magnitude_below(const std::complex<double>& z, double eps) {
+  return std::abs(z.real()) < eps && std::abs(z.imag()) < eps &&
+         std::abs(z) < eps;
+}
+
 /// Impedance corresponding to reflection coefficient gamma (|gamma| != 1).
 inline std::complex<double> z_from_gamma(std::complex<double> gamma,
                                          double z0 = kZ0) {
   const std::complex<double> den = 1.0 - gamma;
-  if (std::abs(den) < 1e-15) {
+  if (magnitude_below(den, 1e-15)) {
     throw std::domain_error("z_from_gamma: |gamma| = 1 has no finite impedance");
   }
   return z0 * (1.0 + gamma) / den;

@@ -14,6 +14,7 @@
 #include <deque>
 #include <iterator>
 #include <numbers>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -318,6 +319,42 @@ TEST(BatchedPlan, MatchesOracleOnPivotDivergentDesigns) {
       << divergent_steps << " of " << steps << " steps divergent";
 }
 
+TEST(BatchedPlan, NearShortLossyElementThrowsInClosureAndWriter) {
+  // add_lossy_impedance's 1e-12 ohm near-short guard and its direct-write
+  // twin (planw::write_lossy): an impedance just under the limit, with
+  // both components below it so that the magnitude itself decides, throws
+  // on both paths; one exactly at the limit does not.
+  struct FixedImpedance {
+    Complex z;
+    Complex impedance(double) const { return z; }
+  };
+  const Complex near_short{0.7e-12, -0.7e-12};  // |z| = 0.99e-12 ohm
+  const Complex at_limit{1e-12, 0.0};
+  const std::vector<double> grid = {1.0e9, 2.0e9};
+  const auto netlist_with = [](Complex z, ElementRef* ref) {
+    Netlist nl;
+    const NodeId a = nl.add_node();
+    const NodeId b = nl.add_node();
+    nl.add_resistor(a, kGround, 50.0);
+    *ref = nl.add_lossy_impedance(a, b, [z](double) { return z; }, 290.0);
+    nl.add_resistor(b, kGround, 50.0);
+    nl.add_port(a);
+    nl.add_port(b);
+    return nl;
+  };
+  ElementRef ref;
+  EXPECT_THROW((void)s_params(netlist_with(near_short, &ref), grid[0]),
+               std::domain_error);
+  EXPECT_THROW(BatchedPlan(netlist_with(near_short, &ref), grid),
+               std::domain_error);
+  BatchedPlan plan(netlist_with(at_limit, &ref), grid);
+  EXPECT_THROW(amplifier::planw::write_lossy(plan, ref,
+                                             FixedImpedance{near_short}, 290.0),
+               std::domain_error);
+  EXPECT_NO_THROW(amplifier::planw::write_lossy(
+      plan, ref, FixedImpedance{at_limit}, 290.0));
+}
+
 TEST(BatchedPlan, StructurallySingularSystemThrows) {
   // A node no element touches leaves an all-zero row and column: the
   // factorization must still report it as singular, like the oracle.
@@ -581,6 +618,36 @@ TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
   EXPECT_TRUE(ws.factored());
   expect_bitwise_eq(plan.s_params_at(ws, 0),
                     fresh_plan.s_params_at(fresh_ws, 0));
+}
+
+TEST(EvalWorkspace, PlanRebuiltAtADestroyedPlansAddressIsRefactored) {
+  // A workspace recognizes its plan by address and revision.  Rebuilding a
+  // plan in the storage of a destroyed one (a loop-local plan, here made
+  // certain by std::optional::emplace) must not let a reused workspace
+  // serve the old plan's factorization: series R, shunt 1 pF at 1 GHz
+  // gives |S21| = 0.6525 for 50 ohm and 0.8960 for 10 ohm.
+  const std::vector<double> grid = {1.0e9};
+  EvalWorkspace ws;
+  std::optional<BatchedPlan> plan;
+  const BatchedPlan* first_address = nullptr;
+  for (const double ohms : {50.0, 10.0}) {
+    SCOPED_TRACE("R = " + std::to_string(ohms));
+    Netlist nl;
+    const NodeId in = nl.add_node();
+    const NodeId out = nl.add_node();
+    nl.add_resistor(in, out, ohms);
+    nl.add_capacitor(out, kGround, 1e-12);
+    nl.add_port(in);
+    nl.add_port(out);
+    plan.emplace(nl, grid);
+    if (first_address == nullptr) first_address = &*plan;
+    EXPECT_EQ(&*plan, first_address);
+    plan->factor(ws, 0, grid.size());
+    plan->solve_ports(ws);
+    const rf::SParams oracle = s_params(nl, grid[0]);
+    expect_bitwise_eq(plan->s_params_at(ws, 0), oracle);
+    EXPECT_NEAR(std::abs(oracle.s21), ohms == 50.0 ? 0.6525 : 0.8960, 1e-4);
+  }
 }
 
 TEST(EvalWorkspace, TwoThreadsWithDistinctWorkspacesAgreeWithSerial) {

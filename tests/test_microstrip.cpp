@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
+#include "libgcc_complex.h"
 #include "microstrip/discontinuity.h"
 #include "microstrip/line.h"
+#include "numeric/rng.h"
 #include "rf/metrics.h"
 
 namespace gnsslna::microstrip {
@@ -101,6 +107,111 @@ TEST(Line, InvalidInputsThrow) {
   EXPECT_THROW(line.epsilon_eff(0.0), std::invalid_argument);
   EXPECT_THROW(synthesize_width(Substrate::fr4(), 400.0, kF),
                std::domain_error);
+}
+
+// ---------------------------------------------------------------------------
+// Tabulation arithmetic: Line::abcd_from's component-form cosh/sinh against
+// the complex library functions, bit for bit
+//
+// abcd_from forms cosh(gl) and sinh(gl) from one sincos, one cosh and one
+// sinh; the reference below is its former body, which calls std::cosh /
+// std::sinh of the complex argument (glibc's ccosh / csinh) and, in the
+// default complex semantics, multiplies zc * sh and divides sh / zc
+// through libgcc's __muldc3 / __divdc3 (called by name, libgcc_complex.h).
+
+rf::AbcdParams abcd_reference(const Line::Propagation& p, double length_m) {
+  const std::complex<double> gamma{p.alpha_np_m, p.beta_rad_m};
+  const std::complex<double> gl = gamma * length_m;
+  const std::complex<double> zc{p.z0_ohm, 0.0};
+  const std::complex<double> ch = std::cosh(gl);
+  const std::complex<double> sh = std::sinh(gl);
+  return {p.frequency_hz, ch, reference::libgcc_mul(zc, sh),
+          reference::libgcc_div(sh, zc), ch};
+}
+
+bool same_bits(const rf::Complex& a, const rf::Complex& b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+void expect_abcd_matches_reference(const Line::Propagation& p, double len) {
+  const rf::AbcdParams got = Line::abcd_from(p, len);
+  const rf::AbcdParams want = abcd_reference(p, len);
+  EXPECT_TRUE(same_bits(got.a, want.a) && same_bits(got.b, want.b) &&
+              same_bits(got.c, want.c) && same_bits(got.d, want.d))
+      << "alpha " << p.alpha_np_m << " beta " << p.beta_rad_m << " z0 "
+      << p.z0_ohm << " length " << len << ": got " << got.a << ' ' << got.b
+      << ' ' << got.c << ", want " << want.a << ' ' << want.b << ' '
+      << want.c;
+}
+
+TEST(LineTabulation, ComponentCoshSinhMatchComplexLibraryOnLines) {
+  // The lines the amplifier tabulates: both substrates, L-band and the
+  // stability grid's 0.5-3.5 GHz, widths and lengths around the design
+  // box and beyond.
+  numeric::Rng rng(1575);
+  for (int k = 0; k < 3000; ++k) {
+    const Substrate sub = k % 2 == 0 ? Substrate::fr4() : Substrate::ro4350b();
+    const double width = rng.uniform(0.1e-3, 5e-3);
+    const double length = std::exp(rng.uniform(std::log(1e-4), std::log(0.5)));
+    const double f = rng.uniform(0.3e9, 4e9);
+    const Line line(sub, width, length);
+    const Line::Propagation p = line.propagation(f);
+    expect_abcd_matches_reference(p, length);
+    EXPECT_TRUE(same_bits(line.abcd(f).b, abcd_reference(p, length).b));
+  }
+}
+
+TEST(LineTabulation, ComponentCoshSinhMatchComplexLibraryOnEdges) {
+  // Synthetic propagation data: lossless and heavily lossy, attenuation
+  // up to and past the 709 limit of the component form (but below ~710.5,
+  // where cosh and sinh overflow), negative attenuation, phase lengths
+  // from subnormal to 1e9 rad of either sign.  Operands stay finite and
+  // z0 >= 1 keeps sh / zc from overflowing: outside that range __divdc3's
+  // infinity recovery and its reordered form for a zero ratio can differ
+  // from Smith's algorithm, which is outside the contract (DESIGN.md).
+  const double min = std::numeric_limits<double>::min();
+  Line::Propagation p;
+  p.frequency_hz = 1.5e9;
+  numeric::Rng rng(1576);
+  for (const double al : {0.0, -0.0, 1e-300, 1e-9, 0.37, 5.0, 300.0, 708.9,
+                          std::nextafter(709.0, 0.0), 709.0, 709.5, 710.0,
+                          -1e-3, -2.0}) {
+    for (const double bl : {0.0, -0.0, min / 4.0, min, -min, 2.0 * min, 1e-200,
+                            1e-9, 0.5, -0.9, 1.57, 2.4, -3.1, 42.0, 1e5,
+                            -7.3e6, 1e9}) {
+      for (const double z0 : {1.0, 50.0, 137.0}) {
+        p.alpha_np_m = al;
+        p.beta_rad_m = bl;
+        p.z0_ohm = z0;
+        expect_abcd_matches_reference(p, 1.0);
+      }
+    }
+  }
+  for (int k = 0; k < 20000; ++k) {
+    p.alpha_np_m = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 2.0);
+    p.beta_rad_m = rng.uniform(-300.0, 300.0);
+    p.z0_ohm = rng.uniform(10.0, 200.0);
+    expect_abcd_matches_reference(p, rng.uniform(1e-4, 0.3));
+  }
+}
+
+TEST(LineTabulation, NanPropagationStaysNonFinite) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto finite = [](const rf::Complex& z) {
+    return std::isfinite(z.real()) && std::isfinite(z.imag());
+  };
+  Line::Propagation p;
+  p.frequency_hz = 1.5e9;
+  p.alpha_np_m = nan;
+  p.beta_rad_m = 30.0;
+  p.z0_ohm = 50.0;
+  EXPECT_FALSE(finite(Line::abcd_from(p, 0.01).a));
+  p.alpha_np_m = 0.1;
+  p.beta_rad_m = nan;
+  EXPECT_FALSE(finite(Line::abcd_from(p, 0.01).b));
 }
 
 TEST(Substrate, ValidationCatchesNonPhysical) {

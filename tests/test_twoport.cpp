@@ -2,13 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <vector>
 
+#include "libgcc_complex.h"
 #include "numeric/rng.h"
 #include "rf/units.h"
 
 namespace gnsslna::rf {
 namespace {
+
+using reference::libgcc_div;
+using reference::libgcc_mul;
 
 constexpr double kF = 1.5e9;
 
@@ -202,6 +211,215 @@ TEST(Cascade, MismatchedGridsThrow) {
   EXPECT_THROW(cascade(a, b), std::invalid_argument);
   b = s_identity(1e9, 75.0);
   EXPECT_THROW(cascade(a, b), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Tabulation arithmetic: the library's conversions against default complex
+// semantics, bit for bit
+//
+// The library is compiled with GCC's -fcx-fortran-rules (src/CMakeLists.txt),
+// which inlines Smith's algorithm at every complex division.  The formulas
+// below are copied term for term from twoport.cpp, with every complex
+// division and product made by name through libgcc's __divdc3 / __muldc3
+// (libgcc_complex.h), the default semantics.  The two must agree exactly,
+// on operands at the magnitudes the element models produce and on the edge
+// operands of Smith's algorithm: purely real and purely imaginary divisors,
+// divisors with |re| = |im|, and numerators with a zero part.
+
+bool same_bits(Complex a, Complex b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+bool same_bits(const YParams& a, const YParams& b) {
+  return same_bits(a.y11, b.y11) && same_bits(a.y12, b.y12) &&
+         same_bits(a.y21, b.y21) && same_bits(a.y22, b.y22);
+}
+
+bool same_bits(const SParams& a, const SParams& b) {
+  return same_bits(a.s11, b.s11) && same_bits(a.s12, b.s12) &&
+         same_bits(a.s21, b.s21) && same_bits(a.s22, b.s22);
+}
+
+YParams y_from_s_default(const SParams& s) {
+  const Complex one{1.0, 0.0};
+  const double y0 = 1.0 / s.z0;
+  const Complex den =
+      libgcc_mul(one + s.s11, one + s.s22) - libgcc_mul(s.s12, s.s21);
+  YParams y;
+  y.frequency_hz = s.frequency_hz;
+  y.y11 = libgcc_div(y0 * (libgcc_mul(one - s.s11, one + s.s22) +
+                           libgcc_mul(s.s12, s.s21)),
+                     den);
+  y.y12 = libgcc_div(y0 * (-2.0 * s.s12), den);
+  y.y21 = libgcc_div(y0 * (-2.0 * s.s21), den);
+  y.y22 = libgcc_div(y0 * (libgcc_mul(one + s.s11, one - s.s22) +
+                           libgcc_mul(s.s12, s.s21)),
+                     den);
+  return y;
+}
+
+SParams s_from_y_default(const YParams& y, double z0) {
+  const double y0 = 1.0 / z0;
+  const Complex den =
+      libgcc_mul(y.y11 + y0, y.y22 + y0) - libgcc_mul(y.y12, y.y21);
+  SParams s;
+  s.frequency_hz = y.frequency_hz;
+  s.z0 = z0;
+  s.s11 = libgcc_div(
+      libgcc_mul(y0 - y.y11, y0 + y.y22) + libgcc_mul(y.y12, y.y21), den);
+  s.s12 = libgcc_div(-2.0 * y.y12 * y0, den);
+  s.s21 = libgcc_div(-2.0 * y.y21 * y0, den);
+  s.s22 = libgcc_div(
+      libgcc_mul(y0 + y.y11, y0 - y.y22) + libgcc_mul(y.y12, y.y21), den);
+  return s;
+}
+
+YParams y_from_abcd_default(const AbcdParams& abcd) {
+  YParams y;
+  y.frequency_hz = abcd.frequency_hz;
+  y.y11 = libgcc_div(abcd.d, abcd.b);
+  y.y12 = libgcc_div(
+      -(libgcc_mul(abcd.a, abcd.d) - libgcc_mul(abcd.b, abcd.c)), abcd.b);
+  y.y21 = libgcc_div(Complex{-1.0, 0.0}, abcd.b);
+  y.y22 = libgcc_div(abcd.a, abcd.b);
+  return y;
+}
+
+/// Magnitude log-uniform in [lo, hi), phase uniform.
+Complex random_complex(numeric::Rng& rng, double lo, double hi) {
+  return std::polar(std::exp(rng.uniform(std::log(lo), std::log(hi))),
+                    rng.uniform(-std::numbers::pi, std::numbers::pi));
+}
+
+/// z as drawn, purely real, purely imaginary, with |re| = |im| in each
+/// sign pattern, and (when `with_zero`) exactly zero.
+std::vector<Complex> edge_forms(Complex z, bool with_zero) {
+  const double r = z.real(), i = z.imag();
+  std::vector<Complex> forms = {z,         {r, 0.0},  {0.0, i},  {r, r},
+                                {r, -r},   {-r, r},   {i, i},    {-i, -i}};
+  if (with_zero) forms.push_back({0.0, 0.0});
+  return forms;
+}
+
+/// One of edge_forms(z, with_zero), picked at random.
+Complex random_edge(numeric::Rng& rng, Complex z, bool with_zero) {
+  const std::vector<Complex> forms = edge_forms(z, with_zero);
+  return forms[rng.uniform_index(forms.size())];
+}
+
+TEST(TabulationArithmetic, YFromAbcdMatchesDefaultComplexDivision) {
+  // y_from_abcd divides by B directly, so every edge form of the divisor
+  // meets every edge form of the numerators A and D.
+  numeric::Rng rng(1501);
+  for (int draw = 0; draw < 300; ++draw) {
+    AbcdParams abcd;
+    abcd.frequency_hz = kF;
+    const Complex a0 = random_complex(rng, 0.05, 20.0);
+    const Complex b0 = random_complex(rng, 1e-2, 1e3);
+    abcd.c = random_complex(rng, 1e-5, 1.0);
+    const Complex d0 = random_complex(rng, 0.05, 20.0);
+    for (const Complex b : edge_forms(b0, false)) {
+      for (const Complex a : edge_forms(a0, true)) {
+        for (const Complex d : edge_forms(d0, true)) {
+          abcd.a = a;
+          abcd.b = b;
+          abcd.d = d;
+          EXPECT_TRUE(same_bits(y_from_abcd(abcd), y_from_abcd_default(abcd)))
+              << "a=" << a << " b=" << b << " c=" << abcd.c << " d=" << d;
+        }
+      }
+    }
+  }
+}
+
+TEST(TabulationArithmetic, YFromSAndSFromYMatchDefaultComplexDivision) {
+  // S of passive and active two-ports (|S21| up to ~10) and Y blocks from
+  // microsiemens to siemens; a third of the draws replace every entry by
+  // a random edge form, which puts zero parts into numerators and
+  // divisors.
+  numeric::Rng rng(1502);
+  for (int draw = 0; draw < 20000; ++draw) {
+    const bool edges = draw % 3 == 0;
+    const auto entry = [&](double lo, double hi) {
+      const Complex z = random_complex(rng, lo, hi);
+      return edges ? random_edge(rng, z, true) : z;
+    };
+    SParams s;
+    s.frequency_hz = kF;
+    s.z0 = draw % 2 == 0 ? kZ0 : rng.uniform(20.0, 100.0);
+    s.s11 = entry(1e-3, 1.5);
+    s.s12 = entry(1e-3, 1.0);
+    s.s21 = entry(1e-3, 10.0);
+    s.s22 = entry(1e-3, 1.5);
+    YParams y;
+    y.frequency_hz = kF;
+    y.y11 = entry(1e-6, 1.0);
+    y.y12 = entry(1e-6, 1.0);
+    y.y21 = entry(1e-6, 1.0);
+    y.y22 = entry(1e-6, 1.0);
+    EXPECT_TRUE(same_bits(y_from_s(s), y_from_s_default(s)))
+        << "draw " << draw << ": S = " << s.s11 << ' ' << s.s12 << ' '
+        << s.s21 << ' ' << s.s22 << ", z0 = " << s.z0;
+    EXPECT_TRUE(same_bits(s_from_y(y, s.z0), s_from_y_default(y, s.z0)))
+        << "draw " << draw << ": Y = " << y.y11 << ' ' << y.y12 << ' '
+        << y.y21 << ' ' << y.y22 << ", z0 = " << s.z0;
+  }
+}
+
+TEST(TabulationArithmetic, MagnitudeBelowAgreesWithAbsEitherSideOfEps) {
+  for (const double eps : {1e-300, 1e-15, 1e-12, 1.0}) {
+    SCOPED_TRACE(::testing::Message() << "eps " << eps);
+    const double below = std::nextafter(eps, 0.0);
+    const double above = std::nextafter(eps, 2.0 * eps);
+    std::vector<Complex> operands;
+    for (const double r : {below, eps, above, eps * (1.0 - 1e-15),
+                           eps * (1.0 + 1e-15)}) {
+      for (int k = 0; k < 64; ++k) {
+        operands.push_back(std::polar(r, 2.0 * std::numbers::pi * k / 64.0));
+      }
+      operands.push_back({r, 0.0});
+      operands.push_back({0.0, -r});
+      operands.push_back({r / std::sqrt(2.0), r / std::sqrt(2.0)});
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    operands.push_back({nan, 0.0});
+    operands.push_back({0.0, nan});
+    operands.push_back({nan, inf});
+    operands.push_back({-inf, 0.0});
+    for (const Complex z : operands) {
+      EXPECT_EQ(magnitude_below(z, eps), std::abs(z) < eps) << z;
+    }
+  }
+}
+
+TEST(TabulationArithmetic, ZeroChainBThrowsAndNanStaysNonFinite) {
+  AbcdParams abcd;
+  abcd.frequency_hz = kF;
+  abcd.b = {0.0, 0.0};
+  EXPECT_THROW(y_from_abcd(abcd), std::domain_error);
+  abcd.b = {7e-301, -7e-301};  // |B| ~ 9.9e-301: below the 1e-300 guard
+  EXPECT_THROW(y_from_abcd(abcd), std::domain_error);
+
+  // A NaN operand must come out non-finite, never as a finite number.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto finite = [](Complex z) {
+    return std::isfinite(z.real()) && std::isfinite(z.imag());
+  };
+  abcd.b = {10.0, 5.0};
+  abcd.a = {nan, 0.0};
+  EXPECT_FALSE(finite(y_from_abcd(abcd).y22));
+  SParams s = s_identity(kF);
+  s.s11 = {0.1, nan};
+  EXPECT_FALSE(finite(y_from_s(s).y11));
+  YParams y;
+  y.y11 = {1e-2, 0.0};
+  y.y22 = {1e-2, 0.0};
+  y.y21 = {nan, nan};
+  EXPECT_FALSE(finite(s_from_y(y).s21));
 }
 
 TEST(TwoPort, MatrixProductMatchesManual) {
