@@ -6,7 +6,7 @@
 // builder in netlist.cpp (or noisy_twoport.cpp / the FET closures in
 // lna.cpp) would have returned at every grid frequency, so a plan written
 // in place stays bit-identical to one compiled fresh from the rebuilt
-// netlist and to the per-call analyses (pinned by tests/test_batched.cpp).
+// netlist (pinned by tests/test_batched.cpp).
 // Each writer returns the number of value tables it rewrote (stamp or
 // two-port Y-block, plus the noise CSD when the element is noisy).
 //
@@ -44,9 +44,10 @@ namespace gnsslna::amplifier {
 /// output transfer, and reduces the report in grid order.  The plan grid
 /// must be `band_points` >= 1 in-band frequencies followed by
 /// LnaDesign::stability_grid(); `id_a` is the design's drain current and
-/// `noise` reusable per-lane scratch (resized to band_points).
-/// Bit-identical to the per-call analyses (circuit::s_params /
-/// noise_analysis) reduced in the same order.
+/// `noise` reusable per-lane scratch (resized to band_points).  Agrees
+/// with the per-call analyses (circuit::s_params / noise_analysis) reduced
+/// in the same order within the written tolerance of the batched core
+/// (tests/reference_band.h).
 BandReport band_report(const circuit::BatchedPlan& plan,
                        circuit::EvalWorkspace& ws, std::size_t band_points,
                        double id_a, std::vector<circuit::NoiseResult>& noise);

@@ -87,7 +87,7 @@ rf::SweepData s_sweep(const Netlist& netlist,
   // per frequency, and each thread chunk factors its contiguous lane range
   // as one blocked LU batch.  Per-lane results never depend on which chunk
   // a lane landed in (the kernels are lane-independent), so the sweep is
-  // bit-identical to per-call s_params at any thread count.
+  // bit-identical at any thread count.
   const std::size_t nf = frequencies_hz.size();
   if (nf == 0) return {};
   const BatchedPlan plan(netlist, frequencies_hz);
@@ -231,8 +231,7 @@ std::vector<double> noise_figure_sweep(
     const Netlist& netlist, std::size_t input_port, std::size_t output_port,
     const std::vector<double>& frequencies_hz) {
   // Batched plan: one blocked LU factorization for the whole grid, one
-  // transposed transfer solve, then the lane-batched noise sweep —
-  // bit-identical to per-call noise_analysis.
+  // transposed transfer solve, then the lane-batched noise sweep.
   if (frequencies_hz.empty()) return {};
   const BatchedPlan plan(netlist, frequencies_hz);
   EvalWorkspace ws;

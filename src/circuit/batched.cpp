@@ -1,13 +1,11 @@
 // Frequency-batched evaluation kernels.
 //
-// NOTE ON ARITHMETIC: this file re-implements complex multiply/divide on
-// raw re/im doubles so the lane loops vectorize.  The naive forms used
-// here are bit-identical to what the scalar path produces through
-// std::complex (libgcc's __muldc3 fast path, and numeric::scalar_inverse)
-// for the finite, non-NaN values circuit analysis produces.  This file is
-// compiled with -ffp-contract=off (see src/circuit/CMakeLists.txt) so
-// FMA-capable -march=native builds cannot contract a*b-c*d expressions
-// into fused forms the scalar path does not use.
+// NOTE ON ARITHMETIC: this file re-implements complex multiply on raw
+// re/im doubles so the lane loops vectorize, in the naive form the scalar
+// path evaluates through std::complex.  This file is compiled with
+// -ffp-contract=off (see src/circuit/CMakeLists.txt) so FMA-capable hosts
+// cannot contract a*b-c*d expressions into fused forms, which keeps every
+// result independent of the host.
 #include "circuit/batched.h"
 
 #include <algorithm>
@@ -15,7 +13,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "numeric/matrix.h"
 #include "obs/obs.h"
 #include "rf/units.h"
 
@@ -47,6 +44,8 @@ namespace gnsslna::circuit {
 namespace {
 // Starts above EvalWorkspace's initial seen revision (0).
 std::atomic<std::uint64_t> g_next_revision{1};
+
+constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
 }  // namespace
 
 std::uint64_t BatchedPlan::next_revision() {
@@ -63,21 +62,17 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
   ports_ = netlist.ports();
   unknowns_ = netlist.node_count() - 1;
   const std::size_t n = unknowns_;
-  mask_words_ = (n + 63) / 64;
-  pattern_.assign(n * mask_words_, 0);
 
   // The flat scatter list in Netlist::assemble_terminated order, with
   // ground-touching terms dropped; every slot it writes is structural.
-  std::vector<bool> touched(n * n, false);
+  std::vector<bool> assembled(n * n, false);
   const auto scatter = [&](NodeId row, NodeId col, std::uint32_t table,
                            Source source, TpKind kind, bool subtract) {
     if (row == kGround || col == kGround) return;
-    const std::size_t r = row - 1, c = col - 1;
-    const std::size_t slot = r * n + c;
-    scatter_.push_back({static_cast<std::uint32_t>(slot), table, source, kind,
-                        subtract, !touched[slot]});
-    touched[slot] = true;
-    pattern_[r * mask_words_ + c / 64] |= std::uint64_t{1} << (c % 64);
+    const std::size_t slot = (row - 1) * n + (col - 1);
+    scatter_.push_back({0, static_cast<std::uint32_t>(slot), table, source,
+                        kind, subtract, !assembled[slot]});
+    assembled[slot] = true;
   };
 
   stamps_.resize(netlist.stamps_.size());
@@ -126,6 +121,7 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     scatter(ports_[pi].node, ports_[pi].node, static_cast<std::uint32_t>(pi),
             Source::kPort, TpKind::kY11, false);
   }
+  compile_program(assembled);
 
   noise_.resize(netlist.noise_groups_.size());
   for (std::size_t gi = 0; gi < noise_.size(); ++gi) {
@@ -155,6 +151,86 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
   }
 }
 
+void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
+  const std::size_t n = unknowns_;
+  // Symbolic elimination in diagonal order: step k fills (i, j) wherever
+  // (i, k) and (k, j) are filled below and right of the pivot.
+  std::vector<bool> filled = assembled;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (!filled[i * n + k]) continue;
+      for (std::size_t j = k + 1; j < n; ++j) {
+        if (filled[k * n + j]) filled[i * n + j] = true;
+      }
+    }
+  }
+  std::vector<std::uint32_t> pos(n * n, 0);
+  positions_ = 0;
+  for (std::size_t s = 0; s < n * n; ++s) {
+    if (filled[s]) pos[s] = static_cast<std::uint32_t>(positions_++);
+  }
+  static_order_ = true;
+  diag_.assign(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    static_order_ = static_order_ && filled[k * n + k];
+    diag_[k] = pos[k * n + k];
+  }
+
+  // Line i of a row list is row i (entries ordered by column); of a column
+  // list, column i (ordered by row).  `keep` selects the entries.
+  const auto build = [&](LineLists& lists, const std::vector<bool>& pattern,
+                         bool by_row, auto keep) {
+    lists = {};
+    lists.pos.reserve(positions_);
+    lists.index.reserve(positions_);
+    lists.start.reserve(n + 1);
+    lists.start.push_back(0);
+    for (std::size_t line = 0; line < n; ++line) {
+      for (std::size_t other = 0; other < n; ++other) {
+        const std::size_t r = by_row ? line : other;
+        const std::size_t c = by_row ? other : line;
+        if (pattern[r * n + c] && keep(r, c)) {
+          lists.pos.push_back(pos[r * n + c]);
+          lists.index.push_back(static_cast<std::uint32_t>(other));
+        }
+      }
+      lists.start.push_back(static_cast<std::uint32_t>(lists.pos.size()));
+    }
+  };
+  const auto lower = [](std::size_t r, std::size_t c) { return r > c; };
+  const auto upper = [](std::size_t r, std::size_t c) { return r < c; };
+  build(lower_rows_, filled, true, lower);
+  build(upper_rows_, filled, true, upper);
+  build(lower_cols_, filled, false, lower);
+  build(upper_cols_, filled, false, upper);
+  build(assembled_cols_, assembled, false,
+        [](std::size_t, std::size_t) { return true; });
+
+  std::size_t update_count = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    update_count += std::size_t{lower_cols_.start[k + 1] - lower_cols_.start[k]} *
+                    (upper_rows_.start[k + 1] - upper_rows_.start[k]);
+  }
+  updates_.clear();
+  updates_.reserve(update_count);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::uint32_t e = lower_cols_.start[k]; e < lower_cols_.start[k + 1];
+         ++e) {
+      const std::size_t i = lower_cols_.index[e];
+      for (std::uint32_t u = upper_rows_.start[k];
+           u < upper_rows_.start[k + 1]; ++u) {
+        updates_.push_back(pos[i * n + upper_rows_.index[u]]);
+      }
+    }
+  }
+  fill_.clear();
+  fill_.reserve(positions_);
+  for (std::size_t s = 0; s < n * n; ++s) {
+    if (filled[s] && !assembled[s]) fill_.push_back(pos[s]);
+  }
+  for (Scatter& sc : scatter_) sc.pos = pos[sc.slot];
+}
+
 BatchedPlan::StampView BatchedPlan::stamp_view(std::size_t stamp_index) {
   StampTable& t = stamps_.at(stamp_index);
   return {t.values.data(), t.values.size()};
@@ -182,6 +258,7 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
   const std::size_t n = unknowns_;
   const std::size_t lanes = f_end - f_begin;
   const bool same_shape = ws.plan_ == this && ws.bound_unknowns_ == n &&
+                          ws.bound_positions_ == positions_ &&
                           ws.lanes_ == lanes &&
                           ws.bound_max_inj_ == max_injections_;
   const bool same_range = same_shape && ws.f_begin_ == f_begin;
@@ -191,17 +268,12 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
     const std::size_t cap_before = ws.arena_.capacity();
     numeric::Arena& a = ws.arena_;
     a.reset();
-    ws.a_re_ = a.alloc_array<double>(n * n * lanes);
-    ws.a_im_ = a.alloc_array<double>(n * n * lanes);
-    ws.row_mask_ = a.alloc_array<std::uint64_t>(n * mask_words_);
-    ws.col_mask_ = a.alloc_array<std::uint64_t>(n * mask_words_);
+    ws.v_re_ = a.alloc_array<double>(positions_ * lanes);
+    ws.v_im_ = a.alloc_array<double>(positions_ * lanes);
     ws.dinv_re_ = a.alloc_array<double>(n * lanes);
     ws.dinv_im_ = a.alloc_array<double>(n * lanes);
-    ws.perm_ = a.alloc_array<std::uint32_t>(n * lanes);
-    ws.pivrow_ = a.alloc_array<std::uint32_t>(lanes);
-    ws.pivmag_ = a.alloc_array<double>(lanes);
-    ws.work_re_ = a.alloc_array<double>(n * lanes);
-    ws.work_im_ = a.alloc_array<double>(n * lanes);
+    ws.colmax_ = a.alloc_array<double>(n * lanes);
+    ws.dense_ = a.alloc_array<double>(lanes);
     ws.sol_re_ = a.alloc_array<double>(2 * n * lanes);
     ws.sol_im_ = a.alloc_array<double>(2 * n * lanes);
     ws.w_re_ = a.alloc_array<double>(n * lanes);
@@ -213,6 +285,7 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
     ws.npsd_ = a.alloc_array<double>(lanes);
     ws.plan_ = this;
     ws.bound_unknowns_ = n;
+    ws.bound_positions_ = positions_;
     ws.bound_max_inj_ = max_injections_;
     ws.lanes_ = lanes;
     ws.f_begin_ = f_begin;
@@ -239,16 +312,19 @@ void BatchedPlan::assemble(EvalWorkspace& ws) const {
   const std::size_t L = ws.lanes_;
   const std::size_t fb = ws.f_begin_;
   const std::size_t G = grid_.size();
-  double* const are = ws.a_re_;
-  double* const aim = ws.a_im_;
+  double* const vre = ws.v_re_;
+  double* const vim = ws.v_im_;
 
-  // Only the structural slots are written (and zeroed on their first
-  // write, which replays the zero-initialized accumulator of
-  // Netlist::assemble); every other position stays unread until the
-  // factorization's masks first admit it.
+  // Fill-in positions start at zero; assembled ones are zeroed on their
+  // first write, which replays the zero-initialized accumulator of
+  // Netlist::assemble.
+  for (const std::uint32_t p : fill_) {
+    std::fill_n(vre + std::size_t{p} * L, L, 0.0);
+    std::fill_n(vim + std::size_t{p} * L, L, 0.0);
+  }
   for (const Scatter& sc : scatter_) {
-    double* const re = are + std::size_t{sc.slot} * L;
-    double* const im = aim + std::size_t{sc.slot} * L;
+    double* const re = vre + std::size_t{sc.pos} * L;
+    double* const im = vim + std::size_t{sc.pos} * L;
     if (sc.first) {
       std::fill_n(re, L, 0.0);
       std::fill_n(im, L, 0.0);
@@ -303,9 +379,6 @@ void BatchedPlan::assemble(EvalWorkspace& ws) const {
       case Source::kPort: {
         const double g = 1.0 / ports_[sc.table].z0;
         for (std::size_t l = 0; l < L; ++l) {
-          // Mirror `y += Complex{g, 0.0}`: the imaginary part also
-          // receives a +0.0 addition (which normalizes a -0.0
-          // accumulator, as the scalar path's complex addition does).
           re[l] += g;
           im[l] += 0.0;
         }
@@ -313,60 +386,52 @@ void BatchedPlan::assemble(EvalWorkspace& ws) const {
       }
     }
   }
-}
 
-// ---------------------------------------------------------------------------
-// Structure-aware LU factorization (replays numeric::LuDecomposition per
-// lane)
-//
-// Each row of the system carries a bit mask of the columns that may be
-// nonzero in ANY lane (a conservative superset).  Invariant: every masked
-// position holds the value the scalar factorization holds there (up to
-// the sign of an exact zero in an L entry, which the scalar kernel forms
-// as pivot-reciprocal x 0), and an unmasked position is an exact zero in
-// every lane of the scalar factorization and is never read here.  A
-// position is zeroed the first time its bit is set.  Skipping an unmasked
-// position is exact for finite operands: it could only add or subtract an
-// exact zero into an accumulator that cannot hold -0, or offer a zero
-// magnitude to the strict-`>` pivot scan, which never wins.
-
-namespace {
-
-constexpr std::size_t kMaskBits = 64;
-
-inline bool mask_has(const std::uint64_t* const m, const std::size_t j) {
-  return ((m[j / kMaskBits] >> (j % kMaskBits)) & 1u) != 0;
-}
-
-/// Calls f(j) in ascending j for every set bit j in [lo, hi) of the
-/// multi-word mask m.  Ascending order keeps every accumulation in the
-/// scalar kernel's term order.
-template <typename F>
-inline __attribute__((always_inline)) void for_each_bit(
-    const std::uint64_t* const m, const std::size_t lo, const std::size_t hi,
-    F&& f) {
-  if (lo >= hi) return;
-  const std::size_t w_first = lo / kMaskBits;
-  const std::size_t w_last = (hi - 1) / kMaskBits;
-  for (std::size_t w = w_first; w <= w_last; ++w) {
-    std::uint64_t bits = m[w];
-    if (w == w_first) bits &= ~std::uint64_t{0} << (lo % kMaskBits);
-    if (w == w_last && hi % kMaskBits != 0) {
-      bits &= (std::uint64_t{1} << (hi % kMaskBits)) - 1;
-    }
-    while (bits != 0) {
-      f(w * kMaskBits + static_cast<std::size_t>(__builtin_ctzll(bits)));
-      bits &= bits - 1;
+  // Column maxima of the assembled one-norms, for the health check.  A NaN
+  // entry makes its column's maximum NaN, which fails every comparison.
+  for (std::size_t j = 0; j < unknowns_; ++j) {
+    double* const cm = ws.colmax_ + j * L;
+    std::fill_n(cm, L, 0.0);
+    for (std::uint32_t e = assembled_cols_.start[j];
+         e < assembled_cols_.start[j + 1]; ++e) {
+      const double* const re = vre + std::size_t{assembled_cols_.pos[e]} * L;
+      const double* const im = vim + std::size_t{assembled_cols_.pos[e]} * L;
+      for (std::size_t l = 0; l < L; ++l) {
+        const double m = std::abs(re[l]) + std::abs(im[l]);
+        cm[l] = (m > cm[l] || std::isnan(m)) ? m : cm[l];
+      }
     }
   }
 }
 
+// ---------------------------------------------------------------------------
+// Static-order LU program with per-lane health check
+
+namespace {
+
+// Health-check thresholds (DESIGN.md, "Batched evaluation core"): a lane
+// passes when every pivot's one-norm exceeds kPivotRatio times the maximum
+// one-norm of its assembled column and no U entry's one-norm exceeds
+// kGrowthBound times that of its column.
+constexpr double kPivotRatio = 1e-3;
+constexpr double kGrowthBound = 1e3;
+
+// One line of a LineLists, as raw pointers for the kernels.
+struct Lines {
+  const std::uint32_t* pos;
+  const std::uint32_t* index;
+  const std::uint32_t* start;
+};
+
+template <typename LineLists>
+Lines lines(const LineLists& l) {
+  return {l.pos.data(), l.index.data(), l.start.data()};
+}
+
 // The two complex lane operations every kernel below is built from, over
 // L lanes (LF = compile-time count, 0 = runtime L_rt).  Their operands are
-// always distinct positions of the factors and solution vectors, which
+// always distinct positions of the store and solution vectors, which
 // __restrict tells the vectorizer (no runtime overlap check per call).
-// Per lane they are exactly the naive complex forms the scalar path
-// evaluates.
 
 /// t -= a * b.
 template <std::size_t LF>
@@ -381,21 +446,18 @@ inline __attribute__((always_inline)) void sub_mul_lanes(
   }
 }
 
-/// x *= p in place; returns how many lanes of the product are nonzero.
+/// x *= p in place.
 template <std::size_t LF>
-inline __attribute__((always_inline)) std::size_t mul_lanes(
+inline __attribute__((always_inline)) void mul_lanes(
     const std::size_t L_rt, double* __restrict xr, double* __restrict xi,
     const double* __restrict pr, const double* __restrict pi) {
   const std::size_t L = LF != 0 ? LF : L_rt;
-  std::size_t nonzero = 0;
   for (std::size_t l = 0; l < L; ++l) {
     const double a = xr[l];
     const double b = xi[l];
     xr[l] = a * pr[l] - b * pi[l];
     xi[l] = a * pi[l] + b * pr[l];
-    nonzero += (xr[l] != 0.0 || xi[l] != 0.0) ? 1 : 0;
   }
-  return nonzero;
 }
 
 // LF is a compile-time lane count (0 = use the runtime count).  The band
@@ -405,227 +467,115 @@ inline __attribute__((always_inline)) std::size_t mul_lanes(
 // wrappers below, so each ISA clone compiles them at its own vector
 // width; every instantiation performs the identical arithmetic in the
 // identical order, so the specialization is invisible in the results.
+//
+// Step k: check pivot (k, k) and U row k (final once steps < k have run),
+// store the pivot reciprocal, scale L column k and apply the rank-1 update
+// of each L entry with U row k at the targets the plan listed.  `dense`
+// gets 1 in every lane that fails a check; NaN fails every comparison.
 template <std::size_t LF>
 inline __attribute__((always_inline)) void factor_lanes_body(
-    const std::size_t n, const std::size_t W, const std::size_t L_rt,
-    double* const are, double* const aim, double* const dre,
-    double* const dim, std::uint32_t* const perm, std::uint32_t* const piv,
-    double* const mag, std::uint64_t* const mask) {
+    const std::size_t n, const std::size_t L_rt,
+    const std::uint32_t* const diag, const Lines lcols, const Lines urows,
+    const std::uint32_t* target, double* const vr, double* const vi,
+    double* const dr, double* const di, const double* const cm,
+    double* const dense) {
   const std::size_t L = LF != 0 ? LF : L_rt;
-  // Admits the columns in [lo, n) of `add` into row `row`'s mask `m`,
-  // zeroing every lane of each newly admitted position.
-  const auto admit = [&](std::uint64_t* const m, const std::uint64_t* const add,
-                         const std::size_t row, const std::size_t lo) {
-    for (std::size_t w = lo / kMaskBits; w < W; ++w) {
-      std::uint64_t fresh = add[w] & ~m[w];
-      if (w == lo / kMaskBits) fresh &= ~std::uint64_t{0} << (lo % kMaskBits);
-      m[w] |= fresh;
-      while (fresh != 0) {
-        const std::size_t j =
-            w * kMaskBits + static_cast<std::size_t>(__builtin_ctzll(fresh));
-        fresh &= fresh - 1;
-        std::fill_n(are + (row * n + j) * L, L, 0.0);
-        std::fill_n(aim + (row * n + j) * L, L, 0.0);
-      }
-    }
-  };
-  // Smallest pivot row above `prev` that some lane chose (n if none).
-  const auto next_pivot = [&](const std::size_t prev) {
-    std::size_t p = n;
-    for (std::size_t l = 0; l < L; ++l) {
-      if (piv[l] > prev && piv[l] < p) p = piv[l];
-    }
-    return p;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t l = 0; l < L; ++l) {
-      perm[i * L + l] = static_cast<std::uint32_t>(i);
-    }
-  }
   for (std::size_t k = 0; k < n; ++k) {
-    std::uint64_t* const mk = mask + k * W;
-    // Per-lane partial pivoting with the shared pivot_magnitude rule.
-    // Lane-innermost scan so the compare/select vectorizes; per lane this
-    // is the scalar kernel's strict-`>` running-max scan in the same row
-    // order, minus rows whose column-k entry is structurally zero (their
-    // magnitude 0 can never win), so each lane picks exactly the scalar
-    // kernel's pivot.
-    if (mask_has(mk, k)) {
-      for (std::size_t l = 0; l < L; ++l) {
-        mag[l] = std::abs(are[(k * n + k) * L + l]) +
-                 std::abs(aim[(k * n + k) * L + l]);
-        piv[l] = static_cast<std::uint32_t>(k);
-      }
-    } else {
-      for (std::size_t l = 0; l < L; ++l) {
-        mag[l] = 0.0;
-        piv[l] = static_cast<std::uint32_t>(k);
-      }
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (!mask_has(mask + i * W, k)) continue;
-      const double* const cr = are + (i * n + k) * L;
-      const double* const ci = aim + (i * n + k) * L;
-      for (std::size_t l = 0; l < L; ++l) {
-        const double m = std::abs(cr[l]) + std::abs(ci[l]);
-        const bool better = m > mag[l];
-        mag[l] = better ? m : mag[l];
-        piv[l] = better ? static_cast<std::uint32_t>(i) : piv[l];
-      }
-    }
-    bool uniform = true;
+    const double* const zr = vr + std::size_t{diag[k]} * L;
+    const double* const zi = vi + std::size_t{diag[k]} * L;
+    const double* const ck = cm + k * L;
+    double* const pr = dr + k * L;
+    double* const pi = di + k * L;
     for (std::size_t l = 0; l < L; ++l) {
-      if (mag[l] == 0.0) {
-        throw std::domain_error("LU: matrix is singular");
-      }
-      if (piv[l] != piv[0]) uniform = false;
-    }
-
-    // Row swaps.  Lanes agree on the pivot row in only about a third of
-    // the steps of a typical design (the magnitudes of competing rows
-    // cross within the band), so both cases are first-class.  Each lane
-    // performs exactly the swaps the scalar factorization would; only the
-    // masks are shared.
-    if (uniform) {
-      // Every lane swaps rows k and p: swap the columns either row may
-      // hold, then the masks themselves.
-      const std::size_t p = piv[0];
-      if (p != k) {
-        std::uint64_t* const mp = mask + p * W;
-        for (std::size_t w = 0; w < W; ++w) {
-          std::uint64_t cols = mk[w] | mp[w];
-          while (cols != 0) {
-            const std::size_t j =
-                w * kMaskBits + static_cast<std::size_t>(__builtin_ctzll(cols));
-            cols &= cols - 1;
-            std::swap_ranges(are + (k * n + j) * L, are + (k * n + j) * L + L,
-                             are + (p * n + j) * L);
-            std::swap_ranges(aim + (k * n + j) * L, aim + (k * n + j) * L + L,
-                             aim + (p * n + j) * L);
-          }
-          std::swap(mk[w], mp[w]);
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-          std::swap(perm[k * L + l], perm[p * L + l]);
-        }
-      }
-    } else {
-      // Divergent lanes: each lane swaps row k with its own pivot row.
-      // First every pivot row p admits row k's mask (a lane may move row
-      // k into p); then row k admits each p's grown mask — the union of
-      // the two rows — and the lanes that chose p swap over it with a
-      // per-lane select.  Afterwards mask[k] is the OR of every row that
-      // moved into position k, and each mask[p] is mask[p] | old mask[k].
-      for (std::size_t p = next_pivot(k); p < n; p = next_pivot(p)) {
-        admit(mask + p * W, mk, p, 0);
-      }
-      for (std::size_t p = next_pivot(k); p < n; p = next_pivot(p)) {
-        const std::uint64_t* const mp = mask + p * W;
-        admit(mk, mp, k, 0);
-        const auto sel = static_cast<std::uint32_t>(p);
-        for_each_bit(mp, 0, n, [&](const std::size_t j) {
-          double* const kr = are + (k * n + j) * L;
-          double* const ki = aim + (k * n + j) * L;
-          double* const pr = are + (p * n + j) * L;
-          double* const pi = aim + (p * n + j) * L;
-          for (std::size_t l = 0; l < L; ++l) {
-            const bool take = piv[l] == sel;
-            const double a = kr[l], b = pr[l];
-            kr[l] = take ? b : a;
-            pr[l] = take ? a : b;
-            const double c = ki[l], d = pi[l];
-            ki[l] = take ? d : c;
-            pi[l] = take ? c : d;
-          }
-        });
-      }
-      for (std::size_t l = 0; l < L; ++l) {
-        const std::uint32_t p = piv[l];
-        if (p != k) std::swap(perm[k * L + l], perm[p * L + l]);
-      }
-    }
-
-    // Stored pivot reciprocal (numeric::scalar_inverse, per lane).
-    double* const pr = dre + k * L;
-    double* const pi = dim + k * L;
-    for (std::size_t l = 0; l < L; ++l) {
-      const double zr = are[(k * n + k) * L + l];
-      const double zi = aim[(k * n + k) * L + l];
-      const double d = zr * zr + zi * zi;
+      const double m = std::abs(zr[l]) + std::abs(zi[l]);
+      const bool ok = m > kPivotRatio * ck[l] && m <= kGrowthBound * ck[l];
+      dense[l] = ok ? dense[l] : 1.0;
+      const double d = zr[l] * zr[l] + zi[l] * zi[l];
       const double s = 1.0 / d;
-      pr[l] = zr * s;
-      pi[l] = -zi * s;
+      pr[l] = zr[l] * s;
+      pi[l] = -zi[l] * s;
     }
-
-    // Column scale and rank-1 update over the rows whose column-k entry
-    // is structural, and within a row over U row k's structural columns.
-    // The scalar kernel skips row i when l(i,k) == 0; per lane that skip
-    // becomes "keep the original value", with an all-lanes-zero early-out
-    // and a branch-free fast path when every lane is nonzero.  A row that
-    // is updated first admits U row k's columns (fill-in).
-    for (std::size_t i = k + 1; i < n; ++i) {
-      std::uint64_t* const mi = mask + i * W;
-      if (!mask_has(mi, k)) continue;
-      double* const lre = are + (i * n + k) * L;
-      double* const lim = aim + (i * n + k) * L;
-      const std::size_t nonzero = mul_lanes<LF>(L, lre, lim, pr, pi);
-      if (nonzero == 0) continue;
-      admit(mi, mk, i, k + 1);
-      if (nonzero == L) {
-        for_each_bit(mk, k + 1, n, [&](const std::size_t j) {
-          sub_mul_lanes<LF>(L, are + (i * n + j) * L, aim + (i * n + j) * L,
-                            lre, lim, are + (k * n + j) * L,
-                            aim + (k * n + j) * L);
-        });
-      } else {
-        for_each_bit(mk, k + 1, n, [&](const std::size_t j) {
-          const double* const ur = are + (k * n + j) * L;
-          const double* const ui = aim + (k * n + j) * L;
-          double* const tr = are + (i * n + j) * L;
-          double* const ti = aim + (i * n + j) * L;
-          for (std::size_t l = 0; l < L; ++l) {
-            if (lre[l] == 0.0 && lim[l] == 0.0) continue;
-            tr[l] -= lre[l] * ur[l] - lim[l] * ui[l];
-            ti[l] -= lre[l] * ui[l] + lim[l] * ur[l];
-          }
-        });
+    const std::uint32_t u0 = urows.start[k], u1 = urows.start[k + 1];
+    for (std::uint32_t u = u0; u < u1; ++u) {
+      const double* const ur = vr + std::size_t{urows.pos[u]} * L;
+      const double* const ui = vi + std::size_t{urows.pos[u]} * L;
+      const double* const cj = cm + std::size_t{urows.index[u]} * L;
+      for (std::size_t l = 0; l < L; ++l) {
+        const double m = std::abs(ur[l]) + std::abs(ui[l]);
+        dense[l] = m <= kGrowthBound * cj[l] ? dense[l] : 1.0;
+      }
+    }
+    for (std::uint32_t e = lcols.start[k]; e < lcols.start[k + 1]; ++e) {
+      double* const lr = vr + std::size_t{lcols.pos[e]} * L;
+      double* const li = vi + std::size_t{lcols.pos[e]} * L;
+      mul_lanes<LF>(L, lr, li, pr, pi);
+      for (std::uint32_t u = u0; u < u1; ++u, ++target) {
+        const std::size_t t = std::size_t{*target} * L;
+        const std::size_t p = std::size_t{urows.pos[u]} * L;
+        sub_mul_lanes<LF>(L, vr + t, vi + t, lr, li, vr + p, vi + p);
       }
     }
   }
 }
 
 GNSSLNA_BATCHED_CLONES
-void factor_lanes_kernel(const std::size_t n, const std::size_t W,
-                         const std::size_t L, double* const are,
-                         double* const aim, double* const dre,
-                         double* const dim, std::uint32_t* const perm,
-                         std::uint32_t* const piv, double* const mag,
-                         std::uint64_t* const mask) {
+void factor_lanes_kernel(const std::size_t n, const std::size_t L,
+                         const std::uint32_t* const diag, const Lines lcols,
+                         const Lines urows, const std::uint32_t* const updates,
+                         double* const vr, double* const vi, double* const dr,
+                         double* const di, const double* const cm,
+                         double* const dense) {
   if (L == 16) {
-    factor_lanes_body<16>(n, W, L, are, aim, dre, dim, perm, piv, mag, mask);
+    factor_lanes_body<16>(n, L, diag, lcols, urows, updates, vr, vi, dr, di,
+                          cm, dense);
   } else {
-    factor_lanes_body<0>(n, W, L, are, aim, dre, dim, perm, piv, mag, mask);
+    factor_lanes_body<0>(n, L, diag, lcols, urows, updates, vr, vi, dr, di,
+                         cm, dense);
   }
 }
 
 }  // namespace
 
-void BatchedPlan::factor_lanes(EvalWorkspace& ws) const {
+void BatchedPlan::dense_factor(EvalWorkspace& ws, std::size_t lane) const {
+  if (ws.lu_lane_ == lane) return;
+  // Netlist::assemble_terminated's additions, in its order, from the
+  // tables: the oracle's matrix bit for bit, factored by the oracle's LU.
   const std::size_t n = unknowns_;
-  const std::size_t W = mask_words_;
-  std::copy(pattern_.begin(), pattern_.end(), ws.row_mask_);
-  factor_lanes_kernel(n, W, ws.lanes_, ws.a_re_, ws.a_im_, ws.dinv_re_,
-                      ws.dinv_im_, ws.perm_, ws.pivrow_, ws.pivmag_,
-                      ws.row_mask_);
-  // Column masks of the packed factors, for the transpose solve.
-  std::fill_n(ws.col_mask_, n * W, std::uint64_t{0});
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t bit = std::uint64_t{1} << (i % kMaskBits);
-    for_each_bit(ws.row_mask_ + i * W, 0, n, [&](const std::size_t j) {
-      ws.col_mask_[j * W + i / kMaskBits] |= bit;
-    });
+  const std::size_t G = grid_.size();
+  const std::size_t fi = ws.f_begin_ + lane;
+  numeric::ComplexMatrix& a = ws.dense_a_;
+  if (a.rows() != n) {
+    a = numeric::ComplexMatrix(n, n);
+  } else {
+    a.fill();
   }
+  for (const Scatter& sc : scatter_) {
+    Complex& y = a(sc.slot / n, sc.slot % n);
+    switch (sc.source) {
+      case Source::kStamp: {
+        const StampTable& t = stamps_[sc.table];
+        const Complex v = t.values[t.frequency_independent ? 0 : fi];
+        if (sc.subtract) {
+          y -= v;
+        } else {
+          y += v;
+        }
+        break;
+      }
+      case Source::kTwoPort: {
+        const TwoPortTable& t = twoports_[sc.table];
+        const std::size_t at = static_cast<std::size_t>(sc.kind) * G + fi;
+        y += Complex{t.kind_re[at], t.kind_im[at]};
+        break;
+      }
+      case Source::kPort:
+        y += Complex{1.0 / ports_[sc.table].z0, 0.0};
+        break;
+    }
+  }
+  ws.lu_lane_ = kNoLane;
+  ws.lu_.refactor(a);
+  ws.lu_lane_ = lane;
 }
 
 void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
@@ -634,8 +584,26 @@ void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
   if (ws.factored_ && ws.seen_revision_ == revision_) {
     return;
   }
-  assemble(ws);
-  factor_lanes(ws);
+  ws.factored_ = false;
+  ws.lu_lane_ = kNoLane;
+  const std::size_t L = ws.lanes_;
+  if (static_order_) {
+    std::fill_n(ws.dense_, L, 0.0);
+    assemble(ws);
+    factor_lanes_kernel(unknowns_, L, diag_.data(), lines(lower_cols_),
+                        lines(upper_rows_), updates_.data(), ws.v_re_,
+                        ws.v_im_, ws.dinv_re_, ws.dinv_im_, ws.colmax_,
+                        ws.dense_);
+  } else {
+    std::fill_n(ws.dense_, L, 1.0);  // a structurally zero pivot
+  }
+  std::size_t repivots = 0;
+  for (std::size_t l = 0; l < L; ++l) {
+    if (ws.dense_[l] == 0.0) continue;
+    dense_factor(ws, l);  // throws std::domain_error if singular
+    ++repivots;
+  }
+  if (repivots != 0) GNSSLNA_OBS_COUNT_N("circuit.batch.repivots", repivots);
   ws.factored_ = true;
   ws.seen_revision_ = revision_;
   ws.have_ports_ = false;
@@ -643,263 +611,190 @@ void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
 }
 
 // ---------------------------------------------------------------------------
-// Batched substitutions (replay LuDecomposition::solve_into /
-// solve_transposed_into per lane, over the structural entries of the
-// factors only)
+// Batched substitutions through the static factors (no permutation)
 
 namespace {
 
-// Seeding plus forward and back substitution through the packed LU
-// factors for the two port right-hand sides (lane-major, L lanes each,
-// laid out [rhs * n + row], substituted in place).  Row i's L and U terms
-// are the set bits of its mask below and above the diagonal; every
-// skipped term is an exact zero subtracted from an accumulator that
-// cannot hold -0.  The sides advance row step by row step in lock-step —
-// each LU row is streamed from cache once and applied to both sides in
-// separate lane loops — but within a side the operations and their order
-// are exactly those of a standalone single-side substitution, so the
-// fusion cannot change a bit of either solution.
+// Forward and back substitution for the two port right-hand sides
+// v0 * e_src0 and v1 * e_src1 (laid out [rhs * n + row], substituted in
+// place), over one block of at most kBlock lanes whose pointers are offset
+// to its first lane (the stride between rows stays L).  The row being
+// reduced is accumulated in block-sized locals (registers once the lane
+// loops unroll) instead of being re-loaded and re-stored through x on
+// every term: the compiler cannot prove x[i] and x[j] never alias, the
+// locals make it structural.  A side's forward pass leaves every row above
+// its source zero, so it starts below its source: rows between the two
+// sources carry the earlier side alone, later rows both, each factor row
+// streamed from cache once for both.  LF pins the stride and block width
+// at compile time for the band evaluator's 16-lane grid (0 = runtime L
+// and W); every instantiation performs the same per-lane operations in the
+// same order.
+constexpr std::size_t kBlock = 16;
+
 template <std::size_t LF>
-inline __attribute__((always_inline)) void substitute_ports_body(
-    const std::size_t n, const std::size_t W, const std::size_t L_rt,
-    const std::uint64_t* const mask, const std::uint32_t* const perm,
-    const std::uint32_t src0, const std::uint32_t src1, const double v0,
-    const double v1, const double* const are, const double* const aim,
-    const double* const dre, const double* const dim, double* const xr0,
-    double* const xi0, double* const xr1, double* const xi1) {
+inline __attribute__((always_inline)) void substitute_ports_block(
+    const std::size_t n, const std::size_t L_rt, const std::size_t W_rt,
+    const Lines lrows, const Lines urows, std::size_t src0,
+    std::size_t src1, const double v0, const double v1,
+    const double* const vr, const double* const vi, const double* const dr,
+    const double* const di, double* xr0, double* xi0, double* xr1,
+    double* xi1) {
   const std::size_t L = LF != 0 ? LF : L_rt;
-  // Seed both sides in place: x[i] = b[perm[i]] with b = v * e_src.
+  const std::size_t W = LF != 0 ? LF : W_rt;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t l = 0; l < L; ++l) {
-      const std::uint32_t pi_ = perm[i * L + l];
-      xr0[i * L + l] = pi_ == src0 ? v0 : 0.0;
+    for (std::size_t l = 0; l < W; ++l) {
+      xr0[i * L + l] = i == src0 ? v0 : 0.0;
       xi0[i * L + l] = 0.0;
-      xr1[i * L + l] = pi_ == src1 ? v1 : 0.0;
+      xr1[i * L + l] = i == src1 ? v1 : 0.0;
       xi1[i * L + l] = 0.0;
     }
   }
-  if constexpr (LF != 0) {
-    // The row being reduced is accumulated in compile-time-sized locals
-    // (registers once the lane loops unroll) instead of being re-loaded
-    // and re-stored through x on every jj step: the compiler cannot
-    // prove x[i] and x[jj] never alias, the locals make it structural.
-    // The per-lane operations and their order are untouched, so the
-    // values are bit-identical to the in-place form below.
-    double ar0[LF], ai0[LF], ar1[LF], ai1[LF];
-    // Forward substitution with unit-lower L.
-    for (std::size_t i = 1; i < n; ++i) {
-      for (std::size_t l = 0; l < L; ++l) {
-        ar0[l] = xr0[i * L + l];
-        ai0[l] = xi0[i * L + l];
+  if (src1 < src0) {  // side 0 is the one whose forward pass starts first
+    std::swap(src0, src1);
+    std::swap(xr0, xr1);
+    std::swap(xi0, xi1);
+  }
+  double ar0[kBlock], ai0[kBlock], ar1[kBlock], ai1[kBlock];
+  // Forward substitution with unit-lower L.
+  for (std::size_t i = src0 + 1; i < n; ++i) {
+    const bool both = i > src1;
+    for (std::size_t l = 0; l < W; ++l) {
+      ar0[l] = xr0[i * L + l];
+      ai0[l] = xi0[i * L + l];
+    }
+    if (both) {
+      for (std::size_t l = 0; l < W; ++l) {
         ar1[l] = xr1[i * L + l];
         ai1[l] = xi1[i * L + l];
       }
-      for_each_bit(mask + i * W, 0, i, [&](const std::size_t jj) {
-        const double* const lr = are + (i * n + jj) * L;
-        const double* const li = aim + (i * n + jj) * L;
-        sub_mul_lanes<LF>(L, ar0, ai0, lr, li, xr0 + jj * L, xi0 + jj * L);
-        sub_mul_lanes<LF>(L, ar1, ai1, lr, li, xr1 + jj * L, xi1 + jj * L);
-      });
-      for (std::size_t l = 0; l < L; ++l) {
-        xr0[i * L + l] = ar0[l];
-        xi0[i * L + l] = ai0[l];
+    }
+    for (std::uint32_t e = lrows.start[i]; e < lrows.start[i + 1]; ++e) {
+      const std::size_t p = std::size_t{lrows.pos[e]} * L;
+      const std::size_t j = std::size_t{lrows.index[e]} * L;
+      sub_mul_lanes<LF>(W, ar0, ai0, vr + p, vi + p, xr0 + j, xi0 + j);
+      if (both) {
+        sub_mul_lanes<LF>(W, ar1, ai1, vr + p, vi + p, xr1 + j, xi1 + j);
+      }
+    }
+    for (std::size_t l = 0; l < W; ++l) {
+      xr0[i * L + l] = ar0[l];
+      xi0[i * L + l] = ai0[l];
+    }
+    if (both) {
+      for (std::size_t l = 0; l < W; ++l) {
         xr1[i * L + l] = ar1[l];
         xi1[i * L + l] = ai1[l];
       }
     }
-    // Back substitution with U; the reciprocal-diagonal multiply is
-    // applied to the register accumulators before the single store.
-    for (std::size_t ii = n; ii-- > 0;) {
-      for (std::size_t l = 0; l < L; ++l) {
-        ar0[l] = xr0[ii * L + l];
-        ai0[l] = xi0[ii * L + l];
-        ar1[l] = xr1[ii * L + l];
-        ai1[l] = xi1[ii * L + l];
-      }
-      for_each_bit(mask + ii * W, ii + 1, n, [&](const std::size_t jj) {
-        const double* const ur = are + (ii * n + jj) * L;
-        const double* const ui = aim + (ii * n + jj) * L;
-        sub_mul_lanes<LF>(L, ar0, ai0, ur, ui, xr0 + jj * L, xi0 + jj * L);
-        sub_mul_lanes<LF>(L, ar1, ai1, ur, ui, xr1 + jj * L, xi1 + jj * L);
-      });
-      const double* const pr = dre + ii * L;
-      const double* const pi = dim + ii * L;
-      for (std::size_t l = 0; l < L; ++l) {
-        const double a = ar0[l];
-        const double b = ai0[l];
-        xr0[ii * L + l] = a * pr[l] - b * pi[l];
-        xi0[ii * L + l] = a * pi[l] + b * pr[l];
-      }
-      for (std::size_t l = 0; l < L; ++l) {
-        const double a = ar1[l];
-        const double b = ai1[l];
-        xr1[ii * L + l] = a * pr[l] - b * pi[l];
-        xi1[ii * L + l] = a * pi[l] + b * pr[l];
-      }
+  }
+  // Back substitution with U; the reciprocal-diagonal multiply is applied
+  // to the accumulators before the single store.
+  for (std::size_t ii = n; ii-- > 0;) {
+    for (std::size_t l = 0; l < W; ++l) {
+      ar0[l] = xr0[ii * L + l];
+      ai0[l] = xi0[ii * L + l];
+      ar1[l] = xr1[ii * L + l];
+      ai1[l] = xi1[ii * L + l];
     }
-  } else {
-    // Runtime lane count (arbitrary chunk width): in-place form.
-    // Forward substitution with unit-lower L.
-    for (std::size_t i = 1; i < n; ++i) {
-      for_each_bit(mask + i * W, 0, i, [&](const std::size_t jj) {
-        const double* const lr = are + (i * n + jj) * L;
-        const double* const li = aim + (i * n + jj) * L;
-        sub_mul_lanes<0>(L, xr0 + i * L, xi0 + i * L, lr, li, xr0 + jj * L,
-                         xi0 + jj * L);
-        sub_mul_lanes<0>(L, xr1 + i * L, xi1 + i * L, lr, li, xr1 + jj * L,
-                         xi1 + jj * L);
-      });
+    for (std::uint32_t e = urows.start[ii]; e < urows.start[ii + 1]; ++e) {
+      const std::size_t p = std::size_t{urows.pos[e]} * L;
+      const std::size_t j = std::size_t{urows.index[e]} * L;
+      sub_mul_lanes<LF>(W, ar0, ai0, vr + p, vi + p, xr0 + j, xi0 + j);
+      sub_mul_lanes<LF>(W, ar1, ai1, vr + p, vi + p, xr1 + j, xi1 + j);
     }
-    // Back substitution with U, multiplying by the stored reciprocals.
-    for (std::size_t ii = n; ii-- > 0;) {
-      for_each_bit(mask + ii * W, ii + 1, n, [&](const std::size_t jj) {
-        const double* const ur = are + (ii * n + jj) * L;
-        const double* const ui = aim + (ii * n + jj) * L;
-        sub_mul_lanes<0>(L, xr0 + ii * L, xi0 + ii * L, ur, ui, xr0 + jj * L,
-                         xi0 + jj * L);
-        sub_mul_lanes<0>(L, xr1 + ii * L, xi1 + ii * L, ur, ui, xr1 + jj * L,
-                         xi1 + jj * L);
-      });
-      (void)mul_lanes<0>(L, xr0 + ii * L, xi0 + ii * L, dre + ii * L,
-                         dim + ii * L);
-      (void)mul_lanes<0>(L, xr1 + ii * L, xi1 + ii * L, dre + ii * L,
-                         dim + ii * L);
+    const double* const pr = dr + ii * L;
+    const double* const pi = di + ii * L;
+    for (std::size_t l = 0; l < W; ++l) {
+      xr0[ii * L + l] = ar0[l] * pr[l] - ai0[l] * pi[l];
+      xi0[ii * L + l] = ar0[l] * pi[l] + ai0[l] * pr[l];
+    }
+    for (std::size_t l = 0; l < W; ++l) {
+      xr1[ii * L + l] = ar1[l] * pr[l] - ai1[l] * pi[l];
+      xi1[ii * L + l] = ar1[l] * pi[l] + ai1[l] * pr[l];
     }
   }
 }
 
 GNSSLNA_BATCHED_CLONES
-void substitute_ports_kernel(const std::size_t n, const std::size_t W,
-                             const std::size_t L,
-                             const std::uint64_t* const mask,
-                             const std::uint32_t* const perm,
-                             const std::uint32_t src0, const std::uint32_t src1,
+void substitute_ports_kernel(const std::size_t n, const std::size_t L,
+                             const Lines lrows, const Lines urows,
+                             const std::size_t src0, const std::size_t src1,
                              const double v0, const double v1,
-                             const double* const are, const double* const aim,
-                             const double* const dre, const double* const dim,
+                             const double* const vr, const double* const vi,
+                             const double* const dr, const double* const di,
                              double* const xr0, double* const xi0,
                              double* const xr1, double* const xi1) {
-  if (L == 16) {
-    substitute_ports_body<16>(n, W, L, mask, perm, src0, src1, v0, v1, are,
-                              aim, dre, dim, xr0, xi0, xr1, xi1);
-  } else {
-    substitute_ports_body<0>(n, W, L, mask, perm, src0, src1, v0, v1, are,
-                             aim, dre, dim, xr0, xi0, xr1, xi1);
+  if (L == kBlock) {
+    substitute_ports_block<kBlock>(n, L, L, lrows, urows, src0, src1, v0, v1,
+                                   vr, vi, dr, di, xr0, xi0, xr1, xi1);
+    return;
+  }
+  for (std::size_t b = 0; b < L; b += kBlock) {
+    substitute_ports_block<0>(n, L, std::min(kBlock, L - b), lrows, urows,
+                              src0, src1, v0, v1, vr + b, vi + b, dr + b,
+                              di + b, xr0 + b, xi0 + b, xr1 + b, xi1 + b);
   }
 }
 
-// Transposed substitution (U^T forward with reciprocals, then unit L^T
-// back) for the e_out right-hand side, over SL lanes at stride L, reading
-// the factors through their column masks.  The base pointers are
-// pre-offset to the first solved lane.  LF/SLF pin the stride and trip
-// count at compile time for the band evaluator's hot shapes (full 16-lane
-// range and the 7-lane in-band slice).
-//
-// The U^T pass accumulates from b (never -0), so its skipped terms are
-// exact.  The L^T pass starts from the U^T pass's products, which may be
-// -0: a skipped exact-zero term there can flip the sign of an exactly-zero
-// transfer entry (and nothing else).  noise_at and noise_sweep start
-// every sum at +0, so no reported bit depends on that sign.
+// Transposed substitution for e_out, in place: U^T forward with the
+// reciprocals, then unit L^T back, over SL lanes of stride L whose
+// pointers are offset to the first solved lane.  U^T's forward pass leaves
+// every row above out_row zero, so it starts there.  LF/SLF pin the stride
+// and width at compile time for the band evaluator's shapes (the full
+// 16-lane range and the 7-lane in-band slice).  Block-sized accumulators,
+// as in the port solve, measured slower here.
 template <std::size_t LF, std::size_t SLF>
 inline __attribute__((always_inline)) void transpose_substitute_body(
-    const std::size_t n, const std::size_t W, const std::size_t L_rt,
-    const std::size_t SL_rt, const std::size_t out_row,
-    const std::uint64_t* const cmask, const double* const are,
-    const double* const aim, const double* const dre, const double* const dim,
-    double* const wr, double* const wi) {
+    const std::size_t n, const std::size_t L_rt, const std::size_t SL_rt,
+    const std::size_t out_row, const Lines ucols, const Lines lcols,
+    const double* const vr, const double* const vi, const double* const dr,
+    const double* const di, double* const wr, double* const wi) {
   const std::size_t L = LF != 0 ? LF : L_rt;
   const std::size_t SL = SLF != 0 ? SLF : SL_rt;
-  if constexpr (SLF != 0 && SLF % 16 == 0) {
-    // Register accumulators for the row being reduced (see
-    // substitute_ports_body): same per-lane operations in the same
-    // order, so bit-identical to the in-place form below.  Only for the
-    // full 16-lane width — narrower accumulator arrays measured slower
-    // than the in-place loops on this kernel.
-    double tr[SLF != 0 ? SLF : 1];
-    double ti[SLF != 0 ? SLF : 1];
-    // Forward substitution with U^T; b = e_out is used unpermuted.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double b0 = i == out_row ? 1.0 : 0.0;
-      for (std::size_t l = 0; l < SL; ++l) {
-        tr[l] = b0;
-        ti[l] = 0.0;
-      }
-      for_each_bit(cmask + i * W, 0, i, [&](const std::size_t j) {
-        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + i) * L,
-                           aim + (j * n + i) * L, wr + j * L, wi + j * L);
-      });
-      const double* const pr = dre + i * L;
-      const double* const pi = dim + i * L;
-      for (std::size_t l = 0; l < SL; ++l) {
-        const double a = tr[l];
-        const double b = ti[l];
-        wr[i * L + l] = a * pr[l] - b * pi[l];
-        wi[i * L + l] = a * pi[l] + b * pr[l];
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    double* const tr = wr + i * L;
+    double* const ti = wi + i * L;
+    const double b0 = i == out_row ? 1.0 : 0.0;
+    for (std::size_t l = 0; l < SL; ++l) {
+      tr[l] = b0;
+      ti[l] = 0.0;
     }
-    // Back substitution with L^T (unit diagonal).
-    for (std::size_t ii = n; ii-- > 0;) {
-      for (std::size_t l = 0; l < SL; ++l) {
-        tr[l] = wr[ii * L + l];
-        ti[l] = wi[ii * L + l];
-      }
-      for_each_bit(cmask + ii * W, ii + 1, n, [&](const std::size_t j) {
-        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + ii) * L,
-                           aim + (j * n + ii) * L, wr + j * L, wi + j * L);
-      });
-      for (std::size_t l = 0; l < SL; ++l) {
-        wr[ii * L + l] = tr[l];
-        wi[ii * L + l] = ti[l];
-      }
+    if (i < out_row) continue;
+    for (std::uint32_t e = ucols.start[i]; e < ucols.start[i + 1]; ++e) {
+      const std::size_t p = std::size_t{ucols.pos[e]} * L;
+      const std::size_t j = std::size_t{ucols.index[e]} * L;
+      sub_mul_lanes<SLF>(SL, tr, ti, vr + p, vi + p, wr + j, wi + j);
     }
-  } else {
-    // Runtime lane count: in-place form.
-    // Forward substitution with U^T; b = e_out is used unpermuted.
-    for (std::size_t i = 0; i < n; ++i) {
-      double* const tr = wr + i * L;
-      double* const ti = wi + i * L;
-      const double b0 = i == out_row ? 1.0 : 0.0;
-      for (std::size_t l = 0; l < SL; ++l) {
-        tr[l] = b0;
-        ti[l] = 0.0;
-      }
-      for_each_bit(cmask + i * W, 0, i, [&](const std::size_t j) {
-        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + i) * L,
-                           aim + (j * n + i) * L, wr + j * L, wi + j * L);
-      });
-      (void)mul_lanes<SLF>(SL, tr, ti, dre + i * L, dim + i * L);
-    }
-    // Back substitution with L^T (unit diagonal).
-    for (std::size_t ii = n; ii-- > 0;) {
-      double* const tr = wr + ii * L;
-      double* const ti = wi + ii * L;
-      for_each_bit(cmask + ii * W, ii + 1, n, [&](const std::size_t j) {
-        sub_mul_lanes<SLF>(SL, tr, ti, are + (j * n + ii) * L,
-                           aim + (j * n + ii) * L, wr + j * L, wi + j * L);
-      });
+    mul_lanes<SLF>(SL, tr, ti, dr + i * L, di + i * L);
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    for (std::uint32_t e = lcols.start[ii]; e < lcols.start[ii + 1]; ++e) {
+      const std::size_t p = std::size_t{lcols.pos[e]} * L;
+      const std::size_t j = std::size_t{lcols.index[e]} * L;
+      sub_mul_lanes<SLF>(SL, wr + ii * L, wi + ii * L, vr + p, vi + p,
+                         wr + j, wi + j);
     }
   }
 }
 
 GNSSLNA_BATCHED_CLONES
-void transpose_substitute_kernel(const std::size_t n, const std::size_t W,
-                                 const std::size_t L, const std::size_t SL,
-                                 const std::size_t out_row,
-                                 const std::uint64_t* const cmask,
-                                 const double* const are,
-                                 const double* const aim,
-                                 const double* const dre,
-                                 const double* const dim, double* const wr,
+void transpose_substitute_kernel(const std::size_t n, const std::size_t L,
+                                 const std::size_t SL,
+                                 const std::size_t out_row, const Lines ucols,
+                                 const Lines lcols, const double* const vr,
+                                 const double* const vi,
+                                 const double* const dr,
+                                 const double* const di, double* const wr,
                                  double* const wi) {
   if (L == 16 && SL == 16) {
-    transpose_substitute_body<16, 16>(n, W, L, SL, out_row, cmask, are, aim,
-                                      dre, dim, wr, wi);
+    transpose_substitute_body<16, 16>(n, L, SL, out_row, ucols, lcols, vr, vi,
+                                      dr, di, wr, wi);
   } else if (L == 16 && SL == 7) {
-    transpose_substitute_body<16, 7>(n, W, L, SL, out_row, cmask, are, aim,
-                                     dre, dim, wr, wi);
+    transpose_substitute_body<16, 7>(n, L, SL, out_row, ucols, lcols, vr, vi,
+                                     dr, di, wr, wi);
   } else {
-    transpose_substitute_body<0, 0>(n, W, L, SL, out_row, cmask, are, aim,
-                                    dre, dim, wr, wi);
+    transpose_substitute_body<0, 0>(n, L, SL, out_row, ucols, lcols, vr, vi,
+                                    dr, di, wr, wi);
   }
 }
 
@@ -917,18 +812,32 @@ void BatchedPlan::solve_ports(EvalWorkspace& ws) const {
   }
   const std::size_t n = unknowns_;
   const std::size_t L = ws.lanes_;
-  const double* const are = ws.a_re_;
-  const double* const aim = ws.a_im_;
+  const std::size_t src[2] = {ports_[0].node - 1, ports_[1].node - 1};
+  const double v[2] = {2.0 / std::sqrt(ports_[0].z0),
+                       2.0 / std::sqrt(ports_[1].z0)};
 
   GNSSLNA_OBS_SPAN("circuit.batch.solve");
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", 2 * L);
-  substitute_ports_kernel(
-      n, mask_words_, L, ws.row_mask_, ws.perm_,
-      static_cast<std::uint32_t>(ports_[0].node - 1),
-      static_cast<std::uint32_t>(ports_[1].node - 1),
-      2.0 / std::sqrt(ports_[0].z0), 2.0 / std::sqrt(ports_[1].z0), are, aim,
-      ws.dinv_re_, ws.dinv_im_, ws.sol_re_, ws.sol_im_, ws.sol_re_ + n * L,
-      ws.sol_im_ + n * L);
+  if (static_order_) {
+    substitute_ports_kernel(n, L, lines(lower_rows_), lines(upper_rows_),
+                            src[0], src[1], v[0], v[1], ws.v_re_, ws.v_im_,
+                            ws.dinv_re_, ws.dinv_im_, ws.sol_re_, ws.sol_im_,
+                            ws.sol_re_ + n * L, ws.sol_im_ + n * L);
+  }
+  // Dense-path lanes: the oracle's solve_into for each port excitation.
+  for (std::size_t l = 0; l < L; ++l) {
+    if (ws.dense_[l] == 0.0) continue;
+    dense_factor(ws, l);
+    for (std::size_t side = 0; side < 2; ++side) {
+      ws.rhs_.assign(n, Complex{0.0, 0.0});
+      ws.rhs_[src[side]] = Complex{v[side], 0.0};
+      ws.lu_.solve_into(ws.rhs_, ws.x_);
+      for (std::size_t i = 0; i < n; ++i) {
+        ws.sol_re_[(side * n + i) * L + l] = ws.x_[i].real();
+        ws.sol_im_[(side * n + i) * L + l] = ws.x_[i].imag();
+      }
+    }
+  }
   ws.have_ports_ = true;
 }
 
@@ -956,22 +865,26 @@ void BatchedPlan::solve_output_transfer(EvalWorkspace& ws,
   const std::size_t L = ws.lanes_;
   const std::size_t s0 = f_begin - ws.f_begin_;  // lane sub-slice, relative
   const std::size_t SL = f_end - f_begin;
-  const double* const are = ws.a_re_;
-  const double* const aim = ws.a_im_;
-  double* const wr = ws.work_re_;
-  double* const wi = ws.work_im_;
   const std::size_t out_row = ports_[output_port].node - 1;
 
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", SL);
-  transpose_substitute_kernel(n, mask_words_, L, SL, out_row, ws.col_mask_,
-                              are + s0, aim + s0, ws.dinv_re_ + s0,
-                              ws.dinv_im_ + s0, wr + s0, wi + s0);
-  // x[perm[i]] = work[i], per lane.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t l = s0; l < s0 + SL; ++l) {
-      const std::size_t dst = ws.perm_[i * L + l];
-      ws.w_re_[dst * L + l] = wr[i * L + l];
-      ws.w_im_[dst * L + l] = wi[i * L + l];
+  if (static_order_) {
+    transpose_substitute_kernel(n, L, SL, out_row, lines(upper_cols_),
+                                lines(lower_cols_), ws.v_re_ + s0,
+                                ws.v_im_ + s0, ws.dinv_re_ + s0,
+                                ws.dinv_im_ + s0, ws.w_re_ + s0,
+                                ws.w_im_ + s0);
+  }
+  // Dense-path lanes: the oracle's solve_transposed_into with e_out.
+  for (std::size_t l = s0; l < s0 + SL; ++l) {
+    if (ws.dense_[l] == 0.0) continue;
+    dense_factor(ws, l);
+    ws.rhs_.assign(n, Complex{0.0, 0.0});
+    ws.rhs_[out_row] = Complex{1.0, 0.0};
+    ws.lu_.solve_transposed_into(ws.rhs_, ws.x_, ws.work_);
+    for (std::size_t i = 0; i < n; ++i) {
+      ws.w_re_[i * L + l] = ws.x_[i].real();
+      ws.w_im_[i * L + l] = ws.x_[i].imag();
     }
   }
   ws.have_w_ = true;

@@ -10,37 +10,36 @@
 // frequency in lock-step.
 //
 // Structure: the MNA system is sparse (the fig. 3 amplifier has 47
-// structural nonzeros among 15 x 15 entries), so the plan records the
-// assembled system's structural row pattern as bit masks when it is built.
-// The factorization carries those masks through each step's per-lane
-// partial pivoting — the lanes agree on the pivot row in only about a
-// third of the steps of a typical design, so the masks follow every lane's
-// swaps as a conservative union rather than a fixed schedule — and the
-// pivot scan, swaps, scaling, rank-1 updates and all substitutions touch
-// only structurally nonzero entries.  DESIGN.md ("Batched evaluation
-// core") states the mask rules.
+// structural nonzeros among 15 x 15 entries).  When the plan is built it
+// eliminates the assembled pattern symbolically in diagonal order and
+// compiles the result into one static program: a compact lane-major store
+// holding only the filled positions (67 for fig. 3), a flat list of
+// rank-1 update steps, and per-row and per-column substitution lists.
+// factor, solve_ports and solve_output_transfer run that program for any
+// lane count with no pivot search, row swap or permutation.  DESIGN.md
+// ("Batched evaluation core") describes the program.
 //
-// Determinism contract: every result is bit-identical to the per-call
-// analyses (circuit::s_params / noise_analysis), which stay the reference
-// oracle of the tests, for finite operands.  The batched kernels replay,
-// per frequency lane, the exact arithmetic of numeric::LuDecomposition —
-// pivot_magnitude selection, scalar_inverse reciprocals, naive complex
-// multiply (which equals the libgcc __muldc3 fast path for the finite,
-// non-NaN values circuit analysis produces), and the same
-// addition/subtraction order in assembly and substitution.  Every
-// operation the structure lets them skip would add or subtract an exact
-// zero into an accumulator that cannot hold -0 (it starts at +0 or at a
-// value and is only added to or subtracted from), which leaves it
-// unchanged.  The one place a skipped term can differ is the sign of an
-// exactly-zero noise-transfer entry, which no noise figure can see
-// (DESIGN.md).  batched.cpp is compiled with -ffp-contract=off so
-// FMA-capable hosts (GNSSLNA_NATIVE) cannot contract these expressions
-// away from the scalar path's results.
+// Accuracy contract: results agree with the per-call analyses
+// (circuit::s_params / noise_analysis, the reference oracle of the tests)
+// within the written tolerance of tests/reference_band.h, not bit for bit
+// — diagonal order is not the oracle's partial pivoting.  Every lane is
+// checked from values the factorization already holds: its pivots against
+// the maxima of their assembled columns, and every U entry against the
+// maximum of its column (element growth).  A lane that fails, or any lane
+// of a plan whose diagonal is structurally zero, is re-assembled densely
+// in Netlist::assemble_terminated order and solved through
+// numeric::LuDecomposition: that lane equals the oracle bit for bit and is
+// counted in circuit.batch.repivots.  Each lane's arithmetic and its check
+// involve only that lane, so no result depends on which other lanes share
+// its workspace: every chunking of a grid, at every thread count, gives
+// the same bits.  batched.cpp is compiled with -ffp-contract=off so the
+// bits do not depend on whether the host has FMA.
 //
 // Memory model: the plan itself is immutable during evaluation and may be
 // shared by any number of threads.  All mutable state lives in
 // EvalWorkspace, whose storage is carved from a numeric::Arena — heap
-// blocks are committed on first binding and reused forever after, so the
+// blocks are committed on first binding (the dense path's buffers on the
+// first flagged lane) and reused forever after, so the
 // steady-state evaluate path performs ZERO heap allocations (pinned by the
 // zero-allocation regression test and the schema-v2 allocs_per_op bench
 // counter).  One workspace must never be used from two threads at once;
@@ -54,6 +53,7 @@
 #include "circuit/analysis.h"
 #include "circuit/netlist.h"
 #include "numeric/arena.h"
+#include "numeric/matrix.h"
 
 namespace gnsslna::circuit {
 
@@ -77,11 +77,13 @@ inline ChunkRange chunk_range(std::size_t chunk, std::size_t nchunks,
   return {b, b + base + (chunk < rem ? 1 : 0)};
 }
 
-/// Reusable per-thread evaluation scratch: the assembled/factored SoA
-/// system, pivot permutations, and solution lanes for one contiguous range
-/// of grid frequencies.  All storage is carved from an internal Arena on
+/// Reusable per-thread evaluation scratch: the assembled/factored compact
+/// store and the solution lanes for one contiguous range of grid
+/// frequencies.  All lane storage is carved from an internal Arena on
 /// binding (BatchedPlan::factor rebinds automatically); rebinding to the
 /// same plan shape reuses the committed blocks without touching the heap.
+/// A lane that takes the dense path uses the LuDecomposition below, whose
+/// storage is sized on the first such lane and reused after that.
 class EvalWorkspace {
  public:
   EvalWorkspace() = default;
@@ -103,12 +105,20 @@ class EvalWorkspace {
   /// revision (i.e. results can be read without re-factoring).
   bool factored() const { return factored_; }
 
+  /// True when grid lane fi (inside the factored range) failed the static
+  /// program's health check and is solved on the dense path.
+  bool repivoted(std::size_t fi) const {
+    return factored_ && fi >= f_begin_ && fi < f_end_ &&
+           dense_[fi - f_begin_] != 0.0;
+  }
+
  private:
   friend class BatchedPlan;
 
   numeric::Arena arena_;
   const BatchedPlan* plan_ = nullptr;
   std::size_t bound_unknowns_ = 0;
+  std::size_t bound_positions_ = 0;
   std::size_t bound_max_inj_ = 0;
   std::size_t lanes_ = 0;
   std::size_t f_begin_ = 0, f_end_ = 0;
@@ -121,20 +131,14 @@ class EvalWorkspace {
   std::size_t w_end_ = 0;        //   actually covered (may be a sub-slice)
   std::size_t reported_hwm_ = 0; // arena bytes already reported to obs
 
-  // Arena-carved spans.  Matrix storage is (row*n + col)*lanes + lane;
-  // vector storage is i*lanes + lane; structure masks are row*words + w
-  // (bit j of a row's mask lives in word j / 64).
-  double* a_re_ = nullptr;       // assembled system -> packed LU factors;
-  double* a_im_ = nullptr;       //   only positions in row_mask_ are valid
-  std::uint64_t* row_mask_ = nullptr;  // structural row pattern of a_re_/a_im_
-  std::uint64_t* col_mask_ = nullptr;  // its transpose, set after factor
+  // Arena-carved spans.  Store position p of lane l is p*lanes + l; vector
+  // entry i of lane l is i*lanes + l.
+  double* v_re_ = nullptr;       // assembled system -> static LU factors,
+  double* v_im_ = nullptr;       //   filled positions only
   double* dinv_re_ = nullptr;    // stored pivot reciprocals, n lanes
   double* dinv_im_ = nullptr;
-  std::uint32_t* perm_ = nullptr;   // row permutation per lane
-  std::uint32_t* pivrow_ = nullptr; // pivot-scan scratch, one per lane
-  double* pivmag_ = nullptr;        // pivot-scan magnitudes, one per lane
-  double* work_re_ = nullptr;    // transpose-solve scratch
-  double* work_im_ = nullptr;
+  double* colmax_ = nullptr;     // assembled column maxima, n lanes
+  double* dense_ = nullptr;      // per lane: nonzero = dense path
   double* sol_re_ = nullptr;     // port solutions, 2*n lanes
   double* sol_im_ = nullptr;
   double* w_re_ = nullptr;       // output-transfer solution
@@ -144,6 +148,13 @@ class EvalWorkspace {
   double* nh_im_ = nullptr;      //   (max_injections rows, lane-major)
   double* nacc_ = nullptr;       // per-group quadratic-form accumulator
   double* npsd_ = nullptr;       // network noise PSD accumulator
+
+  // Dense path: the factors of lane lu_lane_ (npos = none), and the
+  // assembly and substitution buffers the solves reuse.
+  numeric::ComplexMatrix dense_a_;
+  numeric::LuDecomposition<Complex> lu_;
+  std::size_t lu_lane_ = static_cast<std::size_t>(-1);
+  std::vector<Complex> rhs_, x_, work_;
 };
 
 /// Frequency-batched evaluation plan; see file comment for the contract.
@@ -248,8 +259,10 @@ class BatchedPlan {
 
   /// Binds `ws` to lanes [f_begin, f_end) of this plan (re-carving its
   /// arena only if the shape changed), assembles the admittance system for
-  /// every lane, and runs the blocked LU factorization.  No-op when `ws`
-  /// is already factored for this plan revision and range.
+  /// every lane, runs the static LU program with its per-lane health check
+  /// and factors every flagged lane on the dense path (which throws
+  /// std::domain_error for a singular lane, like the oracle).  No-op when
+  /// `ws` is already factored for this plan revision and range.
   void factor(EvalWorkspace& ws, std::size_t f_begin, std::size_t f_end) const;
 
   /// Solves the two port-excitation systems for every bound lane
@@ -271,13 +284,14 @@ class BatchedPlan {
   static constexpr std::size_t kWholeRange = static_cast<std::size_t>(-1);
 
   /// Two-port S-parameters at grid index fi (must lie in the bound lane
-  /// range; solve_ports must have run).  Bit-identical to
-  /// circuit::s_params.
+  /// range; solve_ports must have run).  Within the written tolerance of
+  /// circuit::s_params, and equal to it on a dense-path lane.
   rf::SParams s_params_at(const EvalWorkspace& ws, std::size_t fi) const;
 
   /// Standard (z0-source) noise analysis at grid index fi
-  /// (solve_output_transfer must have run for `output_port`).
-  /// Bit-identical to circuit::noise_analysis.
+  /// (solve_output_transfer must have run for `output_port`).  Within the
+  /// written tolerance of circuit::noise_analysis, and equal to it on a
+  /// dense-path lane.
   NoiseResult noise_at(const EvalWorkspace& ws, std::size_t fi,
                        std::size_t input_port, std::size_t output_port,
                        double t_source_k = rf::kT0) const;
@@ -301,17 +315,25 @@ class BatchedPlan {
   };
   enum class Source : std::uint8_t { kStamp, kTwoPort, kPort };
 
-  // One addition of a table value into one slot of the assembled
+  // One addition of a table value into one entry of the assembled
   // (ground-eliminated, port-terminated) matrix.  The flat list holds them
   // in exactly Netlist::assemble_terminated's order: every stamp bump,
   // then every two-port term, then every port termination.
   struct Scatter {
-    std::uint32_t slot;   // row * n + col of the assembled matrix
+    std::uint32_t pos;    // compact store position
+    std::uint32_t slot;   // row * n + col of the dense matrix
     std::uint32_t table;  // stamp, two-port or port index
     Source source;
     TpKind kind;          // two-port term expression (kTwoPort only)
     bool subtract;        // stamp bump of sign -1
-    bool first;           // first write to `slot`: zero it before adding
+    bool first;           // first write to `pos`: zero it before adding
+  };
+
+  // Filled positions of the static program grouped by row or column, with
+  // each one's other index (the column in a row list, the row in a column
+  // list): line i holds pos/index[start[i], start[i + 1]).
+  struct LineLists {
+    std::vector<std::uint32_t> pos, index, start;
   };
 
   struct StampTable {
@@ -332,20 +354,34 @@ class BatchedPlan {
   };
 
   static std::uint64_t next_revision();
+  void compile_program(const std::vector<bool>& assembled);
   void bind(EvalWorkspace& ws, std::size_t f_begin, std::size_t f_end) const;
   void assemble(EvalWorkspace& ws) const;
-  void factor_lanes(EvalWorkspace& ws) const;
+  void dense_factor(EvalWorkspace& ws, std::size_t lane) const;
 
   std::vector<double> grid_;
   std::vector<Port> ports_;
   std::size_t unknowns_ = 0;
-  std::size_t mask_words_ = 0;      // 64-bit words per structure-mask row
   std::size_t max_injections_ = 1;
   std::vector<Scatter> scatter_;
-  std::vector<std::uint64_t> pattern_;  // assembled row pattern, as masks
   std::vector<StampTable> stamps_;
   std::vector<TwoPortTable> twoports_;
   std::vector<NoiseTable> noise_;
+
+  // The static program: the assembled pattern eliminated in diagonal
+  // order, its filled positions numbered row-major.
+  bool static_order_ = false;  // every diagonal position filled
+  std::size_t positions_ = 0;
+  std::vector<std::uint32_t> diag_;  // position of (k, k)
+  LineLists lower_rows_;  // L row i, columns < i ascending
+  LineLists upper_rows_;  // U row i, columns > i ascending
+  LineLists lower_cols_;  // L column k, rows > k ascending
+  LineLists upper_cols_;  // U column k, rows < k ascending
+  // Rank-1 update targets: step k, each L entry of column k, each U entry
+  // of row k, in list order.
+  std::vector<std::uint32_t> updates_;
+  std::vector<std::uint32_t> fill_;  // positions only fill-in creates
+  LineLists assembled_cols_;         // assembled positions by column
   std::uint64_t revision_ = next_revision();
 };
 

@@ -217,13 +217,18 @@ double synthesize_width(const Substrate& substrate, double z0_target,
     throw std::domain_error(
         "synthesize_width: target impedance not realizable on substrate");
   }
+  // Up to 100 halvings (geometric).  The step is a pure function of
+  // (lo, hi), so once a step leaves both unchanged every later step would
+  // too: stopping there returns exactly the 100-step result.
   for (int iter = 0; iter < 100; ++iter) {
     const double mid = std::sqrt(lo * hi);
+    const double lo_was = lo, hi_was = hi;
     if (z_at(mid) > z0_target) {
       lo = mid;
     } else {
       hi = mid;
     }
+    if (lo == lo_was && hi == hi_was) break;
   }
   return std::sqrt(lo * hi);
 }

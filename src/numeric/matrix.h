@@ -30,11 +30,7 @@ double scalar_abs(const T& x) {
 /// Magnitude used for LU pivot selection: |re| + |im| for complex scalars
 /// (the one-norm — equivalent to the modulus within sqrt(2) for pivot
 /// quality, and free of the hypot library call that dominated the
-/// factorization profile), plain |x| for real scalars.  Every LU kernel in
-/// the library (the scalar LuDecomposition below and the frequency-batched
-/// kernel in circuit/batched.h) MUST select pivots through this one
-/// helper: the pivot choice fixes the permutation, and the bit-identity
-/// contract between evaluation paths requires identical permutations.
+/// factorization profile), plain |x| for real scalars.
 template <typename T>
 double pivot_magnitude(const T& x) {
   if constexpr (std::is_same_v<T, std::complex<double>>) {
@@ -50,8 +46,7 @@ double pivot_magnitude(const T& x) {
 /// substitutions — replacing the per-entry __divdc3 library calls), plain
 /// 1/x for real scalars.  The naive form is safe at the magnitudes LU
 /// pivots take in this library (admittance matrices, Jacobians): |z|^2
-/// neither overflows nor underflows there.  Shared by the scalar and
-/// batched kernels for the same bit-identity reason as pivot_magnitude.
+/// neither overflows nor underflows there.
 template <typename T>
 T scalar_inverse(const T& x) {
   if constexpr (std::is_same_v<T, std::complex<double>>) {
@@ -230,9 +225,10 @@ using ComplexMatrix = Matrix<std::complex<double>>;
 /// Pivots are selected by pivot_magnitude (one-norm) and each pivot's
 /// reciprocal is computed once via scalar_inverse and stored, so the
 /// factorization and both substitutions are multiply-only in the inner
-/// loops.  The frequency-batched kernel (circuit/batched.cpp) replays this
-/// exact arithmetic per frequency lane; any change here must be mirrored
-/// there to preserve the cross-path bit-identity contract.
+/// loops.  This is the per-call circuit analyses' factorization (the test
+/// oracle of the frequency-batched core, circuit/batched.h), and the one
+/// that core re-solves a lane with when its static elimination order fails
+/// the health check.
 ///
 /// Throws std::domain_error on (numerically) singular input.
 template <typename T>
@@ -359,9 +355,7 @@ class LuDecomposition {
 
     for (std::size_t k = 0; k < n; ++k) {
       // Partial pivoting: bring the largest remaining pivot_magnitude to
-      // row k.  The one-norm magnitude and the reciprocal-multiply column
-      // scaling below are the exact arithmetic the batched kernel in
-      // circuit/batched.cpp replays per frequency — keep them in lock-step.
+      // row k.
       std::size_t pivot = k;
       double best = pivot_magnitude(lu_(k, k));
       for (std::size_t i = k + 1; i < n; ++i) {

@@ -1,6 +1,8 @@
 #include "service/plan_cache.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -81,13 +83,15 @@ PlanCache::Lease PlanCache::acquire(std::uint64_t revision,
   amplifier::BandEvaluator* evaluator = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = idle_.find(revision);
-    if (it != idle_.end() && !it->second.empty()) {
-      evaluator = it->second.back().release();
-      it->second.pop_back();
-      --idle_total_;
+    // The most recently returned evaluator of this revision.
+    for (auto it = idle_.rbegin(); it != idle_.rend(); ++it) {
+      if (it->revision == revision) {
+        evaluator = it->evaluator.release();
+        idle_.erase(std::next(it).base());
+        break;
+      }
     }
-    set_residency_gauge(idle_total_);
+    set_residency_gauge(idle_.size());
   }
   if (evaluator != nullptr) {
     GNSSLNA_OBS_COUNT("service.plan_cache.hits");
@@ -104,39 +108,39 @@ PlanCache::Lease PlanCache::acquire(std::uint64_t revision,
 
 void PlanCache::release(std::uint64_t revision,
                         amplifier::BandEvaluator* evaluator) {
-  std::unique_ptr<amplifier::BandEvaluator> owned(evaluator);
+  // A dropped evaluator is destroyed after the lock is released
+  // (destruction frees sizeable workspaces).
+  std::unique_ptr<amplifier::BandEvaluator> dropped(evaluator);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::unique_ptr<amplifier::BandEvaluator>>& pool =
-        idle_[revision];
-    if (pool.size() < max_idle_per_revision_) {
-      pool.push_back(std::move(owned));
-      ++idle_total_;
-      set_residency_gauge(idle_total_);
+    const auto same = [revision](const Idle& e) {
+      return e.revision == revision;
+    };
+    if (static_cast<std::size_t>(
+            std::count_if(idle_.begin(), idle_.end(), same)) <
+        max_idle_per_revision_) {
+      idle_.push_back({revision, std::move(dropped)});
+      if (idle_.size() > kMaxIdle) {  // the least recently returned goes
+        dropped = std::move(idle_.front().evaluator);
+        idle_.erase(idle_.begin());
+      }
+      set_residency_gauge(idle_.size());
       GNSSLNA_OBS_COUNT("service.plan_cache.returns");
-      return;
     }
   }
-  // Pool full: drop the evaluator (outside the lock — destruction frees
-  // sizeable workspaces).
-  GNSSLNA_OBS_COUNT("service.plan_cache.evictions");
+  if (dropped != nullptr) GNSSLNA_OBS_COUNT("service.plan_cache.evictions");
 }
 
 std::size_t PlanCache::idle_count() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [revision, pool] : idle_) n += pool.size();
-  return n;
+  return idle_.size();
 }
 
 void PlanCache::clear() {
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::unique_ptr<amplifier::BandEvaluator>>>
-      dropped;
+  std::vector<Idle> dropped;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     dropped.swap(idle_);
-    idle_total_ = 0;
     set_residency_gauge(0);
   }
 }

@@ -8,16 +8,18 @@
 // thread-safe, so the cache hands out exclusive leases: acquire() pops an
 // idle evaluator for the revision (hit) or builds a fresh one outside the
 // lock (miss); dropping the lease checks the evaluator back in for the
-// next job, up to a per-revision idle cap.
+// next job, up to a per-revision idle cap and a global one: past
+// kMaxIdle, the evaluator returned least recently (of any revision) is
+// evicted, so clients that sweep continuous config fields (band, vdd,
+// ambient temperature) cannot grow the cache without bound.
 //
 // Determinism: an evaluator's internal state (which design it last
 // touched, hence which elements re-stamp) never changes evaluation
-// VALUES — only how much re-tabulation work a call performs (pinned
-// against the per-call oracle along a design walk by
-// tests/test_batched.cpp).  A job
-// therefore computes bit-identical results whether its lease is freshly
-// built or arbitrarily pre-used, which is what makes the cache safe to
-// share between unrelated concurrent jobs.
+// VALUES — only how much re-tabulation work a call performs (a persistent
+// evaluator equals a one-shot rebuild bit for bit along a design walk,
+// tests/test_batched.cpp).  A job therefore computes bit-identical results
+// whether its lease is freshly built or arbitrarily pre-used, which is
+// what makes the cache safe to share between unrelated concurrent jobs.
 //
 // Obs: counters service.plan_cache.{hits,misses,returns,evictions}, the
 // residency gauge service.plan_cache.idle (checked-in evaluators), and the
@@ -30,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "amplifier/lna.h"
@@ -52,6 +53,9 @@ class PlanCache {
   /// job, so a lease can be handed to DesignFlowOptions::evaluator or
   /// make_goal_problem directly.  The cache must outlive every lease.
   using Lease = std::shared_ptr<amplifier::BandEvaluator>;
+
+  /// Idle evaluators kept across all revisions (~125 kB each).
+  static constexpr std::size_t kMaxIdle = 32;
 
   explicit PlanCache(std::size_t max_idle_per_revision = 8)
       : max_idle_per_revision_(max_idle_per_revision) {}
@@ -81,12 +85,14 @@ class PlanCache {
  private:
   void release(std::uint64_t revision, amplifier::BandEvaluator* evaluator);
 
+  struct Idle {
+    std::uint64_t revision;
+    std::unique_ptr<amplifier::BandEvaluator> evaluator;
+  };
+
   mutable std::mutex mutex_;
   std::size_t max_idle_per_revision_;
-  std::size_t idle_total_ = 0;  ///< guarded by mutex_; feeds the gauge
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::unique_ptr<amplifier::BandEvaluator>>>
-      idle_;
+  std::vector<Idle> idle_;  ///< guarded by mutex_; oldest return first
 };
 
 }  // namespace gnsslna::service

@@ -15,7 +15,9 @@
 
 #include "amplifier/lna.h"
 #include "amplifier/yield.h"
+#include "circuit/batched.h"
 #include "device/phemt.h"
+#include "reference_band.h"
 
 namespace gnsslna::amplifier {
 namespace {
@@ -77,15 +79,40 @@ TEST(AllocFree, WorkspaceHighWaterMarkIsPinned) {
   DesignVector d;
   (void)ev.evaluate(d);
   const std::size_t after_first = ev.workspace_high_water();
-  // 16 lanes (7 band + 9 stability), 15 unknowns: matrix + row/column
-  // structure masks + pivot + port / transfer / noise-sweep lanes as laid
-  // out by BatchedPlan::bind.
-  EXPECT_EQ(after_first, 79000u);
+  // 16 lanes (7 band + 9 stability), 15 unknowns, 67 filled positions:
+  // compact store + pivot reciprocals + column maxima + dense-path flags +
+  // port / transfer / noise-sweep lanes as laid out by BatchedPlan::bind.
+  EXPECT_EQ(after_first, 43168u);
 
   for (int i = 0; i < 20; ++i) {
     d.l_in_m += 1e-4;
     (void)ev.evaluate(d);
     ASSERT_EQ(ev.workspace_high_water(), after_first) << "step " << i;
+  }
+}
+
+TEST(AllocFree, DensePathRefactorDoesNotTouchTheHeap) {
+  // A lane whose diagonal pivot collapses is factored and solved through
+  // the workspace's LuDecomposition; once the first flagged factor has
+  // sized its buffers, re-factoring after a value change reuses them.
+  const std::vector<double> grid = {1.1e9, 1.5e9, 1.9e9};
+  circuit::BatchedPlan plan(reference::collapsing_pivot_netlist(1.5e9), grid);
+  circuit::EvalWorkspace ws;
+  const auto pass = [&] {
+    plan.factor(ws, 0, grid.size());
+    plan.solve_ports(ws);
+    plan.solve_output_transfer(ws, 1);
+  };
+  pass();  // cold: carves the arena, sizes the dense-path buffers
+  plan.mark_values_dirty();
+  pass();  // warm-up for lazily registered obs counters
+  for (int i = 0; i < 5; ++i) {
+    plan.mark_values_dirty();
+    const std::uint64_t count0 = bench::alloc_count();
+    pass();
+    EXPECT_EQ(bench::alloc_count() - count0, 0u) << "refactor " << i;
+    EXPECT_TRUE(ws.repivoted(1));
+    EXPECT_FALSE(ws.repivoted(0));
   }
 }
 

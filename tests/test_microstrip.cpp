@@ -110,6 +110,58 @@ TEST(Line, InvalidInputsThrow) {
 }
 
 // ---------------------------------------------------------------------------
+// Width synthesis stops its bisection once a step changes nothing; the
+// result must equal the fixed 100-step loop it replaced, bit for bit
+
+double synthesize_width_100_steps(const Substrate& substrate, double z0,
+                                  double frequency_hz) {
+  double lo = substrate.height_m * 0.02;
+  double hi = substrate.height_m * 40.0;
+  for (int iter = 0; iter < 100; ++iter) {
+    const double mid = std::sqrt(lo * hi);
+    if (Line(substrate, mid, 1e-3).z0(frequency_hz) > z0) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::sqrt(lo * hi);
+}
+
+TEST(Line, SynthesisEarlyStopMatchesFixedIterationCount) {
+  for (const Substrate& sub : {Substrate::fr4(), Substrate::ro4350b()}) {
+    for (const double z0 : {20.0, 35.0, 50.0, 75.0, 110.0}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(synthesize_width(sub, z0, kF)),
+                std::bit_cast<std::uint64_t>(
+                    synthesize_width_100_steps(sub, z0, kF)))
+          << "eps_r " << sub.epsilon_r << ", " << z0 << " ohm";
+    }
+  }
+  numeric::Rng rng(4242);
+  int compared = 0;
+  for (int k = 0; k < 200; ++k) {
+    Substrate sub;
+    sub.epsilon_r = rng.uniform(2.2, 10.2);
+    sub.height_m = rng.uniform(0.1e-3, 1.6e-3);
+    sub.tan_delta = rng.uniform(0.0005, 0.025);
+    const double z0 = rng.uniform(25.0, 100.0);
+    const double f = rng.uniform(0.5e9, 3.0e9);
+    double got = 0.0;
+    try {
+      got = synthesize_width(sub, z0, f);
+    } catch (const std::domain_error&) {
+      continue;  // unrealizable target (the reference has no range check)
+    }
+    ++compared;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(
+                  synthesize_width_100_steps(sub, z0, f)))
+        << "case " << k;
+  }
+  EXPECT_GT(compared, 150);
+}
+
+// ---------------------------------------------------------------------------
 // Tabulation arithmetic: Line::abcd_from's component-form cosh/sinh against
 // the complex library functions, bit for bit
 //

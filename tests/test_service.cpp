@@ -270,6 +270,61 @@ TEST(ServicePlanCache, ConcurrentLeasesAreExclusiveAndCounted) {
   obs::set_enabled(was_enabled);
 }
 
+TEST(ServicePlanCache, IdleEvaluatorsAreBoundedAcrossRevisions) {
+  // Clients choose the revision through continuous config fields: returning
+  // leases for many more distinct revisions than the global cap keeps the
+  // cap's worth of the most recently returned evaluators, evicting the
+  // oldest, and the gauge follows.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset();
+
+  service::PlanCache cache;
+  const device::Phemt device = device::Phemt::reference_device();
+  const std::vector<double> band = amplifier::LnaDesign::default_band();
+  constexpr std::size_t kCap = service::PlanCache::kMaxIdle;
+  std::vector<amplifier::AmplifierConfig> configs(3 * kCap);
+  std::vector<std::uint64_t> revs;
+  amplifier::BandEvaluator* last = nullptr;
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    configs[k].t_ambient_k = 280.0 + 0.5 * static_cast<double>(k);
+    revs.push_back(service::topology_revision(configs[k], band));
+    const service::PlanCache::Lease lease =
+        cache.acquire(revs.back(), device, configs[k], band);
+    last = lease.get();
+  }
+  EXPECT_EQ(cache.idle_count(), kCap);
+
+  {
+    // The most recent revision still hits: its evaluator comes back.
+    const service::PlanCache::Lease hit =
+        cache.acquire(revs.back(), device, configs.back(), band);
+    EXPECT_EQ(hit.get(), last);
+    EXPECT_EQ(cache.idle_count(), kCap - 1);
+    // The first revision was evicted: a miss builds a new evaluator.
+    const service::PlanCache::Lease miss =
+        cache.acquire(revs.front(), device, configs.front(), band);
+    EXPECT_EQ(cache.idle_count(), kCap - 1);
+  }
+  EXPECT_EQ(cache.idle_count(), kCap);
+
+  if (obs::compiled_in()) {
+    const obs::MetricsSnapshot m = obs::metrics_snapshot();
+    std::uint64_t evictions = 0;
+    std::int64_t idle = -1;
+    for (const auto& c : m.counters) {
+      if (c.name == "service.plan_cache.evictions") evictions = c.value;
+    }
+    for (const auto& g : m.gauges) {
+      if (g.name == "service.plan_cache.idle") idle = g.value;
+    }
+    EXPECT_EQ(evictions, 2 * kCap + 1);  // + the returned miss's eviction
+    EXPECT_EQ(idle, static_cast<std::int64_t>(kCap));
+  }
+  obs::reset();
+  obs::set_enabled(was_enabled);
+}
+
 // --- borrowed evaluator ----------------------------------------------------
 
 amplifier::DesignFlowOptions tiny_flow_options() {
