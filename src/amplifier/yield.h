@@ -144,10 +144,10 @@ struct TrialOutcome {
 /// plan at construction, then every trial is one in-place re-stamp of the
 /// perturbed tables plus one allocation-free batched evaluate.  The
 /// steady state performs ZERO heap allocations per trial (pinned by
-/// tests/test_alloc_free.cpp).  Results are bit-identical to a fresh
-/// evaluator built for the trial alone, and within the batched core's
-/// written tolerance of the per-call analyses on the trial's netlist
-/// (pinned by tests/test_yield.cpp).
+/// tests/test_alloc_free.cpp).  Results are bit-identical to rebuilding
+/// the trial's netlist and evaluating it through its own batched plan, and
+/// within the batched core's written tolerance of the per-call analyses on
+/// that netlist (pinned by tests/test_yield.cpp).
 ///
 /// NOT thread-safe: hold one instance per thread (run_yield keeps a pool).
 class YieldTrialEvaluator {

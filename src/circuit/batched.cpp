@@ -154,8 +154,12 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
 void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
   const std::size_t n = unknowns_;
   // Symbolic elimination in diagonal order: step k fills (i, j) wherever
-  // (i, k) and (k, j) are filled below and right of the pivot.
+  // (i, k) and (k, j) are filled below and right of the pivot.  Every
+  // diagonal position is in the store: one that is structurally zero is a
+  // fill position no update reaches, so its pivot stays 0 and fails the
+  // health check in every lane, which sends every lane to the dense path.
   std::vector<bool> filled = assembled;
+  for (std::size_t k = 0; k < n; ++k) filled[k * n + k] = true;
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t i = k + 1; i < n; ++i) {
       if (!filled[i * n + k]) continue;
@@ -169,12 +173,8 @@ void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
   for (std::size_t s = 0; s < n * n; ++s) {
     if (filled[s]) pos[s] = static_cast<std::uint32_t>(positions_++);
   }
-  static_order_ = true;
   diag_.assign(n, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    static_order_ = static_order_ && filled[k * n + k];
-    diag_[k] = pos[k * n + k];
-  }
+  for (std::size_t k = 0; k < n; ++k) diag_[k] = pos[k * n + k];
 
   // Line i of a row list is row i (entries ordered by column); of a column
   // list, column i (ordered by row).  `keep` selects the entries.
@@ -587,16 +587,11 @@ void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
   ws.factored_ = false;
   ws.lu_lane_ = kNoLane;
   const std::size_t L = ws.lanes_;
-  if (static_order_) {
-    std::fill_n(ws.dense_, L, 0.0);
-    assemble(ws);
-    factor_lanes_kernel(unknowns_, L, diag_.data(), lines(lower_cols_),
-                        lines(upper_rows_), updates_.data(), ws.v_re_,
-                        ws.v_im_, ws.dinv_re_, ws.dinv_im_, ws.colmax_,
-                        ws.dense_);
-  } else {
-    std::fill_n(ws.dense_, L, 1.0);  // a structurally zero pivot
-  }
+  std::fill_n(ws.dense_, L, 0.0);
+  assemble(ws);
+  factor_lanes_kernel(unknowns_, L, diag_.data(), lines(lower_cols_),
+                      lines(upper_rows_), updates_.data(), ws.v_re_, ws.v_im_,
+                      ws.dinv_re_, ws.dinv_im_, ws.colmax_, ws.dense_);
   std::size_t repivots = 0;
   for (std::size_t l = 0; l < L; ++l) {
     if (ws.dense_[l] == 0.0) continue;
@@ -818,12 +813,10 @@ void BatchedPlan::solve_ports(EvalWorkspace& ws) const {
 
   GNSSLNA_OBS_SPAN("circuit.batch.solve");
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", 2 * L);
-  if (static_order_) {
-    substitute_ports_kernel(n, L, lines(lower_rows_), lines(upper_rows_),
-                            src[0], src[1], v[0], v[1], ws.v_re_, ws.v_im_,
-                            ws.dinv_re_, ws.dinv_im_, ws.sol_re_, ws.sol_im_,
-                            ws.sol_re_ + n * L, ws.sol_im_ + n * L);
-  }
+  substitute_ports_kernel(n, L, lines(lower_rows_), lines(upper_rows_), src[0],
+                          src[1], v[0], v[1], ws.v_re_, ws.v_im_, ws.dinv_re_,
+                          ws.dinv_im_, ws.sol_re_, ws.sol_im_,
+                          ws.sol_re_ + n * L, ws.sol_im_ + n * L);
   // Dense-path lanes: the oracle's solve_into for each port excitation.
   for (std::size_t l = 0; l < L; ++l) {
     if (ws.dense_[l] == 0.0) continue;
@@ -868,13 +861,10 @@ void BatchedPlan::solve_output_transfer(EvalWorkspace& ws,
   const std::size_t out_row = ports_[output_port].node - 1;
 
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", SL);
-  if (static_order_) {
-    transpose_substitute_kernel(n, L, SL, out_row, lines(upper_cols_),
-                                lines(lower_cols_), ws.v_re_ + s0,
-                                ws.v_im_ + s0, ws.dinv_re_ + s0,
-                                ws.dinv_im_ + s0, ws.w_re_ + s0,
-                                ws.w_im_ + s0);
-  }
+  transpose_substitute_kernel(n, L, SL, out_row, lines(upper_cols_),
+                              lines(lower_cols_), ws.v_re_ + s0, ws.v_im_ + s0,
+                              ws.dinv_re_ + s0, ws.dinv_im_ + s0,
+                              ws.w_re_ + s0, ws.w_im_ + s0);
   // Dense-path lanes: the oracle's solve_transposed_into with e_out.
   for (std::size_t l = s0; l < s0 + SL; ++l) {
     if (ws.dense_[l] == 0.0) continue;

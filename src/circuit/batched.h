@@ -25,8 +25,8 @@
 // — diagonal order is not the oracle's partial pivoting.  Every lane is
 // checked from values the factorization already holds: its pivots against
 // the maxima of their assembled columns, and every U entry against the
-// maximum of its column (element growth).  A lane that fails, or any lane
-// of a plan whose diagonal is structurally zero, is re-assembled densely
+// maximum of its column (element growth).  A lane that fails (every lane,
+// when a diagonal position is structurally zero) is re-assembled densely
 // in Netlist::assemble_terminated order and solved through
 // numeric::LuDecomposition: that lane equals the oracle bit for bit and is
 // counted in circuit.batch.repivots.  Each lane's arithmetic and its check
@@ -368,9 +368,8 @@ class BatchedPlan {
   std::vector<TwoPortTable> twoports_;
   std::vector<NoiseTable> noise_;
 
-  // The static program: the assembled pattern eliminated in diagonal
-  // order, its filled positions numbered row-major.
-  bool static_order_ = false;  // every diagonal position filled
+  // The static program: the assembled pattern plus the diagonal,
+  // eliminated in diagonal order, its filled positions numbered row-major.
   std::size_t positions_ = 0;
   std::vector<std::uint32_t> diag_;  // position of (k, k)
   LineLists lower_rows_;  // L row i, columns < i ascending

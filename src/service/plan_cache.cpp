@@ -1,6 +1,5 @@
 #include "service/plan_cache.h"
 
-#include <algorithm>
 #include <cstring>
 #include <iterator>
 
@@ -108,27 +107,21 @@ PlanCache::Lease PlanCache::acquire(std::uint64_t revision,
 
 void PlanCache::release(std::uint64_t revision,
                         amplifier::BandEvaluator* evaluator) {
-  // A dropped evaluator is destroyed after the lock is released
+  // An evicted evaluator is destroyed after the lock is released
   // (destruction frees sizeable workspaces).
-  std::unique_ptr<amplifier::BandEvaluator> dropped(evaluator);
+  std::unique_ptr<amplifier::BandEvaluator> returned(evaluator);
+  std::unique_ptr<amplifier::BandEvaluator> evicted;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto same = [revision](const Idle& e) {
-      return e.revision == revision;
-    };
-    if (static_cast<std::size_t>(
-            std::count_if(idle_.begin(), idle_.end(), same)) <
-        max_idle_per_revision_) {
-      idle_.push_back({revision, std::move(dropped)});
-      if (idle_.size() > kMaxIdle) {  // the least recently returned goes
-        dropped = std::move(idle_.front().evaluator);
-        idle_.erase(idle_.begin());
-      }
-      set_residency_gauge(idle_.size());
-      GNSSLNA_OBS_COUNT("service.plan_cache.returns");
+    idle_.push_back({revision, std::move(returned)});
+    if (idle_.size() > kMaxIdle) {  // the least recently returned goes
+      evicted = std::move(idle_.front().evaluator);
+      idle_.erase(idle_.begin());
     }
+    set_residency_gauge(idle_.size());
   }
-  if (dropped != nullptr) GNSSLNA_OBS_COUNT("service.plan_cache.evictions");
+  GNSSLNA_OBS_COUNT("service.plan_cache.returns");
+  if (evicted != nullptr) GNSSLNA_OBS_COUNT("service.plan_cache.evictions");
 }
 
 std::size_t PlanCache::idle_count() const {

@@ -8,10 +8,13 @@
 // thread-safe, so the cache hands out exclusive leases: acquire() pops an
 // idle evaluator for the revision (hit) or builds a fresh one outside the
 // lock (miss); dropping the lease checks the evaluator back in for the
-// next job, up to a per-revision idle cap and a global one: past
-// kMaxIdle, the evaluator returned least recently (of any revision) is
-// evicted, so clients that sweep continuous config fields (band, vdd,
-// ambient temperature) cannot grow the cache without bound.
+// next job.  Past kMaxIdle idle evaluators, the one returned least
+// recently (of any revision) is evicted, so clients that sweep continuous
+// config fields (band, vdd, ambient temperature) cannot grow the cache
+// without bound.  No per-revision cap is needed: a revision never has
+// more idle evaluators than it once had leases out at the same time, and
+// a job holds one lease, so the service's hot set is at most (hot
+// revisions) x (workers) — 4 x 2 = 8 for the benchmark's service mix.
 //
 // Determinism: an evaluator's internal state (which design it last
 // touched, hence which elements re-stamp) never changes evaluation
@@ -57,9 +60,7 @@ class PlanCache {
   /// Idle evaluators kept across all revisions (~125 kB each).
   static constexpr std::size_t kMaxIdle = 32;
 
-  explicit PlanCache(std::size_t max_idle_per_revision = 8)
-      : max_idle_per_revision_(max_idle_per_revision) {}
-
+  PlanCache() = default;
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
@@ -91,7 +92,6 @@ class PlanCache {
   };
 
   mutable std::mutex mutex_;
-  std::size_t max_idle_per_revision_;
   std::vector<Idle> idle_;  ///< guarded by mutex_; oldest return first
 };
 

@@ -53,12 +53,18 @@ inline void expect_near_oracle(const rf::SParams& a, const rf::SParams& oracle) 
 
 inline void expect_near_oracle(const circuit::NoiseResult& a,
                                const circuit::NoiseResult& oracle) {
-  const auto rel = [](double x, double ref) {
-    return std::abs(x - ref) <= kOracleTolerance * std::abs(ref);
-  };
-  EXPECT_TRUE(rel(a.source_noise_psd, oracle.source_noise_psd));
-  EXPECT_TRUE(rel(a.output_noise_psd, oracle.output_noise_psd));
-  EXPECT_TRUE(rel(a.noise_factor, oracle.noise_factor));
+  EXPECT_LE(std::abs(a.source_noise_psd - oracle.source_noise_psd),
+            kOracleTolerance * std::abs(oracle.source_noise_psd))
+      << "source PSD " << a.source_noise_psd << " vs oracle "
+      << oracle.source_noise_psd;
+  EXPECT_LE(std::abs(a.output_noise_psd - oracle.output_noise_psd),
+            kOracleTolerance * std::abs(oracle.output_noise_psd))
+      << "output PSD " << a.output_noise_psd << " vs oracle "
+      << oracle.output_noise_psd;
+  EXPECT_LE(std::abs(a.noise_factor - oracle.noise_factor),
+            kOracleTolerance * std::abs(oracle.noise_factor))
+      << "noise factor " << a.noise_factor << " vs oracle "
+      << oracle.noise_factor;
   EXPECT_NEAR(a.noise_figure_db, oracle.noise_figure_db, kOracleTolerance);
 }
 

@@ -382,7 +382,9 @@ TEST(BatchedPlan, CollapsedPivotLaneTakesTheDensePath) {
     plan.mark_values_dirty();
   }
   obs::set_enabled(was_enabled);
-  if (obs::compiled_in()) EXPECT_EQ(repivots() - before, 3u);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(repivots() - before, 3u);
+  }
 }
 
 TEST(BatchedPlan, DenseLaneIsChunkingInvariantAtEveryPosition) {

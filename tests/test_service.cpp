@@ -264,7 +264,9 @@ TEST(ServicePlanCache, ConcurrentLeasesAreExclusiveAndCounted) {
     EXPECT_GE(misses, 2u);        // at least one build per revision
     EXPECT_GE(hits, misses);      // reuse dominates two hot revisions
   }
-  EXPECT_LE(cache.idle_count(), 16u);  // ≤ max_idle_per_revision per rev
+  // A revision never holds more idle evaluators than it had leases out at
+  // once: at most kThreads per revision.
+  EXPECT_LE(cache.idle_count(), 16u);
 
   obs::reset();
   obs::set_enabled(was_enabled);

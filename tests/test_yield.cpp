@@ -203,16 +203,16 @@ TEST(YieldDraws, SobolDrawPerturbsEveryToleratedParameter) {
 // ---------------------------------------------------------------------------
 // Engine equivalence and determinism
 
-/// One trial through the per-call oracle: the trial's netlist rebuilt from
-/// scratch and analysed frequency by frequency (tests/reference_band.h).
-TrialOutcome reference_trial(const TrialDraw& draw, const DesignGoals& goals) {
+/// One trial with its netlist rebuilt from scratch (the trial's own
+/// LnaDesign), reduced to a band report by `report`.
+template <class Report>
+TrialOutcome rebuilt_trial(const TrialDraw& draw, const DesignGoals& goals,
+                           Report report) {
   AmplifierConfig cfg = resolved_config();
   cfg.substrate = draw.substrate;  // w50 stays at the nominal mask width
   TrialOutcome out;
   try {
-    const LnaDesign lna(ref(), cfg, draw.design);
-    const BandReport r =
-        reference::reference_band_report(lna, LnaDesign::default_band());
+    const BandReport r = report(LnaDesign(ref(), cfg, draw.design));
     out.nf_avg_db = r.nf_avg_db;
     out.gt_min_db = r.gt_min_db;
     out.pass = r.nf_avg_db <= goals.nf_goal_db &&
@@ -225,6 +225,22 @@ TrialOutcome reference_trial(const TrialDraw& draw, const DesignGoals& goals) {
     out.failed = true;
   }
   return out;
+}
+
+/// One trial through production: the trial's own batched plan, as
+/// run_yield evaluates a trial when no persistent evaluator exists.
+TrialOutcome production_trial(const TrialDraw& draw, const DesignGoals& goals) {
+  return rebuilt_trial(draw, goals, [](const LnaDesign& lna) {
+    return lna.evaluate(LnaDesign::default_band());
+  });
+}
+
+/// One trial through the per-call oracle, analysed frequency by frequency
+/// (tests/reference_band.h).
+TrialOutcome reference_trial(const TrialDraw& draw, const DesignGoals& goals) {
+  return rebuilt_trial(draw, goals, [](const LnaDesign& lna) {
+    return reference::reference_band_report(lna, LnaDesign::default_band());
+  });
 }
 
 TEST(YieldEngine, PlanReuseMatchesPerTrialRebuildBitForBit) {
@@ -258,8 +274,7 @@ TEST(YieldEngine, PlanReuseMatchesPerTrialRebuildBitForBit) {
               ? sobol_trial_draw(sobol, trial, nominal, config.substrate, {})
               : pseudo_trial_draw(root, trial, nominal, config.substrate, {});
       const TrialOutcome a = engine.evaluate(draw, goals);
-      const TrialOutcome rebuilt =
-          YieldTrialEvaluator(ref(), config, nominal).evaluate(draw, goals);
+      const TrialOutcome rebuilt = production_trial(draw, goals);
       EXPECT_EQ(a.failed, rebuilt.failed);
       EXPECT_EQ(a.pass, rebuilt.pass);
       EXPECT_EQ(a.nf_avg_db, rebuilt.nf_avg_db);
