@@ -137,8 +137,8 @@ void print_report(const char* mode, const RunStats& stats, double wall_s,
       percentile(&lat, 0.50) * 1e3, percentile(&lat, 0.99) * 1e3);
   std::printf(
       "  server     %lld submitted, %lld completed, %lld rejected\n"
-      "  server lat p50 <= %.0f us   p99 <= %.0f us   (obs histogram, "
-      "%lld jobs)\n",
+      "  server lat p50 %.0f us   p99 %.0f us   (interpolated midpoints "
+      "of the obs histogram, %lld jobs)\n",
       static_cast<long long>(server_stats.number_at("submitted", 0)),
       static_cast<long long>(server_stats.number_at("completed", 0)),
       static_cast<long long>(server_stats.number_at("rejected", 0)),

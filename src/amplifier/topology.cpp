@@ -3,8 +3,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "circuit/dc.h"
-
 #include "rf/sweep.h"
 
 namespace gnsslna::amplifier {
@@ -79,34 +77,6 @@ BiasNetwork design_bias(const device::Phemt& device, const DesignVector& d,
   b.r_drain = (config.vdd - d.vds) / b.id_a;
   b.vg_bias = d.vgs;  // source is at DC ground (inductive degeneration)
   return b;
-}
-
-DcVerification verify_bias_dc(const device::Phemt& device,
-                              const DesignVector& d,
-                              const AmplifierConfig& config) {
-  const BiasNetwork nominal = design_bias(device, d, config);
-
-  // The DC topology: Vdd -> Rdrain -> (bias line + tee, both copper:
-  // negligible DC resistance) -> drain; gate at vg_bias through the shunt
-  // inductor (DC short) and the gate bias resistance; source to ground
-  // through the degeneration inductor (DC short).
-  circuit::DcCircuit dc;
-  const circuit::DcNodeId vdd = dc.add_node();
-  const circuit::DcNodeId drain = dc.add_node();
-  const circuit::DcNodeId gate = dc.add_node();
-  dc.add_vsource(vdd, circuit::kDcGround, config.vdd);
-  dc.add_vsource(gate, circuit::kDcGround, nominal.vg_bias);
-  dc.add_resistor(vdd, drain, nominal.r_drain);
-  dc.add_fet(gate, drain, circuit::kDcGround, device.iv_model());
-
-  const circuit::DcSolution sol = dc.solve();
-  DcVerification v;
-  v.vgs = sol.voltage(gate);
-  v.vds = sol.voltage(drain);
-  v.id_a = dc.fet_drain_current(0, sol);
-  v.vds_error = v.vds - d.vds;
-  v.newton_iterations = sol.newton_iterations;
-  return v;
 }
 
 }  // namespace gnsslna::amplifier

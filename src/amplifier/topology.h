@@ -110,20 +110,4 @@ struct BiasNetwork {
 BiasNetwork design_bias(const device::Phemt& device, const DesignVector& d,
                         const AmplifierConfig& config);
 
-/// Cross-checks a designed bias network with the full nonlinear DC solver:
-/// builds the actual (Vdd, gate bias, drain resistor, FET) circuit, solves
-/// the operating point with Newton, and reports the realized
-/// (vgs, vds, id).  The design flow sizes the resistor by Ohm's law at the
-/// TARGET point; this verifies the network actually lands there.
-struct DcVerification {
-  double vgs = 0.0;
-  double vds = 0.0;
-  double id_a = 0.0;
-  double vds_error = 0.0;  ///< realized - target [V]
-  int newton_iterations = 0;
-};
-DcVerification verify_bias_dc(const device::Phemt& device,
-                              const DesignVector& d,
-                              const AmplifierConfig& config);
-
 }  // namespace gnsslna::amplifier

@@ -505,7 +505,7 @@ YieldReport run_yield(const device::Phemt& device,
       const std::size_t t0 = begin + s * shard;
       const std::size_t t1 = std::min(end, t0 + shard);
       Worker* w = acquire();
-      const std::uint64_t failed_before = w->stats.failed;
+      [[maybe_unused]] const std::uint64_t failed_before = w->stats.failed;
       for (std::size_t i = t0; i < t1; ++i) {
         const TrialDraw draw =
             sobol ? sobol_trial_draw(*sobol, i, design, base.substrate,

@@ -1,12 +1,11 @@
 #include "extract/objective.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "numeric/parallel.h"
 
 namespace gnsslna::extract {
 
@@ -14,17 +13,16 @@ namespace {
 
 /// Per-(closure, thread) scratch for extraction_residuals: one candidate
 /// device re-dressed in place per call (no clone, no Phemt rebuild) and a
-/// persistent residual buffer.  Looked up through a thread_local map keyed
-/// by closure id, so a shared ResidualFn can be called from any number of
-/// optimizer threads concurrently — each thread mutates only its own
-/// device.
+/// persistent residual buffer.  Each thread gets its own slot of the
+/// closure's numeric::PerThreadSlots, so a shared ResidualFn can be called
+/// from any number of optimizer threads concurrently — each thread mutates
+/// only its own device — and the slots die with the last copy of the
+/// closure.
 struct CandidateState {
   std::unique_ptr<device::Phemt> dev;
   std::vector<double> iv_params;
   std::vector<double> r;
 };
-
-std::atomic<std::uint64_t> g_candidate_ids{0};
 
 /// Shared-parameter bounds: {cgs0, cgd0, cds, ri, tau, vbi}.
 struct SharedBounds {
@@ -108,17 +106,16 @@ optimize::ResidualFn extraction_residuals(
   // Capture the prototype by clone so the returned closure owns its state.
   std::shared_ptr<device::FetModel> proto(prototype.clone());
   const std::size_t n_iv = proto->parameters().size();
-  const std::uint64_t id =
-      g_candidate_ids.fetch_add(1, std::memory_order_relaxed);
+  const auto states =
+      std::make_shared<numeric::PerThreadSlots<CandidateState>>();
 
   return [proto, &data, extrinsics, weights, dc_scale, n_iv,
-          id](const std::vector<double>& params) {
+          states](const std::vector<double>& params) {
     if (params.size() != n_iv + kSharedParamCount) {
       throw std::invalid_argument(
           "candidate_device: parameter size mismatch");
     }
-    thread_local std::unordered_map<std::uint64_t, CandidateState> states;
-    CandidateState& st = states[id];
+    CandidateState& st = states->local();
     if (!st.dev) {
       st.dev = std::make_unique<device::Phemt>(
           proto->clone(), device::CapacitanceParams{}, extrinsics,

@@ -146,7 +146,7 @@ rf::NoiseSweep NoiseFigureMeter::measure_noise_parameters(
   }
 
   // Source states: the matched point plus a ring — the standard
-  // noise-parameter tuner pattern (mirrors amplifier_noise_parameters).
+  // noise-parameter tuner pattern.
   std::vector<Complex> gammas;
   gammas.reserve(n_states);
   gammas.push_back({0.0, 0.0});

@@ -20,8 +20,7 @@
 //
 // measure_noise_parameters() extends the meter with a source-pull tuner:
 // Y-factor NF at a ring of source impedances, Lane-fitted to the four IEEE
-// noise parameters (rf::fit_noise_parameters) — the measured counterpart
-// of amplifier::amplifier_noise_parameters, and the data behind the
+// noise parameters (rf::fit_noise_parameters) — the data behind the
 // Touchstone noise block lab::measure_design() emits.
 #pragma once
 

@@ -1,122 +1,31 @@
 #include "microstrip/discontinuity.h"
 
-#include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 namespace gnsslna::microstrip {
 
 namespace {
-constexpr double kPi = std::numbers::pi;
-constexpr double kMu0 = 4e-7 * kPi;
+constexpr double kMu0 = 4e-7 * std::numbers::pi;
 constexpr double kEps0 = 8.8541878128e-12;
-
-Line probe_line(const Substrate& substrate, double width_m) {
-  return Line(substrate, width_m, 1e-3);
-}
 }  // namespace
 
-double open_end_extension(const Substrate& substrate, double width_m) {
-  const Line line = probe_line(substrate, width_m);
-  const double eeff = line.epsilon_eff_static();
-  const double u = width_m / substrate.height_m;
-  // Hammerstad open-end fit.
-  return 0.412 * substrate.height_m * (eeff + 0.3) * (u + 0.264) /
-         ((eeff - 0.258) * (u + 0.8));
-}
-
-double open_end_capacitance(const Substrate& substrate, double width_m) {
-  const Line line = probe_line(substrate, width_m);
-  const double dl = open_end_extension(substrate, width_m);
-  // Convert the length extension through the line's per-unit-length
-  // capacitance C' = sqrt(eps_eff) / (c * Z0).
-  const double c_per_m =
-      std::sqrt(line.epsilon_eff_static()) / (rf::kC0 * line.z0_static());
-  return dl * c_per_m;
-}
-
-double step_inductance(const Substrate& substrate, double w1_m, double w2_m) {
-  if (w1_m == w2_m) return 0.0;
-  // Order so that line 1 is the wider (lower-Z0) side; the formula is
-  // symmetric in effect, the excess inductance sits in the narrow line.
-  const Line l1 = probe_line(substrate, std::max(w1_m, w2_m));
-  const Line l2 = probe_line(substrate, std::min(w1_m, w2_m));
-  // Gupta-Garg-Bahl fit: L [nH] = 0.000987 h_um (1 - (Z1/Z2) sqrt(e1/e2))^2.
-  const double h_um = substrate.height_m * 1e6;
-  const double ratio = l1.z0_static() / l2.z0_static() *
-                       std::sqrt(l1.epsilon_eff_static() /
-                                 l2.epsilon_eff_static());
-  const double l_nh = 0.000987 * h_um * (1.0 - ratio) * (1.0 - ratio);
-  return l_nh * 1e-9;
-}
-
 TeeJunction::TeeJunction(const Substrate& substrate, double w_main_m,
-                         double w_branch_m)
-    : substrate_(substrate), w_main_m_(w_main_m), w_branch_m_(w_branch_m) {
-  substrate_.validate();
-  if (w_main_m_ <= 0.0 || w_branch_m_ <= 0.0) {
+                         double w_branch_m) {
+  substrate.validate();
+  if (w_main_m <= 0.0 || w_branch_m <= 0.0) {
     throw std::invalid_argument("TeeJunction: widths must be positive");
   }
   // Excess junction capacitance: parallel-plate capacitance of the overlap
   // patch (w_main x w_branch over h) times an empirical 0.4 fringing
   // factor — lands on the published few-tens-of-fF for 50-ohm lines on
   // 0.8 mm FR4.
-  c_junction_f_ = 0.4 * kEps0 * substrate_.epsilon_r * w_main_m_ *
-                  w_branch_m_ / substrate_.height_m;
+  c_junction_f_ = 0.4 * kEps0 * substrate.epsilon_r * w_main_m * w_branch_m /
+                  substrate.height_m;
   // Current-crowding series inductance per arm, proportional to substrate
   // height; the branch arm sees roughly double the main-arm crowding.
-  l_main_h_ = 0.10 * kMu0 * substrate_.height_m;
-  l_branch_h_ = 0.20 * kMu0 * substrate_.height_m;
-}
-
-std::array<std::array<rf::Complex, 3>, 3> TeeJunction::y_matrix(
-    double frequency_hz) const {
-  if (frequency_hz <= 0.0) {
-    throw std::invalid_argument("TeeJunction::y_matrix: frequency must be > 0");
-  }
-  const double w = 2.0 * kPi * frequency_hz;
-  const rf::Complex jw{0.0, w};
-  // Star topology: each port reaches the internal junction node through its
-  // arm inductance; the junction node carries the shunt capacitance.
-  const rf::Complex y_arm[3] = {
-      1.0 / (jw * std::max(l_main_h_, 1e-15)),
-      1.0 / (jw * std::max(l_main_h_, 1e-15)),
-      1.0 / (jw * std::max(l_branch_h_, 1e-15)),
-  };
-  const rf::Complex y_sum = y_arm[0] + y_arm[1] + y_arm[2] +
-                            jw * c_junction_f_;
-  std::array<std::array<rf::Complex, 3>, 3> y{};
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      y[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          (i == j ? y_arm[i] : rf::Complex{0.0, 0.0}) -
-          y_arm[i] * y_arm[j] / y_sum;
-    }
-  }
-  return y;
-}
-
-rf::SParams TeeJunction::through_with_branch_termination(
-    double frequency_hz, rf::Complex z_branch_load, double z0_ref) const {
-  const auto y3 = y_matrix(frequency_hz);
-  if (std::abs(z_branch_load) < 1e-12) {
-    throw std::invalid_argument(
-        "TeeJunction: branch short circuit not representable; use a small "
-        "resistance");
-  }
-  const rf::Complex y_load = 1.0 / z_branch_load;
-  // Terminate port 3: I3 = -y_load * V3  =>  eliminate V3.
-  const rf::Complex denom = y3[2][2] + y_load;
-  if (std::abs(denom) < 1e-300) {
-    throw std::domain_error("TeeJunction: branch termination resonates out");
-  }
-  rf::YParams y;
-  y.frequency_hz = frequency_hz;
-  y.y11 = y3[0][0] - y3[0][2] * y3[2][0] / denom;
-  y.y12 = y3[0][1] - y3[0][2] * y3[2][1] / denom;
-  y.y21 = y3[1][0] - y3[1][2] * y3[2][0] / denom;
-  y.y22 = y3[1][1] - y3[1][2] * y3[2][1] / denom;
-  return rf::s_from_y(y, z0_ref);
+  l_main_h_ = 0.10 * kMu0 * substrate.height_m;
+  l_branch_h_ = 0.20 * kMu0 * substrate.height_m;
 }
 
 }  // namespace gnsslna::microstrip

@@ -1,12 +1,10 @@
-// Microstrip discontinuity models: open end, step in width, T-junction.
+// Microstrip T-junction.
 //
 // The T splitter is singled out in the paper's abstract: the bias network
 // taps the RF path through a microstrip tee whose parasitics matter at
-// L-band.  The open end feeds the length correction of open stubs; the
-// step appears between matching sections of different impedance.
+// L-band.
 //
-// Modelling notes.  The open-end length extension is the classic
-// Hammerstad fit.  The tee is a behavioural reproduction of the
+// Modelling notes.  The tee is a behavioural reproduction of the
 // Hammerstad (1981) junction model: a shunt junction capacitance at the
 // centre node plus one series inductance per arm, with values derived from
 // the local line geometry (parallel-plate capacitance of the overlap patch
@@ -16,19 +14,9 @@
 // (tens of fF, ~0.1 nH per arm) — see DESIGN.md, "Substitutions".
 #pragma once
 
-#include "microstrip/line.h"
+#include "microstrip/substrate.h"
 
 namespace gnsslna::microstrip {
-
-/// Equivalent extra line length of an open end [m] (Hammerstad).
-double open_end_extension(const Substrate& substrate, double width_m);
-
-/// Shunt capacitance equivalent of the open end at low frequency [F].
-double open_end_capacitance(const Substrate& substrate, double width_m);
-
-/// Step-in-width discontinuity: series inductance [H] seen between a line
-/// of width w1 and a line of width w2 (w1 != w2).
-double step_inductance(const Substrate& substrate, double w1_m, double w2_m);
 
 /// Symmetric microstrip T-junction between a through line of width w_main
 /// and a branch of width w_branch.
@@ -45,22 +33,7 @@ class TeeJunction {
   /// Series inductance of the branch arm [H].
   double arm_inductance_branch() const { return l_branch_h_; }
 
-  /// 3x3 admittance matrix of the junction at f, ports ordered
-  /// (through-in, through-out, branch).  Ideal junction + parasitics.
-  /// Reference: node voltages to ground, I = Y V.
-  std::array<std::array<rf::Complex, 3>, 3> y_matrix(double frequency_hz) const;
-
-  /// S-parameters of the (through-in, through-out) path with the branch
-  /// port terminated in gamma_branch (z0_ref reference).  Used to embed the
-  /// bias tap into the two-port amplifier chain.
-  rf::SParams through_with_branch_termination(double frequency_hz,
-                                              rf::Complex z_branch_load,
-                                              double z0_ref = rf::kZ0) const;
-
  private:
-  Substrate substrate_;
-  double w_main_m_;
-  double w_branch_m_;
   double c_junction_f_ = 0.0;
   double l_main_h_ = 0.0;
   double l_branch_h_ = 0.0;

@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation.
 //
-// Every stochastic algorithm in the library (differential evolution, particle
-// swarm, simulated annealing, Monte-Carlo yield analysis, synthetic
+// Every stochastic algorithm in the library (differential evolution,
+// simulated annealing, NSGA-II, Monte-Carlo yield analysis, synthetic
 // measurement noise) takes an explicit Rng so that results are reproducible
 // run-to-run and platform-to-platform.  xoshiro256** is small, fast, and has
 // well-understood statistical quality.

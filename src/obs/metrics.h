@@ -99,8 +99,7 @@ bool metric_is_observational(std::string_view name);
 std::string prometheus_text(const MetricsSnapshot& snapshot,
                             bool deterministic);
 
-/// Interpolated quantile (midpoint rule, matching the service layer's
-/// log2-histogram percentiles): the q-quantile sample is ranked
+/// Interpolated quantile (midpoint rule): the q-quantile sample is ranked
 /// k = floor(q * total) + 1 and placed at (k - 0.5)/n of its bucket's
 /// width.  Returns 0 for an empty histogram; a rank landing in the
 /// overflow bucket returns the last finite bound.

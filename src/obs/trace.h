@@ -23,8 +23,7 @@
 namespace gnsslna::obs {
 
 struct TraceRecord {
-  /// Optimizer stage: "de", "pso", "sa", "nsga2", "de_seed", "polish",
-  /// "final".
+  /// Optimizer stage: "de", "sa", "nsga2", "de_seed", "polish", "final".
   std::string phase;
   std::size_t stream = 0;      ///< restart / chain index (SA restarts)
   std::size_t iteration = 0;   ///< generation / iteration / stage, 0-based

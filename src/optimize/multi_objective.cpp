@@ -91,41 +91,4 @@ double spacing(const std::vector<std::vector<double>>& front) {
   return std::sqrt(var / static_cast<double>(d.size() - 1));
 }
 
-ObjectiveFn weighted_sum(VectorObjectiveFn objectives,
-                         std::vector<double> weights) {
-  if (!objectives) throw std::invalid_argument("weighted_sum: null objective");
-  return [objectives = std::move(objectives),
-          weights = std::move(weights)](const std::vector<double>& x) {
-    const std::vector<double> f = objectives(x);
-    if (f.size() != weights.size()) {
-      throw std::invalid_argument("weighted_sum: weight count mismatch");
-    }
-    double s = 0.0;
-    for (std::size_t i = 0; i < f.size(); ++i) s += weights[i] * f[i];
-    return s;
-  };
-}
-
-ObjectiveFn epsilon_constraint(VectorObjectiveFn objectives,
-                               std::size_t primary,
-                               std::vector<double> epsilons, double mu) {
-  if (!objectives) {
-    throw std::invalid_argument("epsilon_constraint: null objective");
-  }
-  return [objectives = std::move(objectives), primary,
-          epsilons = std::move(epsilons), mu](const std::vector<double>& x) {
-    const std::vector<double> f = objectives(x);
-    if (primary >= f.size() || epsilons.size() != f.size()) {
-      throw std::invalid_argument("epsilon_constraint: index/size mismatch");
-    }
-    double value = f[primary];
-    for (std::size_t i = 0; i < f.size(); ++i) {
-      if (i == primary) continue;
-      const double viol = std::max(0.0, f[i] - epsilons[i]);
-      value += mu * viol * viol;
-    }
-    return value;
-  };
-}
-
 }  // namespace gnsslna::optimize

@@ -1,10 +1,8 @@
-// Multi-objective utilities: dominance, fronts, quality indicators,
-// and simple scalarizations.
+// Multi-objective utilities: dominance, fronts and quality indicators.
 #pragma once
 
+#include <cstddef>
 #include <vector>
-
-#include "optimize/problem.h"
 
 namespace gnsslna::optimize {
 
@@ -27,15 +25,5 @@ double hypervolume_2d(const std::vector<std::vector<double>>& front,
 /// Schott's spacing metric: stddev of nearest-neighbour L1 distances.
 /// Lower is a more uniform front.  Requires >= 2 points.
 double spacing(const std::vector<std::vector<double>>& front);
-
-/// Weighted-sum scalarization of a vector objective.
-ObjectiveFn weighted_sum(VectorObjectiveFn objectives,
-                         std::vector<double> weights);
-
-/// Epsilon-constraint scalarization: minimize objective `primary` subject
-/// to f_i <= epsilons[i] for the others (quadratic penalty with factor mu).
-ObjectiveFn epsilon_constraint(VectorObjectiveFn objectives,
-                               std::size_t primary,
-                               std::vector<double> epsilons, double mu = 1e4);
 
 }  // namespace gnsslna::optimize

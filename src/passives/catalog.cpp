@@ -8,19 +8,18 @@ namespace gnsslna::passives {
 namespace {
 struct PackageScale {
   double esl_h;        // capacitor series inductance
-  double cpar_f;       // inductor winding / resistor pad capacitance
-  double lser_h;       // resistor lead inductance
+  double cpar_f;       // inductor winding capacitance
   double r_metal_1ghz; // capacitor electrode loss at 1 GHz
 };
 
 PackageScale scale_of(Package p) {
   switch (p) {
     case Package::k0402:
-      return {0.45e-9, 0.12e-12, 0.35e-9, 0.06};
+      return {0.45e-9, 0.12e-12, 0.06};
     case Package::k0603:
-      return {0.60e-9, 0.18e-12, 0.50e-9, 0.08};
+      return {0.60e-9, 0.18e-12, 0.08};
     case Package::k0805:
-      return {0.85e-9, 0.25e-12, 0.70e-9, 0.10};
+      return {0.85e-9, 0.25e-12, 0.10};
   }
   throw std::invalid_argument("catalog: unknown package");
 }
@@ -57,28 +56,6 @@ Inductor make_inductor(double inductance_h, Package package) {
   p.r_skin_1ghz = 0.30 * std::sqrt(l_nh);
   p.c_parallel_f = s.cpar_f * (0.6 + 0.08 * std::sqrt(l_nh));
   return Inductor(p);
-}
-
-Resistor make_resistor(double resistance_ohm, Package package) {
-  require_range(resistance_ohm, 0.1, 10e6, "make_resistor");
-  const PackageScale s = scale_of(package);
-  Resistor::Params p;
-  p.resistance_ohm = resistance_ohm;
-  p.l_series_h = s.lser_h;
-  p.c_parallel_f = s.cpar_f * 0.4;
-  return Resistor(p);
-}
-
-std::string package_name(Package package) {
-  switch (package) {
-    case Package::k0402:
-      return "0402";
-    case Package::k0603:
-      return "0603";
-    case Package::k0805:
-      return "0805";
-  }
-  throw std::invalid_argument("catalog: unknown package");
 }
 
 }  // namespace gnsslna::passives

@@ -6,8 +6,6 @@
 // snapped design must be re-verified with it.
 #pragma once
 
-#include <string>
-
 #include "passives/component.h"
 
 namespace gnsslna::passives {
@@ -28,12 +26,5 @@ Capacitor make_capacitor(double capacitance_f, Package package = Package::k0402,
 /// resistance and skin loss scaled from the nominal inductance, winding
 /// capacitance from the package.  value must be in (0.1 nH, 10 uH).
 Inductor make_inductor(double inductance_h, Package package = Package::k0402);
-
-/// Returns a thick-film chip resistor with package-typical parasitics.
-/// value must be in (0.1 ohm, 10 Mohm).
-Resistor make_resistor(double resistance_ohm, Package package = Package::k0402);
-
-/// Human-readable package name ("0402", ...).
-std::string package_name(Package package);
 
 }  // namespace gnsslna::passives

@@ -123,35 +123,4 @@ std::string Inductor::name() const {
   return engineering(p_.inductance_h, "H inductor");
 }
 
-// ---------------------------------------------------------------------------
-// Resistor
-
-Resistor::Resistor(Params p) : p_(p) {
-  require_positive(p_.resistance_ohm, "Resistor resistance");
-  if (p_.l_series_h < 0.0 || p_.c_parallel_f < 0.0) {
-    throw std::invalid_argument("Resistor: parasitics must be non-negative");
-  }
-}
-
-Resistor Resistor::ideal(double resistance_ohm) {
-  return Resistor({.resistance_ohm = resistance_ohm,
-                   .l_series_h = 0.0,
-                   .c_parallel_f = 0.0});
-}
-
-Complex Resistor::impedance(double frequency_hz) const {
-  const double w = omega(frequency_hz);
-  Complex z{p_.resistance_ohm, 0.0};
-  if (p_.c_parallel_f > 0.0) {
-    const Complex y = 1.0 / z + Complex{0.0, w * p_.c_parallel_f};
-    z = 1.0 / y;
-  }
-  z += Complex{0.0, w * p_.l_series_h};
-  return z;
-}
-
-std::string Resistor::name() const {
-  return engineering(p_.resistance_ohm, "ohm resistor");
-}
-
 }  // namespace gnsslna::passives

@@ -2,14 +2,13 @@
 //
 // Part 3 of the paper's method: "the equations of passive elements of the
 // circuit ... were carefully defined using frequency dispersion of their
-// parameters as Q, ESR, etc."  Real chip capacitors, inductors, and
-// resistors are far from ideal at 1.1-1.7 GHz; each model below is the
-// standard parasitic equivalent circuit with frequency-dependent loss:
+// parameters as Q, ESR, etc."  Real chip capacitors and inductors are far
+// from ideal at 1.1-1.7 GHz; each model below is the standard parasitic
+// equivalent circuit with frequency-dependent loss:
 //
 //   Capacitor: ESL -- ESR(f) -- C      (series), ESR from a fixed dielectric
 //              loss tangent plus sqrt(f) electrode (skin) loss
 //   Inductor:  [ Rs(f) -- L ] || Cp    with Rs = Rdc + k sqrt(f) skin loss
-//   Resistor:  [ R || Cp ] -- Ls
 //
 // Every model exposes impedance(f), quality factor Q(f), ESR(f), and its
 // self-resonant frequency where applicable.
@@ -90,29 +89,6 @@ class Inductor final : public Component {
   double self_resonance_hz() const;
 
   double inductance() const { return p_.inductance_h; }
-  const Params& params() const { return p_; }
-
- private:
-  Params p_;
-};
-
-/// Chip resistor: R shunted by a pad capacitance, in series with a small
-/// lead inductance.
-class Resistor final : public Component {
- public:
-  struct Params {
-    double resistance_ohm = 0.0;  ///< nominal R [ohm], > 0
-    double l_series_h = 0.4e-9;   ///< lead/terminal inductance [H]
-    double c_parallel_f = 0.05e-12;  ///< pad capacitance [F]
-  };
-
-  explicit Resistor(Params p);
-  static Resistor ideal(double resistance_ohm);
-
-  Complex impedance(double frequency_hz) const override;
-  std::string name() const override;
-
-  double resistance() const { return p_.resistance_ohm; }
   const Params& params() const { return p_; }
 
  private:

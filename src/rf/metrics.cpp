@@ -6,22 +6,8 @@
 namespace gnsslna::rf {
 
 namespace {
-double sq(double x) { return x * x; }
 double mag2(Complex z) { return std::norm(z); }
 }  // namespace
-
-double rollett_k(const SParams& s) {
-  const double denom = 2.0 * std::abs(s.s12 * s.s21);
-  if (denom == 0.0) {
-    // Unilateral device: unconditionally stable when |S11|,|S22| < 1;
-    // report a large finite K so comparisons still work.
-    return 1e12;
-  }
-  const double delta2 = mag2(s.determinant());
-  return (1.0 - mag2(s.s11) - mag2(s.s22) + delta2) / denom;
-}
-
-double delta_magnitude(const SParams& s) { return std::abs(s.determinant()); }
 
 double mu_source(const SParams& s) {
   const Complex delta = s.determinant();
@@ -39,18 +25,6 @@ double mu_load(const SParams& s) {
   return (1.0 - mag2(s.s22)) / denom;
 }
 
-bool is_unconditionally_stable(const SParams& s) {
-  return rollett_k(s) > 1.0 && delta_magnitude(s) < 1.0;
-}
-
-Complex gamma_in(const SParams& s, Complex gamma_l) {
-  const Complex den = 1.0 - s.s22 * gamma_l;
-  if (std::abs(den) < 1e-300) {
-    throw std::domain_error("gamma_in: load on a pole of the network");
-  }
-  return s.s11 + s.s12 * s.s21 * gamma_l / den;
-}
-
 Complex gamma_out(const SParams& s, Complex gamma_s) {
   const Complex den = 1.0 - s.s11 * gamma_s;
   if (std::abs(den) < 1e-300) {
@@ -58,19 +32,6 @@ Complex gamma_out(const SParams& s, Complex gamma_s) {
   }
   return s.s22 + s.s12 * s.s21 * gamma_s / den;
 }
-
-double transducer_gain(const SParams& s, Complex gamma_s, Complex gamma_l) {
-  const Complex den =
-      (1.0 - s.s11 * gamma_s) * (1.0 - s.s22 * gamma_l) -
-      s.s12 * s.s21 * gamma_s * gamma_l;
-  const double den2 = mag2(den);
-  if (den2 < 1e-300) {
-    throw std::domain_error("transducer_gain: terminations on a network pole");
-  }
-  return (1.0 - mag2(gamma_s)) * mag2(s.s21) * (1.0 - mag2(gamma_l)) / den2;
-}
-
-double transducer_gain_matched(const SParams& s) { return mag2(s.s21); }
 
 double available_gain(const SParams& s, Complex gamma_s) {
   const Complex gout = gamma_out(s, gamma_s);
@@ -80,96 +41,6 @@ double available_gain(const SParams& s, Complex gamma_s) {
   }
   return (1.0 - mag2(gamma_s)) * mag2(s.s21) /
          (mag2(1.0 - s.s11 * gamma_s) * out_term);
-}
-
-double operating_gain(const SParams& s, Complex gamma_l) {
-  const Complex gin = gamma_in(s, gamma_l);
-  const double in_term = 1.0 - mag2(gin);
-  if (in_term <= 0.0) {
-    throw std::domain_error("operating_gain: |gamma_in| >= 1 (unstable)");
-  }
-  return mag2(s.s21) * (1.0 - mag2(gamma_l)) /
-         (in_term * mag2(1.0 - s.s22 * gamma_l));
-}
-
-double maximum_available_gain(const SParams& s) {
-  const double k = rollett_k(s);
-  if (k < 1.0) {
-    throw std::domain_error("maximum_available_gain: undefined for K < 1");
-  }
-  const double msg = maximum_stable_gain(s);
-  return msg * (k - std::sqrt(k * k - 1.0));
-}
-
-double maximum_stable_gain(const SParams& s) {
-  const double s12 = std::abs(s.s12);
-  if (s12 == 0.0) {
-    throw std::domain_error("maximum_stable_gain: undefined for S12 = 0");
-  }
-  return std::abs(s.s21) / s12;
-}
-
-std::optional<ConjugateMatch> simultaneous_conjugate_match(const SParams& s) {
-  if (!is_unconditionally_stable(s)) return std::nullopt;
-  const Complex delta = s.determinant();
-  const Complex b1 =
-      1.0 + mag2(s.s11) - mag2(s.s22) - mag2(delta);
-  const Complex b2 =
-      1.0 + mag2(s.s22) - mag2(s.s11) - mag2(delta);
-  const Complex c1 = s.s11 - delta * std::conj(s.s22);
-  const Complex c2 = s.s22 - delta * std::conj(s.s11);
-
-  const auto solve = [](Complex b, Complex c) -> Complex {
-    if (std::abs(c) < 1e-300) return {0.0, 0.0};
-    const Complex disc = std::sqrt(b * b - 4.0 * mag2(c));
-    // Pick the root with |gamma| < 1 (the physically realizable match).
-    const Complex r1 = (b - disc) / (2.0 * c);
-    const Complex r2 = (b + disc) / (2.0 * c);
-    return std::abs(r1) < std::abs(r2) ? r1 : r2;
-  };
-  return ConjugateMatch{solve(b1, c1), solve(b2, c2)};
-}
-
-Circle available_gain_circle(const SParams& s, double ga) {
-  if (ga <= 0.0) {
-    throw std::invalid_argument("available_gain_circle: gain must be positive");
-  }
-  const double ga_norm = ga / mag2(s.s21);
-  const Complex delta = s.determinant();
-  const Complex c1 = s.s11 - delta * std::conj(s.s22);
-  const double k = rollett_k(s);
-  const double denom =
-      1.0 + ga_norm * (mag2(s.s11) - mag2(delta));
-  Circle circle;
-  circle.center = ga_norm * std::conj(c1) / denom;
-  const double s12s21 = std::abs(s.s12 * s.s21);
-  const double num = 1.0 - 2.0 * k * s12s21 * ga_norm + sq(s12s21 * ga_norm);
-  circle.radius = num > 0.0 ? std::sqrt(num) / std::abs(denom) : 0.0;
-  return circle;
-}
-
-Circle source_stability_circle(const SParams& s) {
-  const Complex delta = s.determinant();
-  const double denom = mag2(s.s11) - mag2(delta);
-  if (std::abs(denom) < 1e-300) {
-    throw std::domain_error("source_stability_circle: degenerate circle");
-  }
-  Circle c;
-  c.center = std::conj(s.s11 - delta * std::conj(s.s22)) / denom;
-  c.radius = std::abs(s.s12 * s.s21 / denom);
-  return c;
-}
-
-Circle load_stability_circle(const SParams& s) {
-  const Complex delta = s.determinant();
-  const double denom = mag2(s.s22) - mag2(delta);
-  if (std::abs(denom) < 1e-300) {
-    throw std::domain_error("load_stability_circle: degenerate circle");
-  }
-  Circle c;
-  c.center = std::conj(s.s22 - delta * std::conj(s.s11)) / denom;
-  c.radius = std::abs(s.s12 * s.s21 / denom);
-  return c;
 }
 
 }  // namespace gnsslna::rf

@@ -1,22 +1,13 @@
 // Gain and stability figures of merit for two-port networks.
 //
-// These are the textbook quantities (Gonzalez, "Microwave Transistor
-// Amplifiers") that the amplifier optimizer trades off: transducer power
-// gain against noise figure, under stability constraints.
+// The textbook quantities (Gonzalez, "Microwave Transistor Amplifiers")
+// behind the amplifier's stability constraint (Edwards-Sinsky mu) and the
+// available gain of a two-port driven from an arbitrary source.
 #pragma once
-
-#include <optional>
 
 #include "rf/twoport.h"
 
 namespace gnsslna::rf {
-
-/// Rollett stability factor K.  K > 1 together with |Delta| < 1 means the
-/// two-port is unconditionally stable.
-double rollett_k(const SParams& s);
-
-/// |S11 S22 - S12 S21|, the determinant magnitude used with K.
-double delta_magnitude(const SParams& s);
 
 /// Edwards-Sinsky single-parameter stability measure mu (source side).
 /// mu > 1 iff the two-port is unconditionally stable.
@@ -25,56 +16,10 @@ double mu_source(const SParams& s);
 /// Edwards-Sinsky stability measure mu' (load side).
 double mu_load(const SParams& s);
 
-/// True iff the two-port is unconditionally stable (K > 1 and |Delta| < 1).
-bool is_unconditionally_stable(const SParams& s);
-
-/// Input reflection coefficient seen with load reflection gamma_l.
-Complex gamma_in(const SParams& s, Complex gamma_l);
-
 /// Output reflection coefficient seen with source reflection gamma_s.
 Complex gamma_out(const SParams& s, Complex gamma_s);
 
-/// Transducer power gain G_T(gamma_s, gamma_l) = P_load / P_available,src.
-double transducer_gain(const SParams& s, Complex gamma_s, Complex gamma_l);
-
-/// Transducer gain with both ports terminated in z0 (= |S21|^2).
-double transducer_gain_matched(const SParams& s);
-
 /// Available power gain G_A(gamma_s) = P_available,out / P_available,src.
 double available_gain(const SParams& s, Complex gamma_s);
-
-/// Operating (power) gain G_P(gamma_l) = P_load / P_in.
-double operating_gain(const SParams& s, Complex gamma_l);
-
-/// Maximum available gain; only defined for K >= 1 (throws otherwise).
-double maximum_available_gain(const SParams& s);
-
-/// Maximum stable gain |S21| / |S12|.
-double maximum_stable_gain(const SParams& s);
-
-/// Source/load reflection coefficients for a simultaneous conjugate match.
-/// Only exists for an unconditionally stable two-port (returns nullopt
-/// otherwise).
-struct ConjugateMatch {
-  Complex gamma_s;
-  Complex gamma_l;
-};
-std::optional<ConjugateMatch> simultaneous_conjugate_match(const SParams& s);
-
-/// A constant-gain / constant-noise circle in the reflection-coefficient
-/// plane: |gamma - center| = radius.
-struct Circle {
-  Complex center;
-  double radius = 0.0;
-};
-
-/// Constant available-gain circle for gain ga (linear) in the gamma_s plane.
-Circle available_gain_circle(const SParams& s, double ga);
-
-/// Source stability circle (locus of gamma_s giving |gamma_out| = 1).
-Circle source_stability_circle(const SParams& s);
-
-/// Load stability circle (locus of gamma_l giving |gamma_in| = 1).
-Circle load_stability_circle(const SParams& s);
 
 }  // namespace gnsslna::rf

@@ -23,52 +23,6 @@ double noise_figure_db(const NoiseParams& np, Complex gamma_s) {
   return db_from_ratio(noise_factor(np, gamma_s));
 }
 
-double friis_noise_factor(const std::vector<CascadeStage>& stages) {
-  if (stages.empty()) {
-    throw std::invalid_argument("friis_noise_factor: empty cascade");
-  }
-  double f = 0.0;
-  double gain_product = 1.0;
-  bool first = true;
-  for (const CascadeStage& st : stages) {
-    if (st.noise_factor < 1.0) {
-      throw std::invalid_argument("friis_noise_factor: noise factor < 1");
-    }
-    if (st.available_gain <= 0.0) {
-      throw std::invalid_argument("friis_noise_factor: gain must be positive");
-    }
-    if (first) {
-      f = st.noise_factor;
-      first = false;
-    } else {
-      f += (st.noise_factor - 1.0) / gain_product;
-    }
-    gain_product *= st.available_gain;
-  }
-  return f;
-}
-
-double noise_measure(double noise_factor, double available_gain) {
-  if (available_gain <= 1.0) {
-    throw std::domain_error("noise_measure: requires gain > 1");
-  }
-  return (noise_factor - 1.0) / (1.0 - 1.0 / available_gain);
-}
-
-Circle noise_circle(const NoiseParams& np, double f) {
-  if (f < np.f_min) {
-    throw std::invalid_argument("noise_circle: f below Fmin is unreachable");
-  }
-  // Noise parameter N = |Gs - Gopt|^2 / (1 - |Gs|^2) at the circle.
-  const double n = (f - np.f_min) * std::norm(1.0 + np.gamma_opt) * np.z0 /
-                   (4.0 * np.r_n);
-  Circle c;
-  c.center = np.gamma_opt / (1.0 + n);
-  const double arg = n * n + n * (1.0 - std::norm(np.gamma_opt));
-  c.radius = arg > 0.0 ? std::sqrt(arg) / (1.0 + n) : 0.0;
-  return c;
-}
-
 double noise_temperature(double noise_factor, double t0) {
   if (noise_factor < 1.0) {
     throw std::invalid_argument("noise_temperature: noise factor < 1");

@@ -1,13 +1,12 @@
 // Two-port noise parameters and noise-figure arithmetic.
 //
 // The four-parameter noise model (Fmin, Rn, Gamma_opt) with its standard
-// source-pull formula, Friis cascading, and constant-noise circles — the
-// quantities the multi-objective LNA optimizer trades against gain.
+// source-pull formula and Lane's fit of it from source-pull points, plus the
+// noise temperature and passive-loss noise factor used by cascade budgets.
 #pragma once
 
 #include <vector>
 
-#include "rf/metrics.h"
 #include "rf/twoport.h"
 
 namespace gnsslna::rf {
@@ -31,23 +30,6 @@ double noise_factor(const NoiseParams& np, Complex gamma_s);
 
 /// Noise figure in dB for the same source.
 double noise_figure_db(const NoiseParams& np, Complex gamma_s);
-
-/// One stage of a Friis cascade.
-struct CascadeStage {
-  double noise_factor = 1.0;   ///< linear
-  double available_gain = 1.0; ///< linear
-};
-
-/// Friis formula: total noise factor of a cascade of stages.
-double friis_noise_factor(const std::vector<CascadeStage>& stages);
-
-/// Haus noise measure M = (F - 1) / (1 - 1/Ga); the right figure of merit
-/// when the stage is followed by an identical infinite cascade.
-double noise_measure(double noise_factor, double available_gain);
-
-/// Constant-noise-figure circle in the gamma_s plane for noise factor f.
-/// Requires f >= Fmin.
-Circle noise_circle(const NoiseParams& np, double f);
 
 /// Equivalent noise temperature [K] of a noise factor.
 double noise_temperature(double noise_factor, double t0 = kT0);

@@ -17,80 +17,6 @@ std::vector<double> linear_grid(double lo, double hi, std::size_t n) {
   return g;
 }
 
-std::vector<double> log_grid(double lo, double hi, std::size_t n) {
-  if (lo <= 0.0 || hi <= 0.0) {
-    throw std::invalid_argument("log_grid: endpoints must be positive");
-  }
-  std::vector<double> g = linear_grid(std::log(lo), std::log(hi), n);
-  for (double& x : g) x = std::exp(x);
-  if (!g.empty()) g.back() = hi;
-  return g;
-}
-
-namespace {
-
-template <typename Record>
-std::pair<std::size_t, double> bracket(const std::vector<Record>& sweep,
-                                       double frequency_hz, const char* who) {
-  if (sweep.empty()) {
-    throw std::invalid_argument(std::string(who) + ": empty sweep");
-  }
-  if (sweep.size() == 1 || frequency_hz <= sweep.front().frequency_hz) {
-    return {0, 0.0};
-  }
-  if (frequency_hz >= sweep.back().frequency_hz) {
-    return {sweep.size() - 2, 1.0};
-  }
-  const auto it = std::upper_bound(
-      sweep.begin(), sweep.end(), frequency_hz,
-      [](double f, const Record& r) { return f < r.frequency_hz; });
-  const std::size_t i = static_cast<std::size_t>(it - sweep.begin()) - 1;
-  const double t = (frequency_hz - sweep[i].frequency_hz) /
-                   (sweep[i + 1].frequency_hz - sweep[i].frequency_hz);
-  return {i, t};
-}
-
-Complex mix(Complex a, Complex b, double t) { return a + (b - a) * t; }
-
-}  // namespace
-
-SParams interpolate(const SweepData& sweep, double frequency_hz) {
-  const auto [i, t] = bracket(sweep, frequency_hz, "interpolate(SweepData)");
-  if (sweep.size() == 1) {
-    SParams s = sweep.front();
-    s.frequency_hz = frequency_hz;
-    return s;
-  }
-  const SParams& a = sweep[i];
-  const SParams& b = sweep[i + 1];
-  SParams out;
-  out.frequency_hz = frequency_hz;
-  out.z0 = a.z0;
-  out.s11 = mix(a.s11, b.s11, t);
-  out.s12 = mix(a.s12, b.s12, t);
-  out.s21 = mix(a.s21, b.s21, t);
-  out.s22 = mix(a.s22, b.s22, t);
-  return out;
-}
-
-NoiseParams interpolate(const NoiseSweep& sweep, double frequency_hz) {
-  const auto [i, t] = bracket(sweep, frequency_hz, "interpolate(NoiseSweep)");
-  if (sweep.size() == 1) {
-    NoiseParams n = sweep.front();
-    n.frequency_hz = frequency_hz;
-    return n;
-  }
-  const NoiseParams& a = sweep[i];
-  const NoiseParams& b = sweep[i + 1];
-  NoiseParams out;
-  out.frequency_hz = frequency_hz;
-  out.z0 = a.z0;
-  out.f_min = a.f_min + (b.f_min - a.f_min) * t;
-  out.r_n = a.r_n + (b.r_n - a.r_n) * t;
-  out.gamma_opt = mix(a.gamma_opt, b.gamma_opt, t);
-  return out;
-}
-
 std::vector<double> group_delay(const SweepData& sweep) {
   if (sweep.size() < 2) {
     throw std::invalid_argument("group_delay: need at least 2 points");

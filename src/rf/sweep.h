@@ -26,21 +26,11 @@ inline constexpr double kBeidouB1Hz = 1561.098e6;
 /// n points linearly spaced over [lo, hi] inclusive (n >= 2), or {lo} if n==1.
 std::vector<double> linear_grid(double lo, double hi, std::size_t n);
 
-/// n points logarithmically spaced over [lo, hi] inclusive; lo, hi > 0.
-std::vector<double> log_grid(double lo, double hi, std::size_t n);
-
 /// A swept S-parameter record (one SParams per frequency, ascending).
 using SweepData = std::vector<SParams>;
 
 /// A swept noise-parameter record.
 using NoiseSweep = std::vector<NoiseParams>;
-
-/// Interpolates swept S-parameters at an arbitrary frequency (linear in
-/// re/im between neighbouring points, clamped at the edges).
-SParams interpolate(const SweepData& sweep, double frequency_hz);
-
-/// Interpolates swept noise parameters at an arbitrary frequency.
-NoiseParams interpolate(const NoiseSweep& sweep, double frequency_hz);
 
 /// Group delay tau_g = -d(arg S21)/d(omega) [s] at each sweep point
 /// (central differences, one-sided at the ends, phase unwrapped).

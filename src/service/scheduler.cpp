@@ -1,7 +1,6 @@
 #include "service/scheduler.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -13,34 +12,6 @@
 namespace gnsslna::service {
 
 namespace {
-
-/// Log2 bucket of a microsecond latency: bucket b holds [2^b, 2^(b+1)).
-unsigned latency_bucket(std::uint64_t us) {
-  unsigned b = 0;
-  while (us > 1 && b < 31) {
-    us >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-void count_latency(std::uint64_t us) {
-#if defined(GNSSLNA_OBS_ENABLED)
-  static const std::vector<obs::Counter> buckets = [] {
-    std::vector<obs::Counter> v;
-    v.reserve(32);
-    for (int i = 0; i < 32; ++i) {
-      char name[32];
-      std::snprintf(name, sizeof name, "service.latency.b%02d", i);
-      v.emplace_back(name);
-    }
-    return v;
-  }();
-  buckets[latency_bucket(us)].add(1);
-#else
-  (void)us;
-#endif
-}
 
 // Every helper below self-gates on telemetry_live(), so GNSSLNA_OBS=OFF
 // builds (compiled_in() is constexpr false) never even register the names
@@ -306,7 +277,6 @@ void Scheduler::run_one(Ticket& t) {
       live && obs::deterministic()
           ? 0
           : static_cast<std::uint64_t>(std::max<long long>(us, 0));
-  count_latency(lat_us);
   observe_job_latency(lat_us);
 
   if (live) {
@@ -371,24 +341,16 @@ void Scheduler::shutdown() {
 }
 
 Json service_stats_json() {
-  const std::vector<obs::CounterValue> snapshot = obs::counter_snapshot();
+  const obs::MetricsSnapshot snapshot = obs::metrics_snapshot();
   const auto value_of = [&](const std::string& name) -> std::uint64_t {
-    for (const obs::CounterValue& c : snapshot) {
+    for (const obs::CounterValue& c : snapshot.counters) {
       if (c.name == name) return c.value;
     }
     return 0;
   };
-
-  std::uint64_t buckets[32] = {};
-  std::uint64_t total = 0;
-  for (int b = 0; b < 32; ++b) {
-    char name[32];
-    std::snprintf(name, sizeof name, "service.latency.b%02d", b);
-    buckets[b] = value_of(name);
-    total += buckets[b];
-  }
-  const auto percentile_us = [&](double q) {
-    return latency_percentile_us(buckets, q);
+  const obs::HistogramValue* latency = job_latency_histogram(snapshot);
+  const auto quantile_us = [&](double q) {
+    return latency != nullptr ? obs::histogram_quantile(*latency, q) : 0.0;
   };
 
   Json out = Json::object();
@@ -401,10 +363,11 @@ Json service_stats_json() {
   out.set("plan_cache_hits", Json::number(value_of("service.plan_cache.hits")));
   out.set("plan_cache_misses",
           Json::number(value_of("service.plan_cache.misses")));
-  out.set("latency_jobs", Json::number(static_cast<double>(total)));
-  out.set("latency_p50_us", Json::number(percentile_us(0.50)));
-  out.set("latency_p99_us", Json::number(percentile_us(0.99)));
-  out.set("slo", evaluate_slos_json(default_slos()));
+  out.set("latency_jobs",
+          Json::number(latency != nullptr ? latency->total : 0));
+  out.set("latency_p50_us", Json::number(quantile_us(0.50)));
+  out.set("latency_p99_us", Json::number(quantile_us(0.99)));
+  out.set("slo", evaluate_slos_json(default_slos(), snapshot));
   return out;
 }
 

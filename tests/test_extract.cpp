@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "device/models.h"
 #include "extract/measurement.h"
 #include "extract/objective.h"
 #include "extract/three_step.h"
+#include "numeric/parallel.h"
 #include "rf/sweep.h"
 
 namespace gnsslna::extract {
@@ -123,6 +127,64 @@ TEST(Objective, ZeroResidualForPerfectCandidate) {
                                     truth.extrinsics());
   EXPECT_NEAR(err.rms_s, 0.0, 1e-12);
   EXPECT_NEAR(err.rms_dc_rel, 0.0, 1e-12);
+}
+
+/// A Curtice quadratic that counts its live instances, so a test can see
+/// whether the per-thread scratch of a residual closure (each thread's
+/// candidate device owns a clone of the prototype) is freed.
+class CountingCurtice final : public device::FetModel {
+ public:
+  static std::atomic<int>& live() {
+    static std::atomic<int> n{0};
+    return n;
+  }
+  CountingCurtice() { ++live(); }
+  CountingCurtice(const CountingCurtice& other) : inner_(other.inner_) {
+    ++live();
+  }
+  ~CountingCurtice() override { --live(); }
+
+  double drain_current(double vgs, double vds) const override {
+    return inner_.drain_current(vgs, vds);
+  }
+  std::string name() const override { return inner_.name(); }
+  std::vector<device::ParamSpec> param_specs() const override {
+    return inner_.param_specs();
+  }
+  std::vector<double> parameters() const override {
+    return inner_.parameters();
+  }
+  void set_parameters(const std::vector<double>& p) override {
+    inner_.set_parameters(p);
+  }
+  std::unique_ptr<device::FetModel> clone() const override {
+    return std::make_unique<CountingCurtice>(*this);
+  }
+  device::Conductances conductances(double vgs, double vds) const override {
+    return inner_.conductances(vgs, vds);
+  }
+
+ private:
+  device::CurticeQuadratic inner_;
+};
+
+TEST(Objective, ScratchStateIsFreedWithTheClosure) {
+  const device::Phemt truth = device::Phemt::reference_device();
+  numeric::Rng rng(7);
+  const MeasurementSet data =
+      synthesize_measurements(truth, small_plan(), {}, rng);
+  const CountingCurtice proto;
+  const int baseline = CountingCurtice::live().load();
+  {
+    const optimize::ResidualFn res =
+        extraction_residuals(proto, data, truth.extrinsics());
+    const std::vector<double> x = candidate_start(proto);
+    res(x);
+    numeric::parallel_for(4, 16, [&](std::size_t) { res(x); });
+    // The closure's prototype plus at least the calling thread's device.
+    EXPECT_GE(CountingCurtice::live().load(), baseline + 2);
+  }
+  EXPECT_EQ(CountingCurtice::live().load(), baseline);
 }
 
 TEST(Objective, HuberCriterionLessSensitiveToOutliers) {

@@ -53,23 +53,6 @@ TEST(Spacing, UniformFrontHasZeroSpacing) {
   EXPECT_GT(spacing({{0.0, 2.0}, {0.1, 1.9}, {2.0, 0.0}}), 0.1);
 }
 
-TEST(Scalarization, WeightedSumBehaves) {
-  const VectorObjectiveFn f = [](const std::vector<double>& x) {
-    return std::vector<double>{x[0], 1.0 - x[0]};
-  };
-  const ObjectiveFn w = weighted_sum(f, {2.0, 1.0});
-  EXPECT_DOUBLE_EQ(w({0.3}), 2.0 * 0.3 + 0.7);
-}
-
-TEST(Scalarization, EpsilonConstraintPenalizesViolations) {
-  const VectorObjectiveFn f = [](const std::vector<double>& x) {
-    return std::vector<double>{x[0], x[1]};
-  };
-  const ObjectiveFn e = epsilon_constraint(f, 0, {0.0, 1.0});
-  EXPECT_DOUBLE_EQ(e({5.0, 0.5}), 5.0);            // feasible
-  EXPECT_GT(e({5.0, 2.0}), 5.0 + 100.0);           // violated
-}
-
 // ---------------------------------------------------------------------------
 // Goal attainment on an analytic bi-objective problem.
 //

@@ -23,9 +23,6 @@ SParams example_fet() {
 
 TEST(Stability, ExampleDeviceIsUnconditionallyStable) {
   const SParams s = example_fet();
-  EXPECT_GT(rollett_k(s), 1.0);
-  EXPECT_LT(delta_magnitude(s), 1.0);
-  EXPECT_TRUE(is_unconditionally_stable(s));
   EXPECT_GT(mu_source(s), 1.0);
   EXPECT_GT(mu_load(s), 1.0);
 }
@@ -33,84 +30,14 @@ TEST(Stability, ExampleDeviceIsUnconditionallyStable) {
 TEST(Stability, HighFeedbackDeviceIsConditionallyStable) {
   SParams s = example_fet();
   s.s12 = from_mag_deg(0.4, 60.0);  // strong feedback
-  EXPECT_LT(rollett_k(s), 1.0);
-  EXPECT_FALSE(is_unconditionally_stable(s));
   EXPECT_LT(mu_source(s), 1.0);
-}
-
-TEST(Stability, UnilateralDeviceReportsLargeK) {
-  SParams s = example_fet();
-  s.s12 = {0.0, 0.0};
-  EXPECT_GT(rollett_k(s), 1e6);
-}
-
-TEST(Gains, MatchedTransducerGainIsS21Squared) {
-  const SParams s = example_fet();
-  EXPECT_DOUBLE_EQ(transducer_gain_matched(s), std::norm(s.s21));
-  EXPECT_NEAR(transducer_gain(s, {0.0, 0.0}, {0.0, 0.0}),
-              std::norm(s.s21), 1e-12);
-}
-
-TEST(Gains, ConjugateMatchMaximizesTransducerGain) {
-  const SParams s = example_fet();
-  const auto match = simultaneous_conjugate_match(s);
-  ASSERT_TRUE(match.has_value());
-  const double g_match = transducer_gain(s, match->gamma_s, match->gamma_l);
-  EXPECT_NEAR(g_match, maximum_available_gain(s), 1e-6 * g_match);
-  // Any perturbation reduces the gain.
-  for (const Complex d : {Complex{0.05, 0.0}, Complex{0.0, 0.05},
-                          Complex{-0.05, 0.02}}) {
-    EXPECT_LE(transducer_gain(s, match->gamma_s + d, match->gamma_l),
-              g_match * (1.0 + 1e-9));
-  }
 }
 
 TEST(Gains, AvailableGainAtMatchedSourceBoundsTransducer) {
   const SParams s = example_fet();
   const double ga = available_gain(s, {0.0, 0.0});
-  const double gt = transducer_gain_matched(s);
+  const double gt = std::norm(s.s21);  // transducer gain, both ports in z0
   EXPECT_GE(ga, gt - 1e-12);  // GT <= GA always
-}
-
-TEST(Gains, OperatingGainBoundsTransducerGain) {
-  const SParams s = example_fet();
-  const Complex gl{0.2, -0.1};
-  const double gp = operating_gain(s, gl);
-  const double gt = transducer_gain(s, {0.0, 0.0}, gl);
-  EXPECT_GE(gp, gt - 1e-12);  // GT <= GP always
-}
-
-TEST(Gains, MsgAndMagRelations) {
-  const SParams s = example_fet();
-  EXPECT_NEAR(maximum_stable_gain(s), std::abs(s.s21) / std::abs(s.s12),
-              1e-12);
-  EXPECT_LE(maximum_available_gain(s), maximum_stable_gain(s));
-}
-
-TEST(Gains, MagUndefinedBelowKOne) {
-  SParams s = example_fet();
-  s.s12 = from_mag_deg(0.4, 60.0);
-  EXPECT_THROW(maximum_available_gain(s), std::domain_error);
-}
-
-TEST(Reflections, GammaInReducesToS11ForMatchedLoad) {
-  const SParams s = example_fet();
-  EXPECT_NEAR(std::abs(gamma_in(s, {0.0, 0.0}) - s.s11), 0.0, 1e-12);
-  EXPECT_NEAR(std::abs(gamma_out(s, {0.0, 0.0}) - s.s22), 0.0, 1e-12);
-}
-
-TEST(Circles, StabilityCirclesFiniteForExample) {
-  const SParams s = example_fet();
-  EXPECT_GT(source_stability_circle(s).radius, 0.0);
-  EXPECT_GT(load_stability_circle(s).radius, 0.0);
-}
-
-TEST(Circles, GainCircleShrinksTowardMag) {
-  const SParams s = example_fet();
-  const double mag = maximum_available_gain(s);
-  const Circle far = available_gain_circle(s, mag * 0.5);
-  const Circle near_ = available_gain_circle(s, mag * 0.98);
-  EXPECT_GT(far.radius, near_.radius);
 }
 
 // ---------------------------------------------------------------------------
@@ -145,33 +72,6 @@ TEST(Noise, SourceOutsideUnitDiscThrows) {
   EXPECT_THROW(noise_factor(np, {1.0, 0.1}), std::domain_error);
 }
 
-TEST(Noise, FriisFirstStageDominates) {
-  // 0.5 dB NF / 15 dB gain stage in front of a noisy 6 dB NF stage.
-  const double f1 = ratio_from_db(0.5);
-  const double f2 = ratio_from_db(6.0);
-  const double total =
-      friis_noise_factor({{f1, ratio_from_db(15.0)}, {f2, 1.0}});
-  EXPECT_LT(noise_figure_db(total), 1.1);
-  EXPECT_GT(noise_figure_db(total), 0.5);
-}
-
-TEST(Noise, FriisSingleStageIsItself) {
-  EXPECT_DOUBLE_EQ(friis_noise_factor({{2.0, 10.0}}), 2.0);
-}
-
-TEST(Noise, FriisOrderMatters) {
-  const CascadeStage quiet{ratio_from_db(0.5), ratio_from_db(15.0)};
-  const CascadeStage loud{ratio_from_db(6.0), ratio_from_db(15.0)};
-  EXPECT_LT(friis_noise_factor({quiet, loud}),
-            friis_noise_factor({loud, quiet}));
-}
-
-TEST(Noise, FriisRejectsInvalidStages) {
-  EXPECT_THROW(friis_noise_factor({}), std::invalid_argument);
-  EXPECT_THROW(friis_noise_factor({{0.5, 10.0}}), std::invalid_argument);
-  EXPECT_THROW(friis_noise_factor({{2.0, 0.0}}), std::invalid_argument);
-}
-
 TEST(Noise, PassiveAttenuatorNoiseFigureEqualsLoss) {
   // A matched attenuator at T0 has F = L.
   const double loss = ratio_from_db(3.0);
@@ -180,34 +80,9 @@ TEST(Noise, PassiveAttenuatorNoiseFigureEqualsLoss) {
   EXPECT_LT(passive_noise_factor(loss, 77.0), loss);
 }
 
-TEST(Noise, NoiseMeasureExceedsFMinusOne) {
-  const double f = 1.5, g = 10.0;
-  EXPECT_GT(noise_measure(f, g), f - 1.0);
-  EXPECT_THROW(noise_measure(f, 0.9), std::domain_error);
-}
-
 TEST(Noise, NoiseTemperatureKnownPoints) {
   EXPECT_DOUBLE_EQ(noise_temperature(1.0), 0.0);
   EXPECT_NEAR(noise_temperature(2.0), 290.0, 1e-12);
-}
-
-TEST(Noise, CircleContainsGammaOptAtFmin) {
-  const NoiseParams np = example_noise();
-  const Circle c = noise_circle(np, np.f_min);
-  EXPECT_NEAR(std::abs(c.center - np.gamma_opt), 0.0, 1e-12);
-  EXPECT_NEAR(c.radius, 0.0, 1e-9);
-}
-
-TEST(Noise, CircleBoundaryHasRequestedFigure) {
-  const NoiseParams np = example_noise();
-  const double f_target = np.f_min * 1.3;
-  const Circle c = noise_circle(np, f_target);
-  // Probe a few points on the circle boundary.
-  for (double ang = 0.0; ang < 6.2; ang += 1.0) {
-    const Complex gs = c.center + c.radius * Complex{std::cos(ang),
-                                                     std::sin(ang)};
-    EXPECT_NEAR(noise_factor(np, gs), f_target, 1e-9);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -218,40 +93,6 @@ TEST(Sweep, LinearGridEndpointsExact) {
   EXPECT_EQ(g.size(), 7u);
   EXPECT_DOUBLE_EQ(g.front(), 1.1e9);
   EXPECT_DOUBLE_EQ(g.back(), 1.7e9);
-}
-
-TEST(Sweep, LogGridIsGeometric) {
-  const std::vector<double> g = log_grid(1e6, 1e9, 4);
-  EXPECT_NEAR(g[1] / g[0], g[2] / g[1], 1e-9);
-  EXPECT_NEAR(g[3], 1e9, 1e-3);
-}
-
-TEST(Sweep, InterpolationHitsSamplesAndMidpoints) {
-  SweepData sweep;
-  for (double f = 1e9; f <= 2.01e9; f += 0.5e9) {
-    SParams s;
-    s.frequency_hz = f;
-    s.s21 = {f / 1e9, 0.0};
-    sweep.push_back(s);
-  }
-  EXPECT_NEAR(interpolate(sweep, 1.5e9).s21.real(), 1.5, 1e-12);
-  EXPECT_NEAR(interpolate(sweep, 1.25e9).s21.real(), 1.25, 1e-12);
-  // Clamped outside.
-  EXPECT_NEAR(interpolate(sweep, 0.5e9).s21.real(), 1.0, 1e-12);
-  EXPECT_NEAR(interpolate(sweep, 3e9).s21.real(), 2.0, 1e-12);
-}
-
-TEST(Sweep, NoiseInterpolationLinearInParams) {
-  NoiseSweep sweep(2);
-  sweep[0].frequency_hz = 1e9;
-  sweep[0].f_min = 1.1;
-  sweep[0].r_n = 10.0;
-  sweep[1].frequency_hz = 2e9;
-  sweep[1].f_min = 1.3;
-  sweep[1].r_n = 20.0;
-  const NoiseParams mid = interpolate(sweep, 1.5e9);
-  EXPECT_NEAR(mid.f_min, 1.2, 1e-12);
-  EXPECT_NEAR(mid.r_n, 15.0, 1e-12);
 }
 
 }  // namespace

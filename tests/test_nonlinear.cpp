@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "nonlinear/harmonic_balance.h"
 #include "nonlinear/power_series.h"
 #include "nonlinear/two_tone.h"
 
@@ -97,59 +96,6 @@ TEST(TwoTone, SweepValidation) {
   const amplifier::LnaDesign lna = default_lna();
   EXPECT_THROW(two_tone_sweep(lna, -10.0, -20.0, 5), std::invalid_argument);
   EXPECT_THROW(two_tone_sweep(lna, -30.0, -20.0, 2), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Harmonic balance
-
-TEST(HarmonicBalance, ConvergesAtSmallSignal) {
-  const HarmonicBalanceResult r = harmonic_balance(default_lna(), -40.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LT(r.iterations, 50u);
-  // Small signal: gain equals the linear S21.
-  const double s21_db = rf::db20(default_lna().s_params(1575e6).s21);
-  EXPECT_NEAR(r.gain_db, s21_db, 0.05);
-  // Harmonics deep below the fundamental.
-  EXPECT_LT(r.hd2_dbc, -40.0);
-  EXPECT_LT(r.hd3_dbc, -40.0);
-}
-
-TEST(HarmonicBalance, HarmonicsGrowWithDrive) {
-  const amplifier::LnaDesign lna = default_lna();
-  const HarmonicBalanceResult lo = harmonic_balance(lna, -35.0);
-  const HarmonicBalanceResult hi = harmonic_balance(lna, -15.0);
-  ASSERT_TRUE(lo.converged);
-  ASSERT_TRUE(hi.converged);
-  EXPECT_GT(hi.hd2_dbc, lo.hd2_dbc + 10.0);  // HD2 ~ +1 dB/dB in dBc
-  EXPECT_GT(hi.hd3_dbc, lo.hd3_dbc + 25.0);  // HD3 ~ +2 dB/dB in dBc
-}
-
-TEST(HarmonicBalance, GainCompressesAtHighDrive) {
-  const amplifier::LnaDesign lna = default_lna();
-  const HarmonicBalanceResult lo = harmonic_balance(lna, -40.0);
-  const HarmonicBalanceResult hi = harmonic_balance(lna, -5.0);
-  ASSERT_TRUE(hi.converged);
-  EXPECT_LT(hi.gain_db, lo.gain_db - 0.2);
-}
-
-TEST(HarmonicBalance, AgreesWithTwoToneOnCompression) {
-  // Both solvers see the same nonlinearity; their small-signal gains and
-  // compression trends must agree.
-  const amplifier::LnaDesign lna = default_lna();
-  const HarmonicBalanceResult hb = harmonic_balance(lna, -40.0);
-  const TwoTonePoint tt = two_tone_point(lna, -40.0);
-  EXPECT_NEAR(hb.gain_db, tt.gain_db, 0.1);
-}
-
-TEST(HarmonicBalance, ValidatesOptions) {
-  HarmonicBalanceOptions bad;
-  bad.harmonics = 0;
-  EXPECT_THROW(harmonic_balance(default_lna(), -30.0, bad),
-               std::invalid_argument);
-  bad = {};
-  bad.time_samples = 4;
-  EXPECT_THROW(harmonic_balance(default_lna(), -30.0, bad),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "numeric/rng.h"
-#include "numeric/spline.h"
 #include "numeric/stats.h"
 
 namespace gnsslna::numeric {
@@ -120,65 +119,6 @@ TEST(Stats, EmptyInputsThrow) {
   EXPECT_THROW(mean({}), std::invalid_argument);
   EXPECT_THROW(median({}), std::invalid_argument);
   EXPECT_THROW(rms({}), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// CubicSpline
-
-TEST(Spline, InterpolatesKnotsExactly) {
-  const CubicSpline s({0.0, 1.0, 2.0, 3.0}, {1.0, 2.0, 0.0, 4.0});
-  EXPECT_NEAR(s(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(s(1.0), 2.0, 1e-12);
-  EXPECT_NEAR(s(2.0), 0.0, 1e-12);
-  EXPECT_NEAR(s(3.0), 4.0, 1e-12);
-}
-
-TEST(Spline, ReproducesLinearFunctionExactly) {
-  // A natural cubic spline through samples of a line is that line.
-  std::vector<double> x, y;
-  for (int i = 0; i <= 10; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 * i - 2.0);
-  }
-  const CubicSpline s(x, y);
-  for (double q = 0.25; q < 10.0; q += 0.5) {
-    EXPECT_NEAR(s(q), 3.0 * q - 2.0, 1e-10);
-  }
-  EXPECT_NEAR(s.derivative(5.3), 3.0, 1e-10);
-}
-
-TEST(Spline, ApproximatesSmoothFunction) {
-  std::vector<double> x, y;
-  for (int i = 0; i <= 40; ++i) {
-    x.push_back(i * 0.1);
-    y.push_back(std::sin(i * 0.1));
-  }
-  const CubicSpline s(x, y);
-  // Interior points: the natural boundary condition costs accuracy in the
-  // outermost intervals, so probe away from the ends.
-  for (double q = 0.55; q < 3.5; q += 0.1) {
-    EXPECT_NEAR(s(q), std::sin(q), 1e-4);
-  }
-}
-
-TEST(Spline, LinearExtrapolationBeyondRange) {
-  const CubicSpline s({0.0, 1.0}, {0.0, 2.0});
-  EXPECT_NEAR(s(2.0), 4.0, 1e-12);
-  EXPECT_NEAR(s(-1.0), -2.0, 1e-12);
-}
-
-TEST(Spline, RejectsNonIncreasingX) {
-  EXPECT_THROW(CubicSpline({0.0, 0.0}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(CubicSpline({1.0, 0.0}, {1.0, 2.0}), std::invalid_argument);
-}
-
-TEST(LerpTable, InterpolatesAndClamps) {
-  const std::vector<double> x{0.0, 1.0, 2.0};
-  const std::vector<double> y{0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, -1.0), 0.0);
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, 5.0), 40.0);
 }
 
 }  // namespace

@@ -190,7 +190,9 @@ TEST_F(ObsTest, HistogramObservesWithPrometheusLeSemantics) {
 
   obs::metrics_reset();  // zeroes values, keeps the registration
   for (const obs::HistogramValue& v : obs::metrics_snapshot().histograms) {
-    if (v.name == "obs_test.hist") EXPECT_EQ(v.total, 0u);
+    if (v.name == "obs_test.hist") {
+      EXPECT_EQ(v.total, 0u);
+    }
   }
 }
 

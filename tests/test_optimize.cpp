@@ -3,7 +3,6 @@
 #include "optimize/differential_evolution.h"
 #include "optimize/levenberg_marquardt.h"
 #include "optimize/nelder_mead.h"
-#include "optimize/particle_swarm.h"
 #include "optimize/problem.h"
 #include "optimize/simulated_annealing.h"
 #include "optimize/test_problems.h"
@@ -209,36 +208,6 @@ TEST(DifferentialEvolution, AllCandidatesRespectBounds) {
   DifferentialEvolutionOptions opt;
   opt.max_generations = 30;
   differential_evolution(guard, b, rng, opt);
-}
-
-// ---------------------------------------------------------------------------
-// Particle swarm
-
-TEST(ParticleSwarm, SolvesSphere) {
-  numeric::Rng rng(21);
-  const Result r = particle_swarm(sphere, box(4, 5.0), rng);
-  EXPECT_LT(r.value, 1e-6);
-}
-
-TEST(ParticleSwarm, SolvesRastrigin2d) {
-  numeric::Rng rng(22);
-  ParticleSwarmOptions opt;
-  opt.max_iterations = 600;
-  const Result r = particle_swarm(rastrigin, box(2, 5.12), rng, opt);
-  EXPECT_LT(r.value, 1e-2);
-}
-
-TEST(ParticleSwarm, StaysInBounds) {
-  numeric::Rng rng(23);
-  const Bounds b({0.5}, {0.6});
-  const ObjectiveFn guard = [&](const std::vector<double>& x) {
-    EXPECT_TRUE(b.contains(x));
-    return x[0];
-  };
-  ParticleSwarmOptions opt;
-  opt.max_iterations = 50;
-  const Result r = particle_swarm(guard, b, rng, opt);
-  EXPECT_NEAR(r.x[0], 0.5, 1e-6);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,113 +2,11 @@
 
 #include <cmath>
 
-#include "optimize/bfgs.h"
-#include "optimize/line_search.h"
 #include "optimize/nsga2.h"
 #include "optimize/test_problems.h"
 
 namespace gnsslna::optimize {
 namespace {
-
-// ---------------------------------------------------------------------------
-// 1-D minimizers
-
-TEST(GoldenSection, FindsQuadraticMinimum) {
-  const ScalarResult r = golden_section(
-      [](double x) { return (x - 2.5) * (x - 2.5) + 1.0; }, 0.0, 10.0);
-  EXPECT_NEAR(r.x, 2.5, 1e-7);
-  EXPECT_NEAR(r.value, 1.0, 1e-12);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(GoldenSection, HandlesBoundaryMinimum) {
-  const ScalarResult r =
-      golden_section([](double x) { return x; }, 1.0, 4.0);
-  EXPECT_NEAR(r.x, 1.0, 1e-6);
-}
-
-TEST(GoldenSection, RejectsEmptyInterval) {
-  EXPECT_THROW(golden_section([](double x) { return x; }, 2.0, 2.0),
-               std::invalid_argument);
-}
-
-TEST(Brent, FindsQuarticMinimum) {
-  const ScalarResult r = brent_minimize(
-      [](double x) { return std::pow(x - 1.3, 4) - 2.0; }, -5.0, 5.0, 1e-9);
-  EXPECT_NEAR(r.x, 1.3, 1e-2);  // quartic floor is flat
-  EXPECT_NEAR(r.value, -2.0, 1e-7);
-}
-
-TEST(Brent, FewerEvaluationsThanGoldenOnSmoothFunction) {
-  const ScalarFn f = [](double x) { return std::cosh(x - 0.7); };
-  const ScalarResult g = golden_section(f, -4.0, 4.0, 1e-10);
-  const ScalarResult b = brent_minimize(f, -4.0, 4.0, 1e-10);
-  EXPECT_NEAR(b.x, 0.7, 1e-6);
-  EXPECT_LT(b.evaluations, g.evaluations);
-}
-
-TEST(Brent, FindsMinimumOfNoisyScaleFunction) {
-  // Minimize |sin| near pi on a wide interval (unimodal there).
-  const ScalarResult r = brent_minimize(
-      [](double x) { return std::abs(std::sin(x)); }, 2.0, 4.5, 1e-9);
-  EXPECT_NEAR(r.x, 3.14159265, 1e-4);
-}
-
-// ---------------------------------------------------------------------------
-// BFGS
-
-TEST(Bfgs, SolvesQuadraticInFewIterations) {
-  const ObjectiveFn f = [](const std::vector<double>& x) {
-    return 3.0 * (x[0] - 1.0) * (x[0] - 1.0) +
-           0.5 * (x[1] + 2.0) * (x[1] + 2.0);
-  };
-  const Result r = bfgs(f, testing::box(2, 10.0), {5.0, 5.0});
-  EXPECT_NEAR(r.x[0], 1.0, 1e-5);
-  EXPECT_NEAR(r.x[1], -2.0, 1e-5);
-  EXPECT_LT(r.iterations, 40u);
-}
-
-TEST(Bfgs, SolvesRosenbrock) {
-  BfgsOptions opt;
-  opt.max_iterations = 500;
-  const Result r =
-      bfgs(testing::rosenbrock, testing::box(2, 5.0), {-1.2, 1.0}, opt);
-  EXPECT_LT(r.value, 1e-6);
-}
-
-TEST(Bfgs, FasterThanNelderMeadOnSmoothProblem) {
-  // Not a strict guarantee, but on a smooth 4-D quadratic BFGS should use
-  // far fewer evaluations than a simplex for the same accuracy.
-  const ObjectiveFn f = [](const std::vector<double>& x) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      s += (static_cast<double>(i) + 1.0) * x[i] * x[i];
-    }
-    return s;
-  };
-  const Result r = bfgs(f, testing::box(4, 3.0), {2.0, 2.0, 2.0, 2.0});
-  EXPECT_LT(r.value, 1e-10);
-  EXPECT_LT(r.evaluations, 2000u);
-}
-
-TEST(Bfgs, RespectsBounds) {
-  const ObjectiveFn f = [](const std::vector<double>& x) {
-    return (x[0] + 4.0) * (x[0] + 4.0);
-  };
-  const Result r = bfgs(f, Bounds({-1.0}, {1.0}), {0.5});
-  EXPECT_NEAR(r.x[0], -1.0, 1e-9);
-}
-
-TEST(Bfgs, NumericGradientMatchesAnalytic) {
-  const ObjectiveFn f = [](const std::vector<double>& x) {
-    return std::sin(x[0]) + x[1] * x[1];
-  };
-  const std::vector<double> x{0.4, -1.5};
-  const std::vector<double> g =
-      numeric_gradient(f, x, testing::box(2, 10.0));
-  EXPECT_NEAR(g[0], std::cos(0.4), 1e-6);
-  EXPECT_NEAR(g[1], -3.0, 1e-6);
-}
 
 // ---------------------------------------------------------------------------
 // NSGA-II

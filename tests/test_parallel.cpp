@@ -1,6 +1,6 @@
 // The deterministic-parallelism contract: thread count changes wall-clock
 // time, never answers.  ThreadPool unit tests plus bit-identity checks of
-// every fan-out hot path (DE, PSO, NSGA-II, SA restarts, Monte-Carlo yield,
+// every fan-out hot path (DE, NSGA-II, SA restarts, Monte-Carlo yield,
 // corner analysis) across 1/2/4/8 threads, and the per-thread slot owner
 // behind the objective caches.
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "obs/obs.h"
 #include "optimize/differential_evolution.h"
 #include "optimize/nsga2.h"
-#include "optimize/particle_swarm.h"
 #include "optimize/simulated_annealing.h"
 
 namespace gnsslna {
@@ -112,7 +111,9 @@ TEST(ThreadPool, MaxThreadsCapsConcurrency) {
         int seen = peak.load();
         while (now > seen && !peak.compare_exchange_weak(seen, now)) {
         }
-        for (volatile int spin = 0; spin < 1000; ++spin) {
+        volatile int spin = 0;
+        while (spin < 1000) {
+          spin = spin + 1;
         }
         --active;
       },
@@ -261,19 +262,6 @@ TEST_P(ThreadCountSweep, DifferentialEvolutionIsBitIdentical) {
   numeric::Rng rng(7);
   const optimize::Result r =
       differential_evolution(rosenbrock, box3(), rng, opt);
-  expect_identical(serial, r, opt.threads);
-}
-
-TEST_P(ThreadCountSweep, ParticleSwarmIsBitIdentical) {
-  optimize::ParticleSwarmOptions opt;
-  opt.max_iterations = 40;
-  numeric::Rng serial_rng(8);
-  const optimize::Result serial =
-      particle_swarm(rosenbrock, box3(), serial_rng, opt);
-
-  opt.threads = GetParam();
-  numeric::Rng rng(8);
-  const optimize::Result r = particle_swarm(rosenbrock, box3(), rng, opt);
   expect_identical(serial, r, opt.threads);
 }
 
@@ -428,17 +416,23 @@ TEST(ParallelObs, EvaluationCounterTotalsAreBitIdenticalAcrossThreadCounts) {
   obs::set_enabled(true);
 
   const device::Phemt dev = device::Phemt::reference_device();
-  const optimize::GoalProblem problem = amplifier::make_nf_gain_problem(
-      dev, amplifier::AmplifierConfig{}, amplifier::DesignGoals{});
+  const auto make_problem = [&] {
+    return amplifier::make_nf_gain_problem(dev, amplifier::AmplifierConfig{},
+                                           amplifier::DesignGoals{});
+  };
   numeric::Rng rng(2024);
   std::vector<std::vector<double>> points;
-  for (int i = 0; i < 8; ++i) points.push_back(problem.bounds.sample(rng));
+  const optimize::Bounds bounds = make_problem().bounds;
+  for (int i = 0; i < 8; ++i) points.push_back(bounds.sample(rng));
 
   const auto is_rebind_counter = [](const std::string& name) {
     return name == "circuit.batch.workspace_reuses" ||
            name == "circuit.batch.arena_bytes_hwm";
   };
   const auto run = [&](std::size_t threads) {
+    // A fresh problem per thread count: every thread's report-cache slot
+    // starts cold, so no run can hit on the previous run's last point.
+    const optimize::GoalProblem problem = make_problem();
     obs::reset();
     numeric::parallel_for(threads, points.size(), [&](std::size_t i) {
       (void)problem.objectives(points[i]);

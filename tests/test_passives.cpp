@@ -79,17 +79,6 @@ TEST(Inductor, SkinLossGrowsWithFrequency) {
   EXPECT_GT(l.esr(2e9), l.esr(0.5e9));
 }
 
-TEST(Resistor, LowFrequencyImpedanceIsNominal) {
-  const Resistor r = make_resistor(100.0);
-  EXPECT_NEAR(r.impedance(1e6).real(), 100.0, 0.1);
-  EXPECT_NEAR(std::abs(r.impedance(1e6)), 100.0, 0.5);
-}
-
-TEST(Resistor, PadCapacitanceShuntsAtHighFrequency) {
-  const Resistor r = make_resistor(10000.0);
-  EXPECT_LT(std::abs(r.impedance(5e9)), 10000.0);
-}
-
 TEST(Component, FrequencyMustBePositive) {
   const Capacitor c = Capacitor::ideal(1e-12);
   EXPECT_THROW(c.impedance(0.0), std::invalid_argument);
@@ -99,7 +88,6 @@ TEST(Component, FrequencyMustBePositive) {
 TEST(Catalog, RangesEnforced) {
   EXPECT_THROW(make_capacitor(10e-6), std::invalid_argument);
   EXPECT_THROW(make_inductor(1e-3), std::invalid_argument);
-  EXPECT_THROW(make_resistor(0.01), std::invalid_argument);
 }
 
 TEST(Catalog, BiggerPackagesHaveMoreEsl) {
@@ -107,11 +95,6 @@ TEST(Catalog, BiggerPackagesHaveMoreEsl) {
   const Capacitor big = make_capacitor(10e-12, Package::k0805);
   EXPECT_LT(small.self_resonance_hz() * 0.999, big.self_resonance_hz() * 10);
   EXPECT_GT(small.self_resonance_hz(), big.self_resonance_hz());
-}
-
-TEST(Catalog, PackageNames) {
-  EXPECT_EQ(package_name(Package::k0402), "0402");
-  EXPECT_EQ(package_name(Package::k0805), "0805");
 }
 
 // ---------------------------------------------------------------------------

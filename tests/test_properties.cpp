@@ -19,36 +19,6 @@ namespace gnsslna {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Gain circles: every point on a constant-available-gain circle delivers
-// exactly that gain.
-
-class GainCircleSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(GainCircleSweep, BoundaryDeliversTheStatedGain) {
-  rf::SParams s;
-  s.frequency_hz = 1.5e9;
-  s.s11 = rf::from_mag_deg(0.55, -150.0);
-  s.s12 = rf::from_mag_deg(0.04, 20.0);
-  s.s21 = rf::from_mag_deg(2.8, 40.0);
-  s.s22 = rf::from_mag_deg(0.45, -40.0);
-  ASSERT_TRUE(rf::is_unconditionally_stable(s));
-
-  const double fraction = GetParam();
-  const double ga = fraction * rf::maximum_available_gain(s);
-  const rf::Circle c = rf::available_gain_circle(s, ga);
-  for (double ang = 0.3; ang < 6.0; ang += 1.1) {
-    const rf::Complex gs =
-        c.center + c.radius * rf::Complex{std::cos(ang), std::sin(ang)};
-    if (std::abs(gs) >= 1.0) continue;  // outside the Smith chart
-    EXPECT_NEAR(rf::available_gain(s, gs) / ga, 1.0, 1e-6)
-        << "fraction " << fraction << " angle " << ang;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fractions, GainCircleSweep,
-                         ::testing::Values(0.3, 0.5, 0.7, 0.9, 0.99));
-
-// ---------------------------------------------------------------------------
 // All FET models: default conductances() must agree with the
 // finite-difference fallback at every bias of a grid (catches analytic
 // derivative bugs whenever a model overrides the default).

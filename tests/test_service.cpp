@@ -998,6 +998,7 @@ TEST(ServiceStats, CountersFeedTheStatsReport) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   obs::reset();
+  obs::metrics_reset();
   {
     service::SchedulerOptions options;
     options.workers = 2;
@@ -1021,32 +1022,11 @@ TEST(ServiceStats, CountersFeedTheStatsReport) {
   EXPECT_GE(stats.number_at("latency_p99_us", 0),
             stats.number_at("latency_p50_us", 0));
   obs::reset();
+  obs::metrics_reset();
   obs::set_enabled(was_enabled);
 }
 
-// --- telemetry: percentiles, SLOs, deterministic artifacts ------------------
-
-TEST(ServiceTelemetry, LatencyPercentileMidpointPins) {
-  // Empty histogram reports 0, not a bucket bound.
-  std::uint64_t empty[32] = {};
-  EXPECT_EQ(service::latency_percentile_us(empty, 0.5), 0.0);
-
-  // All 10 samples in bucket 5 = [32, 64).  Midpoint rule: rank k sits at
-  // (j - 0.5)/n of the bucket width, so p50 (k = 6) = 32 + 32*5.5/10 and
-  // p99 (k = 10) = 32 + 32*9.5/10 — never the old upper-bound 64.
-  std::uint64_t single[32] = {};
-  single[5] = 10;
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(single, 0.5), 49.6);
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(single, 0.99), 62.4);
-
-  // Split across buckets 0 = [0, 2) and 3 = [8, 16): p50 (k = 3) is the
-  // first of bucket 3's two samples, p99 (k = 4) the second.
-  std::uint64_t split[32] = {};
-  split[0] = 2;
-  split[3] = 2;
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(split, 0.5), 10.0);
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(split, 0.99), 14.0);
-}
+// --- telemetry: SLOs, deterministic artifacts --------------------------------
 
 /// RAII save/restore of the obs runtime flags plus a full telemetry wipe on
 /// both ends, so observability tests cannot leak state into each other.
@@ -1065,6 +1045,58 @@ struct ObsStateGuard {
     obs::flight_clear();
   }
 };
+
+TEST(ServiceStats, LatencyPercentilesAreTheSloMeasurements) {
+  // Job latency is recorded once: the stats p50/p99 and the latency SLOs
+  // read the same histogram in the same snapshot, so after real
+  // (non-deterministic) traffic they agree exactly, not just roughly.
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  ObsStateGuard guard;
+  obs::set_enabled(true);
+  obs::set_deterministic(false);
+  const std::vector<TargetJob> jobs = background_jobs(24);
+  {
+    service::SchedulerOptions options;
+    options.workers = 2;
+    options.queue_capacity = 64;
+    options.max_queued_per_client = 64;
+    service::Scheduler scheduler(options);
+    std::vector<service::Scheduler::TicketPtr> tickets;
+    for (const TargetJob& job : jobs) {
+      tickets.push_back(scheduler.submit("latency-client", job.type,
+                                         parse_or_die(job.params_text)));
+    }
+    for (const auto& t : tickets) {
+      ASSERT_NE(t, nullptr);
+      EXPECT_EQ(t->wait().status, "ok");
+    }
+    scheduler.shutdown();
+  }
+  const Json stats = service::service_stats_json();
+  const Json* slo = stats.find("slo");
+  ASSERT_NE(slo, nullptr) << stats.dump();
+  ASSERT_TRUE(slo->is_array());
+  const auto slo_entry = [&](const std::string& name) -> const Json* {
+    for (std::size_t i = 0; i < slo->size(); ++i) {
+      if (slo->at(i).string_at("name") == name) return &slo->at(i);
+    }
+    return nullptr;
+  };
+  const Json* p50 = slo_entry("latency_p50");
+  const Json* p99 = slo_entry("latency_p99");
+  ASSERT_NE(p50, nullptr) << stats.dump();
+  ASSERT_NE(p99, nullptr) << stats.dump();
+  const double n = static_cast<double>(jobs.size());
+  EXPECT_EQ(stats.number_at("latency_jobs", 0), n);
+  EXPECT_EQ(p50->number_at("samples", 0), n);
+  EXPECT_GT(stats.number_at("latency_p50_us", 0), 0.0);
+  EXPECT_EQ(stats.number_at("latency_p50_us", 0),
+            p50->number_at("measured", -1.0))
+      << stats.dump();
+  EXPECT_EQ(stats.number_at("latency_p99_us", 0),
+            p99->number_at("measured", -1.0))
+      << stats.dump();
+}
 
 TEST(ServiceObservability, DeterministicArtifactsBitIdenticalAcrossWorkers) {
   if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
