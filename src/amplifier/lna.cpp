@@ -33,7 +33,7 @@ std::function<circuit::Complex(double)> z_of(Part part) {
 /// Y-block of a microstrip line (copyable by value).
 circuit::YBlockFn line_y(microstrip::Line line) {
   return [line = std::move(line)](double f) {
-    return rf::y_from_abcd(line.abcd(f));
+    return microstrip::Line::y_from(line.propagation(f), line.length());
   };
 }
 
@@ -51,9 +51,7 @@ FetClosures fet_closures(const device::Phemt& dev, const device::Bias& bias) {
   const device::IntrinsicParams ip = dev.small_signal(bias);
   const device::ExtrinsicParams ex = dev.extrinsics();
   const device::NoiseTemperatures nt = dev.temperatures();
-  return {[ip, ex](double f) {
-            return rf::y_from_s(device::fet_s_params(ip, ex, f));
-          },
+  return {[ip, ex](double f) { return device::fet_y(ip, ex, f); },
           [ip, ex, nt](double f) {
             return device::pospieszalski_noise(ip, ex, nt, f);
           }};

@@ -152,8 +152,8 @@ class BandEvaluator {
   circuit::EvalWorkspace workspace_;
   /// Dispersion curve of a w50-wide line over the plan grid, cached at
   /// build time: propagation data depend on (substrate, width, f) only,
-  /// so every design-vector line length reuses this table
-  /// (abcd_from(propagation(f)) == abcd(f) bit-for-bit).
+  /// so every design-vector line length reuses this table (the netlist
+  /// closure computes Line::y_from(propagation(f), length) as well).
   std::vector<microstrip::Line::Propagation> w50_prop_;
   /// Per-band-lane noise results from the batched sweep; sized on first
   /// use and reused (steady-state resize is a no-op, so no allocations).

@@ -147,20 +147,18 @@ inline std::size_t write_line(
     double temperature_k, std::size_t noise_lanes = kAllLanes) {
   // `prop` caches the length-independent dispersion curve of this line's
   // (substrate, width) over the plan grid — the caller built it from a
-  // Line of that substrate and width, which validated both — and
-  // abcd_from(propagation(f), length) is bit-identical to abcd(f) of a
-  // Line of that length, so the written tables match the closure path's
-  // exactly while skipping the dispersion-model re-evaluation and the
-  // per-length Line construction.  The length check is the one the Line
-  // constructor applies.
+  // Line of that substrate and width, which validated both — and the
+  // closure path computes Line::y_from(propagation(f), length()) too, so
+  // the written tables match it exactly while skipping the
+  // dispersion-model re-evaluation and the per-length Line construction.
+  // The length check is the one the Line constructor applies.
   if (length_m <= 0.0) {
     throw std::invalid_argument("Line: width and length must be positive");
   }
   const circuit::BatchedPlan::TwoPortView tv =
       plan.twoport_view(ref.element.index);
   for (std::size_t fi = 0; fi < tv.count; ++fi) {
-    tv.set(fi,
-           rf::y_from_abcd(microstrip::Line::abcd_from(prop[fi], length_m)));
+    tv.set(fi, microstrip::Line::y_from(prop[fi], length_m));
   }
   if (ref.noise_group == circuit::kNoNoiseGroup) return 1;
   const circuit::BatchedPlan::NoiseView nv = plan.noise_view(ref.noise_group);
@@ -184,7 +182,7 @@ inline std::size_t write_fet(circuit::BatchedPlan& plan,
   const circuit::BatchedPlan::NoiseView nv = plan.noise_view(ref.noise_group);
   const std::size_t nn = std::min(noise_lanes, nv.count);
   for (std::size_t fi = 0; fi < tv.count; ++fi) {
-    const rf::YParams yp = rf::y_from_s(device::fet_s_params(ip, ex, grid[fi]));
+    const rf::YParams yp = device::fet_y(ip, ex, grid[fi]);
     tv.set(fi, yp);
     if (fi < nn) {
       const rf::NoiseParams np =

@@ -40,8 +40,8 @@ rf::YParams intrinsic_y(const IntrinsicParams& in, double frequency_hz) {
   return y;
 }
 
-rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
-                         double frequency_hz, double z0) {
+rf::YParams fet_y(const IntrinsicParams& in, const ExtrinsicParams& ex,
+                  double frequency_hz) {
   const double w = kTwoPi * frequency_hz;
   const Complex jw{0.0, w};
 
@@ -49,7 +49,7 @@ rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
   const rf::YParams yi = intrinsic_y(in, frequency_hz);
   const Complex det = yi.y11 * yi.y22 - yi.y12 * yi.y21;
   if (rf::magnitude_below(det, 1e-300)) {
-    throw std::domain_error("fet_s_params: singular intrinsic core");
+    throw std::domain_error("fet_y: singular intrinsic core");
   }
   rf::ZParams z;
   z.frequency_hz = frequency_hz;
@@ -70,7 +70,7 @@ rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
   // 3. Z -> Y, add pad capacitances.
   const Complex zdet = z.z11 * z.z22 - z.z12 * z.z21;
   if (rf::magnitude_below(zdet, 1e-300)) {
-    throw std::domain_error("fet_s_params: singular embedded network");
+    throw std::domain_error("fet_y: singular embedded network");
   }
   rf::YParams y;
   y.frequency_hz = frequency_hz;
@@ -78,8 +78,12 @@ rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
   y.y12 = -z.z12 / zdet;
   y.y21 = -z.z21 / zdet;
   y.y22 = z.z11 / zdet + jw * ex.cpd;
+  return y;
+}
 
-  return rf::s_from_y(y, z0);
+rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
+                         double frequency_hz, double z0) {
+  return rf::s_from_y(fet_y(in, ex, frequency_hz), z0);
 }
 
 rf::NoiseParams pospieszalski_noise(const IntrinsicParams& in,

@@ -4,7 +4,7 @@
 // gds, Cgs with channel resistance Ri, Cgd, Cds) embedded in an extrinsic
 // parasitic shell (Lg/Rg, Ld/Rd, Ls/Rs, pad capacitances Cpg/Cpd).  The
 // embedding follows the standard de-embedding order in reverse:
-//   Y_int -> Z (+ series R/L) -> Y (+ pad C) -> S.
+//   Y_int -> Z (+ series R/L) -> Y (+ pad C)   (fet_y)   -> S   (fet_s_params).
 #pragma once
 
 #include "rf/noise.h"
@@ -41,7 +41,14 @@ struct ExtrinsicParams {
 /// Intrinsic-core Y-parameters at frequency f (common source).
 rf::YParams intrinsic_y(const IntrinsicParams& in, double frequency_hz);
 
-/// Full small-signal S-parameters including the extrinsic shell.
+/// Y-parameters of the intrinsic core embedded in the extrinsic shell
+/// (the two-port the circuit stamps).  Throws std::domain_error when the
+/// intrinsic core or the embedded network is singular.
+rf::YParams fet_y(const IntrinsicParams& in, const ExtrinsicParams& ex,
+                  double frequency_hz);
+
+/// Full small-signal S-parameters including the extrinsic shell:
+/// rf::s_from_y(fet_y(in, ex, f), z0).
 rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
                          double frequency_hz, double z0 = rf::kZ0);
 

@@ -144,10 +144,6 @@ double Line::beta(double frequency_hz) const {
          rf::kC0;
 }
 
-double Line::guided_wavelength(double frequency_hz) const {
-  return 2.0 * kPi / beta(frequency_hz);
-}
-
 double Line::electrical_length(double frequency_hz) const {
   return beta(frequency_hz) * length_m_;
 }
@@ -166,40 +162,51 @@ Line::Propagation Line::propagation(double frequency_hz) const {
   return p;
 }
 
-rf::AbcdParams Line::abcd(double frequency_hz) const {
-  return abcd_from(propagation(frequency_hz), length_m_);
-}
-
-rf::AbcdParams Line::abcd_from(const Propagation& p, double length_m) {
-  const std::complex<double> gamma{p.alpha_np_m, p.beta_rad_m};
-  const std::complex<double> gl = gamma * length_m;
-  const std::complex<double> zc{p.z0_ohm, 0.0};
-  const double al = gl.real();
-  const double bl = gl.imag();
-  std::complex<double> ch, sh;
+rf::YParams Line::y_from(const Propagation& p, double length_m) {
+  const double al = p.alpha_np_m * length_m;
+  const double bl = p.beta_rad_m * length_m;
+  rf::Complex ch, sh;
   if (al >= 0.0 && al < 709.0 &&
       std::abs(bl) > std::numeric_limits<double>::min()) {
     // cosh(al + j bl) = cosh(al) cos(bl) + j sinh(al) sin(bl) and
-    // sinh(al + j bl) = sinh(al) cos(bl) + j cosh(al) sin(bl): exactly the
-    // component formulas glibc's ccosh/csinh evaluate on this range, but
-    // sharing one sincos (GCC merges the sin/cos pair), one cosh and one
-    // sinh between the pair.  Outside it (and for NaN) the library calls
-    // keep their own overflow and tiny-argument handling.
+    // sinh(al + j bl) = sinh(al) cos(bl) + j cosh(al) sin(bl), from one
+    // sincos (GCC merges the sin/cos pair) and one expm1: with
+    // m = expm1(al) and e = m + 1, cosh(al) = (e + 1/e)/2 and
+    // sinh(al) = (m + m/e)/2, which neither overflow below al = 709 nor
+    // cancel for small al.  Outside this range (and for NaN) the complex
+    // library functions keep their own overflow and tiny-argument handling.
+    const double m = std::expm1(al);
+    const double e = m + 1.0;
+    const double cosh_al = 0.5 * (e + 1.0 / e);
+    const double sinh_al = 0.5 * (m + m / e);
     const double sin_bl = std::sin(bl);
     const double cos_bl = std::cos(bl);
-    const double cosh_al = std::cosh(al);
-    const double sinh_al = std::sinh(al);
     ch = {cosh_al * cos_bl, sinh_al * sin_bl};
     sh = {sinh_al * cos_bl, cosh_al * sin_bl};
   } else {
-    ch = std::cosh(gl);
-    sh = std::sinh(gl);
+    ch = std::cosh(rf::Complex{al, bl});
+    sh = std::sinh(rf::Complex{al, bl});
   }
-  return {p.frequency_hz, ch, zc * sh, sh / zc, ch};
+  // B = Z0 sinh(gl) is the chain parameter whose zero has no Y-block.
+  if (rf::magnitude_below(p.z0_ohm * sh, 1e-300)) {
+    throw std::domain_error("Line::y_from: B = 0 has no Y representation");
+  }
+  // One complex reciprocal, of sinh(gl) rather than of B: near al = 709
+  // Z0 sinh(gl) can leave the double range, and coth(gl) must be formed
+  // before the 1/Z0 scaling, which could take csch(gl) subnormal there.
+  const rf::Complex csch = 1.0 / sh;
+  const double y0 = 1.0 / p.z0_ohm;
+  rf::YParams y;
+  y.frequency_hz = p.frequency_hz;
+  y.y11 = (ch * csch) * y0;
+  y.y12 = -csch * y0;
+  y.y21 = y.y12;
+  y.y22 = y.y11;
+  return y;
 }
 
 rf::SParams Line::s_params(double frequency_hz, double z0_ref) const {
-  return rf::s_from_abcd(abcd(frequency_hz), z0_ref);
+  return rf::s_from_y(y_from(propagation(frequency_hz), length_m_), z0_ref);
 }
 
 double synthesize_width(const Substrate& substrate, double z0_target,

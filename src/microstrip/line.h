@@ -59,9 +59,6 @@ class Line {
   /// Phase constant beta [rad/m] at f.
   double beta(double frequency_hz) const;
 
-  /// Guided wavelength [m] at f.
-  double guided_wavelength(double frequency_hz) const;
-
   /// Electrical length [rad] at f.
   double electrical_length(double frequency_hz) const;
 
@@ -71,17 +68,16 @@ class Line {
   /// returned values are bit-identical to the accessors').
   Propagation propagation(double frequency_hz) const;
 
-  /// ABCD parameters of the lossy line at f.
-  rf::AbcdParams abcd(double frequency_hz) const;
-
-  /// ABCD parameters of a line of `length_m` from precomputed propagation
-  /// data; abcd(f) == abcd_from(propagation(f), length()) bit-for-bit.
+  /// Y-parameters of a line of `length_m` from propagation data, in
+  /// closed form: Y11 = Y22 = coth(gamma l) / Z0 and
+  /// Y12 = Y21 = -csch(gamma l) / Z0 (DESIGN.md "Tabulation arithmetic").
   /// Reads nothing but its arguments, so a table of Propagation rows
   /// serves every length of one (substrate, width) without building a
-  /// Line per length.
-  static rf::AbcdParams abcd_from(const Propagation& p, double length_m);
+  /// Line per length.  Throws std::domain_error when B = Z0 sinh(gamma l)
+  /// is zero (|B| < 1e-300): such a line has no Y representation.
+  static rf::YParams y_from(const Propagation& p, double length_m);
 
-  /// S-parameters at f referenced to z0_ref.
+  /// S-parameters at f referenced to z0_ref (from the Y-block).
   rf::SParams s_params(double frequency_hz, double z0_ref = rf::kZ0) const;
 
   double width() const { return width_m_; }

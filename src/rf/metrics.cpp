@@ -12,7 +12,7 @@ double mag2(Complex z) { return std::norm(z); }
 double mu_source(const SParams& s) {
   const Complex delta = s.determinant();
   const double denom =
-      std::abs(s.s22 - std::conj(s.s11) * delta) + std::abs(s.s12 * s.s21);
+      magnitude(s.s22 - std::conj(s.s11) * delta) + magnitude(s.s12 * s.s21);
   if (denom == 0.0) return 1e12;
   return (1.0 - mag2(s.s11)) / denom;
 }
@@ -20,7 +20,7 @@ double mu_source(const SParams& s) {
 double mu_load(const SParams& s) {
   const Complex delta = s.determinant();
   const double denom =
-      std::abs(s.s11 - std::conj(s.s22) * delta) + std::abs(s.s12 * s.s21);
+      magnitude(s.s11 - std::conj(s.s22) * delta) + magnitude(s.s12 * s.s21);
   if (denom == 0.0) return 1e12;
   return (1.0 - mag2(s.s22)) / denom;
 }

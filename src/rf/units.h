@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <stdexcept>
 
 namespace gnsslna::rf {
@@ -45,8 +46,27 @@ inline double db_from_mag(double mag) {
 /// Decibels -> voltage-wave magnitude.
 inline double mag_from_db(double db) { return std::pow(10.0, db / 20.0); }
 
-/// |S| in dB for a complex wave quantity; returns -infinity for exact zero.
+/// Whether m2 = std::norm(z) (re^2 + im^2) is a normal double below 1e308.
+/// There sqrt(m2) and 10 log10(m2) stay within a few ulp of the hypot()
+/// forms (pinned in tests/test_twoport.cpp, bounds in DESIGN.md
+/// "Tabulation arithmetic"); elsewhere (0, subnormal, |z| >= 1e154,
+/// overflow, infinite or NaN) magnitude() and db20() use std::abs.
+inline bool norm_is_accurate(double m2) {
+  return m2 >= std::numeric_limits<double>::min() && m2 < 1e308;
+}
+
+/// |z| as sqrt(|z|^2), or std::abs(z) where norm_is_accurate fails.
+inline double magnitude(const std::complex<double>& z) {
+  const double m2 = std::norm(z);
+  return norm_is_accurate(m2) ? std::sqrt(m2) : std::abs(z);
+}
+
+/// |S| in dB for a complex wave quantity, as 10 log10 |S|^2; returns
+/// -infinity for exact zero.  Where norm_is_accurate fails it is exactly
+/// 20 log10 std::abs(S).
 inline double db20(const std::complex<double>& s) {
+  const double m2 = std::norm(s);
+  if (norm_is_accurate(m2)) return 10.0 * std::log10(m2);
   const double m = std::abs(s);
   return m > 0.0 ? 20.0 * std::log10(m) : -std::numeric_limits<double>::infinity();
 }

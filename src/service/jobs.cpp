@@ -239,15 +239,18 @@ obs::TraceSink service_sink(const JobContext& ctx,
   };
 }
 
+/// Leases an evaluator for the job's topology and stores its plan revision
+/// (topology_revision, one w50 synthesis) in `revision` for the caller.
 PlanCache::Lease lease_evaluator(const JobContext& ctx,
                                  const device::Phemt& device,
                                  const AmplifierConfig& config,
-                                 const std::vector<double>& band_hz) {
+                                 const std::vector<double>& band_hz,
+                                 std::uint64_t& revision) {
   GNSSLNA_OBS_SPAN("service.job.plan_acquire");
   try {
+    revision = topology_revision(config, band_hz);
     if (ctx.plans != nullptr) {
-      return ctx.plans->acquire(topology_revision(config, band_hz), device,
-                                config, band_hz);
+      return ctx.plans->acquire(revision, device, config, band_hz);
     }
     return std::make_shared<amplifier::BandEvaluator>(device, config, band_hz);
   } catch (const std::exception& e) {
@@ -294,7 +297,9 @@ Json run_evaluate(const Json& params, const JobContext& ctx) {
   const DesignVector design = parse_design(params);
   const device::Phemt device = device::Phemt::reference_device();
 
-  const PlanCache::Lease lease = lease_evaluator(ctx, device, config, band);
+  std::uint64_t revision = 0;
+  const PlanCache::Lease lease =
+      lease_evaluator(ctx, device, config, band, revision);
   if (ctx.check_cancel) ctx.check_cancel();
   amplifier::BandReport report;
   try {
@@ -305,8 +310,7 @@ Json run_evaluate(const Json& params, const JobContext& ctx) {
 
   Json out = Json::object();
   out.set("report", report_json(report));
-  out.set("plan_revision",
-          Json::string(revision_hex(topology_revision(config, band))));
+  out.set("plan_revision", Json::string(revision_hex(revision)));
   return out;
 }
 
@@ -456,7 +460,8 @@ Json run_design(const Json& params, const JobContext& ctx) {
 
   const device::Phemt device = device::Phemt::reference_device();
   if (ctx.plans != nullptr) {
-    options.evaluator = lease_evaluator(ctx, device, config, band);
+    std::uint64_t revision = 0;
+    options.evaluator = lease_evaluator(ctx, device, config, band, revision);
   }
 
   numeric::Rng rng(parse_seed(params));

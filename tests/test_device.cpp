@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <complex>
+#include <cstdint>
+#include <numbers>
+
 #include "device/models.h"
 #include "device/phemt.h"
 #include "device/small_signal.h"
+#include "numeric/rng.h"
 #include "rf/metrics.h"
 #include "rf/units.h"
 
@@ -201,6 +209,161 @@ TEST(SmallSignal, GainFallsWithFrequency) {
   ExtrinsicParams ex;
   EXPECT_GT(std::abs(fet_s_params(in, ex, 1e9).s21),
             std::abs(fet_s_params(in, ex, 10e9).s21));
+}
+
+// ---------------------------------------------------------------------------
+// fet_y, the embedded Y-block the circuit stamps.  fet_s_params is
+// rf::s_from_y of it, bit for bit, so extraction sees the S-parameters it
+// always saw; the stamp takes fet_y directly instead of the S round trip
+// y_from_s(fet_s_params), which agrees within a written bound.
+
+/// max_ij |fet_y - reference| / max_ij |Y| (DESIGN.md "Tabulation
+/// arithmetic"): against the S round trip y_from_s(fet_s_params) on the
+/// plan grids, and against the same three steps in long double up to
+/// 20 GHz, where the Z determinant's cancellation costs fet_y itself
+/// some digits (and the round trip more: 5e-14).
+constexpr double kFetYBound = 2e-15;
+constexpr double kFetYLongDoubleBound = 2e-14;
+
+bool same_bits(const rf::Complex& a, const rf::Complex& b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+/// Calls `check(ip, ex, f)` on small-signal elements of the reference
+/// device at random biases and log-uniform frequencies in [f_lo, f_hi].
+template <typename Check>
+void for_random_biases(double f_lo, double f_hi, Check check) {
+  const Phemt dev = Phemt::reference_device();
+  numeric::Rng rng(1919);
+  for (int k = 0; k < 400; ++k) {
+    const Bias bias{rng.uniform(-0.6, 0.0), rng.uniform(0.5, 4.0)};
+    const IntrinsicParams ip = dev.small_signal(bias);
+    for (int j = 0; j < 8; ++j) {
+      check(ip, dev.extrinsics(),
+            std::exp(rng.uniform(std::log(f_lo), std::log(f_hi))));
+    }
+  }
+}
+
+/// fet_y's three steps in long double, from the same double-rounded
+/// angular frequency and delay phase.
+rf::YParams fet_y_long_double(const IntrinsicParams& in,
+                              const ExtrinsicParams& ex, double f) {
+  using Cl = std::complex<long double>;
+  using L = long double;
+  const double w = 2.0 * std::numbers::pi * f;
+  const Cl jw{0.0L, w};
+  const Cl rc = 1.0L + jw * L(in.cgs) * L(in.ri);
+  const Cl y_gd = jw * L(in.cgd);
+  const Cl y11 = jw * L(in.cgs) / rc + y_gd;
+  const Cl y12 = -y_gd;
+  const Cl y21 = L(in.gm) * std::exp(Cl{0.0L, -w * in.tau_s}) / rc - y_gd;
+  const Cl y22 = L(in.gds) + jw * L(in.cds) + y_gd;
+  const Cl det = y11 * y22 - y12 * y21;
+  const Cl z_s = L(ex.rs) + jw * L(ex.ls);
+  const Cl z11 = y22 / det + L(ex.rg) + jw * L(ex.lg) + z_s;
+  const Cl z12 = -y12 / det + z_s;
+  const Cl z21 = -y21 / det + z_s;
+  const Cl z22 = y11 / det + L(ex.rd) + jw * L(ex.ld) + z_s;
+  const Cl zdet = z11 * z22 - z12 * z21;
+  const auto d = [](Cl z) {
+    return rf::Complex{static_cast<double>(z.real()),
+                       static_cast<double>(z.imag())};
+  };
+  return {f, d(z22 / zdet + jw * L(ex.cpg)), d(-z12 / zdet), d(-z21 / zdet),
+          d(z11 / zdet + jw * L(ex.cpd))};
+}
+
+/// max_ij |got_ij - want_ij| / max_ij |want_ij|.
+double y_error(const rf::YParams& got, const rf::YParams& want) {
+  const rf::Complex g[4] = {got.y11, got.y12, got.y21, got.y22};
+  const rf::Complex w[4] = {want.y11, want.y12, want.y21, want.y22};
+  double scale = 0.0;
+  double diff = 0.0;
+  for (int k = 0; k < 4; ++k) {
+    scale = std::max(scale, std::abs(w[k]));
+    diff = std::max(diff, std::abs(g[k] - w[k]));
+  }
+  return diff / scale;
+}
+
+/// fet_y's embedding arithmetic written out in double.  fet_s_params is
+/// s_from_y(fet_y), so any change to these operations moves the
+/// S-parameters that extraction fits.
+rf::YParams fet_y_arithmetic(const IntrinsicParams& in,
+                             const ExtrinsicParams& ex, double f) {
+  const rf::Complex jw{0.0, 2.0 * std::numbers::pi * f};
+  const rf::YParams yi = intrinsic_y(in, f);
+  const rf::Complex det = yi.y11 * yi.y22 - yi.y12 * yi.y21;
+  rf::ZParams z;
+  z.z11 = yi.y22 / det;
+  z.z12 = -yi.y12 / det;
+  z.z21 = -yi.y21 / det;
+  z.z22 = yi.y11 / det;
+  const rf::Complex z_g = rf::Complex{ex.rg, 0.0} + jw * ex.lg;
+  const rf::Complex z_d = rf::Complex{ex.rd, 0.0} + jw * ex.ld;
+  const rf::Complex z_s = rf::Complex{ex.rs, 0.0} + jw * ex.ls;
+  z.z11 += z_g + z_s;
+  z.z12 += z_s;
+  z.z21 += z_s;
+  z.z22 += z_d + z_s;
+  const rf::Complex zdet = z.z11 * z.z22 - z.z12 * z.z21;
+  return {f, z.z22 / zdet + jw * ex.cpg, -z.z12 / zdet, -z.z21 / zdet,
+          z.z11 / zdet + jw * ex.cpd};
+}
+
+TEST(FetY, SParamsAreSFromYOfFetYBitForBit) {
+  for_random_biases(0.1e9, 20e9, [](const IntrinsicParams& ip,
+                                    const ExtrinsicParams& ex, double f) {
+    const rf::YParams y = fet_y(ip, ex, f);
+    const rf::YParams y_want = fet_y_arithmetic(ip, ex, f);
+    EXPECT_TRUE(same_bits(y.y11, y_want.y11) && same_bits(y.y12, y_want.y12) &&
+                same_bits(y.y21, y_want.y21) && same_bits(y.y22, y_want.y22))
+        << "gm " << ip.gm << " f " << f;
+    const rf::SParams got = fet_s_params(ip, ex, f);
+    const rf::SParams want = rf::s_from_y(y, rf::kZ0);
+    EXPECT_TRUE(same_bits(got.s11, want.s11) && same_bits(got.s12, want.s12) &&
+                same_bits(got.s21, want.s21) && same_bits(got.s22, want.s22))
+        << "gm " << ip.gm << " f " << f;
+  });
+}
+
+TEST(FetY, MatchesTheSRoundTripWithinBound) {
+  // The amplifier's plan grids (band and stability lanes) lie in
+  // 0.3-4 GHz.
+  for_random_biases(0.3e9, 4e9, [](const IntrinsicParams& ip,
+                                   const ExtrinsicParams& ex, double f) {
+    EXPECT_LE(y_error(fet_y(ip, ex, f), rf::y_from_s(fet_s_params(ip, ex, f))),
+              kFetYBound)
+        << "gm " << ip.gm << " f " << f;
+  });
+  // Up to 20 GHz, against the long-double embedding (the round trip's
+  // (1 + S11)(1 + S22) - S12 S21 cancels there).
+  for_random_biases(0.1e9, 20e9, [](const IntrinsicParams& ip,
+                                    const ExtrinsicParams& ex, double f) {
+    EXPECT_LE(y_error(fet_y(ip, ex, f), fet_y_long_double(ip, ex, f)),
+              kFetYLongDoubleBound)
+        << "gm " << ip.gm << " f " << f;
+  });
+}
+
+TEST(FetY, SingularNetworksThrow) {
+  // An all-zero intrinsic core has no Z-parameters.
+  EXPECT_THROW(fet_y(IntrinsicParams{0, 0, 0, 0, 0, 0, 0}, ExtrinsicParams{},
+                     kF),
+               std::domain_error);
+  // A core of Cgd and gds = 1 S has Z12 = Z21 = Z22 = 1 ohm exactly; a
+  // -1 ohm source arm (no other parasitics) zeroes all three, and with
+  // them the embedded Z determinant.
+  const IntrinsicParams core{0.0, 0.0, 1.0, 0.0, 1e-12, 0.0, 2.0};
+  ExtrinsicParams shell{0, 0, 0, 0, 0, 0, 0, 0};
+  EXPECT_NO_THROW(fet_y(core, shell, kF));
+  shell.rs = -1.0;
+  EXPECT_THROW(fet_y(core, shell, kF), std::domain_error);
+  EXPECT_THROW(fet_s_params(core, shell, kF), std::domain_error);
 }
 
 TEST(Noise, PospieszalskiSaneAtLBand) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <limits>
 #include <numbers>
@@ -162,14 +164,24 @@ TEST(Line, SynthesisEarlyStopMatchesFixedIterationCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Tabulation arithmetic: Line::abcd_from's component-form cosh/sinh against
-// the complex library functions, bit for bit
+// Tabulation arithmetic: Line::y_from's closed-form coth/csch Y-block
+// against the chain-parameter route it replaced, within a written bound
 //
-// abcd_from forms cosh(gl) and sinh(gl) from one sincos, one cosh and one
-// sinh; the reference below is its former body, which calls std::cosh /
-// std::sinh of the complex argument (glibc's ccosh / csinh) and, in the
-// default complex semantics, multiplies zc * sh and divides sh / zc
-// through libgcc's __muldc3 / __divdc3 (called by name, libgcc_complex.h).
+// The chain route is the former tabulation: A = D = cosh(gl),
+// B = Z0 sinh(gl), C = sinh(gl) / Z0 from the complex library functions
+// (glibc's ccosh / csinh), every complex product and quotient through
+// libgcc's __muldc3 / __divdc3 (libgcc_complex.h), then rf::y_from_abcd.
+// Its Y12 = -(AD - BC) / B forms AD - BC = 1 from |AD| = |cosh gl|^2, so
+// the route loses about log2 |cosh gl|^2 bits (and overflows past
+// al ~ 355); where |cosh gl|^2 exceeds kChainRouteCancellation the
+// reference is coth / csch evaluated in long double instead.  Both
+// references take al and bl as y_from does, rounded to double.
+
+constexpr double kChainRouteCancellation = 4.0;
+
+/// max_ij |Y_ij - Y_ij(reference)| / max_ij |Y_ij(reference)| that
+/// Line::y_from keeps (DESIGN.md "Tabulation arithmetic").
+constexpr double kLineYBound = 2e-15;
 
 rf::AbcdParams abcd_reference(const Line::Propagation& p, double length_m) {
   const std::complex<double> gamma{p.alpha_np_m, p.beta_rad_m};
@@ -181,25 +193,40 @@ rf::AbcdParams abcd_reference(const Line::Propagation& p, double length_m) {
           reference::libgcc_div(sh, zc), ch};
 }
 
-bool same_bits(const rf::Complex& a, const rf::Complex& b) {
-  return std::bit_cast<std::uint64_t>(a.real()) ==
-             std::bit_cast<std::uint64_t>(b.real()) &&
-         std::bit_cast<std::uint64_t>(a.imag()) ==
-             std::bit_cast<std::uint64_t>(b.imag());
+rf::YParams y_long_double(const Line::Propagation& p, double length_m) {
+  using Cl = std::complex<long double>;
+  const Cl gl{p.alpha_np_m * length_m, p.beta_rad_m * length_m};
+  const Cl csch = 1.0L / std::sinh(gl);
+  const Cl coth = std::cosh(gl) * csch;
+  const long double z0 = p.z0_ohm;
+  const rf::Complex y11{static_cast<double>(coth.real() / z0),
+                        static_cast<double>(coth.imag() / z0)};
+  const rf::Complex y12{static_cast<double>(-csch.real() / z0),
+                        static_cast<double>(-csch.imag() / z0)};
+  return {p.frequency_hz, y11, y12, y12, y11};
 }
 
-void expect_abcd_matches_reference(const Line::Propagation& p, double len) {
-  const rf::AbcdParams got = Line::abcd_from(p, len);
-  const rf::AbcdParams want = abcd_reference(p, len);
-  EXPECT_TRUE(same_bits(got.a, want.a) && same_bits(got.b, want.b) &&
-              same_bits(got.c, want.c) && same_bits(got.d, want.d))
-      << "alpha " << p.alpha_np_m << " beta " << p.beta_rad_m << " z0 "
-      << p.z0_ohm << " length " << len << ": got " << got.a << ' ' << got.b
-      << ' ' << got.c << ", want " << want.a << ' ' << want.b << ' '
-      << want.c;
+/// Line::y_from's error against its reference, relative to max |Y|.
+double y_from_error(const Line::Propagation& p, double length_m) {
+  const rf::YParams got = Line::y_from(p, length_m);
+  const std::complex<double> gl =
+      std::complex<double>{p.alpha_np_m, p.beta_rad_m} * length_m;
+  const rf::YParams want =
+      std::norm(std::cosh(gl)) <= kChainRouteCancellation
+          ? rf::y_from_abcd(abcd_reference(p, length_m))
+          : y_long_double(p, length_m);
+  const rf::Complex g[4] = {got.y11, got.y12, got.y21, got.y22};
+  const rf::Complex w[4] = {want.y11, want.y12, want.y21, want.y22};
+  double scale = 0.0;
+  double diff = 0.0;
+  for (int k = 0; k < 4; ++k) {
+    scale = std::max(scale, std::abs(w[k]));
+    diff = std::max(diff, std::abs(g[k] - w[k]));
+  }
+  return diff / scale;
 }
 
-TEST(LineTabulation, ComponentCoshSinhMatchComplexLibraryOnLines) {
+TEST(LineTabulation, YFromMatchesReferenceOnLines) {
   // The lines the amplifier tabulates: both substrates, L-band and the
   // stability grid's 0.5-3.5 GHz, widths and lengths around the design
   // box and beyond.
@@ -211,26 +238,24 @@ TEST(LineTabulation, ComponentCoshSinhMatchComplexLibraryOnLines) {
     const double f = rng.uniform(0.3e9, 4e9);
     const Line line(sub, width, length);
     const Line::Propagation p = line.propagation(f);
-    expect_abcd_matches_reference(p, length);
-    EXPECT_TRUE(same_bits(line.abcd(f).b, abcd_reference(p, length).b));
+    EXPECT_LE(y_from_error(p, length), kLineYBound)
+        << "width " << width << " length " << length << " f " << f;
   }
 }
 
-TEST(LineTabulation, ComponentCoshSinhMatchComplexLibraryOnEdges) {
+TEST(LineTabulation, YFromMatchesReferenceOnEdges) {
   // Synthetic propagation data: lossless and heavily lossy, attenuation
-  // up to and past the 709 limit of the component form (but below ~710.5,
-  // where cosh and sinh overflow), negative attenuation, phase lengths
-  // from subnormal to 1e9 rad of either sign.  Operands stay finite and
-  // z0 >= 1 keeps sh / zc from overflowing: outside that range __divdc3's
-  // infinity recovery and its reordered form for a zero ratio can differ
-  // from Smith's algorithm, which is outside the contract (DESIGN.md).
+  // up to the 709 limit of the component form and past it into the
+  // complex library fallback, negative attenuation, phase lengths from
+  // subnormal to 1e9 rad of either sign.  Past al = 709 the fallback's
+  // values are not held to the bound (csch(gl) leaves the normal range).
   const double min = std::numeric_limits<double>::min();
   Line::Propagation p;
   p.frequency_hz = 1.5e9;
   numeric::Rng rng(1576);
-  for (const double al : {0.0, -0.0, 1e-300, 1e-9, 0.37, 5.0, 300.0, 708.9,
-                          std::nextafter(709.0, 0.0), 709.0, 709.5, 710.0,
-                          -1e-3, -2.0}) {
+  for (const double al : {0.0, -0.0, 1e-300, 1e-9, 0.37, 5.0, 300.0, 700.0,
+                          705.0, 708.9, std::nextafter(709.0, 0.0), 709.0,
+                          709.5, 710.0, -1e-3, -2.0}) {
     for (const double bl : {0.0, -0.0, min / 4.0, min, -min, 2.0 * min, 1e-200,
                             1e-9, 0.5, -0.9, 1.57, 2.4, -3.1, 42.0, 1e5,
                             -7.3e6, 1e9}) {
@@ -238,7 +263,19 @@ TEST(LineTabulation, ComponentCoshSinhMatchComplexLibraryOnEdges) {
         p.alpha_np_m = al;
         p.beta_rad_m = bl;
         p.z0_ohm = z0;
-        expect_abcd_matches_reference(p, 1.0);
+        if (std::abs(z0 * std::sinh(std::complex<double>{al, bl})) < 1e-300) {
+          EXPECT_THROW(Line::y_from(p, 1.0), std::domain_error)
+              << "al " << al << " bl " << bl << " z0 " << z0;
+          continue;
+        }
+        const rf::YParams y = Line::y_from(p, 1.0);
+        if (al >= 709.0) continue;
+        EXPECT_LE(y_from_error(p, 1.0), kLineYBound)
+            << "al " << al << " bl " << bl << " z0 " << z0;
+        EXPECT_TRUE(std::isfinite(y.y11.real()) &&
+                    std::isfinite(y.y11.imag()) &&
+                    std::isfinite(y.y12.real()) && std::isfinite(y.y12.imag()))
+            << "al " << al << " bl " << bl << " z0 " << z0;
       }
     }
   }
@@ -246,8 +283,20 @@ TEST(LineTabulation, ComponentCoshSinhMatchComplexLibraryOnEdges) {
     p.alpha_np_m = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 2.0);
     p.beta_rad_m = rng.uniform(-300.0, 300.0);
     p.z0_ohm = rng.uniform(10.0, 200.0);
-    expect_abcd_matches_reference(p, rng.uniform(1e-4, 0.3));
+    const double len = rng.uniform(1e-4, 0.3);
+    EXPECT_LE(y_from_error(p, len), kLineYBound)
+        << "alpha " << p.alpha_np_m << " beta " << p.beta_rad_m << " z0 "
+        << p.z0_ohm << " length " << len;
   }
+}
+
+TEST(LineTabulation, ZeroChainBThrows) {
+  Line::Propagation p;
+  p.frequency_hz = 1.5e9;
+  p.z0_ohm = 50.0;
+  EXPECT_THROW(Line::y_from(p, 0.01), std::domain_error);  // gl = 0
+  p.beta_rad_m = 1e-302;  // |B| = 5e-301: below the 1e-300 guard
+  EXPECT_THROW(Line::y_from(p, 1.0), std::domain_error);
 }
 
 TEST(LineTabulation, NanPropagationStaysNonFinite) {
@@ -260,10 +309,10 @@ TEST(LineTabulation, NanPropagationStaysNonFinite) {
   p.alpha_np_m = nan;
   p.beta_rad_m = 30.0;
   p.z0_ohm = 50.0;
-  EXPECT_FALSE(finite(Line::abcd_from(p, 0.01).a));
+  EXPECT_FALSE(finite(Line::y_from(p, 0.01).y11));
   p.alpha_np_m = 0.1;
   p.beta_rad_m = nan;
-  EXPECT_FALSE(finite(Line::abcd_from(p, 0.01).b));
+  EXPECT_FALSE(finite(Line::y_from(p, 0.01).y12));
 }
 
 TEST(Substrate, ValidationCatchesNonPhysical) {

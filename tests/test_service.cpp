@@ -26,6 +26,10 @@
 
 #include <unistd.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "amplifier/design_flow.h"
 #include "extract/three_step.h"
 #include "numeric/rng.h"
@@ -325,6 +329,58 @@ TEST(ServicePlanCache, IdleEvaluatorsAreBoundedAcrossRevisions) {
   }
   obs::reset();
   obs::set_enabled(was_enabled);
+}
+
+TEST(ServicePlanCache, HeapStaysFlatAcrossALongRevisionSweep) {
+  // Bytes, where IdleEvaluatorsAreBoundedAcrossRevisions counts
+  // evaluators: 512 distinct revisions (custom bands) are leased,
+  // evaluated and returned.  glibc's in-use heap after the last may not
+  // exceed its level after the first 64 by one evaluator's footprint,
+  // measured here as the heap one leased and evaluated evaluator holds.
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  service::PlanCache cache;
+  const device::Phemt device = device::Phemt::reference_device();
+  const amplifier::AmplifierConfig config;
+  const amplifier::DesignVector design;
+  const auto band_for = [](std::size_t k) {
+    std::vector<double> band = amplifier::LnaDesign::default_band();
+    for (double& f : band) f += static_cast<double>(k);  // 1 Hz apart
+    return band;
+  };
+  const auto heap_in_use = [] {
+    return static_cast<long long>(mallinfo2().uordblks);
+  };
+  const auto lease_and_evaluate = [&](std::size_t k) {
+    const std::vector<double> band = band_for(k);
+    const service::PlanCache::Lease lease = cache.acquire(
+        service::topology_revision(config, band), device, config, band);
+    lease->evaluate(design);
+    return lease;
+  };
+
+  long long footprint = 0;
+  {
+    const long long before = heap_in_use();
+    const service::PlanCache::Lease lease = lease_and_evaluate(100000);
+    footprint = heap_in_use() - before;
+  }
+  cache.clear();
+  if (footprint < 4096) {
+    // An evaluator holds tens of kB of tables: these statistics are not
+    // the allocator's in use (a sanitizer runtime replaces malloc).
+    GTEST_SKIP() << "mallinfo2 does not track this allocator";
+  }
+  for (std::size_t k = 0; k < 64; ++k) lease_and_evaluate(k);
+  const long long after_first = heap_in_use();
+  for (std::size_t k = 64; k < 512; ++k) lease_and_evaluate(k);
+  const long long after_last = heap_in_use();
+  EXPECT_EQ(cache.idle_count(), service::PlanCache::kMaxIdle);
+  EXPECT_LT(after_last - after_first, footprint)
+      << "heap after 64 revisions " << after_first << " B, after 512 "
+      << after_last << " B, one evaluator " << footprint << " B";
+#else
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 // --- borrowed evaluator ----------------------------------------------------

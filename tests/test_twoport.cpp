@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,6 +12,7 @@
 
 #include "libgcc_complex.h"
 #include "numeric/rng.h"
+#include "rf/metrics.h"
 #include "rf/units.h"
 
 namespace gnsslna::rf {
@@ -393,6 +395,91 @@ TEST(TabulationArithmetic, MagnitudeBelowAgreesWithAbsEitherSideOfEps) {
     for (const Complex z : operands) {
       EXPECT_EQ(magnitude_below(z, eps), std::abs(z) < eps) << z;
     }
+  }
+}
+
+// rf::magnitude and rf::db20 take |z| from std::norm(z) = re^2 + im^2
+// where that is a normal double below 1e308, and from hypot (std::abs)
+// elsewhere.  The hypot forms are the reference.
+
+/// Written bounds (DESIGN.md "Tabulation arithmetic"): magnitude() and
+/// the stability measures in ulps of the value; db20() in ulps of
+/// max(|dB|, 1), because near 0 dB both forms carry an absolute error of
+/// a few 1e-16 dB (8.69 dB times the relative error of |z|), which is
+/// many ulps of a result close to zero.
+constexpr double kMagnitudeUlps = 2.0;
+constexpr double kMuUlps = 4.0;
+constexpr double kDb20Ulps = 12.0;
+
+double ulps_off(double got, double want, double floor) {
+  const double scale = std::max(std::abs(want), floor);
+  const double ulp = std::nextafter(scale, 2.0 * scale) - scale;
+  return std::abs(got - want) / ulp;
+}
+
+double db20_hypot(Complex z) {
+  const double m = std::abs(z);
+  return m > 0.0 ? 20.0 * std::log10(m)
+                 : -std::numeric_limits<double>::infinity();
+}
+
+TEST(TabulationArithmetic, MagnitudeAndDb20StayWithinUlpsOfHypot) {
+  numeric::Rng rng(1901);
+  for (int k = 0; k < 200000; ++k) {
+    const double r = std::pow(10.0, rng.uniform(-80.0, 3.0));
+    Complex z = std::polar(r, rng.uniform(-std::numbers::pi, std::numbers::pi));
+    if (k % 8 == 0) z = {r, 0.0};
+    if (k % 8 == 1) z = {0.0, -r};
+    if (k % 8 == 2) z = {r, r};
+    EXPECT_LE(ulps_off(magnitude(z), std::abs(z), 0.0), kMagnitudeUlps) << z;
+    EXPECT_LE(ulps_off(db20(z), db20_hypot(z), 1.0), kDb20Ulps) << z;
+  }
+  // The stability measures built on magnitude() against their hypot forms.
+  for (int k = 0; k < 20000; ++k) {
+    const SParams s = random_passiveish_twoport(rng);
+    const Complex delta = s.determinant();
+    const double cross = std::abs(s.s12 * s.s21);
+    const double mu_source_ref =
+        (1.0 - std::norm(s.s11)) /
+        (std::abs(s.s22 - std::conj(s.s11) * delta) + cross);
+    const double mu_load_ref =
+        (1.0 - std::norm(s.s22)) /
+        (std::abs(s.s11 - std::conj(s.s22) * delta) + cross);
+    EXPECT_LE(ulps_off(mu_source(s), mu_source_ref, 0.0), kMuUlps);
+    EXPECT_LE(ulps_off(mu_load(s), mu_load_ref, 0.0), kMuUlps);
+  }
+}
+
+TEST(TabulationArithmetic, MagnitudeAndDb20EqualHypotFormsAtTheEdges) {
+  const double min = std::numeric_limits<double>::min();
+  const double max = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Complex> edges;
+  for (const double r : {0.0, -0.0, tiny, min / 4.0, min, 1e-160, 1e-155,
+                         1.4e-154, 1e154, 1.2e154, 1.3e154, 1e155, 1e200,
+                         1e308, max, inf, -inf, nan}) {
+    edges.push_back({r, 0.0});
+    edges.push_back({0.0, r});
+    edges.push_back({r, r});
+    edges.push_back({-r, 0.5 * r});
+  }
+  // |z| in [1e154, 1.34e154): |z|^2 is a normal double there, but not
+  // below 1e308, so these too must give the hypot forms exactly.
+  numeric::Rng rng(1902);
+  for (int k = 0; k < 256; ++k) {
+    edges.push_back(std::polar(rng.uniform(1e154, 1.34e154),
+                               rng.uniform(-std::numbers::pi, std::numbers::pi)));
+  }
+  for (const Complex z : edges) {
+    if (std::norm(z) >= min && std::norm(z) < 1e308) continue;  // fast range
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(magnitude(z)),
+              std::bit_cast<std::uint64_t>(std::abs(z)))
+        << z;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(db20(z)),
+              std::bit_cast<std::uint64_t>(db20_hypot(z)))
+        << z;
   }
 }
 
