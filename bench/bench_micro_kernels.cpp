@@ -204,8 +204,9 @@ void BM_BatchedSolve(benchmark::State& state) {
 BENCHMARK(BM_BatchedSolve);
 
 /// One yield trial through the persistent engine: a pseudo-random draw,
-/// a full re-stamp of every tolerance-perturbed table (including the
-/// substrate-dependent bias line and tee), and one batched evaluate.
+/// a re-stamp of every table the draw moved (a draw moves every tolerated
+/// parameter, the board included, so this covers the bias line and tee),
+/// and one batched evaluate.
 /// This is the per-sample cost of a production Monte-Carlo run; the perf
 /// gate pins its ratio to BM_BandEvaluation.
 void BM_YieldSampleMc(benchmark::State& state) {
@@ -235,10 +236,10 @@ void BM_YieldSampleMc(benchmark::State& state) {
 }
 BENCHMARK(BM_YieldSampleMc);
 
-/// The pre-engine yield path for comparison: full LnaDesign rebuild per
-/// trial (what run_yield falls back to when the nominal design cannot be
-/// built).  The BM_YieldSampleMc / BM_YieldSampleRebuild ratio is the
-/// engine's speedup.
+/// A comparison baseline, not a production path: a full LnaDesign rebuild
+/// per trial (netlist + transient batched plan), as yield trials ran
+/// before the persistent engine.  The BM_YieldSampleMc /
+/// BM_YieldSampleRebuild ratio is the engine's speedup.
 void BM_YieldSampleRebuild(benchmark::State& state) {
   const device::Phemt dev = device::Phemt::reference_device();
   amplifier::AmplifierConfig config;

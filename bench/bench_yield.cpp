@@ -98,9 +98,10 @@ double time_engine_sample_ns(double* allocs_per_op) {
   return best;
 }
 
-/// Serial per-trial cost of a full LnaDesign rebuild: the rebuilt design
-/// still evaluates through the batched core, so this isolates what plan
-/// reuse buys.
+/// Serial per-trial cost of a full LnaDesign rebuild, a comparison
+/// baseline that no production path takes: the rebuilt design still
+/// evaluates through the batched core, so this isolates what plan reuse
+/// buys.
 double time_rebuild_sample_ns() {
   const device::Phemt dev = device::Phemt::reference_device();
   const amplifier::AmplifierConfig config = resolved_config();

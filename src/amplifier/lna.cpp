@@ -37,6 +37,19 @@ circuit::YBlockFn line_y(microstrip::Line line) {
   };
 }
 
+/// The device's Pospieszalski noise temperatures at the board's ambient
+/// (first-order thermal model: Tg and Td scale with T/290).  The
+/// small-signal extraction is temperature-independent, so this is the
+/// only place the ambient reaches the FET.
+device::NoiseTemperatures ambient_temperatures(const device::Phemt& device,
+                                               double t_ambient_k) {
+  device::NoiseTemperatures t = device.temperatures();
+  const double scale = t_ambient_k / 290.0;
+  t.tg_k *= scale;
+  t.td_k *= scale;
+  return t;
+}
+
 /// The linearized-FET element and noise closures.  The bias-dependent
 /// small-signal extraction (finite-difference Angelov derivatives) is
 /// hoisted out of the per-frequency closures: it is a pure function of the
@@ -47,14 +60,86 @@ struct FetClosures {
   circuit::NoiseParamsFn np;
 };
 
-FetClosures fet_closures(const device::Phemt& dev, const device::Bias& bias) {
+FetClosures fet_closures(const device::Phemt& dev,
+                         const device::NoiseTemperatures& nt,
+                         const device::Bias& bias) {
   const device::IntrinsicParams ip = dev.small_signal(bias);
   const device::ExtrinsicParams ex = dev.extrinsics();
-  const device::NoiseTemperatures nt = dev.temperatures();
   return {[ip, ex](double f) { return device::fet_y(ip, ex, f); },
           [ip, ex, nt](double f) {
             return device::pospieszalski_noise(ip, ex, nt, f);
           }};
+}
+
+/// Length-independent dispersion table of a `width_m` line on `board`
+/// over `grid`.  Resizing to the plan grid is a no-op after the cold
+/// build, so a board step does not allocate.
+void tabulate_propagation(std::vector<microstrip::Line::Propagation>& prop,
+                          const microstrip::Substrate& board, double width_m,
+                          const std::vector<double>& grid) {
+  const microstrip::Line probe(board, width_m, 1e-3);
+  prop.resize(grid.size());
+  for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+    prop[fi] = probe.propagation(grid[fi]);
+  }
+}
+
+/// The band pass of every evaluation path (LnaDesign::evaluate and
+/// BandEvaluator): factors all lanes of `plan` in `ws`, solves the ports
+/// and (over the first `band_points` lanes) the output transfer, and
+/// reduces the report in grid order.  The plan grid must be `band_points`
+/// >= 1 in-band frequencies followed by LnaDesign::stability_grid();
+/// `id_a` is the design's drain current and `noise` reusable per-lane
+/// scratch (resized to band_points).  Agrees with the per-call analyses
+/// (circuit::s_params / noise_analysis) reduced in the same order within
+/// the written tolerance of the batched core (tests/reference_band.h).
+BandReport band_report(const circuit::BatchedPlan& plan,
+                       circuit::EvalWorkspace& ws, std::size_t band_points,
+                       double id_a, std::vector<circuit::NoiseResult>& noise) {
+  const std::size_t nf = plan.size();
+  plan.factor(ws, 0, nf);
+  plan.solve_ports(ws);
+  plan.solve_output_transfer(ws, 1, 0, band_points);
+  noise.resize(band_points);  // steady state: no-op, no allocation
+  plan.noise_sweep(ws, 0, 1, noise.data());
+  // Serial grid-order walk: the in-band figures first, then mu over the
+  // stability lanes.
+  BandReport rep;
+  rep.id_a = id_a;
+  double nf_sum = 0.0, gt_sum = 0.0;
+  rep.nf_max_db = -1e9;
+  rep.gt_min_db = 1e9;
+  rep.s11_worst_db = -1e9;
+  rep.s22_worst_db = -1e9;
+  for (std::size_t fi = 0; fi < band_points; ++fi) {
+    const rf::SParams s = plan.s_params_at(ws, fi);
+    const double nf_db = noise[fi].noise_figure_db;
+    const double gt = rf::db20(s.s21);
+    nf_sum += nf_db;
+    gt_sum += gt;
+    rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
+    rep.gt_min_db = std::min(rep.gt_min_db, gt);
+    rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
+    rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
+  }
+  rep.nf_avg_db = nf_sum / static_cast<double>(band_points);
+  rep.gt_avg_db = gt_sum / static_cast<double>(band_points);
+  rep.mu_min = 1e9;
+  for (std::size_t fi = band_points; fi < nf; ++fi) {
+    const rf::SParams s = plan.s_params_at(ws, fi);
+    rep.mu_min =
+        std::min(rep.mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
+  }
+  return rep;
+}
+
+/// The in-band grid followed by the stability grid: the lanes a band plan
+/// is compiled over.
+std::vector<double> plan_grid(const std::vector<double>& band_hz) {
+  std::vector<double> grid = band_hz;
+  const std::vector<double> mu_grid = LnaDesign::stability_grid();
+  grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
+  return grid;
 }
 
 }  // namespace
@@ -141,8 +226,9 @@ circuit::Netlist LnaDesign::build_netlist(DesignBindings* bindings) const {
   // small-signal extraction is hoisted into the closures (see
   // fet_closures); the Pospieszalski noise temperatures scale with the
   // ambient (first-order thermal model).
-  FetClosures fet = fet_closures(adjusted_device(), device::Bias{design_.vgs,
-                                                                 design_.vds});
+  FetClosures fet =
+      fet_closures(device_, ambient_temperatures(device_, config_.t_ambient_k),
+                   device::Bias{design_.vgs, design_.vds});
   b.q1 = circuit::add_noisy_three_terminal(nl, n2, n3, n_s, std::move(fet.y),
                                            std::move(fet.np), "Q1");
   if (config_.dispersive_passives) {
@@ -244,19 +330,6 @@ circuit::Netlist LnaDesign::build_netlist(DesignBindings* bindings) const {
   return nl;
 }
 
-device::Phemt LnaDesign::adjusted_device() const {
-  device::Phemt dev = device_;
-  if (config_.t_ambient_k != 290.0) {
-    const double scale = config_.t_ambient_k / 290.0;
-    device::NoiseTemperatures t = dev.temperatures();
-    t.tg_k *= scale;
-    t.td_k *= scale;
-    dev = device::Phemt(dev.iv_model().clone(), dev.caps(), dev.extrinsics(),
-                        t);
-  }
-  return dev;
-}
-
 rf::SParams LnaDesign::s_params(double frequency_hz) const {
   return circuit::s_params(build_netlist(), frequency_hz);
 }
@@ -279,53 +352,10 @@ std::vector<double> LnaDesign::stability_grid() {
   return rf::linear_grid(0.5e9, 3.5e9, 9);
 }
 
-BandReport band_report(const circuit::BatchedPlan& plan,
-                       circuit::EvalWorkspace& ws, std::size_t band_points,
-                       double id_a, std::vector<circuit::NoiseResult>& noise) {
-  const std::size_t nf = plan.size();
-  plan.factor(ws, 0, nf);
-  plan.solve_ports(ws);
-  plan.solve_output_transfer(ws, 1, 0, band_points);
-  noise.resize(band_points);  // steady state: no-op, no allocation
-  plan.noise_sweep(ws, 0, 1, noise.data());
-  // Serial grid-order walk: the in-band figures first, then mu over the
-  // stability lanes.
-  BandReport rep;
-  rep.id_a = id_a;
-  double nf_sum = 0.0, gt_sum = 0.0;
-  rep.nf_max_db = -1e9;
-  rep.gt_min_db = 1e9;
-  rep.s11_worst_db = -1e9;
-  rep.s22_worst_db = -1e9;
-  for (std::size_t fi = 0; fi < band_points; ++fi) {
-    const rf::SParams s = plan.s_params_at(ws, fi);
-    const double nf_db = noise[fi].noise_figure_db;
-    const double gt = rf::db20(s.s21);
-    nf_sum += nf_db;
-    gt_sum += gt;
-    rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
-    rep.gt_min_db = std::min(rep.gt_min_db, gt);
-    rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
-    rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
-  }
-  rep.nf_avg_db = nf_sum / static_cast<double>(band_points);
-  rep.gt_avg_db = gt_sum / static_cast<double>(band_points);
-  rep.mu_min = 1e9;
-  for (std::size_t fi = band_points; fi < nf; ++fi) {
-    const rf::SParams s = plan.s_params_at(ws, fi);
-    rep.mu_min =
-        std::min(rep.mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
-  }
-  return rep;
-}
-
 BandReport LnaDesign::evaluate(const std::vector<double>& band_hz) const {
   GNSSLNA_OBS_SPAN("amplifier.lna_evaluate");
   GNSSLNA_OBS_COUNT("amplifier.band_evaluations");
-  std::vector<double> grid = band_hz;
-  const std::vector<double> mu_grid = stability_grid();
-  grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
-  const circuit::BatchedPlan plan(build_netlist(), std::move(grid));
+  const circuit::BatchedPlan plan(build_netlist(), plan_grid(band_hz));
   circuit::EvalWorkspace ws;
   std::vector<circuit::NoiseResult> noise;
   return band_report(plan, ws, band_hz.size(), bias_.id_a, noise);
@@ -341,66 +371,77 @@ BandEvaluator::BandEvaluator(const device::Phemt& device,
   config_.resolve();
 }
 
-BandReport BandEvaluator::evaluate(const DesignVector& design) {
+BandReport BandEvaluator::evaluate(const DesignVector& design,
+                                   const microstrip::Substrate& board) {
   GNSSLNA_OBS_SPAN("amplifier.band_evaluate");
   GNSSLNA_OBS_COUNT("amplifier.band_evaluations");
-  if (!built_) {
-    // Cold build: closures, tabulation, and workspace blocks allocate
-    // freely here; every subsequent call is allocation-free.
-    const LnaDesign lna(device_, config_, design);
-    DesignBindings bindings;
-    const circuit::Netlist nl = lna.build_netlist(&bindings);
-    std::vector<double> grid = band_hz_;
-    const std::vector<double> mu_grid = LnaDesign::stability_grid();
-    grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
-    circuit::BatchedPlan plan(nl, std::move(grid));
-    // Length-independent w50 dispersion table shared by all four matching
-    // lines (the length is applied per element in write_line).
-    const microstrip::Line w50_probe(config_.substrate, config_.w50_m, 1e-3);
-    std::vector<microstrip::Line::Propagation> prop(plan.grid().size());
-    for (std::size_t fi = 0; fi < prop.size(); ++fi) {
-      prop[fi] = w50_probe.propagation(plan.grid()[fi]);
-    }
-    // Commit to the members only once everything built, so a throwing
-    // design leaves the evaluator reusable.
-    bplan_ = std::move(plan);
-    w50_prop_ = std::move(prop);
-    bindings_ = bindings;
-    bias_ = lna.bias();
-    nt_adj_ = device_.temperatures();
-    if (config_.t_ambient_k != 290.0) {
-      const double scale = config_.t_ambient_k / 290.0;
-      nt_adj_.tg_k *= scale;
-      nt_adj_.td_k *= scale;
-    }
-    last_ = design;
-    built_ = true;
-    last_retabulated_ = 0;
+  if (built_) {
+    retabulate(design, board);
   } else {
-    retabulate(design);
+    build(design, board);
   }
   return band_report(bplan_, workspace_, band_hz_.size(), bias_.id_a,
                      noise_buf_);
 }
 
-void BandEvaluator::retabulate(const DesignVector& design) {
+void BandEvaluator::build(const DesignVector& design,
+                          const microstrip::Substrate& board) {
+  // Cold build: closures, tabulation, and workspace blocks allocate
+  // freely here; every subsequent call is allocation-free.  The trace
+  // widths stay those resolved for the config's board (the mask is etched
+  // once); LnaDesign's resolve() validates `board`.
+  AmplifierConfig config = config_;
+  config.substrate = board;
+  const LnaDesign lna(device_, config, design);
+  DesignBindings bindings;
+  const circuit::Netlist nl = lna.build_netlist(&bindings);
+  circuit::BatchedPlan plan(nl, plan_grid(band_hz_));
+  // Length-independent dispersion table shared by the four matching lines
+  // (the length is applied per element in write_line).
+  std::vector<microstrip::Line::Propagation> w50;
+  tabulate_propagation(w50, board, config_.w50_m, plan.grid());
+  // Commit to the members only once everything built, so a throwing
+  // design leaves the evaluator reusable.
+  bplan_ = std::move(plan);
+  w50_prop_ = std::move(w50);
+  // The bias-width table is read only by a board step, which tabulates it
+  // first; sizing it here keeps that step allocation-free.
+  wbias_prop_.resize(w50_prop_.size());
+  bindings_ = bindings;
+  bias_ = lna.bias();
+  last_ = design;
+  board_ = board;
+  built_ = true;
+  last_retabulated_ = 0;
+}
+
+void BandEvaluator::retabulate(const DesignVector& design,
+                               const microstrip::Substrate& board) {
   const bool all = force_full_retab_;
-  // An element whose governing parameter did not move already holds
-  // exactly the values this design would tabulate (the writers are pure
-  // functions of the parameter), so its tables are left untouched.
+  // An element whose governing parameters did not move already holds
+  // exactly the values this point would tabulate (the writers are pure
+  // functions of their parameters), so its tables are left untouched.
   const auto changed = [&](double DesignVector::* m) {
     return all || last_.*m != design.*m;
   };
+  // A new board moves every line's dispersion and the tee parasitics.
+  // Validate it first, then the bias: both reject BEFORE any table is
+  // touched, in the order an LnaDesign for the same point would (resolve()
+  // validates the board, then its constructor sizes the bias), leaving
+  // the evaluator reusable.  A full rewrite after a throw covers the
+  // board-dependent tables too.
+  const bool rewrite_board = all || board != board_;
+  if (rewrite_board) board.validate();
   const bool bias_changed =
       changed(&DesignVector::vgs) || changed(&DesignVector::vds);
-  // Bias first: design_bias rejects infeasible operating points BEFORE
-  // any table is touched, leaving the evaluator reusable (an LnaDesign
-  // for the same point throws from its constructor the same way).
   BiasNetwork bias = bias_;
   if (bias_changed) bias = design_bias(device_, design, config_);
+  const auto line_changed = [&](double DesignVector::* m) {
+    return rewrite_board || changed(m);
+  };
 
   const bool any =
-      all || bias_changed || changed(&DesignVector::c_in_f) ||
+      rewrite_board || bias_changed || changed(&DesignVector::c_in_f) ||
       changed(&DesignVector::l_shunt_h) || changed(&DesignVector::c_mid_f) ||
       changed(&DesignVector::l_sdeg_h) || changed(&DesignVector::c_out_sh_f) ||
       changed(&DesignVector::r_fb_ohm) || changed(&DesignVector::l_in_m) ||
@@ -411,10 +452,11 @@ void BandEvaluator::retabulate(const DesignVector& design) {
     return;  // tables and cached factorization both still valid
   }
 
-  // Every design-bound element contributes to the admittance matrix, so
-  // any rewrite below invalidates cached factorizations.  Dirty first —
-  // and force a full rewrite on the next call if a writer throws halfway,
-  // since the tables may then mix two designs.
+  // Every bound element contributes to the admittance matrix, so any
+  // rewrite below invalidates cached factorizations.  Dirty first — and
+  // force a full rewrite (board-dependent elements and dispersion tables
+  // included) on the next call if anything throws halfway, since the
+  // tables may then mix two points.
   bplan_.mark_values_dirty();
   force_full_retab_ = true;
   std::size_t retabulated = 0;
@@ -423,6 +465,10 @@ void BandEvaluator::retabulate(const DesignVector& design) {
   // noise sweep stop at the band), so the stability lanes' CSDs are left
   // as they are.
   const std::size_t nb = band_hz_.size();
+  if (rewrite_board) {
+    tabulate_propagation(w50_prop_, board, config_.w50_m, bplan_.grid());
+    tabulate_propagation(wbias_prop_, board, config_.w_bias_m, bplan_.grid());
+  }
   if (config_.dispersive_passives) {
     if (changed(&DesignVector::c_in_f)) {
       retabulated += planw::write_lossy(
@@ -479,34 +525,53 @@ void BandEvaluator::retabulate(const DesignVector& design) {
     retabulated += planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain,
                                          t, nb);
   }
-  if (changed(&DesignVector::l_in_m)) {
+  if (line_changed(&DesignVector::l_in_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlin1, design.l_in_m,
                                      w50_prop_, t, nb);
   }
-  if (changed(&DesignVector::l_in2_m)) {
+  if (line_changed(&DesignVector::l_in2_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlin2, design.l_in2_m,
                                      w50_prop_, t, nb);
   }
-  if (changed(&DesignVector::l_out_m)) {
+  if (line_changed(&DesignVector::l_out_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlout1, design.l_out_m,
                                      w50_prop_, t, nb);
   }
-  if (changed(&DesignVector::l_out2_m)) {
+  if (line_changed(&DesignVector::l_out2_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlout2, design.l_out2_m,
                                      w50_prop_, t, nb);
   }
+  if (rewrite_board) {
+    // The config-fixed elements a board step reaches: the bias line and
+    // the tee parasitics.
+    retabulated += planw::write_line(bplan_, bindings_.tlbias,
+                                     config_.l_bias_m, wbias_prop_, t, nb);
+    if (bindings_.has_tee) {
+      const microstrip::TeeJunction tee(board, config_.w50_m,
+                                        config_.w_bias_m);
+      retabulated += planw::write_inductor(bplan_, bindings_.ltee1,
+                                           tee.arm_inductance_main());
+      retabulated += planw::write_inductor(bplan_, bindings_.ltee2,
+                                           tee.arm_inductance_main());
+      retabulated += planw::write_inductor(bplan_, bindings_.ltee3,
+                                           tee.arm_inductance_branch());
+      retabulated += planw::write_capacitor(bplan_, bindings_.ctee,
+                                            tee.junction_capacitance());
+    }
+  }
   if (bias_changed) {
     // Same hoisting as fet_closures: the small-signal extraction is a
-    // pure function of the bias (and temperature-independent, so the
-    // ambient-adjusted device of build_netlist yields identical values).
+    // pure function of the bias.
     const device::IntrinsicParams ip =
         device_.small_signal(device::Bias{design.vgs, design.vds});
-    retabulated += planw::write_fet(bplan_, bindings_.q1, ip,
-                                    device_.extrinsics(), nt_adj_, nb);
+    retabulated += planw::write_fet(
+        bplan_, bindings_.q1, ip, device_.extrinsics(),
+        ambient_temperatures(device_, config_.t_ambient_k), nb);
   }
   force_full_retab_ = false;
   bias_ = bias;
   last_ = design;
+  board_ = board;
   last_retabulated_ = retabulated;
 }
 

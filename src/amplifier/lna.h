@@ -32,11 +32,11 @@ struct BandReport {
 /// bias line, tee parasitics, blocking caps — is fixed by the config, so a
 /// batched plan never needs to re-tabulate it between design points.
 ///
-/// The yield engine additionally perturbs the SUBSTRATE (epsilon_r,
+/// A tolerance trial additionally moves the SUBSTRATE (epsilon_r,
 /// height), which reaches elements a design step never moves: the
 /// high-impedance bias line and the tee-junction parasitics.  Their
-/// handles are carried here too so a tolerance trial can re-tabulate them
-/// in place; optimizer loops (fixed board) simply never touch them.
+/// handles are carried here too, so BandEvaluator can re-tabulate them in
+/// place when the board changes; on a fixed board they are never touched.
 struct DesignBindings {
   circuit::ElementRef cin, lshunt, cmid, lsdeg, rfb, coutsh, rdrain;
   circuit::ElementRef tlin1, tlin2, tlout1, tlout2;
@@ -75,9 +75,9 @@ class LnaDesign {
 
   /// Band evaluation over the given in-band grid; stability is also
   /// checked on an extended grid (0.5-3.5 GHz).  One-shot: builds the
-  /// netlist and a transient BatchedPlan, then runs the band pass every
-  /// evaluator shares (band_report, amplifier/plan_writers.h).  Loops over
-  /// many design points should hold a BandEvaluator instead.
+  /// netlist and a transient BatchedPlan, then runs the same band pass as
+  /// BandEvaluator.  Loops over many design points should hold a
+  /// BandEvaluator instead.
   BandReport evaluate(const std::vector<double>& band_hz) const;
 
   /// Default 7-point evaluation grid across 1.1-1.7 GHz.
@@ -92,36 +92,45 @@ class LnaDesign {
   const BiasNetwork& bias() const { return bias_; }
 
  private:
-  device::Phemt adjusted_device() const;
-
   device::Phemt device_;
   AmplifierConfig config_;
   DesignVector design_;
   BiasNetwork bias_;
 };
 
-/// Reusable band evaluator for optimizer loops: keeps one batched plan
-/// alive across design points, re-tabulating only the elements the design
-/// vector changes — fixed elements (and their dispersion curves) are
-/// tabulated once for the whole run, and every frequency shares a single
-/// LU factorization between the S-parameter and noise solves.  Changed
-/// element values are written straight into the plan's tables (no
+/// Reusable band evaluator for optimizer loops and tolerance trials:
+/// keeps one batched plan alive across (design, board) points,
+/// re-tabulating only the elements that moved — fixed elements (and their
+/// dispersion curves) are tabulated once, and every frequency shares a
+/// single LU factorization between the S-parameter and noise solves.
+/// Changed element values are written straight into the plan's tables (no
 /// closures, no Netlist), and after the first call the steady state
 /// performs ZERO heap allocations (pinned by tests/test_alloc_free.cpp and
 /// the bench allocs_per_op counter).  Reports are bit-identical to
-/// LnaDesign::evaluate().
+/// LnaDesign::evaluate() on a config whose substrate is the board.
 ///
 /// NOT thread-safe: hold one instance per thread (see
-/// objectives.cpp::ReportCache).
+/// objectives.cpp::ReportCache and run_yield's worker pool).
 class BandEvaluator {
  public:
   /// Band defaults to LnaDesign::default_band() when empty.
   BandEvaluator(const device::Phemt& device, AmplifierConfig config,
                 std::vector<double> band_hz = {});
 
-  /// Evaluates one design point.  Throws like LnaDesign for infeasible
-  /// designs (bias unreachable etc.); the evaluator stays usable.
-  BandReport evaluate(const DesignVector& design);
+  /// Evaluates one design point on the config's board.  Throws like
+  /// LnaDesign for infeasible designs (bias unreachable etc.); the
+  /// evaluator stays usable.
+  BandReport evaluate(const DesignVector& design) {
+    return evaluate(design, config_.substrate);
+  }
+
+  /// Evaluates one design point on `board` (a perturbed substrate; the
+  /// trace widths stay those resolved for the config's board).  A board
+  /// that differs from the plan's is validated before any table is
+  /// written, then its dispersion tables, the four matching lines, the
+  /// bias line and the tee parasitics are rewritten.
+  BandReport evaluate(const DesignVector& design,
+                      const microstrip::Substrate& board);
 
   /// Element/noise tables refreshed by the last evaluate() (diagnostics
   /// and cache-invalidation tests): one per value table (stamp, two-port,
@@ -136,13 +145,23 @@ class BandEvaluator {
   }
 
  private:
-  void retabulate(const DesignVector& design);
+  /// The yield engine compiles its plan from the nominal design at
+  /// construction, before any trial runs.
+  friend class YieldTrialEvaluator;
+
+  /// Cold build: compiles the plan from LnaDesign's netlist of (design,
+  /// board).  Members are committed only once everything built, so a
+  /// throwing design leaves the evaluator unbuilt and reusable.
+  void build(const DesignVector& design, const microstrip::Substrate& board);
+  void retabulate(const DesignVector& design,
+                  const microstrip::Substrate& board);
 
   device::Phemt device_;
   AmplifierConfig config_;
   std::vector<double> band_hz_;
   bool built_ = false;
-  DesignVector last_;  ///< design the plan is currently bound to
+  DesignVector last_;            ///< design the plan is currently bound to
+  microstrip::Substrate board_;  ///< board the plan is currently bound to
   std::size_t last_retabulated_ = 0;
 
   // Values are written through the plan's table views, so no netlist is
@@ -150,16 +169,15 @@ class BandEvaluator {
   DesignBindings bindings_;
   circuit::BatchedPlan bplan_;
   circuit::EvalWorkspace workspace_;
-  /// Dispersion curve of a w50-wide line over the plan grid, cached at
-  /// build time: propagation data depend on (substrate, width, f) only,
-  /// so every design-vector line length reuses this table (the netlist
-  /// closure computes Line::y_from(propagation(f), length) as well).
-  std::vector<microstrip::Line::Propagation> w50_prop_;
+  /// Dispersion curves of the w50 and bias-width lines on `board_` over
+  /// the plan grid: propagation data depend on (substrate, width, f) only,
+  /// so every line length reuses them (the netlist closure computes
+  /// Line::y_from(propagation(f), length) as well).
+  std::vector<microstrip::Line::Propagation> w50_prop_, wbias_prop_;
   /// Per-band-lane noise results from the batched sweep; sized on first
   /// use and reused (steady-state resize is a no-op, so no allocations).
   std::vector<circuit::NoiseResult> noise_buf_;
-  BiasNetwork bias_;                  ///< bias for `last_` (id_a, r_drain)
-  device::NoiseTemperatures nt_adj_;  ///< ambient-scaled FET temperatures
+  BiasNetwork bias_;  ///< bias for `last_` (id_a, r_drain)
   bool force_full_retab_ = false;  ///< a write threw mid-retabulation; the
                                    ///< tables may be mixed, rewrite all
 };

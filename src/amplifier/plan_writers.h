@@ -1,26 +1,26 @@
-// Direct-retabulation writers for frequency-batched plans, and the band
-// pass that reads a written plan back as a BandReport.
+// Direct-retabulation writers for frequency-batched plans.
 //
 // The batched steady state bypasses the Netlist closures: each writer
 // fills a plan value table with exactly what the corresponding closure
 // builder in netlist.cpp (or noisy_twoport.cpp / the FET closures in
 // lna.cpp) would have returned at every grid frequency, so a plan written
 // in place stays bit-identical to one compiled fresh from the rebuilt
-// netlist (pinned by tests/test_batched.cpp).
-// Each writer returns the number of value tables it rewrote (stamp or
-// two-port Y-block, plus the noise CSD when the element is noisy).
+// netlist (pinned by tests/test_batched.cpp).  Each writer is a pure
+// function of its parameters, and returns the number of value tables it
+// rewrote (stamp or two-port Y-block, plus the noise CSD when the element
+// is noisy).
 //
-// Shared by BandEvaluator (optimizer loops) and the yield engine's
-// YieldTrialEvaluator (tolerance trials).  `noise_lanes` bounds how many
-// leading grid lanes get their noise CSDs rewritten: noise data are only
-// ever read for the in-band lanes (noise_sweep / noise_at stop at the
-// band), so a caller that knows its band size can skip the stability
-// lanes' CSDs without changing any produced figure.  The default rewrites
-// every lane.
+// Used by BandEvaluator (amplifier/lna.cpp), which serves both optimizer
+// loops and tolerance trials.  `noise_lanes` bounds how many leading grid
+// lanes get their noise CSDs rewritten: noise data are only ever read for
+// the in-band lanes (noise_sweep / noise_at stop at the band), so a caller
+// that knows its band size can skip the stability lanes' CSDs without
+// changing any produced figure.  The default rewrites every lane.
 //
 // Internal amplifier header, not part of the public API surface.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -28,31 +28,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "amplifier/lna.h"
 #include "circuit/batched.h"
 #include "circuit/noisy_twoport.h"
 #include "device/small_signal.h"
 #include "microstrip/line.h"
 #include "rf/twoport.h"
 #include "rf/units.h"
-
-namespace gnsslna::amplifier {
-
-/// The band pass every evaluation path shares (LnaDesign::evaluate,
-/// BandEvaluator, YieldTrialEvaluator): factors all lanes of `plan` in
-/// `ws`, solves the ports and (over the first `band_points` lanes) the
-/// output transfer, and reduces the report in grid order.  The plan grid
-/// must be `band_points` >= 1 in-band frequencies followed by
-/// LnaDesign::stability_grid(); `id_a` is the design's drain current and
-/// `noise` reusable per-lane scratch (resized to band_points).  Agrees
-/// with the per-call analyses (circuit::s_params / noise_analysis) reduced
-/// in the same order within the written tolerance of the batched core
-/// (tests/reference_band.h).
-BandReport band_report(const circuit::BatchedPlan& plan,
-                       circuit::EvalWorkspace& ws, std::size_t band_points,
-                       double id_a, std::vector<circuit::NoiseResult>& noise);
-
-}  // namespace gnsslna::amplifier
 
 namespace gnsslna::amplifier::planw {
 

@@ -10,13 +10,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "amplifier/plan_writers.h"
-#include "microstrip/discontinuity.h"
 #include "numeric/parallel.h"
 #include "numeric/stats.h"
 #include "obs/obs.h"
-#include "passives/catalog.h"
-#include "rf/units.h"
 
 namespace gnsslna::amplifier {
 
@@ -69,28 +65,6 @@ TrialOutcome outcome_from(const BandReport& rep, const DesignGoals& goals) {
     out.failed = true;
   }
   return out;
-}
-
-/// A full LnaDesign + transient plan per trial: the fallback when the
-/// nominal design itself cannot be built (so no persistent evaluator
-/// exists), classifying each trial on its own draw.
-TrialOutcome rebuild_trial(const device::Phemt& device,
-                           const AmplifierConfig& base,
-                           const std::vector<double>& band,
-                           const TrialDraw& draw, const DesignGoals& goals) {
-  try {
-    AmplifierConfig cfg = base;
-    // Board perturbation only: w50_m stays at the resolved nominal (the
-    // mask is etched once), so resolve() inside LnaDesign re-validates the
-    // perturbed substrate without re-synthesizing widths.
-    cfg.substrate = draw.substrate;
-    const BandReport rep = LnaDesign(device, cfg, draw.design).evaluate(band);
-    return outcome_from(rep, goals);
-  } catch (const std::exception&) {
-    TrialOutcome out;
-    out.failed = true;
-    return out;
-  }
 }
 
 /// Fixed-point scale for the streaming sums: 2^24 keeps quantization at
@@ -307,122 +281,24 @@ YieldTrialEvaluator::YieldTrialEvaluator(const device::Phemt& device,
                                          AmplifierConfig config,
                                          const DesignVector& nominal,
                                          std::vector<double> band_hz)
-    : device_(device),
-      config_(std::move(config)),
-      band_hz_(band_hz.empty() ? LnaDesign::default_band()
-                               : std::move(band_hz)) {
-  config_.resolve();
-  // Cold build from the nominal design: closures, plan layout and
-  // workspace blocks allocate freely here; every trial after the first is
-  // allocation-free.
-  const LnaDesign lna(device_, config_, nominal);
-  const circuit::Netlist nl = lna.build_netlist(&bindings_);
-  std::vector<double> grid = band_hz_;
-  const std::vector<double> mu_grid = LnaDesign::stability_grid();
-  grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
-  bplan_ = circuit::BatchedPlan(nl, std::move(grid));
-  w50_prop_.resize(bplan_.grid().size());
-  wbias_prop_.resize(bplan_.grid().size());
-  noise_buf_.resize(band_hz_.size());
-  nt_adj_ = device_.temperatures();
-  if (config_.t_ambient_k != 290.0) {
-    const double scale = config_.t_ambient_k / 290.0;
-    nt_adj_.tg_k *= scale;
-    nt_adj_.td_k *= scale;
+    : evaluator_(device, std::move(config), std::move(band_hz)) {
+  // Cold build from the nominal design on the nominal board: closures,
+  // plan layout and tables allocate freely here.  An infeasible nominal
+  // leaves the evaluator unbuilt, and the first trial whose own draw can
+  // be built compiles the plan, so every trial is classified on its own
+  // draw either way.
+  try {
+    evaluator_.build(nominal, evaluator_.config_.substrate);
+    GNSSLNA_OBS_COUNT("yield.plan_builds");
+  } catch (const std::exception&) {
   }
-}
-
-void YieldTrialEvaluator::retabulate(const TrialDraw& draw,
-                                     const BiasNetwork& bias) {
-  // Every tolerance draw moves every perturbed parameter almost surely,
-  // so — unlike the optimizer-loop BandEvaluator — there is no
-  // changed-field tracking: each trial rewrites all perturbed tables.
-  // That full rewrite is also what makes trials history-free: the plan
-  // state after retabulate() depends only on THIS draw, never on which
-  // trials the worker handled before (determinism under any sharding),
-  // and a mid-write exception needs no repair pass.
-  bplan_.mark_values_dirty();
-  const double t = config_.t_ambient_k;
-  const DesignVector& d = draw.design;
-  const microstrip::Substrate& sub = draw.substrate;
-  const std::size_t nb = band_hz_.size();  // noise read in-band only
-  const std::vector<double>& grid = bplan_.grid();
-
-  // The trial board's dispersion tables, one per line width (length- and
-  // element-independent, shared below).
-  const microstrip::Line w50_probe(sub, config_.w50_m, 1e-3);
-  const microstrip::Line wbias_probe(sub, config_.w_bias_m, 1e-3);
-  for (std::size_t fi = 0; fi < grid.size(); ++fi) {
-    w50_prop_[fi] = w50_probe.propagation(grid[fi]);
-    wbias_prop_[fi] = wbias_probe.propagation(grid[fi]);
-  }
-
-  if (config_.dispersive_passives) {
-    planw::write_lossy(bplan_, bindings_.cin,
-                       passives::make_capacitor(d.c_in_f, config_.package), t,
-                       nb);
-    planw::write_lossy(bplan_, bindings_.lshunt,
-                       passives::make_inductor(d.l_shunt_h, config_.package),
-                       t, nb);
-    planw::write_lossy(bplan_, bindings_.cmid,
-                       passives::make_capacitor(d.c_mid_f, config_.package), t,
-                       nb);
-    planw::write_lossy(bplan_, bindings_.lsdeg,
-                       passives::make_inductor(d.l_sdeg_h, config_.package), t,
-                       nb);
-    planw::write_lossy(bplan_, bindings_.coutsh,
-                       passives::make_capacitor(d.c_out_sh_f, config_.package),
-                       t, nb);
-  } else {
-    planw::write_capacitor(bplan_, bindings_.cin.element, d.c_in_f);
-    planw::write_inductor(bplan_, bindings_.lshunt.element, d.l_shunt_h);
-    planw::write_capacitor(bplan_, bindings_.cmid.element, d.c_mid_f);
-    planw::write_inductor(bplan_, bindings_.lsdeg.element, d.l_sdeg_h);
-    planw::write_capacitor(bplan_, bindings_.coutsh.element, d.c_out_sh_f);
-  }
-  planw::write_resistor(bplan_, bindings_.rfb, d.r_fb_ohm, t, nb);
-  planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain, t, nb);
-
-  // Design-vector matching lines on the trial board.
-  planw::write_line(bplan_, bindings_.tlin1, d.l_in_m, w50_prop_, t, nb);
-  planw::write_line(bplan_, bindings_.tlin2, d.l_in2_m, w50_prop_, t, nb);
-  planw::write_line(bplan_, bindings_.tlout1, d.l_out_m, w50_prop_, t, nb);
-  planw::write_line(bplan_, bindings_.tlout2, d.l_out2_m, w50_prop_, t, nb);
-
-  // Substrate-dependent fixed elements the optimizer path never touches:
-  // the bias line and the tee parasitics follow the trial's board.
-  planw::write_line(bplan_, bindings_.tlbias, config_.l_bias_m, wbias_prop_,
-                    t, nb);
-  if (bindings_.has_tee) {
-    const microstrip::TeeJunction tee(sub, config_.w50_m, config_.w_bias_m);
-    planw::write_inductor(bplan_, bindings_.ltee1, tee.arm_inductance_main());
-    planw::write_inductor(bplan_, bindings_.ltee2, tee.arm_inductance_main());
-    planw::write_inductor(bplan_, bindings_.ltee3,
-                          tee.arm_inductance_branch());
-    planw::write_capacitor(bplan_, bindings_.ctee, tee.junction_capacitance());
-  }
-
-  // The FET at the trial's bias point (same hoisting as fet_closures; the
-  // extraction is temperature-independent, so the unadjusted device
-  // yields identical values).
-  const device::IntrinsicParams ip =
-      device_.small_signal(device::Bias{d.vgs, d.vds});
-  planw::write_fet(bplan_, bindings_.q1, ip, device_.extrinsics(), nt_adj_,
-                   nb);
 }
 
 TrialOutcome YieldTrialEvaluator::evaluate(const TrialDraw& draw,
                                            const DesignGoals& goals) {
   GNSSLNA_OBS_COUNT("yield.resyncs");
   try {
-    // Reject exactly what the rebuild path rejects, in the same order:
-    // board first (AmplifierConfig::resolve validates the substrate),
-    // then the operating point — both BEFORE any table is touched.
-    draw.substrate.validate();
-    const BiasNetwork bias = design_bias(device_, draw.design, config_);
-    retabulate(draw, bias);
-    return outcome_from(band_report(bplan_, workspace_, band_hz_.size(),
-                                    bias.id_a, noise_buf_),
+    return outcome_from(evaluator_.evaluate(draw.design, draw.substrate),
                         goals);
   } catch (const std::exception&) {
     TrialOutcome out;
@@ -462,7 +338,13 @@ YieldReport run_yield(const device::Phemt& device,
   // dependent, which is harmless because trials are history-free and the
   // accumulators merge order-independently.
   struct Worker {
-    std::unique_ptr<YieldTrialEvaluator> eval;
+    Worker(const device::Phemt& device, const AmplifierConfig& config,
+           const DesignVector& nominal, const std::vector<double>& band,
+           std::size_t bins)
+        : eval(device, config, nominal, band) {
+      stats.init(bins);
+    }
+    YieldTrialEvaluator eval;
     StreamingStats stats;
   };
   std::vector<std::unique_ptr<Worker>> pool;
@@ -477,18 +359,7 @@ YieldReport run_yield(const device::Phemt& device,
         return w;
       }
     }
-    auto fresh = std::make_unique<Worker>();
-    fresh->stats.init(bins);
-    try {
-      fresh->eval =
-          std::make_unique<YieldTrialEvaluator>(device, base, design, band);
-      GNSSLNA_OBS_COUNT("yield.plan_builds");
-    } catch (const std::exception&) {
-      // Nominal design itself infeasible: fall back to the per-trial
-      // rebuild path, which classifies each trial on its own draw —
-      // exactly what the engine would report trial by trial.
-      fresh->eval = nullptr;
-    }
+    auto fresh = std::make_unique<Worker>(device, base, design, band, bins);
     const std::lock_guard<std::mutex> lock(pool_mutex);
     pool.push_back(std::move(fresh));
     return pool.back().get();
@@ -512,10 +383,7 @@ YieldReport run_yield(const device::Phemt& device,
                                      options.tolerances)
                   : pseudo_trial_draw(root, i, design, base.substrate,
                                       options.tolerances);
-        const TrialOutcome o =
-            w->eval ? w->eval->evaluate(draw, goals)
-                    : rebuild_trial(device, base, band, draw, goals);
-        w->stats.add(o, options);
+        w->stats.add(w->eval.evaluate(draw, goals), options);
       }
       GNSSLNA_OBS_COUNT_N("yield.samples", t1 - t0);
       GNSSLNA_OBS_COUNT_N("yield.failed_evals",

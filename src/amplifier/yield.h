@@ -8,15 +8,17 @@
 //
 // The engine is built to survive 10^6+ samples:
 //
-//  * Plan reuse.  Each worker thread keeps ONE batched evaluation plan
-//    (circuit::BatchedPlan) alive across its shards and applies every
-//    trial's perturbations by re-tabulating the perturbed element tables
-//    in place (amplifier/plan_writers.h) — a sample costs one re-stamp
-//    plus one allocation-free batched evaluate instead of a full
-//    netlist + plan rebuild.  Because a tolerance draw also perturbs the
-//    SUBSTRATE, the re-stamp covers the bias line and tee parasitics the
-//    optimizer path treats as fixed (DesignBindings carries their
-//    handles).
+//  * Plan reuse.  Each worker thread keeps ONE amplifier::BandEvaluator
+//    (the evaluator the optimizer loops use) alive across its shards and
+//    hands it every trial's perturbed (design, board) pair: it re-stamps
+//    in place the tables whose parameters moved (amplifier/plan_writers.h)
+//    — a sample costs one re-stamp plus one allocation-free batched
+//    evaluate instead of a full netlist + plan rebuild.  A tolerance draw
+//    also perturbs the SUBSTRATE, so the re-stamp covers the bias line and
+//    tee parasitics a fixed-board design step never moves.  Trials are
+//    history-free: every writer is a pure function of its parameters, so
+//    a table skipped because its parameters did not change already holds
+//    this trial's values.
 //  * Counter-indexed sampling.  Trial i's draw is a pure function of
 //    (rng snapshot, i) for both samplers — Rng::split(i) for the
 //    pseudo-random stream, the direct Gray-code formula for scrambled
@@ -140,20 +142,21 @@ struct TrialOutcome {
   bool failed = false;  ///< evaluation failed; nf/gt are meaningless
 };
 
-/// Per-worker persistent trial evaluator: one netlist compile + batched
-/// plan at construction, then every trial is one in-place re-stamp of the
-/// perturbed tables plus one allocation-free batched evaluate.  The
-/// steady state performs ZERO heap allocations per trial (pinned by
-/// tests/test_alloc_free.cpp).  Results are bit-identical to rebuilding
-/// the trial's netlist and evaluating it through its own batched plan, and
-/// within the batched core's written tolerance of the per-call analyses on
-/// that netlist (pinned by tests/test_yield.cpp).
+/// Per-worker persistent trial evaluator: a BandEvaluator whose plan is
+/// compiled from the nominal design at construction, then every trial is
+/// one in-place re-stamp of the perturbed tables plus one allocation-free
+/// batched evaluate.  The steady state performs ZERO heap allocations per
+/// trial (pinned by tests/test_alloc_free.cpp).  Results are bit-identical
+/// to rebuilding the trial's netlist and evaluating it through its own
+/// batched plan, and within the batched core's written tolerance of the
+/// per-call analyses on that netlist (pinned by tests/test_yield.cpp).
 ///
 /// NOT thread-safe: hold one instance per thread (run_yield keeps a pool).
 class YieldTrialEvaluator {
  public:
-  /// Builds the plan for the nominal design's topology.  Throws like
-  /// LnaDesign if the nominal design itself is infeasible.
+  /// Builds the plan from the nominal design.  When the nominal design
+  /// itself is infeasible (bias unreachable etc.), the first trial that
+  /// can be built compiles it instead.
   YieldTrialEvaluator(const device::Phemt& device, AmplifierConfig config,
                       const DesignVector& nominal,
                       std::vector<double> band_hz = {});
@@ -165,24 +168,11 @@ class YieldTrialEvaluator {
   /// Arena high-water mark of the persistent workspace [bytes]; pinned by
   /// the zero-allocation test so silent workspace growth fails CI.
   std::size_t workspace_high_water() const {
-    return workspace_.arena_high_water();
+    return evaluator_.workspace_high_water();
   }
 
  private:
-  void retabulate(const TrialDraw& draw, const BiasNetwork& bias);
-
-  device::Phemt device_;
-  AmplifierConfig config_;
-  std::vector<double> band_hz_;
-  DesignBindings bindings_;
-  circuit::BatchedPlan bplan_;
-  circuit::EvalWorkspace workspace_;
-  /// Per-trial dispersion tables of the two line widths on the trial's
-  /// board (length-independent; see BandEvaluator::w50_prop_), rewritten
-  /// in place each trial because the substrate moves.
-  std::vector<microstrip::Line::Propagation> w50_prop_, wbias_prop_;
-  std::vector<circuit::NoiseResult> noise_buf_;
-  device::NoiseTemperatures nt_adj_;  ///< ambient-scaled FET temperatures
+  BandEvaluator evaluator_;
 };
 
 /// Runs n yield trials; "pass" means all four goals and the stability

@@ -68,13 +68,6 @@ NodeId Netlist::add_node(std::string label) {
   return node_labels_.size() - 1;
 }
 
-const std::string& Netlist::node_label(NodeId n) const {
-  if (n >= node_labels_.size()) {
-    throw std::out_of_range("Netlist::node_label: unknown node");
-  }
-  return node_labels_[n];
-}
-
 NodeId Netlist::find_node(const std::string& label) const {
   for (NodeId n = 0; n < node_labels_.size(); ++n) {
     if (node_labels_[n] == label) return n;

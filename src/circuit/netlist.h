@@ -76,7 +76,6 @@ class Netlist {
   NodeId add_node(std::string label = {});
 
   std::size_t node_count() const { return node_labels_.size(); }
-  const std::string& node_label(NodeId n) const;
 
   /// Finds a node by label.  Throws std::invalid_argument if absent.
   NodeId find_node(const std::string& label) const;

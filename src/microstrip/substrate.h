@@ -14,6 +14,8 @@ struct Substrate {
   double resistivity_ohm_m = 1.72e-8;  ///< conductor bulk resistivity (Cu)
   double roughness_rms_m = 1.5e-6;     ///< copper surface roughness (RMS)
 
+  bool operator==(const Substrate&) const = default;
+
   void validate() const {
     if (epsilon_r < 1.0) {
       throw std::invalid_argument("Substrate: epsilon_r must be >= 1");

@@ -341,10 +341,6 @@ void stop_span_capture() {
   g_capture.store(false, std::memory_order_relaxed);
 }
 
-bool span_capture_running() {
-  return g_capture.load(std::memory_order_relaxed);
-}
-
 void clear_span_capture() {
   Registry& r = Registry::get();
   std::lock_guard<std::mutex> lock(r.mutex);

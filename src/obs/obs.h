@@ -197,7 +197,6 @@ void job_trace_event(const SpanCategory& category, std::uint64_t dur_ns);
 // which makes the file diffable across runs and thread counts.
 void start_span_capture();
 void stop_span_capture();
-bool span_capture_running();
 
 /// Writes the captured events; returns false on I/O error.  Capture keeps
 /// running (stop it explicitly if desired).

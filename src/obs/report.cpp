@@ -87,19 +87,4 @@ std::string sparkline(const std::vector<double>& values) {
   return out;
 }
 
-std::vector<double> trace_column_best(const std::vector<TraceRecord>& records) {
-  std::vector<double> out;
-  out.reserve(records.size());
-  for (const TraceRecord& r : records) out.push_back(r.best_value);
-  return out;
-}
-
-std::vector<double> trace_column_attainment(
-    const std::vector<TraceRecord>& records) {
-  std::vector<double> out;
-  out.reserve(records.size());
-  for (const TraceRecord& r : records) out.push_back(r.attainment);
-  return out;
-}
-
 }  // namespace gnsslna::obs

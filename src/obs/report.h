@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/obs.h"
-#include "obs/trace.h"
 
 namespace gnsslna::obs {
 
@@ -23,10 +22,5 @@ std::string format_span_table(const std::vector<SpanStat>& spans);
 /// One-line unicode sparkline (▁▂▃▄▅▆▇█) of the values, min-max scaled.
 /// NaNs render as spaces.  Empty input yields an empty string.
 std::string sparkline(const std::vector<double>& values);
-
-/// Extracts one numeric column from a trace for sparklining / reporting.
-std::vector<double> trace_column_best(const std::vector<TraceRecord>& records);
-std::vector<double> trace_column_attainment(
-    const std::vector<TraceRecord>& records);
 
 }  // namespace gnsslna::obs

@@ -76,11 +76,6 @@ const JobOutcome& Scheduler::Ticket::wait() const {
   return outcome_;
 }
 
-bool Scheduler::Ticket::finished() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
-}
-
 Scheduler::Scheduler(SchedulerOptions options, PlanCache* plans)
     : workers_(numeric::resolve_threads(options.workers)),
       options_(options),
@@ -149,11 +144,6 @@ Scheduler::TicketPtr Scheduler::submit(const std::string& client,
   }
   work_cv_.notify_one();
   return ticket;
-}
-
-std::size_t Scheduler::queued() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return total_queued_;
 }
 
 Scheduler::TicketPtr Scheduler::next_job() {

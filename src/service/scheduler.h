@@ -92,7 +92,6 @@ class Scheduler {
 
     /// Blocks until the job reaches a terminal state.
     const JobOutcome& wait() const;
-    bool finished() const;
 
     /// Requests cancellation: immediate for a queued job, at the next
     /// generation barrier for a running one.  Idempotent.
@@ -138,7 +137,6 @@ class Scheduler {
                    CompletionFn on_complete = {}, bool want_spans = false);
 
   std::size_t workers() const { return workers_; }
-  std::size_t queued() const;
 
   /// Stops accepting work, cancels queued jobs (status "cancelled"),
   /// waits for running jobs, joins the workers.  Idempotent; the

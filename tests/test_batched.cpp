@@ -505,7 +505,9 @@ TEST(BatchedPlan, BandReportIdenticalAcrossPathsAndThreads) {
   // design variables at once (a differential-evolution step: bias
   // re-extraction plus FET, line and passive re-tabulation); odd steps
   // move one field and pin exactly which value tables the evaluator
-  // rewrote.
+  // rewrote.  The walk ends with board steps (a tolerance trial's
+  // substrate), alone and combined with design steps, compared with
+  // LnaDesign on a config whose substrate is the board.
   const device::Phemt dev = device::Phemt::reference_device();
   const std::vector<double> band = amplifier::LnaDesign::default_band();
   const optimize::Bounds box = amplifier::DesignVector::bounds();
@@ -579,6 +581,87 @@ TEST(BatchedPlan, BandReportIdenticalAcrossPathsAndThreads) {
     EXPECT_EQ(evaluator.last_retabulated(), 0u);
     expect_report_eq(again,
                      amplifier::LnaDesign(dev, config, d).evaluate(band));
+
+    // Board steps: eps_r +-2% and height +-5%, the yield engine's board
+    // tolerances.  The trace widths stay those resolved for the nominal
+    // board (the mask is etched once), so the rebuild runs on a resolved
+    // config whose substrate is the board.
+    amplifier::AmplifierConfig resolved = config;
+    resolved.resolve();
+    const microstrip::Substrate nominal_board = resolved.substrate;
+    const auto board_step = [&](const microstrip::Substrate& board,
+                                std::size_t expected_tables) {
+      amplifier::AmplifierConfig on_board = resolved;
+      on_board.substrate = board;
+      const amplifier::LnaDesign lna(dev, on_board, d);
+      const amplifier::BandReport rebuilt = lna.evaluate(band);
+      expect_report_eq(evaluator.evaluate(d, board), rebuilt);
+      EXPECT_EQ(evaluator.last_retabulated(), expected_tables);
+      reference::expect_near_oracle(
+          rebuilt, reference::reference_band_report(lna, band));
+    };
+    // A new board rewrites the four matching lines and the bias line
+    // (Y-block + CSD each) and the four tee stamps.
+    const std::size_t board_tables = 5u * 2u + 4u;
+    const std::size_t c_mid_tables = dispersive ? 2u : 1u;
+    microstrip::Substrate board = nominal_board;
+    board.epsilon_r = nominal_board.epsilon_r * 1.02;
+    {
+      SCOPED_TRACE("board step: eps_r +2%");
+      board_step(board, board_tables);
+    }
+    board.epsilon_r = nominal_board.epsilon_r;
+    board.height_m = nominal_board.height_m * 0.95;
+    {
+      SCOPED_TRACE("board step: height -5%");
+      board_step(board, board_tables);
+    }
+    board.epsilon_r = nominal_board.epsilon_r * 0.98;
+    d.c_mid_f = 2.2e-12;
+    {
+      SCOPED_TRACE("board step: eps_r -2% with a chip-passive step");
+      board_step(board, board_tables + c_mid_tables);
+    }
+    board.height_m = nominal_board.height_m * 1.05;
+    d.l_in_m = 9e-3;
+    {
+      SCOPED_TRACE("board step: height +5% with a line step");
+      board_step(board, board_tables);  // the moved line is written once
+    }
+    board.epsilon_r = nominal_board.epsilon_r * 1.02;
+    d.vgs = -0.42;
+    d.l_out_m = 14e-3;
+    {
+      SCOPED_TRACE("board step: eps_r +2% with a bias and line step");
+      board_step(board, board_tables + 4u);  // + R_drain and the FET
+    }
+    // A non-physical board is rejected before any table is written: the
+    // next call on the previous point rewrites nothing and still matches.
+    microstrip::Substrate bad = board;
+    bad.height_m = -nominal_board.height_m;
+    EXPECT_THROW(evaluator.evaluate(d, bad), std::invalid_argument);
+    {
+      SCOPED_TRACE("valid call after a rejected board");
+      board_step(board, 0u);
+    }
+    // A writer that throws halfway through a board step (non-positive
+    // line length) leaves mixed tables; the next call rewrites every
+    // table, the dispersion tables and board-dependent elements included,
+    // even though its board equals the one the plan held before.
+    amplifier::DesignVector broken = d;
+    broken.l_out2_m = -1e-3;
+    microstrip::Substrate other = board;
+    other.height_m = nominal_board.height_m * 0.95;
+    EXPECT_THROW(evaluator.evaluate(broken, other), std::invalid_argument);
+    {
+      SCOPED_TRACE("valid call after a throw mid-retabulation");
+      // Five chip passives, R_fb, R_drain, the FET and every board table.
+      board_step(board, (dispersive ? 10u : 5u) + 2u + 2u + 2u + board_tables);
+    }
+    // Back to the config's board through the one-argument overload.
+    const amplifier::BandReport home = evaluator.evaluate(d);
+    EXPECT_EQ(evaluator.last_retabulated(), board_tables);
+    expect_report_eq(home, amplifier::LnaDesign(dev, config, d).evaluate(band));
   }
 }
 

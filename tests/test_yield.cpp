@@ -204,11 +204,12 @@ TEST(YieldDraws, SobolDrawPerturbsEveryToleratedParameter) {
 // Engine equivalence and determinism
 
 /// One trial with its netlist rebuilt from scratch (the trial's own
-/// LnaDesign), reduced to a band report by `report`.
+/// LnaDesign on `config` with the trial's board), reduced to a band report
+/// by `report`.
 template <class Report>
-TrialOutcome rebuilt_trial(const TrialDraw& draw, const DesignGoals& goals,
-                           Report report) {
-  AmplifierConfig cfg = resolved_config();
+TrialOutcome rebuilt_trial(const AmplifierConfig& config, const TrialDraw& draw,
+                           const DesignGoals& goals, Report report) {
+  AmplifierConfig cfg = config;
   cfg.substrate = draw.substrate;  // w50 stays at the nominal mask width
   TrialOutcome out;
   try {
@@ -227,10 +228,12 @@ TrialOutcome rebuilt_trial(const TrialDraw& draw, const DesignGoals& goals,
   return out;
 }
 
-/// One trial through production: the trial's own batched plan, as
-/// run_yield evaluates a trial when no persistent evaluator exists.
-TrialOutcome production_trial(const TrialDraw& draw, const DesignGoals& goals) {
-  return rebuilt_trial(draw, goals, [](const LnaDesign& lna) {
+/// One trial through production on the trial's own batched plan (a
+/// one-shot LnaDesign::evaluate).
+TrialOutcome production_trial(const TrialDraw& draw, const DesignGoals& goals,
+                              const AmplifierConfig& config =
+                                  resolved_config()) {
+  return rebuilt_trial(config, draw, goals, [](const LnaDesign& lna) {
     return lna.evaluate(LnaDesign::default_band());
   });
 }
@@ -238,9 +241,11 @@ TrialOutcome production_trial(const TrialDraw& draw, const DesignGoals& goals) {
 /// One trial through the per-call oracle, analysed frequency by frequency
 /// (tests/reference_band.h).
 TrialOutcome reference_trial(const TrialDraw& draw, const DesignGoals& goals) {
-  return rebuilt_trial(draw, goals, [](const LnaDesign& lna) {
-    return reference::reference_band_report(lna, LnaDesign::default_band());
-  });
+  return rebuilt_trial(resolved_config(), draw, goals,
+                       [](const LnaDesign& lna) {
+                         return reference::reference_band_report(
+                             lna, LnaDesign::default_band());
+                       });
 }
 
 TEST(YieldEngine, PlanReuseMatchesPerTrialRebuildBitForBit) {
@@ -316,6 +321,63 @@ TEST(YieldEngine, FullReportIsBitIdenticalAcrossThreadsAndShards) {
                 " shard=" + std::to_string(shard) +
                 (sampler == YieldSampler::kSobol ? " sobol" : " pseudo"));
       }
+    }
+  }
+}
+
+TEST(YieldEngine, InfeasibleNominalClassifiesEveryTrialOnItsOwnDraw) {
+  // With vdd at the nominal drain voltage, design_bias rejects the nominal
+  // design itself, so no worker can compile its plan from it; about half
+  // the draws put vds below vdd and can be built.  Every trial must be
+  // classified on its own draw: the evaluator matches a rebuild of each
+  // trial bit for bit (the first buildable trial compiles the plan on its
+  // own board), and the run tallies exactly what per-trial rebuilds
+  // tally, bit-identically under every parallel decomposition.
+  AmplifierConfig config = resolved_config();
+  const DesignVector nominal;
+  config.vdd = nominal.vds;
+  EXPECT_THROW(LnaDesign(ref(), config, nominal), std::domain_error);
+  const DesignGoals goals = loose_goals();
+  const std::size_t n = 24;
+
+  numeric::Rng rng(99);
+  const numeric::Rng root = rng.fork();  // run_yield's root stream
+  YieldTrialEvaluator engine(ref(), config, nominal);
+  std::size_t passes = 0, failed = 0;
+  for (std::uint64_t trial = 0; trial < n; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const TrialDraw draw =
+        pseudo_trial_draw(root, trial, nominal, config.substrate, {});
+    const TrialOutcome o = production_trial(draw, goals, config);
+    const TrialOutcome a = engine.evaluate(draw, goals);
+    EXPECT_EQ(a.failed, o.failed);
+    EXPECT_EQ(a.pass, o.pass);
+    EXPECT_EQ(a.nf_avg_db, o.nf_avg_db);
+    EXPECT_EQ(a.gt_min_db, o.gt_min_db);
+    passes += o.pass ? 1 : 0;
+    failed += o.failed ? 1 : 0;
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(passes, 0u);
+
+  YieldOptions serial;
+  serial.threads = 1;
+  serial.shard = 1;
+  numeric::Rng serial_rng(99);
+  const YieldReport reference =
+      run_yield(ref(), config, nominal, goals, n, serial_rng, serial);
+  EXPECT_EQ(reference.passes, passes);
+  EXPECT_EQ(reference.failed_evals, failed);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t shard : {1u, 7u, 64u}) {
+      YieldOptions opt;
+      opt.threads = threads;
+      opt.shard = shard;
+      numeric::Rng run_rng(99);
+      expect_reports_identical(
+          reference, run_yield(ref(), config, nominal, goals, n, run_rng, opt),
+          "threads=" + std::to_string(threads) +
+              " shard=" + std::to_string(shard));
     }
   }
 }
