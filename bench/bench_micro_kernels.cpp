@@ -21,6 +21,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <ctime>
 
 #include "amplifier/lna.h"
@@ -285,18 +287,22 @@ double batch_ns(int iters, Op&& op, std::uint64_t* allocs = nullptr) {
 /// The band-evaluation kernel (the BM_BandEvaluation workload) and one
 /// steady-state yield-engine trial (the BM_YieldSampleMc workload: pseudo
 /// draw + full re-stamp + batched evaluate), timed directly (no
-/// google-benchmark), each the minimum of 5 batches, with the steady-state
-/// heap allocations per call (exactly 0 on the batched path).
+/// google-benchmark) in alternating batches, with the steady-state heap
+/// allocations per call (exactly 0 on the batched path).
 struct BandAndYieldTimes {
-  double band_ns = 1e300;
+  double band_ns = 1e300;      ///< fastest of the first 5 band batches
   double band_allocs_per_op = 0.0;
-  double yield_ns = 1e300;
+  double yield_ns = 1e300;     ///< fastest of the first 5 yield batches
+  double yield_ratio = 0.0;    ///< median per-alternation yield/band ratio
   double yield_allocs_per_op = 0.0;
 };
 
-/// The two kernels' batches alternate, so a change of host speed while
-/// the gate runs moves both terms of the yield/band ratio alike instead of
-/// landing on whichever kernel happened to run later.
+/// The two kernels' batches alternate, and the yield gate reads the
+/// median over 15 alternations of each yield batch over the band batch
+/// beside it: a change of host speed moves both terms of one ratio alike,
+/// and the median ignores the few ratios a speed change straddles, where
+/// a ratio of two minima swings with whichever kernel caught the fastest
+/// stretch.
 BandAndYieldTimes time_band_and_yield() {
   const device::Phemt dev = device::Phemt::reference_device();
   amplifier::AmplifierConfig config;
@@ -326,21 +332,30 @@ BandAndYieldTimes time_band_and_yield() {
   next_trial();  // warm up as in BM_YieldSampleMc: cold build + counters
   next_trial();
 
-  constexpr int kBatches = 5, kBandIters = 400, kYieldIters = 300;
+  constexpr int kAlternations = 15, kMinBatches = 5;
+  constexpr int kBandIters = 400, kYieldIters = 300;
   BandAndYieldTimes t;
+  std::array<double, kAlternations> ratios{};
   std::uint64_t band_allocs = 0, yield_allocs = 0;
-  for (int batch = 0; batch < kBatches; ++batch) {
-    t.band_ns = std::min(t.band_ns, batch_ns(kBandIters, [&] {
+  for (int a = 0; a < kAlternations; ++a) {
+    const double band_ns = batch_ns(kBandIters, [&] {
       step_design(d);
       (void)evaluator.evaluate(d);
-    }, &band_allocs));
-    t.yield_ns = std::min(t.yield_ns,
-                          batch_ns(kYieldIters, next_trial, &yield_allocs));
+    }, &band_allocs);
+    const double yield_ns = batch_ns(kYieldIters, next_trial, &yield_allocs);
+    ratios[a] = yield_ns / band_ns;
+    if (a < kMinBatches) {
+      t.band_ns = std::min(t.band_ns, band_ns);
+      t.yield_ns = std::min(t.yield_ns, yield_ns);
+    }
   }
+  std::nth_element(ratios.begin(), ratios.begin() + kAlternations / 2,
+                   ratios.end());
+  t.yield_ratio = ratios[kAlternations / 2];
   t.band_allocs_per_op =
-      static_cast<double>(band_allocs) / (kBatches * kBandIters);
+      static_cast<double>(band_allocs) / (kAlternations * kBandIters);
   t.yield_allocs_per_op =
-      static_cast<double>(yield_allocs) / (kBatches * kYieldIters);
+      static_cast<double>(yield_allocs) / (kAlternations * kYieldIters);
   return t;
 }
 
@@ -478,9 +493,9 @@ int perf_smoke(const std::string& baseline_path) {
       batched_ratio > batched_ratio_limit;
   // Yield-engine per-sample gate: the cost of one yield trial is pinned
   // as a RATIO to the band-evaluation kernel measured in the same
-  // process, in batches alternating with it, so host speed cancels; the
-  // baseline ratio comes from the committed BM_YieldSampleMc /
-  // BM_BandEvaluation entries.  Skipped (with a note) against baselines
+  // process, as the median of per-alternation ratios, so host speed
+  // cancels; the baseline ratio comes from the committed BM_YieldSampleMc
+  // / BM_BandEvaluation entries.  Skipped (with a note) against baselines
   // that predate the yield engine.
   bool yield_regressed = false;
   const double baseline_yield_ns =
@@ -488,13 +503,14 @@ int perf_smoke(const std::string& baseline_path) {
   if (baseline_yield_ns > 0.0) {
     const double yield_allocs = band_and_yield.yield_allocs_per_op;
     const double yield_ns = band_and_yield.yield_ns;
-    const double yield_ratio = yield_ns / now_ns;
+    const double yield_ratio = band_and_yield.yield_ratio;
     const double yield_ratio_limit = 1.25 * baseline_yield_ns / baseline_ns;
     const double baseline_yield_allocs = bench::bench_json_ns(
         bench::load_bench_json_field(baseline_path, "allocs_per_op"),
         "BM_YieldSampleMc");
-    std::printf("[perf_smoke] yield sample: %.0f ns/op; vs band evaluation: "
-                "%.2fx (limit %.2fx); steady-state allocs/op %.3f "
+    std::printf("[perf_smoke] yield sample: %.0f ns/op; vs band evaluation "
+                "(median of 15 alternations): %.2fx (limit %.2fx); "
+                "steady-state allocs/op %.3f "
                 "(baseline %.3f)\n",
                 yield_ns, yield_ratio, yield_ratio_limit, yield_allocs,
                 baseline_yield_allocs);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <stdexcept>
 
 #include "amplifier/plan_writers.h"
@@ -86,57 +87,65 @@ void tabulate_propagation(std::vector<microstrip::Line::Propagation>& prop,
 
 /// The band pass of every evaluation path (LnaDesign::evaluate and
 /// BandEvaluator): factors all lanes of `plan` in `ws`, solves the ports
-/// and (over the first `band_points` lanes) the output transfer, and
-/// reduces the report in grid order.  The plan grid must be `band_points`
-/// >= 1 in-band frequencies followed by LnaDesign::stability_grid();
-/// `id_a` is the design's drain current and `noise` reusable per-lane
-/// scratch (resized to band_points).  Agrees with the per-call analyses
+/// and (over the report lanes) the output transfer, and reduces one report
+/// per report grid into `reports`, each over its own lanes in grid order.
+/// The plan grid must be the report grids back to back — grid g ends at
+/// lane grid_ends[g], and each holds >= 1 frequency — followed by
+/// LnaDesign::stability_grid(), whose mu every report shares.  `id_a` is
+/// the design's drain current and `noise` reusable per-lane scratch
+/// (resized to the report lanes).  Agrees with the per-call analyses
 /// (circuit::s_params / noise_analysis) reduced in the same order within
 /// the written tolerance of the batched core (tests/reference_band.h).
-BandReport band_report(const circuit::BatchedPlan& plan,
-                       circuit::EvalWorkspace& ws, std::size_t band_points,
-                       double id_a, std::vector<circuit::NoiseResult>& noise) {
+void band_report(const circuit::BatchedPlan& plan, circuit::EvalWorkspace& ws,
+                 std::span<const std::size_t> grid_ends, double id_a,
+                 std::vector<circuit::NoiseResult>& noise,
+                 BandReport* reports) {
   const std::size_t nf = plan.size();
+  const std::size_t report_lanes = grid_ends.back();
   plan.factor(ws, 0, nf);
   plan.solve_ports(ws);
-  plan.solve_output_transfer(ws, 1, 0, band_points);
-  noise.resize(band_points);  // steady state: no-op, no allocation
+  plan.solve_output_transfer(ws, 1, 0, report_lanes);
+  noise.resize(report_lanes);  // steady state: no-op, no allocation
   plan.noise_sweep(ws, 0, 1, noise.data());
-  // Serial grid-order walk: the in-band figures first, then mu over the
-  // stability lanes.
-  BandReport rep;
-  rep.id_a = id_a;
-  double nf_sum = 0.0, gt_sum = 0.0;
-  rep.nf_max_db = -1e9;
-  rep.gt_min_db = 1e9;
-  rep.s11_worst_db = -1e9;
-  rep.s22_worst_db = -1e9;
-  for (std::size_t fi = 0; fi < band_points; ++fi) {
+  double mu_min = 1e9;
+  for (std::size_t fi = report_lanes; fi < nf; ++fi) {
     const rf::SParams s = plan.s_params_at(ws, fi);
-    const double nf_db = noise[fi].noise_figure_db;
-    const double gt = rf::db20(s.s21);
-    nf_sum += nf_db;
-    gt_sum += gt;
-    rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
-    rep.gt_min_db = std::min(rep.gt_min_db, gt);
-    rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
-    rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
+    mu_min = std::min(mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
   }
-  rep.nf_avg_db = nf_sum / static_cast<double>(band_points);
-  rep.gt_avg_db = gt_sum / static_cast<double>(band_points);
-  rep.mu_min = 1e9;
-  for (std::size_t fi = band_points; fi < nf; ++fi) {
-    const rf::SParams s = plan.s_params_at(ws, fi);
-    rep.mu_min =
-        std::min(rep.mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
+  // Serial grid-order walk over each report grid's lanes.
+  std::size_t begin = 0;
+  for (std::size_t g = 0; g < grid_ends.size(); ++g) {
+    const std::size_t end = grid_ends[g];
+    BandReport rep;
+    rep.id_a = id_a;
+    double nf_sum = 0.0, gt_sum = 0.0;
+    rep.nf_max_db = -1e9;
+    rep.gt_min_db = 1e9;
+    rep.s11_worst_db = -1e9;
+    rep.s22_worst_db = -1e9;
+    for (std::size_t fi = begin; fi < end; ++fi) {
+      const rf::SParams s = plan.s_params_at(ws, fi);
+      const double nf_db = noise[fi].noise_figure_db;
+      const double gt = rf::db20(s.s21);
+      nf_sum += nf_db;
+      gt_sum += gt;
+      rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
+      rep.gt_min_db = std::min(rep.gt_min_db, gt);
+      rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
+      rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
+    }
+    rep.nf_avg_db = nf_sum / static_cast<double>(end - begin);
+    rep.gt_avg_db = gt_sum / static_cast<double>(end - begin);
+    rep.mu_min = mu_min;
+    reports[g] = rep;
+    begin = end;
   }
-  return rep;
 }
 
-/// The in-band grid followed by the stability grid: the lanes a band plan
+/// The report grids followed by the stability grid: the lanes a band plan
 /// is compiled over.
-std::vector<double> plan_grid(const std::vector<double>& band_hz) {
-  std::vector<double> grid = band_hz;
+std::vector<double> plan_grid(const std::vector<double>& report_grid) {
+  std::vector<double> grid = report_grid;
   const std::vector<double> mu_grid = LnaDesign::stability_grid();
   grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
   return grid;
@@ -358,17 +367,27 @@ BandReport LnaDesign::evaluate(const std::vector<double>& band_hz) const {
   const circuit::BatchedPlan plan(build_netlist(), plan_grid(band_hz));
   circuit::EvalWorkspace ws;
   std::vector<circuit::NoiseResult> noise;
-  return band_report(plan, ws, band_hz.size(), bias_.id_a, noise);
+  const std::size_t band_end = band_hz.size();
+  BandReport rep;
+  band_report(plan, ws, {&band_end, 1}, bias_.id_a, noise, &rep);
+  return rep;
 }
 
-BandEvaluator::BandEvaluator(const device::Phemt& device,
-                             AmplifierConfig config,
-                             std::vector<double> band_hz)
+BandEvaluator::BandEvaluator(
+    const device::Phemt& device, AmplifierConfig config,
+    std::vector<double> band_hz,
+    const std::vector<std::vector<double>>& sub_grids)
     : device_(device),
       config_(std::move(config)),
-      band_hz_(band_hz.empty() ? LnaDesign::default_band()
-                               : std::move(band_hz)) {
+      report_grid_(band_hz.empty() ? LnaDesign::default_band()
+                                   : std::move(band_hz)) {
   config_.resolve();
+  grid_ends_.push_back(report_grid_.size());
+  for (const std::vector<double>& grid : sub_grids) {
+    report_grid_.insert(report_grid_.end(), grid.begin(), grid.end());
+    grid_ends_.push_back(report_grid_.size());
+  }
+  reports_.resize(grid_ends_.size());
 }
 
 BandReport BandEvaluator::evaluate(const DesignVector& design,
@@ -380,8 +399,9 @@ BandReport BandEvaluator::evaluate(const DesignVector& design,
   } else {
     build(design, board);
   }
-  return band_report(bplan_, workspace_, band_hz_.size(), bias_.id_a,
-                     noise_buf_);
+  band_report(bplan_, workspace_, grid_ends_, bias_.id_a, noise_buf_,
+              reports_.data());
+  return reports_.front();
 }
 
 void BandEvaluator::build(const DesignVector& design,
@@ -395,7 +415,7 @@ void BandEvaluator::build(const DesignVector& design,
   const LnaDesign lna(device_, config, design);
   DesignBindings bindings;
   const circuit::Netlist nl = lna.build_netlist(&bindings);
-  circuit::BatchedPlan plan(nl, plan_grid(band_hz_));
+  circuit::BatchedPlan plan(nl, plan_grid(report_grid_));
   // Length-independent dispersion table shared by the four matching lines
   // (the length is applied per element in write_line).
   std::vector<microstrip::Line::Propagation> w50;
@@ -461,10 +481,10 @@ void BandEvaluator::retabulate(const DesignVector& design,
   force_full_retab_ = true;
   std::size_t retabulated = 0;
   const double t = config_.t_ambient_k;
-  // Noise is only read on the in-band lanes (the transfer solve and the
-  // noise sweep stop at the band), so the stability lanes' CSDs are left
-  // as they are.
-  const std::size_t nb = band_hz_.size();
+  // Noise is only read on the report lanes (the transfer solve and the
+  // noise sweep stop there), so the stability lanes' CSDs are left as
+  // they are.
+  const std::size_t nb = report_grid_.size();
   if (rewrite_board) {
     tabulate_propagation(w50_prop_, board, config_.w50_m, bplan_.grid());
     tabulate_propagation(wbias_prop_, board, config_.w_bias_m, bplan_.grid());

@@ -113,13 +113,20 @@ class LnaDesign {
 /// objectives.cpp::ReportCache and run_yield's worker pool).
 class BandEvaluator {
  public:
-  /// Band defaults to LnaDesign::default_band() when empty.
+  /// Band defaults to LnaDesign::default_band() when empty.  Each of the
+  /// (non-empty) `sub_grids` is one more report grid compiled into the
+  /// same plan, whose lanes are [band | each sub-grid | stability]: one
+  /// pass then yields one report per grid (reports()).  Every lane is
+  /// computed independently of the others, so a grid's report has the
+  /// bits an evaluator built on that grid alone would return.
   BandEvaluator(const device::Phemt& device, AmplifierConfig config,
-                std::vector<double> band_hz = {});
+                std::vector<double> band_hz = {},
+                const std::vector<std::vector<double>>& sub_grids = {});
 
-  /// Evaluates one design point on the config's board.  Throws like
-  /// LnaDesign for infeasible designs (bias unreachable etc.); the
-  /// evaluator stays usable.
+  /// Evaluates one design point on the config's board and returns the
+  /// band's report.  Throws like LnaDesign for infeasible designs (bias
+  /// unreachable etc., or a singular lane on any grid); the evaluator
+  /// stays usable.
   BandReport evaluate(const DesignVector& design) {
     return evaluate(design, config_.substrate);
   }
@@ -131,6 +138,12 @@ class BandEvaluator {
   /// bias line and the tee parasitics are rewritten.
   BandReport evaluate(const DesignVector& design,
                       const microstrip::Substrate& board);
+
+  /// The reports of the last successful evaluate(), one per grid: the
+  /// band's first, then each sub-grid's in constructor order.  Each
+  /// reduces its own lanes in grid order and takes mu from the shared
+  /// stability lanes.
+  const std::vector<BandReport>& reports() const { return reports_; }
 
   /// Element/noise tables refreshed by the last evaluate() (diagnostics
   /// and cache-invalidation tests): one per value table (stamp, two-port,
@@ -158,7 +171,9 @@ class BandEvaluator {
 
   device::Phemt device_;
   AmplifierConfig config_;
-  std::vector<double> band_hz_;
+  std::vector<double> report_grid_;   ///< band and sub-grids, back to back
+  std::vector<std::size_t> grid_ends_;  ///< end lane of each report grid
+  std::vector<BandReport> reports_;     ///< one per report grid
   bool built_ = false;
   DesignVector last_;            ///< design the plan is currently bound to
   microstrip::Substrate board_;  ///< board the plan is currently bound to
@@ -174,7 +189,7 @@ class BandEvaluator {
   /// so every line length reuses them (the netlist closure computes
   /// Line::y_from(propagation(f), length) as well).
   std::vector<microstrip::Line::Propagation> w50_prop_, wbias_prop_;
-  /// Per-band-lane noise results from the batched sweep; sized on first
+  /// Per-report-lane noise results from the batched sweep; sized on first
   /// use and reused (steady-state resize is a no-op, so no allocations).
   std::vector<circuit::NoiseResult> noise_buf_;
   BiasNetwork bias_;  ///< bias for `last_` (id_a, r_drain)

@@ -104,25 +104,23 @@ BandReport infeasible_report() {
   return r;
 }
 
-const std::vector<std::string>& objective_names() {
-  static const std::vector<std::string> kNames = {
-      "NF_avg [dB]", "-GT_min [dB]", "S11_worst [dB]", "S22_worst [dB]"};
-  return kNames;
-}
-
-std::vector<double> evaluate_objectives(const device::Phemt& device,
-                                        const AmplifierConfig& config,
-                                        const DesignVector& d,
-                                        const std::vector<double>& band_hz) {
-  AmplifierConfig cfg = config;
-  cfg.resolve();
-  BandReport rep;
-  try {
-    rep = LnaDesign(device, cfg, d).evaluate(band_or_default(band_hz));
-  } catch (const std::exception&) {
-    rep = infeasible_report();
-  }
-  return {rep.nf_avg_db, -rep.gt_min_db, rep.s11_worst_db, rep.s22_worst_db};
+std::vector<optimize::ConstraintFn> band_constraints(
+    std::function<const BandReport&(const std::vector<double>&)> at,
+    const DesignGoals& goals) {
+  return {
+      [at, goals](const std::vector<double>& x) {
+        return goals.mu_margin - at(x).mu_min;
+      },
+      [at, goals](const std::vector<double>& x) {
+        return at(x).s11_worst_db - goals.s11_goal_db;
+      },
+      [at, goals](const std::vector<double>& x) {
+        return at(x).s22_worst_db - goals.s22_goal_db;
+      },
+      [at, goals](const std::vector<double>& x) {
+        return (at(x).id_a - goals.id_max_a) * 100.0;
+      },
+  };
 }
 
 optimize::GoalProblem make_goal_problem(
@@ -172,20 +170,11 @@ optimize::GoalProblem make_nf_gain_problem(
   problem.goals = {goals.nf_goal_db, -goals.gain_goal_db};
   problem.weights = {goals.nf_weight, goals.gain_weight};
   problem.bounds = DesignVector::bounds();
-  problem.constraints = {
-      [cache, goals](const std::vector<double>& x) {
-        return goals.mu_margin - cache->at(x).mu_min;
+  problem.constraints = band_constraints(
+      [cache](const std::vector<double>& x) -> const BandReport& {
+        return cache->at(x);
       },
-      [cache, goals](const std::vector<double>& x) {
-        return cache->at(x).s11_worst_db - goals.s11_goal_db;
-      },
-      [cache, goals](const std::vector<double>& x) {
-        return cache->at(x).s22_worst_db - goals.s22_goal_db;
-      },
-      [cache, goals](const std::vector<double>& x) {
-        return (cache->at(x).id_a - goals.id_max_a) * 100.0;
-      },
-  };
+      goals);
   return problem;
 }
 

@@ -13,6 +13,7 @@
 // design point, so the expensive netlist analyses run once per point.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "amplifier/lna.h"
@@ -35,22 +36,19 @@ struct DesignGoals {
   double id_max_a = 0.040;      ///< current budget [A]
 };
 
-/// Objective-vector sizes and order for reports.
-inline constexpr std::size_t kObjectiveCount = 4;
-const std::vector<std::string>& objective_names();
-
 /// Sentinel report for design points that cannot be built (bias
 /// unreachable etc.): terrible but finite, so optimizers move away
 /// smoothly instead of crashing.  Shared by every objective built on
 /// BandReport (the band-average problems and mission::ScenarioObjective).
 BandReport infeasible_report();
 
-/// Evaluates the four objectives of a design point (throws nothing; an
-/// unbuildable point returns infeasible_report()'s values).
-std::vector<double> evaluate_objectives(const device::Phemt& device,
-                                        const AmplifierConfig& config,
-                                        const DesignVector& d,
-                                        const std::vector<double>& band_hz);
+/// The hard constraints of the problems that keep the match goals hard
+/// (make_nf_gain_problem, mission::ScenarioObjective::goal_problem), in
+/// order: mu margin, S11, S22, and the current budget scaled to O(1) per
+/// 10 mA of overrun.  `at` returns the report of a design point.
+std::vector<optimize::ConstraintFn> band_constraints(
+    std::function<const BandReport&(const std::vector<double>&)> at,
+    const DesignGoals& goals);
 
 /// Builds the full goal-attainment problem over DesignVector::bounds().
 ///

@@ -13,9 +13,10 @@
 // Used by BandEvaluator (amplifier/lna.cpp), which serves both optimizer
 // loops and tolerance trials.  `noise_lanes` bounds how many leading grid
 // lanes get their noise CSDs rewritten: noise data are only ever read for
-// the in-band lanes (noise_sweep / noise_at stop at the band), so a caller
-// that knows its band size can skip the stability lanes' CSDs without
-// changing any produced figure.  The default rewrites every lane.
+// the report lanes (noise_sweep / noise_at stop before the stability
+// lanes), so a caller that knows its report lanes can skip the stability
+// lanes' CSDs without changing any produced figure.  The default rewrites
+// every lane.
 //
 // Internal amplifier header, not part of the public API surface.
 #pragma once

@@ -13,12 +13,13 @@ std::vector<double> sub_band_grid(double carrier_hz) {
 }
 
 /// Memoizes the Figures of the most recent design point, with one
-/// persistent BandEvaluator per distinct evaluation grid.  Slots are per
-/// thread (numeric::PerThreadSlots), exactly like
+/// persistent BandEvaluator whose plan holds the full band and every
+/// distinct sub-band grid.  Slots are per thread
+/// (numeric::PerThreadSlots), exactly like
 /// amplifier/objectives.cpp::ReportCache: closures may be evaluated
 /// concurrently by parallel_map, recomputation is pure, so reports are
 /// bit-identical for any thread count.  The cache owns its slots, so
-/// destroying the objective frees every thread's evaluators.
+/// destroying the objective frees every thread's evaluator.
 class ScenarioObjective::Cache {
  public:
   Cache(device::Phemt device, amplifier::AmplifierConfig config,
@@ -26,14 +27,14 @@ class ScenarioObjective::Cache {
       : device_(std::move(device)), config_(std::move(config)) {
     config_.resolve();
     // Distinct sub-band grids (GPS and Galileo share 1575.42 MHz; one
-    // evaluator serves both).
+    // grid serves both).  The evaluator's report 0 is the full band, so
+    // grid g is its report g + 1.
     for (const SubBand& band : analysis.sub_bands) {
+      const std::vector<double> grid = sub_band_grid(band.carrier_hz);
       std::size_t g = 0;
-      for (; g < carriers_.size(); ++g) {
-        if (carriers_[g] == band.carrier_hz) break;
-      }
-      if (g == carriers_.size()) carriers_.push_back(band.carrier_hz);
-      grid_of_band_.push_back(g);
+      while (g < sub_grids_.size() && sub_grids_[g] != grid) ++g;
+      if (g == sub_grids_.size()) sub_grids_.push_back(grid);
+      report_of_band_.push_back(g + 1);
       weights_.push_back(band.weight);
     }
   }
@@ -44,28 +45,21 @@ class ScenarioObjective::Cache {
     GNSSLNA_OBS_COUNT("mission.objective.evaluations");
     slot.valid = true;
     slot.x = x;
-    if (slot.full == nullptr) {
-      slot.full = std::make_unique<amplifier::BandEvaluator>(
-          device_, config_, amplifier::LnaDesign::default_band());
-      for (const double carrier : carriers_) {
-        slot.sub.push_back(std::make_unique<amplifier::BandEvaluator>(
-            device_, config_, sub_band_grid(carrier)));
-      }
+    if (slot.evaluator == nullptr) {
+      slot.evaluator = std::make_unique<amplifier::BandEvaluator>(
+          device_, config_, amplifier::LnaDesign::default_band(), sub_grids_);
     }
 
     Figures& f = slot.figures;
-    f.sub_bands.assign(grid_of_band_.size(), amplifier::BandReport{});
+    f.sub_bands.assign(report_of_band_.size(), amplifier::BandReport{});
     try {
-      const amplifier::DesignVector d = amplifier::DesignVector::from_vector(x);
-      f.full = slot.full->evaluate(d);
-      std::vector<amplifier::BandReport> per_grid(carriers_.size());
-      for (std::size_t g = 0; g < carriers_.size(); ++g) {
-        per_grid[g] = slot.sub[g]->evaluate(d);
-      }
+      f.full = slot.evaluator->evaluate(amplifier::DesignVector::from_vector(x));
+      const std::vector<amplifier::BandReport>& reports =
+          slot.evaluator->reports();
       f.nf_weighted_db = 0.0;
       f.gt_weighted_db = 0.0;
-      for (std::size_t k = 0; k < grid_of_band_.size(); ++k) {
-        f.sub_bands[k] = per_grid[grid_of_band_[k]];
+      for (std::size_t k = 0; k < report_of_band_.size(); ++k) {
+        f.sub_bands[k] = reports[report_of_band_[k]];
         f.nf_weighted_db += weights_[k] * f.sub_bands[k].nf_avg_db;
         f.gt_weighted_db += weights_[k] * f.sub_bands[k].gt_min_db;
       }
@@ -85,14 +79,13 @@ class ScenarioObjective::Cache {
     bool valid = false;
     std::vector<double> x;
     Figures figures;
-    std::unique_ptr<amplifier::BandEvaluator> full;
-    std::vector<std::unique_ptr<amplifier::BandEvaluator>> sub;
+    std::unique_ptr<amplifier::BandEvaluator> evaluator;
   };
 
   device::Phemt device_;
   amplifier::AmplifierConfig config_;
-  std::vector<double> carriers_;        ///< distinct sub-band carriers
-  std::vector<std::size_t> grid_of_band_;  ///< sub-band -> carrier index
+  std::vector<std::vector<double>> sub_grids_;  ///< distinct sub-band grids
+  std::vector<std::size_t> report_of_band_;  ///< sub-band -> report index
   std::vector<double> weights_;
   numeric::PerThreadSlots<Slot> slots_;
 };
@@ -108,11 +101,6 @@ ScenarioObjective::ScenarioObjective(const device::Phemt& device,
   cache_ = std::make_shared<Cache>(device, std::move(config), analysis_);
 }
 
-const std::vector<std::string>& ScenarioObjective::objective_names() {
-  static const std::vector<std::string> kNames = {"NF_w [dB]", "-GT_w [dB]"};
-  return kNames;
-}
-
 ScenarioObjective::Figures ScenarioObjective::figures(
     const amplifier::DesignVector& design) const {
   return cache_->at(design.to_vector());
@@ -120,46 +108,21 @@ ScenarioObjective::Figures ScenarioObjective::figures(
 
 optimize::GoalProblem ScenarioObjective::goal_problem() const {
   const std::shared_ptr<Cache> cache = cache_;
-  const amplifier::DesignGoals goals = goals_;
 
   optimize::GoalProblem problem;
   problem.objectives = [cache](const std::vector<double>& x) {
     const Figures& f = cache->at(x);
     return std::vector<double>{f.nf_weighted_db, -f.gt_weighted_db};
   };
-  problem.goals = {goals.nf_goal_db, -goals.gain_goal_db};
-  problem.weights = {goals.nf_weight, goals.gain_weight};
+  problem.goals = {goals_.nf_goal_db, -goals_.gain_goal_db};
+  problem.weights = {goals_.nf_weight, goals_.gain_weight};
   problem.bounds = amplifier::DesignVector::bounds();
-  problem.constraints = constraints();
+  problem.constraints = amplifier::band_constraints(
+      [cache](const std::vector<double>& x) -> const amplifier::BandReport& {
+        return cache->at(x).full;
+      },
+      goals_);
   return problem;
-}
-
-optimize::VectorObjectiveFn ScenarioObjective::objectives() const {
-  const std::shared_ptr<Cache> cache = cache_;
-  return [cache](const std::vector<double>& x) {
-    const Figures& f = cache->at(x);
-    return std::vector<double>{f.nf_weighted_db, -f.gt_weighted_db};
-  };
-}
-
-std::vector<optimize::ConstraintFn> ScenarioObjective::constraints() const {
-  const std::shared_ptr<Cache> cache = cache_;
-  const amplifier::DesignGoals goals = goals_;
-  return {
-      [cache, goals](const std::vector<double>& x) {
-        return goals.mu_margin - cache->at(x).full.mu_min;
-      },
-      [cache, goals](const std::vector<double>& x) {
-        return cache->at(x).full.s11_worst_db - goals.s11_goal_db;
-      },
-      [cache, goals](const std::vector<double>& x) {
-        return cache->at(x).full.s22_worst_db - goals.s22_goal_db;
-      },
-      [cache, goals](const std::vector<double>& x) {
-        // Scaled to O(1) per 10 mA of overrun, as in the band-average problem.
-        return (cache->at(x).full.id_a - goals.id_max_a) * 100.0;
-      },
-  };
 }
 
 ScenarioDesignOutcome run_scenario_design(const device::Phemt& device,
@@ -173,6 +136,7 @@ ScenarioDesignOutcome run_scenario_design(const device::Phemt& device,
   const optimize::GoalProblem problem = objective.goal_problem();
 
   ScenarioDesignOutcome out;
+  out.analysis = objective.analysis();
   out.optimization =
       optimize::improved_goal_attainment(problem, rng, options.optimizer);
   out.continuous = amplifier::DesignVector::from_vector(out.optimization.x);

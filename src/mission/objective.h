@@ -2,10 +2,11 @@
 //
 // mission::ScenarioObjective turns the paper's 2-objective band average
 // into scenario-weighted objectives: each active constellation
-// contributes a small sub-band grid around its carrier, evaluated with
-// the same fast amplifier::BandEvaluator machinery as the band-average
-// path, and the per-sub-band noise figure / transducer gain are combined
-// with the DOP/visibility weights of analyze_scenario():
+// contributes a small sub-band grid around its carrier, evaluated in the
+// same amplifier::BandEvaluator pass as the full band (one plan over the
+// full band, every distinct sub-band grid and the stability lanes), and
+// the per-sub-band noise figure / transducer gain are combined with the
+// DOP/visibility weights of analyze_scenario():
 //
 //   f1 =  sum_k w_k NF_avg(sub-band k)      [dB, minimized]
 //   f2 = -sum_k w_k GT_min(sub-band k)      [so "gain >= G" is f2 <= -G]
@@ -49,9 +50,6 @@ class ScenarioObjective {
   /// Effective goals: `goals` with nf_goal_db := analysis().nf_goal_db.
   const amplifier::DesignGoals& goals() const { return goals_; }
 
-  /// Objective-vector labels, matching the weighted (f1, f2) above.
-  static const std::vector<std::string>& objective_names();
-
   /// Weighted figures of one design point (infeasible designs return the
   /// same finite sentinel the band-average objectives use).
   struct Figures {
@@ -63,12 +61,9 @@ class ScenarioObjective {
   Figures figures(const amplifier::DesignVector& design) const;
 
   /// The weighted bi-objective goal-attainment problem (drives
-  /// optimize::improved_goal_attainment / pareto_sweep).
+  /// optimize::improved_goal_attainment / pareto_sweep), with
+  /// amplifier::band_constraints on the full-band report.
   optimize::GoalProblem goal_problem() const;
-
-  /// The same objectives/constraints for optimize::nsga2.
-  optimize::VectorObjectiveFn objectives() const;
-  std::vector<optimize::ConstraintFn> constraints() const;
 
  private:
   class Cache;
@@ -88,6 +83,7 @@ struct ScenarioDesignOptions {
 };
 
 struct ScenarioDesignOutcome {
+  ScenarioAnalysis analysis;  ///< the objective's analysis of the scenario
   optimize::GoalResult optimization;
   amplifier::DesignVector continuous;
   ScenarioObjective::Figures continuous_figures;

@@ -428,7 +428,7 @@ Json run_scenario_design_job(const mission::Scenario& scenario,
   out.set("snapped", design_json(outcome.snapped));
   out.set("snapped_report", report_json(outcome.snapped_figures.full));
   out.set("snapped_weighted", figures_json(outcome.snapped_figures));
-  out.set("scenario", scenario_json(mission::analyze_scenario(scenario)));
+  out.set("scenario", scenario_json(outcome.analysis));
   out.set("trace_csv", Json::string(trace.to_csv()));
   return out;
 }

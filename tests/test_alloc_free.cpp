@@ -13,10 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "amplifier/lna.h"
 #include "amplifier/yield.h"
 #include "circuit/batched.h"
 #include "device/phemt.h"
+#include "mission/objective.h"
 #include "reference_band.h"
 
 namespace gnsslna::amplifier {
@@ -32,42 +35,62 @@ std::uint64_t allocs_of(BandEvaluator& ev, const DesignVector& d) {
   return allocs;
 }
 
-TEST(AllocFree, SteadyStateBandEvaluationDoesNotTouchTheHeap) {
-  BandEvaluator ev(device::Phemt::reference_device(), AmplifierConfig{});
-  DesignVector d;
-
-  // Cold call: builds the plan, tabulates every element, sizes the arena.
-  // It MUST allocate — this also proves the counter is wired up.
-  EXPECT_GT(allocs_of(ev, d), 0u);
-  // Two more warm-up calls, covering a re-tabulation and a bias step:
-  // the first pass through each code path lazily registers its obs
-  // counters (function-local statics), a one-time cost that is not part
-  // of the steady-state contract.
-  d.l_in_m += 1e-5;
-  (void)ev.evaluate(d);
-  d.vgs += 0.01;
-  (void)ev.evaluate(d);
-
-  // Steady state: same design, single-field steps of every character the
-  // optimizer makes (line length, chip passive, bias voltage, resistor),
-  // and a full design step.  None may allocate.
-  EXPECT_EQ(allocs_of(ev, d), 0u) << "same-design re-evaluation";
-  for (int i = 0; i < 50; ++i) {
-    d.l_in_m += 1e-5;
-    EXPECT_EQ(allocs_of(ev, d), 0u) << "line-length step " << i;
+/// The scenario catalog's distinct sub-band grids: the extra report
+/// grids mission::ScenarioObjective compiles into its evaluator's plan.
+std::vector<std::vector<double>> catalog_sub_grids() {
+  std::vector<std::vector<double>> grids;
+  for (const mission::Scenario& scenario : mission::scenario_catalog()) {
+    for (const mission::WalkerShell& shell : scenario.shells) {
+      const std::vector<double> grid = mission::sub_band_grid(shell.carrier_hz);
+      if (std::find(grids.begin(), grids.end(), grid) == grids.end()) {
+        grids.push_back(grid);
+      }
+    }
   }
-  d.c_mid_f = 1.3e-12;
-  EXPECT_EQ(allocs_of(ev, d), 0u) << "chip-capacitor step";
-  d.r_fb_ohm = 750.0;
-  EXPECT_EQ(allocs_of(ev, d), 0u) << "feedback-resistor step";
-  d.vgs += 0.02;
-  EXPECT_EQ(allocs_of(ev, d), 0u) << "bias step (vgs)";
-  d.vds += 0.1;
-  EXPECT_EQ(allocs_of(ev, d), 0u) << "bias step (vds)";
-  d.c_in_f = 2.2e-12;
-  d.l_shunt_h = 5.1e-9;
-  d.l_in_m = 7.7e-3;
-  EXPECT_EQ(allocs_of(ev, d), 0u) << "multi-field step";
+  return grids;
+}
+
+TEST(AllocFree, SteadyStateBandEvaluationDoesNotTouchTheHeap) {
+  for (const std::vector<std::vector<double>>& sub_grids :
+       {std::vector<std::vector<double>>{}, catalog_sub_grids()}) {
+    SCOPED_TRACE(std::to_string(sub_grids.size()) + " sub-grids");
+    BandEvaluator ev(device::Phemt::reference_device(), AmplifierConfig{}, {},
+                     sub_grids);
+    DesignVector d;
+
+    // Cold call: builds the plan, tabulates every element, sizes the arena.
+    // It MUST allocate — this also proves the counter is wired up.
+    EXPECT_GT(allocs_of(ev, d), 0u);
+    // Two more warm-up calls, covering a re-tabulation and a bias step:
+    // the first pass through each code path lazily registers its obs
+    // counters (function-local statics), a one-time cost that is not part
+    // of the steady-state contract.
+    d.l_in_m += 1e-5;
+    (void)ev.evaluate(d);
+    d.vgs += 0.01;
+    (void)ev.evaluate(d);
+
+    // Steady state: same design, single-field steps of every character the
+    // optimizer makes (line length, chip passive, bias voltage, resistor),
+    // and a full design step.  None may allocate.
+    EXPECT_EQ(allocs_of(ev, d), 0u) << "same-design re-evaluation";
+    for (int i = 0; i < 50; ++i) {
+      d.l_in_m += 1e-5;
+      EXPECT_EQ(allocs_of(ev, d), 0u) << "line-length step " << i;
+    }
+    d.c_mid_f = 1.3e-12;
+    EXPECT_EQ(allocs_of(ev, d), 0u) << "chip-capacitor step";
+    d.r_fb_ohm = 750.0;
+    EXPECT_EQ(allocs_of(ev, d), 0u) << "feedback-resistor step";
+    d.vgs += 0.02;
+    EXPECT_EQ(allocs_of(ev, d), 0u) << "bias step (vgs)";
+    d.vds += 0.1;
+    EXPECT_EQ(allocs_of(ev, d), 0u) << "bias step (vds)";
+    d.c_in_f = 2.2e-12;
+    d.l_shunt_h = 5.1e-9;
+    d.l_in_m = 7.7e-3;
+    EXPECT_EQ(allocs_of(ev, d), 0u) << "multi-field step";
+  }
 }
 
 TEST(AllocFree, WorkspaceHighWaterMarkIsPinned) {

@@ -130,17 +130,23 @@ TEST(Lna, MoreDegenerationLowersGain) {
 }
 
 TEST(Objectives, VectorShapeAndSentinels) {
-  const std::vector<double> f =
-      evaluate_objectives(ref(), config(), DesignVector{}, {});
-  ASSERT_EQ(f.size(), kObjectiveCount);
-  EXPECT_EQ(objective_names().size(), kObjectiveCount);
-  // An unbuildable point produces the large sentinel objectives.
+  const optimize::VectorObjectiveFn objectives =
+      make_goal_problem(ref(), config(), DesignGoals{}).objectives;
+  const std::vector<double> f = objectives(DesignVector{}.to_vector());
+  ASSERT_EQ(f.size(), 4u);
+  // A pinched-off bias point still builds, and is noisier.
+  DesignVector pinched;
+  pinched.vds = 4.0;
+  pinched.vgs = -0.6;
+  EXPECT_GE(objectives(pinched.to_vector())[0], f[0]);
+  // An unbuildable point (vds at the supply rail) produces exactly the
+  // sentinel objectives.
   DesignVector bad;
-  bad.vds = 4.0;
-  bad.vgs = -0.6;  // pinched off: bias may be unreachable
-  const std::vector<double> fb =
-      evaluate_objectives(ref(), config(), bad, {});
-  EXPECT_GE(fb[0], f[0]);
+  bad.vds = config().vdd;
+  const BandReport s = infeasible_report();
+  EXPECT_EQ(objectives(bad.to_vector()),
+            (std::vector<double>{s.nf_avg_db, -s.gt_min_db, s.s11_worst_db,
+                                 s.s22_worst_db}));
 }
 
 TEST(Objectives, GoalProblemEvaluates) {

@@ -7,7 +7,9 @@
 // silent drift of every scenario-optimal design downstream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 
@@ -15,6 +17,7 @@
 #include "mission/objective.h"
 #include "mission/scenario.h"
 #include "mission/sky.h"
+#include "numeric/rng.h"
 #include "optimize/goal_attainment.h"
 
 namespace gnsslna {
@@ -356,15 +359,98 @@ TEST(ScenarioObjective, ObjectivesAndConstraintsAreFinite) {
   const mission::ScenarioObjective objective(
       device::Phemt::reference_device(), amplifier::AmplifierConfig{},
       *mission::find_scenario("jammed"));
+  const optimize::GoalProblem problem = objective.goal_problem();
   const std::vector<double> x = amplifier::DesignVector{}.to_vector();
-  const std::vector<double> f = objective.objectives()(x);
+  const std::vector<double> f = problem.objectives(x);
   ASSERT_EQ(f.size(), 2u);
   EXPECT_TRUE(std::isfinite(f[0]));
   EXPECT_TRUE(std::isfinite(f[1]));
-  for (const optimize::ConstraintFn& c : objective.constraints()) {
+  for (const optimize::ConstraintFn& c : problem.constraints) {
     EXPECT_TRUE(std::isfinite(c(x)));
   }
-  EXPECT_EQ(mission::ScenarioObjective::objective_names().size(), 2u);
+}
+
+TEST(ScenarioObjective, SharedPlanReportsEqualOneEvaluatorPerGridBitForBit) {
+  // One BandEvaluator over the band and the catalog's distinct sub-band
+  // grids against one evaluator per grid, both persistent across a walk
+  // of DE-step designs, uniform box draws, a box corner and an infeasible
+  // point: every lane is computed independently of the lanes sharing its
+  // plan, so each report keeps its bits, and a point fails on both sides
+  // or on none.  About 1 in 40 box draws has its lowest mu inside a
+  // sub-band, which a mu that strays onto the sub-band lanes would take.
+  const device::Phemt dev = device::Phemt::reference_device();
+  const amplifier::AmplifierConfig config;
+  std::vector<std::vector<double>> grids;
+  for (const mission::Scenario& scenario : mission::scenario_catalog()) {
+    for (const mission::WalkerShell& shell : scenario.shells) {
+      const std::vector<double> grid = mission::sub_band_grid(shell.carrier_hz);
+      if (std::find(grids.begin(), grids.end(), grid) == grids.end()) {
+        grids.push_back(grid);
+      }
+    }
+  }
+  ASSERT_EQ(grids.size(), 3u);
+  amplifier::BandEvaluator shared(dev, config, {}, grids);
+  std::vector<amplifier::BandEvaluator> alone;
+  alone.emplace_back(dev, config);
+  for (const std::vector<double>& grid : grids) {
+    alone.emplace_back(dev, config, grid);
+  }
+
+  const optimize::Bounds box = amplifier::DesignVector::bounds();
+  std::vector<amplifier::DesignVector> walk;
+  numeric::Rng rng(20261018u);
+  for (int i = 0; i < 120; ++i) {
+    std::vector<double> x = amplifier::DesignVector{}.to_vector();
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      x[j] += 0.02 * (box.upper[j] - box.lower[j]) * rng.normal();
+    }
+    walk.push_back(amplifier::DesignVector::from_vector(box.clamp(x)));
+  }
+  for (int i = 0; i < 240; ++i) {
+    std::vector<double> x(box.dimension());
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      x[j] = box.lower[j] + (box.upper[j] - box.lower[j]) * rng.uniform();
+    }
+    walk.push_back(amplifier::DesignVector::from_vector(x));
+  }
+  walk.push_back(amplifier::DesignVector::from_vector(box.upper));
+  amplifier::DesignVector infeasible;
+  infeasible.vds = config.vdd;
+  walk.push_back(infeasible);
+  walk.push_back(amplifier::DesignVector{});
+
+  std::size_t failed = 0;
+  for (std::size_t p = 0; p < walk.size(); ++p) {
+    SCOPED_TRACE("point " + std::to_string(p));
+    bool shared_threw = false;
+    try {
+      (void)shared.evaluate(walk[p]);
+    } catch (const std::exception&) {
+      shared_threw = true;
+    }
+    ASSERT_EQ(shared.reports().size(), alone.size());
+    for (std::size_t g = 0; g < alone.size(); ++g) {
+      SCOPED_TRACE("grid " + std::to_string(g));
+      amplifier::BandReport expected;
+      bool alone_threw = false;
+      try {
+        expected = alone[g].evaluate(walk[p]);
+      } catch (const std::exception&) {
+        alone_threw = true;
+      }
+      ASSERT_EQ(shared_threw, alone_threw);
+      if (!shared_threw) {
+        EXPECT_EQ(std::memcmp(&shared.reports()[g], &expected,
+                              sizeof(expected)),
+                  0);
+      }
+    }
+    failed += shared_threw ? 1 : 0;
+  }
+  // The vds = vdd point cannot be biased; the walk's other points can.
+  EXPECT_GE(failed, 1u);
+  EXPECT_LT(failed, walk.size() / 2);
 }
 
 mission::ScenarioDesignOptions tiny_scenario_options(std::size_t threads) {
