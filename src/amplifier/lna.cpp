@@ -75,14 +75,10 @@ FetClosures fet_closures(const device::Phemt& dev,
 /// Length-independent dispersion table of a `width_m` line on `board`
 /// over `grid`.  Resizing to the plan grid is a no-op after the cold
 /// build, so a board step does not allocate.
-void tabulate_propagation(std::vector<microstrip::Line::Propagation>& prop,
+void tabulate_propagation(microstrip::Line::PropagationRows& prop,
                           const microstrip::Substrate& board, double width_m,
                           const std::vector<double>& grid) {
-  const microstrip::Line probe(board, width_m, 1e-3);
-  prop.resize(grid.size());
-  for (std::size_t fi = 0; fi < grid.size(); ++fi) {
-    prop[fi] = probe.propagation(grid[fi]);
-  }
+  microstrip::Line(board, width_m, 1e-3).tabulate(grid, prop);
 }
 
 /// The band pass of every evaluation path (LnaDesign::evaluate and
@@ -418,7 +414,7 @@ void BandEvaluator::build(const DesignVector& design,
   circuit::BatchedPlan plan(nl, plan_grid(report_grid_));
   // Length-independent dispersion table shared by the four matching lines
   // (the length is applied per element in write_line).
-  std::vector<microstrip::Line::Propagation> w50;
+  microstrip::Line::PropagationRows w50;
   tabulate_propagation(w50, board, config_.w50_m, plan.grid());
   // Commit to the members only once everything built, so a throwing
   // design leaves the evaluator reusable.
@@ -426,7 +422,10 @@ void BandEvaluator::build(const DesignVector& design,
   w50_prop_ = std::move(w50);
   // The bias-width table is read only by a board step, which tabulates it
   // first; sizing it here keeps that step allocation-free.
-  wbias_prop_.resize(w50_prop_.size());
+  const std::size_t lanes = bplan_.size();
+  wbias_prop_.alpha_np_m.resize(lanes);
+  wbias_prop_.beta_rad_m.resize(lanes);
+  wbias_prop_.z0_ohm.resize(lanes);
   bindings_ = bindings;
   bias_ = lna.bias();
   last_ = design;

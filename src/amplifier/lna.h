@@ -185,10 +185,11 @@ class BandEvaluator {
   circuit::BatchedPlan bplan_;
   circuit::EvalWorkspace workspace_;
   /// Dispersion curves of the w50 and bias-width lines on `board_` over
-  /// the plan grid: propagation data depend on (substrate, width, f) only,
+  /// the plan grid, in the structure-of-arrays rows the line lane kernel
+  /// reads: propagation data depend on (substrate, width, f) only,
   /// so every line length reuses them (the netlist closure computes
   /// Line::y_from(propagation(f), length) as well).
-  std::vector<microstrip::Line::Propagation> w50_prop_, wbias_prop_;
+  microstrip::Line::PropagationRows w50_prop_, wbias_prop_;
   /// Per-report-lane noise results from the batched sweep; sized on first
   /// use and reused (steady-state resize is a no-op, so no allocations).
   std::vector<circuit::NoiseResult> noise_buf_;

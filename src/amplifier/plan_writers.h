@@ -33,6 +33,7 @@
 #include "circuit/noisy_twoport.h"
 #include "device/small_signal.h"
 #include "microstrip/line.h"
+#include "numeric/lanes.h"
 #include "rf/twoport.h"
 #include "rf/units.h"
 
@@ -43,10 +44,10 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 inline constexpr std::size_t kAllLanes =
     std::numeric_limits<std::size_t>::max();
 
-/// Dispersive one-port (z_of(part) through add_lossy_impedance).  The
-/// impedance model is evaluated once per lane and feeds both the stamp
-/// and (for the first noise_lanes lanes) the thermal-noise CSD — the same
-/// values the two closure tabulations would compute independently.
+/// Dispersive one-port (z_of(part) through add_lossy_impedance): the
+/// part's impedance lane kernel, then circuit::lossy_admittance_lanes for
+/// the stamp and (for the first noise_lanes lanes) the thermal-noise CSD —
+/// the kernels whose one-lane calls the two closures make.
 template <typename Part>
 std::size_t write_lossy(circuit::BatchedPlan& plan,
                         const circuit::ElementRef& ref, const Part& part,
@@ -58,17 +59,15 @@ std::size_t write_lossy(circuit::BatchedPlan& plan,
   const circuit::BatchedPlan::NoiseView nv =
       noisy ? plan.noise_view(ref.noise_group)
             : circuit::BatchedPlan::NoiseView{};
-  for (std::size_t fi = 0; fi < sv.count; ++fi) {
-    const circuit::Complex z = part.impedance(grid[fi]);
-    if (rf::magnitude_below(z, 1e-12)) {
-      throw std::domain_error("add_lossy_impedance: near-short element");
-    }
-    const circuit::Complex y = 1.0 / z;
-    sv.values[fi] = y;
-    if (noisy && fi < noise_lanes) {
-      nv.csd[fi] = circuit::Complex{
-          4.0 * rf::kBoltzmann * temperature_k * std::max(0.0, y.real()), 0.0};
-    }
+  const std::size_t nn = noisy ? std::min(noise_lanes, sv.count) : 0;
+  using numeric::kLaneBlock;
+  double z_re[kLaneBlock], z_im[kLaneBlock];
+  for (std::size_t b = 0; b < sv.count; b += kLaneBlock) {
+    const std::size_t nb = std::min(kLaneBlock, sv.count - b);
+    part.impedance({grid.data() + b, nb}, z_re, z_im);
+    circuit::lossy_admittance_lanes(
+        {z_re, nb}, z_im, sv.values + b, temperature_k,
+        noisy ? nv.csd + b : nullptr, nn > b ? std::min(nn - b, nb) : 0);
   }
   return noisy ? 2 : 1;
 }
@@ -125,30 +124,27 @@ inline std::size_t write_resistor(circuit::BatchedPlan& plan,
 
 inline std::size_t write_line(
     circuit::BatchedPlan& plan, const circuit::ElementRef& ref,
-    double length_m, const std::vector<microstrip::Line::Propagation>& prop,
+    double length_m, const microstrip::Line::PropagationRows& prop,
     double temperature_k, std::size_t noise_lanes = kAllLanes) {
   // `prop` caches the length-independent dispersion curve of this line's
   // (substrate, width) over the plan grid — the caller built it from a
   // Line of that substrate and width, which validated both — and the
-  // closure path computes Line::y_from(propagation(f), length()) too, so
-  // the written tables match it exactly while skipping the
-  // dispersion-model re-evaluation and the per-length Line construction.
-  // The length check is the one the Line constructor applies.
+  // closure path computes Line::y_from(propagation(f), length()), the
+  // one-lane call of the same lane kernel, so the written tables match it
+  // exactly while skipping the dispersion-model re-evaluation and the
+  // per-length Line construction.  The length check is the one the Line
+  // constructor applies.
   if (length_m <= 0.0) {
     throw std::invalid_argument("Line: width and length must be positive");
   }
   const circuit::BatchedPlan::TwoPortView tv =
       plan.twoport_view(ref.element.index);
-  for (std::size_t fi = 0; fi < tv.count; ++fi) {
-    tv.set(fi, microstrip::Line::y_from(prop[fi], length_m));
-  }
+  microstrip::Line::y_lanes(prop.alpha_np_m, prop.beta_rad_m, prop.z0_ohm,
+                            length_m, tv.terms);
   if (ref.noise_group == circuit::kNoNoiseGroup) return 1;
   const circuit::BatchedPlan::NoiseView nv = plan.noise_view(ref.noise_group);
-  const std::size_t nn = std::min(noise_lanes, nv.count);
-  for (std::size_t fi = 0; fi < nn; ++fi) {
-    circuit::passive_twoport_csd_into(tv.values[fi], temperature_k,
-                                      nv.csd + fi * 4);
-  }
+  circuit::passive_twoport_csd_lanes(tv.terms, std::min(noise_lanes, nv.count),
+                                     temperature_k, nv.csd);
   return 2;
 }
 
@@ -158,19 +154,24 @@ inline std::size_t write_fet(circuit::BatchedPlan& plan,
                              const device::ExtrinsicParams& ex,
                              const device::NoiseTemperatures& nt,
                              std::size_t noise_lanes = kAllLanes) {
+  // The closures' lane kernels over the grid: the Y-block, then for the
+  // first noise_lanes lanes the Pospieszalski parameters and the noise
+  // correlation matrix they give with that Y-block.
   const std::vector<double>& grid = plan.grid();
   const circuit::BatchedPlan::TwoPortView tv =
       plan.twoport_view(ref.element.index);
   const circuit::BatchedPlan::NoiseView nv = plan.noise_view(ref.noise_group);
   const std::size_t nn = std::min(noise_lanes, nv.count);
-  for (std::size_t fi = 0; fi < tv.count; ++fi) {
-    const rf::YParams yp = device::fet_y(ip, ex, grid[fi]);
-    tv.set(fi, yp);
-    if (fi < nn) {
-      const rf::NoiseParams np =
-          device::pospieszalski_noise(ip, ex, nt, grid[fi]);
-      circuit::noise_correlation_y_into(yp, np, nv.csd + fi * 4);
-    }
+  device::fet_y(ip, ex, grid, tv.terms);
+  using numeric::kLaneBlock;
+  double f_min[kLaneBlock], r_n[kLaneBlock], gamma_re[kLaneBlock],
+      gamma_im[kLaneBlock];
+  const rf::NoiseRows np{f_min, r_n, gamma_re, gamma_im, rf::kZ0};
+  for (std::size_t b = 0; b < nn; b += kLaneBlock) {
+    const std::size_t nb = std::min(kLaneBlock, nn - b);
+    device::pospieszalski_noise(ip, ex, nt, {grid.data() + b, nb}, np);
+    circuit::noise_correlation_y_lanes(tv.terms.from(b), np, nb,
+                                       nv.csd + b * 4);
   }
   return 2;
 }

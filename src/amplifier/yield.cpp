@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -332,11 +331,13 @@ YieldReport run_yield(const device::Phemt& device,
   const std::size_t shard = options.shard == 0 ? 256 : options.shard;
   const std::size_t bins = options.hist_bins == 0 ? 4096 : options.hist_bins;
 
-  // Pool of per-worker states: each holds a persistent trial evaluator
-  // and its private streaming accumulator.  Shards check a state out for
-  // their whole range; which shard gets which state is scheduling-
-  // dependent, which is harmless because trials are history-free and the
-  // accumulators merge order-independently.
+  // Per-worker states: each holds a persistent trial evaluator and its
+  // private streaming accumulator.  W = min(threads, shards) workers take
+  // the shards statically — worker w runs shards w, w + W, ... of every
+  // range — so which state evaluates which trial depends only on
+  // (threads, shard, n), never on scheduling.  Trials are history-free and
+  // the accumulators merge order-independently, so the report does not
+  // depend on W either.  A worker builds its state on its first shard.
   struct Worker {
     Worker(const device::Phemt& device, const AmplifierConfig& config,
            const DesignVector& nominal, const std::vector<double>& band,
@@ -347,55 +348,42 @@ YieldReport run_yield(const device::Phemt& device,
     YieldTrialEvaluator eval;
     StreamingStats stats;
   };
-  std::vector<std::unique_ptr<Worker>> pool;
-  std::vector<Worker*> idle;
-  std::mutex pool_mutex;
-  const auto acquire = [&]() -> Worker* {
-    {
-      const std::lock_guard<std::mutex> lock(pool_mutex);
-      if (!idle.empty()) {
-        Worker* w = idle.back();
-        idle.pop_back();
-        return w;
-      }
-    }
-    auto fresh = std::make_unique<Worker>(device, base, design, band, bins);
-    const std::lock_guard<std::mutex> lock(pool_mutex);
-    pool.push_back(std::move(fresh));
-    return pool.back().get();
-  };
-  const auto release = [&](Worker* w) {
-    const std::lock_guard<std::mutex> lock(pool_mutex);
-    idle.push_back(w);
-  };
+  const std::size_t total_shards = (n + shard - 1) / shard;
+  std::vector<std::unique_ptr<Worker>> pool(
+      std::min(numeric::resolve_threads(options.threads), total_shards));
 
   const auto run_range = [&](std::size_t begin, std::size_t end) {
     const std::size_t nshards = (end - begin + shard - 1) / shard;
-    numeric::parallel_for(options.threads, nshards, [&](std::size_t s) {
-      GNSSLNA_OBS_SPAN("yield.shard");
-      const std::size_t t0 = begin + s * shard;
-      const std::size_t t1 = std::min(end, t0 + shard);
-      Worker* w = acquire();
-      [[maybe_unused]] const std::uint64_t failed_before = w->stats.failed;
-      for (std::size_t i = t0; i < t1; ++i) {
-        const TrialDraw draw =
-            sobol ? sobol_trial_draw(*sobol, i, design, base.substrate,
-                                     options.tolerances)
-                  : pseudo_trial_draw(root, i, design, base.substrate,
-                                      options.tolerances);
-        w->stats.add(w->eval.evaluate(draw, goals), options);
+    const std::size_t workers = std::min(pool.size(), nshards);
+    numeric::parallel_for(options.threads, workers, [&](std::size_t wi) {
+      std::unique_ptr<Worker>& w = pool[wi];
+      if (!w) w = std::make_unique<Worker>(device, base, design, band, bins);
+      for (std::size_t s = wi; s < nshards; s += workers) {
+        GNSSLNA_OBS_SPAN("yield.shard");
+        const std::size_t t0 = begin + s * shard;
+        const std::size_t t1 = std::min(end, t0 + shard);
+        [[maybe_unused]] const std::uint64_t failed_before = w->stats.failed;
+        for (std::size_t i = t0; i < t1; ++i) {
+          const TrialDraw draw =
+              sobol ? sobol_trial_draw(*sobol, i, design, base.substrate,
+                                       options.tolerances)
+                    : pseudo_trial_draw(root, i, design, base.substrate,
+                                        options.tolerances);
+          w->stats.add(w->eval.evaluate(draw, goals), options);
+        }
+        GNSSLNA_OBS_COUNT_N("yield.samples", t1 - t0);
+        GNSSLNA_OBS_COUNT_N("yield.failed_evals",
+                            w->stats.failed - failed_before);
       }
-      GNSSLNA_OBS_COUNT_N("yield.samples", t1 - t0);
-      GNSSLNA_OBS_COUNT_N("yield.failed_evals",
-                          w->stats.failed - failed_before);
-      release(w);
     });
   };
 
   const auto merged_stats = [&]() {
     StreamingStats total;
     total.init(bins);
-    for (const std::unique_ptr<Worker>& w : pool) total.merge(w->stats);
+    for (const std::unique_ptr<Worker>& w : pool) {
+      if (w) total.merge(w->stats);
+    }
     return total;
   };
 

@@ -8,8 +8,9 @@
 //
 // The engine is built to survive 10^6+ samples:
 //
-//  * Plan reuse.  Each worker thread keeps ONE amplifier::BandEvaluator
-//    (the evaluator the optimizer loops use) alive across its shards and
+//  * Plan reuse.  Each of the W = min(threads, shards) workers keeps ONE
+//    amplifier::BandEvaluator (the evaluator the optimizer loops use)
+//    alive across its shards — worker w takes shards w, w + W, ... — and
 //    hands it every trial's perturbed (design, board) pair: it re-stamps
 //    in place the tables whose parameters moved (amplifier/plan_writers.h)
 //    — a sample costs one re-stamp plus one allocation-free batched
@@ -151,7 +152,8 @@ struct TrialOutcome {
 /// batched plan, and within the batched core's written tolerance of the
 /// per-call analyses on that netlist (pinned by tests/test_yield.cpp).
 ///
-/// NOT thread-safe: hold one instance per thread (run_yield keeps a pool).
+/// NOT thread-safe: hold one instance per thread (run_yield keeps one per
+/// worker).
 class YieldTrialEvaluator {
  public:
   /// Builds the plan from the nominal design.  When the nominal design

@@ -13,30 +13,16 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "numeric/lanes.h"
 #include "obs/obs.h"
 #include "rf/units.h"
 
 namespace gnsslna::circuit {
 
 // The lane loops below are plain IEEE mul/add/sub streams, so running them
-// through wider SIMD units changes nothing about the results — packed
-// double arithmetic is correctly rounded exactly like scalar, and
-// -ffp-contract=off keeps FMA contraction off in every clone.  Function
-// multiversioning therefore lets the default (bit-portable, baseline
-// x86-64) build use AVX2/AVX-512 lanes when the host has them, dispatched
+// through wider SIMD units changes nothing about the results: they run
+// under numeric/lanes.h's target_clones (GNSSLNA_LANE_CLONES), dispatched
 // once at load time, with bit-identical output on every path.
-//
-// ThreadSanitizer is excluded: GCC's target_clones IFUNC resolvers run
-// before the TSan runtime is initialized and segfault at load time (a
-// 3-line reproducer crashes identically).  Dispatch never changes
-// results, so the TSan build just runs the baseline clone.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__SANITIZE_THREAD__)
-#define GNSSLNA_BATCHED_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
-#else
-#define GNSSLNA_BATCHED_CLONES
-#endif
 
 // ---------------------------------------------------------------------------
 // Construction and tabulation
@@ -108,12 +94,11 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
       scatter(rows[k], cols[k], static_cast<std::uint32_t>(ti),
               Source::kTwoPort, static_cast<TpKind>(k), false);
     }
-    t.values.resize(grid_.size());
-    t.kind_re.resize(9 * grid_.size());
-    t.kind_im.resize(9 * grid_.size());
+    t.kind_re.resize(rf::YTermRows::kTerms * grid_.size());
+    t.kind_im.resize(rf::YTermRows::kTerms * grid_.size());
     const TwoPortView v = twoport_view(ti);
     for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
-      v.set(fi, tp.y(grid_[fi]));
+      v.terms.store(fi, tp.y(grid_[fi]));
     }
   }
 
@@ -238,8 +223,7 @@ BatchedPlan::StampView BatchedPlan::stamp_view(std::size_t stamp_index) {
 
 BatchedPlan::TwoPortView BatchedPlan::twoport_view(std::size_t twoport_index) {
   TwoPortTable& t = twoports_.at(twoport_index);
-  return {t.values.data(), t.values.size(), t.kind_re.data(),
-          t.kind_im.data()};
+  return {{t.kind_re.data(), t.kind_im.data(), grid_.size()}, grid_.size()};
 }
 
 BatchedPlan::NoiseView BatchedPlan::noise_view(std::size_t group_index) {
@@ -307,7 +291,7 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
 // ---------------------------------------------------------------------------
 // Assembly
 
-GNSSLNA_BATCHED_CLONES
+GNSSLNA_LANE_CLONES
 void BatchedPlan::assemble(EvalWorkspace& ws) const {
   const std::size_t L = ws.lanes_;
   const std::size_t fb = ws.f_begin_;
@@ -364,7 +348,7 @@ void BatchedPlan::assemble(EvalWorkspace& ws) const {
       }
       case Source::kTwoPort: {
         // The expanded kind rows already hold exactly the complex value
-        // Netlist::assemble forms for this term (see TwoPortView::set), so
+        // Netlist::assemble forms for this term (rf::YTermRows::store), so
         // the lane loop is a contiguous add just like the stamp path.
         const TwoPortTable& t = twoports_[sc.table];
         const std::size_t kk = static_cast<std::size_t>(sc.kind);
@@ -518,7 +502,7 @@ inline __attribute__((always_inline)) void factor_lanes_body(
   }
 }
 
-GNSSLNA_BATCHED_CLONES
+GNSSLNA_LANE_CLONES
 void factor_lanes_kernel(const std::size_t n, const std::size_t L,
                          const std::uint32_t* const diag, const Lines lcols,
                          const Lines urows, const std::uint32_t* const updates,
@@ -710,7 +694,7 @@ inline __attribute__((always_inline)) void substitute_ports_block(
   }
 }
 
-GNSSLNA_BATCHED_CLONES
+GNSSLNA_LANE_CLONES
 void substitute_ports_kernel(const std::size_t n, const std::size_t L,
                              const Lines lrows, const Lines urows,
                              const std::size_t src0, const std::size_t src1,
@@ -772,7 +756,7 @@ inline __attribute__((always_inline)) void transpose_substitute_body(
   }
 }
 
-GNSSLNA_BATCHED_CLONES
+GNSSLNA_LANE_CLONES
 void transpose_substitute_kernel(const std::size_t n, const std::size_t L,
                                  const std::size_t SL,
                                  const std::size_t out_row, const Lines ucols,

@@ -197,45 +197,12 @@ class BatchedPlan {
   };
   StampView stamp_view(std::size_t stamp_index);
 
-  /// Two-port Y table, one rf::YParams per grid frequency, plus the nine
-  /// expanded assembly term-kind rows ([kind * count + fi], in TpKind
-  /// order).  Assembly reads ONLY the expanded rows, so every write must
-  /// go through set(), which keeps both representations coherent.
+  /// Two-port Y table: the nine assembly term rows (rf::YTermRows, one
+  /// lane per grid frequency), the only form assembly reads.  The element
+  /// lane kernels write the rows directly.
   struct TwoPortView {
-    rf::YParams* values;
+    rf::YTermRows terms;
     std::size_t count;
-    double* kind_re;
-    double* kind_im;
-
-    /// Stores `y` at grid index fi and expands the nine assembly term
-    /// values with exactly the component expressions Netlist::assemble
-    /// forms (same operand order, so the expansion is bit-invisible).
-    void set(std::size_t fi, const rf::YParams& y) const {
-      values[fi] = y;
-      const double r11 = y.y11.real(), i11 = y.y11.imag();
-      const double r12 = y.y12.real(), i12 = y.y12.imag();
-      const double r21 = y.y21.real(), i21 = y.y21.imag();
-      const double r22 = y.y22.real(), i22 = y.y22.imag();
-      const std::size_t g = count;
-      kind_re[0 * g + fi] = r11;                    // kY11
-      kind_im[0 * g + fi] = i11;
-      kind_re[1 * g + fi] = r12;                    // kY12
-      kind_im[1 * g + fi] = i12;
-      kind_re[2 * g + fi] = -(r11 + r12);           // kNeg1112
-      kind_im[2 * g + fi] = -(i11 + i12);
-      kind_re[3 * g + fi] = r21;                    // kY21
-      kind_im[3 * g + fi] = i21;
-      kind_re[4 * g + fi] = r22;                    // kY22
-      kind_im[4 * g + fi] = i22;
-      kind_re[5 * g + fi] = -(r21 + r22);           // kNeg2122
-      kind_im[5 * g + fi] = -(i21 + i22);
-      kind_re[6 * g + fi] = -(r11 + r21);           // kNeg1121
-      kind_im[6 * g + fi] = -(i11 + i21);
-      kind_re[7 * g + fi] = -(r12 + r22);           // kNeg1222
-      kind_im[7 * g + fi] = -(i12 + i22);
-      kind_re[8 * g + fi] = r11 + r12 + r21 + r22;  // kSum
-      kind_im[8 * g + fi] = i11 + i12 + i21 + i22;
-    }
   };
   TwoPortView twoport_view(std::size_t twoport_index);
 
@@ -309,7 +276,7 @@ class BatchedPlan {
  private:
   // Netlist::assemble's two-port expansion: which of the nine bump
   // expressions produces a term's value.  The numeric order is the row
-  // order of the expanded kind tables written by TwoPortView::set.
+  // order of rf::YTermRows.
   enum class TpKind : std::uint8_t {
     kY11, kY12, kNeg1112, kY21, kY22, kNeg2122, kNeg1121, kNeg1222, kSum
   };
@@ -341,10 +308,8 @@ class BatchedPlan {
     std::vector<Complex> values;  // 1 entry if frequency-independent
   };
   struct TwoPortTable {
-    std::vector<rf::YParams> values;
-    // Expanded per-kind term values ([kind * grid + fi], TpKind order):
-    // assembly adds these rows contiguously instead of re-deriving the
-    // term expressions from the packed YParams on every factor.
+    // Term rows ([kind * grid + fi], TpKind order = rf::YTermRows order):
+    // assembly adds these rows contiguously.
     std::vector<double> kind_re, kind_im;
   };
   struct NoiseTable {

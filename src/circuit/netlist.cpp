@@ -3,6 +3,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "numeric/lanes.h"
+
 namespace gnsslna::circuit {
 
 namespace {
@@ -37,10 +39,10 @@ std::function<numeric::ComplexMatrix(double)> resistor_csd(double psd) {
 AdmittanceFn lossy_admittance(std::function<Complex(double)> impedance) {
   return [impedance = std::move(impedance)](double f) -> Complex {
     const Complex z = impedance(f);
-    if (rf::magnitude_below(z, 1e-12)) {
-      throw std::domain_error("add_lossy_impedance: near-short element");
-    }
-    return 1.0 / z;
+    const double z_re = z.real(), z_im = z.imag();
+    Complex y;
+    lossy_admittance_lanes({&z_re, 1}, &z_im, &y, 0.0, nullptr, 0);
+    return y;
   };
 }
 
@@ -48,21 +50,55 @@ std::function<numeric::ComplexMatrix(double)> lossy_csd(
     std::function<Complex(double)> impedance, double temperature_k) {
   return [impedance = std::move(impedance), temperature_k](double f) {
     const Complex z = impedance(f);
-    const Complex y = 1.0 / z;
+    const double z_re = z.real(), z_im = z.imag();
+    Complex y, psd;
+    lossy_admittance_lanes({&z_re, 1}, &z_im, &y, temperature_k, &psd, 1);
     numeric::ComplexMatrix m(1, 1);
-    // Thermal noise of the dissipative part: 4 k T Re{Y}.
-    m(0, 0) = 4.0 * rf::kBoltzmann * temperature_k * std::max(0.0, y.real());
+    m(0, 0) = psd;
     return m;
   };
 }
 
+GNSSLNA_LANE_CLONES
+void lossy_admittance_kernel(const double* z_re, const double* z_im,
+                             std::size_t lanes, Complex* y, double psd_scale,
+                             Complex* csd, std::size_t noise_lanes) {
+  for (std::size_t k = 0; k < lanes; ++k) {
+    double yr, yi;
+    numeric::smith_div(1.0, 0.0, z_re[k], z_im[k], yr, yi);
+    y[k] = Complex{yr, yi};
+  }
+  // Thermal noise of the dissipative part: 4 k T Re{Y}, with std::max's
+  // (0 < Re y ? Re y : 0) selection.
+  for (std::size_t k = 0; k < noise_lanes; ++k) {
+    const double g = y[k].real();
+    csd[k] = Complex{psd_scale * (0.0 < g ? g : 0.0), 0.0};
+  }
+}
+
 }  // namespace
+
+void lossy_admittance_lanes(std::span<const double> z_re, const double* z_im,
+                            Complex* y, double temperature_k, Complex* csd,
+                            std::size_t noise_lanes) {
+  for (std::size_t k = 0; k < z_re.size(); ++k) {
+    if (rf::magnitude_below(Complex{z_re[k], z_im[k]}, 1e-12)) {
+      throw std::domain_error("add_lossy_impedance: near-short element");
+    }
+  }
+  lossy_admittance_kernel(z_re.data(), z_im, z_re.size(), y,
+                          4.0 * rf::kBoltzmann * temperature_k, csd,
+                          noise_lanes);
+}
 
 Netlist::Netlist() { node_labels_.push_back("gnd"); }
 
 NodeId Netlist::add_node(std::string label) {
   if (label.empty()) {
-    label = "n" + std::to_string(node_labels_.size());
+    // Appended rather than "n" + to_string(...): GCC 12 at -O3 reports a
+    // false -Wrestrict overlap in the operator+ form.
+    label = 'n';
+    label += std::to_string(node_labels_.size());
   }
   node_labels_.push_back(std::move(label));
   return node_labels_.size() - 1;

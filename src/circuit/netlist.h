@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,16 @@ struct ElementRef {
   ElementId element;
   std::size_t noise_group = kNoNoiseGroup;
 };
+
+/// Lane kernel of add_lossy_impedance's tabulation (its admittance and
+/// noise closures are one-lane calls): y[k] = 1 / z[k] at every lane of
+/// (z_re, z_im), and for the first `noise_lanes` lanes the thermal CSD
+/// 4kT max(0, Re y[k]) into csd[k] (csd may be null when noise_lanes is
+/// 0).  Throws std::domain_error, before writing anything, when a lane is
+/// a near-short (|z| < 1e-12).
+void lossy_admittance_lanes(std::span<const double> z_re, const double* z_im,
+                            Complex* y, double temperature_k, Complex* csd,
+                            std::size_t noise_lanes);
 
 class Netlist {
  public:

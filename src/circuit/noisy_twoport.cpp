@@ -2,102 +2,133 @@
 
 #include <stdexcept>
 
+#include "numeric/lanes.h"
 #include "rf/units.h"
 
 namespace gnsslna::circuit {
 
+namespace {
+
+GNSSLNA_LANE_CLONES
+void noise_correlation_lanes(const rf::YTermRows y, const rf::NoiseRows np,
+                             std::size_t lanes, Complex* csd) {
+  const double scale = 4.0 * rf::kBoltzmann * rf::kT0;
+  const std::size_t g = y.stride;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    // Y_opt = 1 / z_from_gamma(gamma_opt, z0), with z_from_gamma's
+    // z0 (1 + gamma) / (1 - gamma).
+    const double gr = np.gamma_re[k], gi = np.gamma_im[k];
+    double zr, zi, yr, yi;
+    numeric::smith_div(np.z0 * (1.0 + gr), np.z0 * gi, 1.0 - gr, -gi, zr, zi);
+    numeric::smith_div(1.0, 0.0, zr, zi, yr, yi);
+    const double rn = np.r_n[k];
+    const double off = (np.f_min[k] - 1.0) / 2.0;
+
+    // CA (chain representation); ca00 and ca11 are real.
+    const double ca00 = scale * rn;
+    // ca01 = scale (off - rn conj(y_opt)), ca10 = scale (off - rn y_opt).
+    const double ca01r = scale * (off - rn * yr), ca01i = scale * -(rn * -yi);
+    const double ca10r = ca01r, ca10i = scale * -(rn * yi);
+    const double ca11 = scale * rn * (yr * yr + yi * yi);
+
+    // CY = T CA T^H with T = [[-y11, 1], [-y21, 0]]: p = T CA, then
+    // p T^H, each as Matrix::operator* forms it (a left factor that is
+    // exactly zero adds nothing; T's zero entry never does).
+    const double t00r = -y.re[0 * g + k], t00i = -y.im[0 * g + k];
+    const double t10r = -y.re[3 * g + k], t10i = -y.im[3 * g + k];
+    const bool t00 = (t00r != 0.0) | (t00i != 0.0);
+    const bool t10 = (t10r != 0.0) | (t10i != 0.0);
+    double p00r, p00i, p01r, p01i, p10r, p10i, p11r, p11i;
+    numeric::complex_mul(t00r, t00i, ca00, 0.0, p00r, p00i);
+    numeric::complex_mul(t00r, t00i, ca01r, ca01i, p01r, p01i);
+    numeric::complex_mul(t10r, t10i, ca00, 0.0, p10r, p10i);
+    numeric::complex_mul(t10r, t10i, ca01r, ca01i, p11r, p11i);
+    p00r = numeric::lane_select(t00, p00r, 0.0) + ca10r;
+    p00i = numeric::lane_select(t00, p00i, 0.0) + ca10i;
+    p01r = numeric::lane_select(t00, p01r, 0.0) + ca11;
+    p01i = numeric::lane_select(t00, p01i, 0.0) + 0.0;
+    p10r = numeric::lane_select(t10, p10r, 0.0);
+    p10i = numeric::lane_select(t10, p10i, 0.0);
+    p11r = numeric::lane_select(t10, p11r, 0.0);
+    p11i = numeric::lane_select(t10, p11i, 0.0);
+
+    // r_ij = p_i0 conj(t_j0) + p_i1 conj(t_j1); conj(t01) = 1,
+    // conj(t11) = 0, so only p_i0 meets a varying factor.
+    const double c00r = t00r, c00i = -t00i;  // conj(t00)
+    const double c10r = t10r, c10i = -t10i;  // conj(t10)
+    double r[8];
+    for (int i = 0; i < 2; ++i) {
+      const double pr = i == 0 ? p00r : p10r, pi = i == 0 ? p00i : p10i;
+      const double qr = i == 0 ? p01r : p11r, qi = i == 0 ? p01i : p11i;
+      const bool use_p = (pr != 0.0) | (pi != 0.0);
+      double ar, ai, br, bi;
+      numeric::complex_mul(pr, pi, c00r, c00i, ar, ai);
+      numeric::complex_mul(pr, pi, c10r, c10i, br, bi);
+      r[4 * i + 0] = numeric::lane_select(use_p, ar, 0.0) + qr;
+      r[4 * i + 1] = numeric::lane_select(use_p, ai, 0.0) + qi;
+      r[4 * i + 2] = numeric::lane_select(use_p, br, 0.0);
+      r[4 * i + 3] = numeric::lane_select(use_p, bi, 0.0);
+    }
+    csd[4 * k + 0] = Complex{r[0], r[1]};
+    csd[4 * k + 1] = Complex{r[2], r[3]};
+    csd[4 * k + 2] = Complex{r[4], r[5]};
+    csd[4 * k + 3] = Complex{r[6], r[7]};
+  }
+}
+
+}  // namespace
+
+void noise_correlation_y_lanes(const rf::YTermRows& y, const rf::NoiseRows& np,
+                               std::size_t lanes, Complex* csd) {
+  for (std::size_t k = 0; k < lanes; ++k) {
+    if (np.f_min[k] < 1.0 || np.r_n[k] <= 0.0) {
+      throw std::invalid_argument("noise_correlation_y: invalid noise params");
+    }
+    // rf::z_from_gamma's guard on 1 - gamma.
+    if (rf::magnitude_below({1.0 - np.gamma_re[k], -np.gamma_im[k]}, 1e-15)) {
+      throw std::domain_error(
+          "z_from_gamma: |gamma| = 1 has no finite impedance");
+    }
+  }
+  noise_correlation_lanes(y, np, lanes, csd);
+}
+
 numeric::ComplexMatrix noise_correlation_y(const rf::YParams& y,
                                            const rf::NoiseParams& np) {
-  if (np.f_min < 1.0 || np.r_n <= 0.0) {
-    throw std::invalid_argument("noise_correlation_y: invalid noise params");
-  }
-  const Complex y_opt =
-      1.0 / rf::z_from_gamma(np.gamma_opt, np.z0);
-  const double scale = 4.0 * rf::kBoltzmann * rf::kT0;
-  const double rn = np.r_n;
-  const Complex off{(np.f_min - 1.0) / 2.0, 0.0};
-
-  numeric::ComplexMatrix ca(2, 2);
-  ca(0, 0) = scale * rn;
-  ca(0, 1) = scale * (off - rn * std::conj(y_opt));
-  ca(1, 0) = scale * (off - rn * y_opt);
-  ca(1, 1) = scale * rn * std::norm(y_opt);
-
-  // CY = T CA T^H with T = [[-y11, 1], [-y21, 0]].
-  numeric::ComplexMatrix t(2, 2);
-  t(0, 0) = -y.y11;
-  t(0, 1) = Complex{1.0, 0.0};
-  t(1, 0) = -y.y21;
-  t(1, 1) = Complex{0.0, 0.0};
-  return t * ca * t.adjoint();
+  rf::YTermLane lane;
+  lane.rows().store(0, y);
+  double f_min = np.f_min, r_n = np.r_n;
+  double gamma_re = np.gamma_opt.real(), gamma_im = np.gamma_opt.imag();
+  Complex cy[4];
+  noise_correlation_y_lanes(
+      lane.rows(), {&f_min, &r_n, &gamma_re, &gamma_im, np.z0}, 1, cy);
+  numeric::ComplexMatrix m(2, 2);
+  m(0, 0) = cy[0];
+  m(0, 1) = cy[1];
+  m(1, 0) = cy[2];
+  m(1, 1) = cy[3];
+  return m;
 }
 
-void noise_correlation_y_into(const rf::YParams& y, const rf::NoiseParams& np,
-                              Complex out[4]) {
-  if (np.f_min < 1.0 || np.r_n <= 0.0) {
-    throw std::invalid_argument("noise_correlation_y: invalid noise params");
+GNSSLNA_LANE_CLONES
+void passive_twoport_csd_lanes(const rf::YTermRows& y, std::size_t lanes,
+                               double temperature_k, Complex* csd) {
+  const double s = 2.0 * rf::kBoltzmann * temperature_k;
+  const std::size_t g = y.stride;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const double r11 = y.re[0 * g + k], i11 = y.im[0 * g + k];
+    const double r12 = y.re[1 * g + k], i12 = y.im[1 * g + k];
+    const double r21 = y.re[3 * g + k], i21 = y.im[3 * g + k];
+    const double r22 = y.re[4 * g + k], i22 = y.im[4 * g + k];
+    // CY = (Y + Y^H) s, entry (i, j) = y_ij + conj(y_ji), scaled by the
+    // real s; then the diagonal's negative real round-off is clamped.
+    const double d00 = (r11 + r11) * s;
+    const double d11 = (r22 + r22) * s;
+    csd[4 * k + 0] = Complex{d00 < 0.0 ? 0.0 : d00, (i11 - i11) * s};
+    csd[4 * k + 1] = Complex{(r12 + r21) * s, (i12 - i21) * s};
+    csd[4 * k + 2] = Complex{(r21 + r12) * s, (i21 - i12) * s};
+    csd[4 * k + 3] = Complex{d11 < 0.0 ? 0.0 : d11, (i22 - i22) * s};
   }
-  const Complex y_opt = 1.0 / rf::z_from_gamma(np.gamma_opt, np.z0);
-  const double scale = 4.0 * rf::kBoltzmann * rf::kT0;
-  const double rn = np.r_n;
-  const Complex off{(np.f_min - 1.0) / 2.0, 0.0};
-
-  Complex ca[2][2];
-  ca[0][0] = scale * rn;
-  ca[0][1] = scale * (off - rn * std::conj(y_opt));
-  ca[1][0] = scale * (off - rn * y_opt);
-  ca[1][1] = scale * rn * std::norm(y_opt);
-
-  const Complex t[2][2] = {{-y.y11, Complex{1.0, 0.0}},
-                           {-y.y21, Complex{0.0, 0.0}}};
-
-  // p = t * ca, then out = p * t^H, replaying Matrix::operator* exactly:
-  // zero-initialized accumulators, k-outer term order, and the skip of
-  // exactly-zero left factors.
-  Complex p[2][2] = {};
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      const Complex aik = t[i][k];
-      if (aik == Complex{}) continue;
-      for (std::size_t j = 0; j < 2; ++j) p[i][j] += aik * ca[k][j];
-    }
-  }
-  Complex r[2][2] = {};
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      const Complex aik = p[i][k];
-      if (aik == Complex{}) continue;
-      for (std::size_t j = 0; j < 2; ++j) {
-        r[i][j] += aik * std::conj(t[j][k]);
-      }
-    }
-  }
-  out[0] = r[0][0];
-  out[1] = r[0][1];
-  out[2] = r[1][0];
-  out[3] = r[1][1];
-}
-
-void passive_twoport_csd_into(const rf::YParams& yp, double temperature_k,
-                              Complex out[4]) {
-  const Complex m[2][2] = {{yp.y11, yp.y12}, {yp.y21, yp.y22}};
-  Complex cy[2][2];
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      cy[i][j] = m[i][j] + std::conj(m[j][i]);
-    }
-  }
-  const Complex s{2.0 * rf::kBoltzmann * temperature_k, 0.0};
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) cy[i][j] *= s;
-  }
-  for (std::size_t i = 0; i < 2; ++i) {
-    if (cy[i][i].real() < 0.0) cy[i][i] = Complex{0.0, cy[i][i].imag()};
-  }
-  out[0] = cy[0][0];
-  out[1] = cy[0][1];
-  out[2] = cy[1][0];
-  out[3] = cy[1][1];
 }
 
 ElementRef add_noisy_three_terminal(Netlist& netlist, NodeId t1, NodeId t2,
@@ -121,19 +152,16 @@ ElementRef add_noisy_three_terminal(Netlist& netlist, NodeId t1, NodeId t2,
 std::function<numeric::ComplexMatrix(double)> passive_twoport_csd(
     YBlockFn y, double temperature_k) {
   return [y = std::move(y), temperature_k](double f) {
-    const rf::YParams yp = y(f);
+    rf::YTermLane lane;
+    lane.rows().store(0, y(f));
+    Complex cy[4];
+    passive_twoport_csd_lanes(lane.rows(), 1, temperature_k, cy);
     numeric::ComplexMatrix m(2, 2);
-    m(0, 0) = yp.y11;
-    m(0, 1) = yp.y12;
-    m(1, 0) = yp.y21;
-    m(1, 1) = yp.y22;
-    // Twiss: CY = 2kT (Y + Y^H); clamp tiny negative diagonal round-off.
-    numeric::ComplexMatrix cy = m + m.adjoint();
-    cy *= Complex{2.0 * rf::kBoltzmann * temperature_k, 0.0};
-    for (std::size_t i = 0; i < 2; ++i) {
-      if (cy(i, i).real() < 0.0) cy(i, i) = Complex{0.0, cy(i, i).imag()};
-    }
-    return cy;
+    m(0, 0) = cy[0];
+    m(0, 1) = cy[1];
+    m(1, 0) = cy[2];
+    m(1, 1) = cy[3];
+    return m;
   };
 }
 

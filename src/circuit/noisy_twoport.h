@@ -26,9 +26,19 @@ using NoiseParamsFn = std::function<rf::NoiseParams(double)>;
 
 /// Admittance-representation noise correlation matrix (2x2, one-sided,
 /// [A^2/Hz]) of a two-port with the given Y-parameters and noise
-/// parameters.
+/// parameters: the one-lane call of noise_correlation_y_lanes.
 numeric::ComplexMatrix noise_correlation_y(const rf::YParams& y,
                                            const rf::NoiseParams& np);
+
+/// Lane kernel of noise_correlation_y: the row-major 2x2 CY of each of the
+/// first `lanes` lanes of the term rows `y` and noise rows `np` into
+/// csd[4k .. 4k + 3].  Per lane it replays the scalar route term by term
+/// (Gamma_opt -> Z_opt -> Y_opt through rf::z_from_gamma's operations,
+/// then T CA T^H as Matrix::operator* forms it, including its skip of
+/// exactly-zero left factors).  Throws as noise_correlation_y does
+/// (invalid noise parameters, |Gamma_opt| = 1), before writing anything.
+void noise_correlation_y_lanes(const rf::YTermRows& y, const rf::NoiseRows& np,
+                               std::size_t lanes, Complex* csd);
 
 /// Stamps a three-terminal noisy two-port: the Y-block (common-terminal
 /// grounded convention) plus its correlated noise current pair.  Returns
@@ -53,18 +63,11 @@ ElementRef add_passive_twoport(Netlist& netlist, NodeId t1, NodeId t2,
 std::function<numeric::ComplexMatrix(double)> passive_twoport_csd(
     YBlockFn y, double temperature_k);
 
-/// Allocation-free variant of noise_correlation_y: writes the row-major
-/// 2x2 CY into out[4].  Replays the Matrix-operator arithmetic of the
-/// closure path term by term (including the zero-entry skip of the matrix
-/// product), so the written values are bit-identical to what the CSD
-/// closure returns.  Used by the batched direct-retabulation hot path.
-void noise_correlation_y_into(const rf::YParams& y, const rf::NoiseParams& np,
-                              Complex out[4]);
-
-/// Allocation-free variant of the passive_twoport_csd closure body:
-/// writes the row-major 2x2 Twiss CSD into out[4], bit-identical to the
-/// closure's ComplexMatrix result.
-void passive_twoport_csd_into(const rf::YParams& yp, double temperature_k,
-                              Complex out[4]);
+/// Lane kernel of the passive_twoport_csd closure (which is its one-lane
+/// call): the row-major 2x2 Twiss CSD 2kT (Y + Y^H) of each of the first
+/// `lanes` lanes of the term rows `y` into csd[4k .. 4k + 3], with tiny
+/// negative diagonal round-off clamped.
+void passive_twoport_csd_lanes(const rf::YTermRows& y, std::size_t lanes,
+                               double temperature_k, Complex* csd);
 
 }  // namespace gnsslna::circuit

@@ -7,6 +7,8 @@
 //   Y_int -> Z (+ series R/L) -> Y (+ pad C)   (fet_y)   -> S   (fet_s_params).
 #pragma once
 
+#include <span>
+
 #include "rf/noise.h"
 #include "rf/twoport.h"
 
@@ -42,10 +44,20 @@ struct ExtrinsicParams {
 rf::YParams intrinsic_y(const IntrinsicParams& in, double frequency_hz);
 
 /// Y-parameters of the intrinsic core embedded in the extrinsic shell
-/// (the two-port the circuit stamps).  Throws std::domain_error when the
-/// intrinsic core or the embedded network is singular.
+/// (the two-port the circuit stamps): the one-lane call of the lane kernel
+/// below.  Throws std::domain_error when the intrinsic core or the
+/// embedded network is singular.
 rf::YParams fet_y(const IntrinsicParams& in, const ExtrinsicParams& ex,
                   double frequency_hz);
+
+/// Lane kernel of fet_y: the embedded Y-block at every lane of
+/// frequency_hz, written as the term rows of `out`.  Per lane it performs
+/// exactly the scalar model's operations (e^{-j w tau} from one glibc
+/// sincos, every complex quotient as numeric::smith_div), so a lane's bits
+/// do not depend on the lane count.  Throws as fet_y does, checking the
+/// lanes in order.
+void fet_y(const IntrinsicParams& in, const ExtrinsicParams& ex,
+           std::span<const double> frequency_hz, const rf::YTermRows& out);
 
 /// Full small-signal S-parameters including the extrinsic shell:
 /// rf::s_from_y(fet_y(in, ex, f), z0).
@@ -62,10 +74,19 @@ struct NoiseTemperatures {
   double td_k = 2500.0;  ///< drain temperature [K] (hot-electron, fitted)
 };
 
+/// The one-lane call of the lane kernel below.
 rf::NoiseParams pospieszalski_noise(const IntrinsicParams& in,
                                     const ExtrinsicParams& ex,
                                     const NoiseTemperatures& t,
                                     double frequency_hz, double z0 = rf::kZ0);
+
+/// Lane kernel of pospieszalski_noise: f_min, r_n and gamma_opt (referred
+/// to out.z0) at every lane of frequency_hz into the rows of `out`, with
+/// per lane exactly the scalar operations.
+void pospieszalski_noise(const IntrinsicParams& in, const ExtrinsicParams& ex,
+                         const NoiseTemperatures& t,
+                         std::span<const double> frequency_hz,
+                         const rf::NoiseRows& out);
 
 /// Fukui's empirical minimum noise figure:
 ///   Fmin = 1 + kf (f/fT) sqrt(gm (Rg + Rs + Ri)),  kf ~ 2.5 for pHEMTs.

@@ -22,6 +22,9 @@ struct CandidateState {
   std::unique_ptr<device::Phemt> dev;
   std::vector<double> iv_params;
   std::vector<double> r;
+  // One bias run of RF points through the pHEMT lane kernel: its
+  // frequencies and Y term rows.
+  std::vector<double> freq, y_re, y_im;
 };
 
 /// Shared-parameter bounds: {cgs0, cgd0, cds, ri, tau, vbi}.
@@ -147,30 +150,41 @@ optimize::ResidualFn extraction_residuals(
     }
     // RF points arrive as per-bias frequency sweeps: hoist the (finite-
     // difference, hence costly) small-signal extraction out of the
-    // frequency loop and redo it only when the bias actually moves.
-    // fet_s_params(small_signal(bias), ...) IS Phemt::s_params, so the
-    // residuals are unchanged to the last bit.
+    // frequency loop and redo it only when the bias actually moves, and
+    // tabulate each run of points with one bias through the pHEMT lane
+    // kernel.  Each lane is fet_y's one-lane value, and
+    // fet_s_params(small_signal(bias), ...) = s_from_y(fet_y(...)) IS
+    // Phemt::s_params, so the residuals are unchanged to the last bit.
     const device::ExtrinsicParams ex = dev.extrinsics();
-    device::IntrinsicParams ip;
-    device::Bias ip_bias;
-    bool ip_valid = false;
-    for (const RfPoint& p : data.rf) {
-      if (!ip_valid || p.bias.vgs != ip_bias.vgs ||
-          p.bias.vds != ip_bias.vds) {
-        ip = dev.small_signal(p.bias);
-        ip_bias = p.bias;
-        ip_valid = true;
+    const auto push = [&](rf::Complex model, rf::Complex meas) {
+      r.push_back(weights.rf_weight * (model.real() - meas.real()));
+      r.push_back(weights.rf_weight * (model.imag() - meas.imag()));
+    };
+    for (std::size_t begin = 0, end = 0; begin < data.rf.size();
+         begin = end) {
+      const device::Bias bias = data.rf[begin].bias;
+      end = begin + 1;
+      while (end < data.rf.size() && data.rf[end].bias.vgs == bias.vgs &&
+             data.rf[end].bias.vds == bias.vds) {
+        ++end;
       }
-      const rf::SParams s =
-          device::fet_s_params(ip, ex, p.s.frequency_hz, p.s.z0);
-      const auto push = [&](rf::Complex model, rf::Complex meas) {
-        r.push_back(weights.rf_weight * (model.real() - meas.real()));
-        r.push_back(weights.rf_weight * (model.imag() - meas.imag()));
-      };
-      push(s.s11, p.s.s11);
-      push(s.s21, p.s.s21);
-      push(s.s12, p.s.s12);
-      push(s.s22, p.s.s22);
+      const std::size_t n = end - begin;
+      st.freq.resize(n);
+      st.y_re.resize(rf::YTermRows::kTerms * n);
+      st.y_im.resize(rf::YTermRows::kTerms * n);
+      for (std::size_t k = 0; k < n; ++k) {
+        st.freq[k] = data.rf[begin + k].s.frequency_hz;
+      }
+      const rf::YTermRows y{st.y_re.data(), st.y_im.data(), n};
+      device::fet_y(dev.small_signal(bias), ex, st.freq, y);
+      for (std::size_t k = 0; k < n; ++k) {
+        const RfPoint& p = data.rf[begin + k];
+        const rf::SParams s = rf::s_from_y(y.y(k, st.freq[k]), p.s.z0);
+        push(s.s11, p.s.s11);
+        push(s.s21, p.s.s21);
+        push(s.s12, p.s.s12);
+        push(s.s22, p.s.s22);
+      }
     }
     return r;
   };

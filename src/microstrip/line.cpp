@@ -1,10 +1,12 @@
 #include "microstrip/line.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
 
+#include "numeric/lanes.h"
 #include "rf/units.h"
 
 namespace gnsslna::microstrip {
@@ -135,17 +137,9 @@ double Line::alpha_dielectric(double frequency_hz) const {
   return alpha_dielectric_from(frequency_hz, epsilon_eff(frequency_hz));
 }
 
-double Line::alpha(double frequency_hz) const {
-  return alpha_conductor(frequency_hz) + alpha_dielectric(frequency_hz);
-}
-
 double Line::beta(double frequency_hz) const {
   return 2.0 * kPi * frequency_hz * std::sqrt(epsilon_eff(frequency_hz)) /
          rf::kC0;
-}
-
-double Line::electrical_length(double frequency_hz) const {
-  return beta(frequency_hz) * length_m_;
 }
 
 Line::Propagation Line::propagation(double frequency_hz) const {
@@ -162,9 +156,25 @@ Line::Propagation Line::propagation(double frequency_hz) const {
   return p;
 }
 
-rf::YParams Line::y_from(const Propagation& p, double length_m) {
-  const double al = p.alpha_np_m * length_m;
-  const double bl = p.beta_rad_m * length_m;
+void Line::tabulate(std::span<const double> grid_hz,
+                    PropagationRows& rows) const {
+  rows.alpha_np_m.resize(grid_hz.size());
+  rows.beta_rad_m.resize(grid_hz.size());
+  rows.z0_ohm.resize(grid_hz.size());
+  for (std::size_t k = 0; k < grid_hz.size(); ++k) {
+    const Propagation p = propagation(grid_hz[k]);
+    rows.alpha_np_m[k] = p.alpha_np_m;
+    rows.beta_rad_m[k] = p.beta_rad_m;
+    rows.z0_ohm[k] = p.z0_ohm;
+  }
+}
+
+namespace {
+
+/// The glibc route of the Y-block, for a lane outside the lane kernel's
+/// range: Y11 and Y12 of a line with gamma l = al + j bl and impedance z0.
+void y_glibc(double al, double bl, double z0, rf::Complex& y11,
+             rf::Complex& y12) {
   rf::Complex ch, sh;
   if (al >= 0.0 && al < 709.0 &&
       std::abs(bl) > std::numeric_limits<double>::min()) {
@@ -188,21 +198,95 @@ rf::YParams Line::y_from(const Propagation& p, double length_m) {
     sh = std::sinh(rf::Complex{al, bl});
   }
   // B = Z0 sinh(gl) is the chain parameter whose zero has no Y-block.
-  if (rf::magnitude_below(p.z0_ohm * sh, 1e-300)) {
+  if (rf::magnitude_below(z0 * sh, 1e-300)) {
     throw std::domain_error("Line::y_from: B = 0 has no Y representation");
   }
   // One complex reciprocal, of sinh(gl) rather than of B: near al = 709
   // Z0 sinh(gl) can leave the double range, and coth(gl) must be formed
   // before the 1/Z0 scaling, which could take csch(gl) subnormal there.
   const rf::Complex csch = 1.0 / sh;
-  const double y0 = 1.0 / p.z0_ohm;
-  rf::YParams y;
-  y.frequency_hz = p.frequency_hz;
-  y.y11 = (ch * csch) * y0;
-  y.y12 = -csch * y0;
-  y.y21 = y.y12;
-  y.y22 = y.y11;
-  return y;
+  const double y0 = 1.0 / z0;
+  y11 = (ch * csch) * y0;
+  y12 = -csch * y0;
+}
+
+/// The in-range lanes of y_lanes: from m = expm1(al), sin(bl) and cos(bl),
+/// the same cosh/sinh components as y_glibc, then csch(gl) as
+/// conj(sinh) / |sinh|^2 (one division instead of Smith's three).  Every
+/// lane is computed; fallback[k] is nonzero where lane k is outside the range
+/// (or B = Z0 sinh(gl) might be zero), and y_lanes recomputes those lanes.
+GNSSLNA_LANE_CLONES
+void y_range_lanes(const double* al, const double* bl, const double* m,
+                   const double* sn, const double* cs, const double* z0,
+                   std::size_t n, rf::YTermRows out, double* fallback) {
+  // The term rows are disjoint (stride >= n) and no output aliases an
+  // input, which GCC cannot prove for 18 row pointers.
+#pragma GCC ivdep
+  for (std::size_t k = 0; k < n; ++k) {
+    const double e = m[k] + 1.0;
+    const double cosh_al = 0.5 * (e + 1.0 / e);
+    const double sinh_al = 0.5 * (m[k] + m[k] / e);
+    const double ch_re = cosh_al * cs[k];
+    const double ch_im = sinh_al * sn[k];
+    const double sh_re = sinh_al * cs[k];
+    const double sh_im = cosh_al * sn[k];
+    const double sh_norm = sh_re * sh_re + sh_im * sh_im;
+    const double inv_norm = 1.0 / sh_norm;
+    const double csch_re = sh_re * inv_norm;
+    const double csch_im = -sh_im * inv_norm;
+    const double y0 = 1.0 / z0[k];
+    const double coth_re = ch_re * csch_re - ch_im * csch_im;
+    const double coth_im = ch_re * csch_im + ch_im * csch_re;
+    const double r11 = coth_re * y0, i11 = coth_im * y0;
+    const double r12 = -csch_re * y0, i12 = -csch_im * y0;
+    out.store(k, r11, i11, r12, i12, r12, i12, r11, i11);
+    // Non-short-circuit & keeps the loop free of control flow.
+    const bool in_range =
+        (al[k] >= 0.0) & (al[k] < numeric::kExpm1Limit) &
+        (std::abs(bl[k]) < numeric::kSinCosLimit) & (sh_norm > 1e-200) &
+        (std::abs(z0[k]) <= std::numeric_limits<double>::max()) &
+        ((std::abs(z0[k] * sh_re) >= 1e-300) |
+         (std::abs(z0[k] * sh_im) >= 1e-300));
+    fallback[k] = in_range ? 0.0 : 1.0;
+  }
+}
+
+}  // namespace
+
+void Line::y_lanes(std::span<const double> alpha_np_m,
+                   std::span<const double> beta_rad_m,
+                   std::span<const double> z0_ohm, double length_m,
+                   const rf::YTermRows& out) {
+  using numeric::kLaneBlock;
+  double al[kLaneBlock], bl[kLaneBlock], m[kLaneBlock], sn[kLaneBlock],
+      cs[kLaneBlock];
+  double fallback[kLaneBlock];  // per lane: nonzero = glibc route
+  const std::size_t n = alpha_np_m.size();
+  for (std::size_t b = 0; b < n; b += kLaneBlock) {
+    const std::size_t nb = std::min(kLaneBlock, n - b);
+    for (std::size_t k = 0; k < nb; ++k) {
+      al[k] = alpha_np_m[b + k] * length_m;
+      bl[k] = beta_rad_m[b + k] * length_m;
+    }
+    numeric::expm1({al, nb}, m);
+    numeric::sincos({bl, nb}, sn, cs);
+    const rf::YTermRows rows = out.from(b);
+    y_range_lanes(al, bl, m, sn, cs, z0_ohm.data() + b, nb, rows, fallback);
+    for (std::size_t k = 0; k < nb; ++k) {
+      if (fallback[k] == 0.0) continue;
+      rf::Complex y11, y12;
+      y_glibc(al[k], bl[k], z0_ohm[b + k], y11, y12);
+      rows.store(k, y11.real(), y11.imag(), y12.real(), y12.imag(), y12.real(),
+                 y12.imag(), y11.real(), y11.imag());
+    }
+  }
+}
+
+rf::YParams Line::y_from(const Propagation& p, double length_m) {
+  rf::YTermLane lane;
+  y_lanes({&p.alpha_np_m, 1}, {&p.beta_rad_m, 1}, {&p.z0_ohm, 1}, length_m,
+          lane.rows());
+  return lane.rows().y(0, p.frequency_hz);
 }
 
 rf::SParams Line::s_params(double frequency_hz, double z0_ref) const {

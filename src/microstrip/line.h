@@ -13,6 +13,9 @@
 // dispersive and lossy.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "microstrip/substrate.h"
 #include "rf/twoport.h"
 
@@ -24,7 +27,8 @@ class Line {
   /// Per-unit-length propagation data at one frequency.  Depends only on
   /// (substrate, width, frequency) — NOT on length — so a table of these
   /// can be shared by all lines of one width while an optimizer varies
-  /// their lengths.  Values are exactly what alpha()/beta()/z0() return.
+  /// their lengths.  alpha_np_m is alpha_conductor() + alpha_dielectric(),
+  /// beta_rad_m and z0_ohm are exactly what beta() and z0() return.
   struct Propagation {
     double frequency_hz = 0.0;
     double alpha_np_m = 0.0;  ///< total attenuation [Np/m]
@@ -53,14 +57,14 @@ class Line {
   /// Dielectric attenuation [Np/m] at f.
   double alpha_dielectric(double frequency_hz) const;
 
-  /// Total attenuation [Np/m].
-  double alpha(double frequency_hz) const;
-
   /// Phase constant beta [rad/m] at f.
   double beta(double frequency_hz) const;
 
-  /// Electrical length [rad] at f.
-  double electrical_length(double frequency_hz) const;
+  /// Propagation data over a grid in structure-of-arrays layout, the rows
+  /// the lane kernel y_lanes reads: lane k is grid frequency k.
+  struct PropagationRows {
+    std::vector<double> alpha_np_m, beta_rad_m, z0_ohm;
+  };
 
   /// All per-unit-length propagation quantities with the dispersion curve
   /// evaluated once (the individual accessors above each re-derive
@@ -68,14 +72,32 @@ class Line {
   /// returned values are bit-identical to the accessors').
   Propagation propagation(double frequency_hz) const;
 
+  /// propagation(f) at every frequency of `grid_hz` into `rows` (resized
+  /// to the grid: no allocation once sized).
+  void tabulate(std::span<const double> grid_hz, PropagationRows& rows) const;
+
   /// Y-parameters of a line of `length_m` from propagation data, in
   /// closed form: Y11 = Y22 = coth(gamma l) / Z0 and
   /// Y12 = Y21 = -csch(gamma l) / Z0 (DESIGN.md "Tabulation arithmetic").
-  /// Reads nothing but its arguments, so a table of Propagation rows
-  /// serves every length of one (substrate, width) without building a
-  /// Line per length.  Throws std::domain_error when B = Z0 sinh(gamma l)
-  /// is zero (|B| < 1e-300): such a line has no Y representation.
+  /// The one-lane call of y_lanes.  Reads nothing but its arguments, so a
+  /// table of Propagation rows serves every length of one (substrate,
+  /// width) without building a Line per length.  Throws std::domain_error
+  /// when B = Z0 sinh(gamma l) is zero (|B| < 1e-300): such a line has no
+  /// Y representation.
   static rf::YParams y_from(const Propagation& p, double length_m);
+
+  /// Lane kernel of y_from: the Y-block of a line of `length_m` at every
+  /// lane of `rows` (alpha, beta and z0 of equal length), written as the
+  /// nine term rows of `out`.  A lane with 0 <= alpha l < ln2/2,
+  /// |beta l| < 1e5, |sinh(gamma l)|^2 > 1e-200 and finite z0 takes
+  /// numeric::expm1 / numeric::sincos and csch = conj(sinh) / |sinh|^2;
+  /// every other lane takes the glibc route (std::expm1 and std::sin /
+  /// std::cos below alpha l = 709, std::cosh / std::sinh beyond) and the
+  /// B = 0 check, for that lane alone.
+  static void y_lanes(std::span<const double> alpha_np_m,
+                      std::span<const double> beta_rad_m,
+                      std::span<const double> z0_ohm, double length_m,
+                      const rf::YTermRows& out);
 
   /// S-parameters at f referenced to z0_ref (from the Y-block).
   rf::SParams s_params(double frequency_hz, double z0_ref = rf::kZ0) const;

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "numeric/lanes.h"
+
 namespace gnsslna::passives {
 
 namespace {
@@ -17,8 +19,49 @@ double require_positive(double v, const char* who) {
   return v;
 }
 
-double omega(double frequency_hz) {
-  return kTwoPi * require_positive(frequency_hz, "Component frequency");
+void require_positive_lanes(std::span<const double> frequency_hz) {
+  for (const double f : frequency_hz) {
+    require_positive(f, "Component frequency");
+  }
+}
+
+// The lane kernels: per lane exactly the scalar model's operations, with
+// the complex reciprocals as numeric::smith_div (the division GCC inlines
+// for 1.0 / z under -fcx-fortran-rules), so every lane equals the scalar
+// form bit for bit.
+
+GNSSLNA_LANE_CLONES
+void capacitor_lanes(const Capacitor::Params& p, const double* frequency_hz,
+                     std::size_t lanes, double* re, double* im) {
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const double f = frequency_hz[k];
+    const double w = kTwoPi * f;
+    // ESR = dielectric term (tan_delta / (w C)) + electrode skin term.
+    const double esr_dielectric = p.tan_delta / (w * p.capacitance_f);
+    const double esr_metal = p.r_metal_1ghz * std::sqrt(f / 1e9);
+    re[k] = esr_dielectric + esr_metal;
+    im[k] = w * p.esl_h - 1.0 / (w * p.capacitance_f);
+  }
+}
+
+GNSSLNA_LANE_CLONES
+void inductor_lanes(const Inductor::Params& p, const double* frequency_hz,
+                    std::size_t lanes, double* re, double* im) {
+  // Series branch rs + j w L; with a winding capacitance the part is
+  // 1 / (1 / branch + j w Cp).
+  const Inductor::Params q = p;  // a local copy: stores cannot alias it
+  const bool parallel_c = q.c_parallel_f > 0.0;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const double f = frequency_hz[k];
+    const double w = kTwoPi * f;
+    const double rs = q.r_dc + q.r_skin_1ghz * std::sqrt(f / 1e9);
+    const double xl = w * q.inductance_h;
+    double yr, yi, zr, zi;
+    numeric::smith_div(1.0, 0.0, rs, xl, yr, yi);
+    numeric::smith_div(1.0, 0.0, yr, yi + w * q.c_parallel_f, zr, zi);
+    re[k] = numeric::lane_select(parallel_c, zr, rs);
+    im[k] = numeric::lane_select(parallel_c, zi, xl);
+  }
 }
 
 std::string engineering(double value, const char* unit) {
@@ -37,6 +80,7 @@ std::string engineering(double value, const char* unit) {
   oss << value / best->factor << ' ' << best->prefix << unit;
   return oss.str();
 }
+
 }  // namespace
 
 double Component::q_factor(double frequency_hz) const {
@@ -69,13 +113,15 @@ Capacitor Capacitor::ideal(double capacitance_f) {
 }
 
 Complex Capacitor::impedance(double frequency_hz) const {
-  const double w = omega(frequency_hz);
-  // ESR = dielectric term (tan_delta / (w C)) + electrode skin term.
-  const double esr_dielectric = p_.tan_delta / (w * p_.capacitance_f);
-  const double esr_metal = p_.r_metal_1ghz * std::sqrt(frequency_hz / 1e9);
-  const double esr = esr_dielectric + esr_metal;
-  const double reactance = w * p_.esl_h - 1.0 / (w * p_.capacitance_f);
-  return {esr, reactance};
+  double re, im;
+  impedance({&frequency_hz, 1}, &re, &im);
+  return {re, im};
+}
+
+void Capacitor::impedance(std::span<const double> frequency_hz, double* re,
+                          double* im) const {
+  require_positive_lanes(frequency_hz);
+  capacitor_lanes(p_, frequency_hz.data(), frequency_hz.size(), re, im);
 }
 
 double Capacitor::self_resonance_hz() const {
@@ -105,13 +151,15 @@ Inductor Inductor::ideal(double inductance_h) {
 }
 
 Complex Inductor::impedance(double frequency_hz) const {
-  const double w = omega(frequency_hz);
-  const double rs = p_.r_dc + p_.r_skin_1ghz * std::sqrt(frequency_hz / 1e9);
-  const Complex z_branch{rs, w * p_.inductance_h};
-  if (p_.c_parallel_f <= 0.0) return z_branch;
-  const Complex y_cap{0.0, w * p_.c_parallel_f};
-  const Complex y_total = 1.0 / z_branch + y_cap;
-  return 1.0 / y_total;
+  double re, im;
+  impedance({&frequency_hz, 1}, &re, &im);
+  return {re, im};
+}
+
+void Inductor::impedance(std::span<const double> frequency_hz, double* re,
+                         double* im) const {
+  require_positive_lanes(frequency_hz);
+  inductor_lanes(p_, frequency_hz.data(), frequency_hz.size(), re, im);
 }
 
 double Inductor::self_resonance_hz() const {

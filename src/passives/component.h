@@ -16,6 +16,7 @@
 
 #include <complex>
 #include <memory>
+#include <span>
 #include <string>
 
 namespace gnsslna::passives {
@@ -55,7 +56,13 @@ class Capacitor final : public Component {
   /// Ideal-ish shortcut used in tests and the dispersion ablation.
   static Capacitor ideal(double capacitance_f);
 
+  /// The one-lane call of the lane kernel below.
   Complex impedance(double frequency_hz) const override;
+  /// Lane kernel of impedance(f): z at every lane of frequency_hz into
+  /// (re, im).  Throws std::invalid_argument, before writing anything,
+  /// when a frequency is <= 0.
+  void impedance(std::span<const double> frequency_hz, double* re,
+                 double* im) const;
   std::string name() const override;
 
   /// Series self-resonant frequency 1 / (2 pi sqrt(ESL C)) [Hz].
@@ -82,7 +89,11 @@ class Inductor final : public Component {
   explicit Inductor(Params p);
   static Inductor ideal(double inductance_h);
 
+  /// The one-lane call of the lane kernel below.
   Complex impedance(double frequency_hz) const override;
+  /// Lane kernel of impedance(f), as Capacitor's.
+  void impedance(std::span<const double> frequency_hz, double* re,
+                 double* im) const;
   std::string name() const override;
 
   /// Parallel self-resonant frequency 1 / (2 pi sqrt(L Cp)) [Hz].

@@ -23,6 +23,17 @@ struct NoiseParams {
   double nf_min_db() const;
 };
 
+/// Lane-major noise parameters (lane k is one frequency; one z0 for all
+/// lanes): what the device noise lane kernel writes and the noise
+/// correlation lane kernel reads.
+struct NoiseRows {
+  double* f_min = nullptr;
+  double* r_n = nullptr;
+  double* gamma_re = nullptr;  ///< Re gamma_opt
+  double* gamma_im = nullptr;  ///< Im gamma_opt
+  double z0 = kZ0;
+};
+
 /// Noise factor (linear) when the two-port is driven from source reflection
 /// coefficient gamma_s:  F = Fmin + 4 (Rn/z0) |Gs-Gopt|^2 /
 /// ((1-|Gs|^2)|1+Gopt|^2).

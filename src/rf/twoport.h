@@ -10,6 +10,7 @@
 
 #include <array>
 #include <complex>
+#include <cstddef>
 
 #include "rf/units.h"
 
@@ -48,6 +49,75 @@ struct SParams {
 struct YParams {
   double frequency_hz = 0.0;
   Complex y11, y12, y21, y22;
+};
+
+/// Lane-major Y-blocks as the nine terms a three-terminal stamp adds to
+/// the admittance matrix (Netlist::assemble's expansion, in this row
+/// order): y11, y12, -(y11 + y12), y21, y22, -(y21 + y22), -(y11 + y21),
+/// -(y12 + y22) and y11 + y12 + y21 + y22.  Term t of lane k is
+/// re[t * stride + k] + j im[t * stride + k].  The element lane kernels
+/// write these rows directly; a one-lane call reads its Y-block back with
+/// y().
+struct YTermRows {
+  static constexpr std::size_t kTerms = 9;
+
+  double* re = nullptr;
+  double* im = nullptr;
+  std::size_t stride = 0;
+
+  /// Stores lane k's terms with exactly the component expressions
+  /// Netlist::assemble forms (same operand order, so the expansion is
+  /// bit-invisible).
+  void store(std::size_t k, double r11, double i11, double r12, double i12,
+             double r21, double i21, double r22, double i22) const {
+    const std::size_t g = stride;
+    re[0 * g + k] = r11;
+    im[0 * g + k] = i11;
+    re[1 * g + k] = r12;
+    im[1 * g + k] = i12;
+    re[2 * g + k] = -(r11 + r12);
+    im[2 * g + k] = -(i11 + i12);
+    re[3 * g + k] = r21;
+    im[3 * g + k] = i21;
+    re[4 * g + k] = r22;
+    im[4 * g + k] = i22;
+    re[5 * g + k] = -(r21 + r22);
+    im[5 * g + k] = -(i21 + i22);
+    re[6 * g + k] = -(r11 + r21);
+    im[6 * g + k] = -(i11 + i21);
+    re[7 * g + k] = -(r12 + r22);
+    im[7 * g + k] = -(i12 + i22);
+    re[8 * g + k] = r11 + r12 + r21 + r22;
+    im[8 * g + k] = i11 + i12 + i21 + i22;
+  }
+
+  void store(std::size_t k, const YParams& y) const {
+    store(k, y.y11.real(), y.y11.imag(), y.y12.real(), y.y12.imag(),
+          y.y21.real(), y.y21.imag(), y.y22.real(), y.y22.imag());
+  }
+
+  /// Lane k's Y-block (terms 0, 1, 3 and 4).
+  YParams y(std::size_t k, double frequency_hz) const {
+    const std::size_t g = stride;
+    return {frequency_hz,
+            {re[0 * g + k], im[0 * g + k]},
+            {re[1 * g + k], im[1 * g + k]},
+            {re[3 * g + k], im[3 * g + k]},
+            {re[4 * g + k], im[4 * g + k]}};
+  }
+
+  /// The rows of lanes [offset, ...): the same stride, shifted origin.
+  YTermRows from(std::size_t offset) const {
+    return {re + offset, im + offset, stride};
+  }
+};
+
+/// One lane of term rows in local storage, for the one-lane calls of the
+/// element kernels (the netlist closures).
+struct YTermLane {
+  double re[YTermRows::kTerms];
+  double im[YTermRows::kTerms];
+  YTermRows rows() { return {re, im, 1}; }
 };
 
 /// Impedance parameters (V = Z I).

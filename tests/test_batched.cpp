@@ -16,6 +16,7 @@
 #include <numbers>
 #include <optional>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -412,7 +413,12 @@ TEST(BatchedPlan, NearShortLossyElementThrowsInClosureAndWriter) {
   // on both paths; one exactly at the limit does not.
   struct FixedImpedance {
     Complex z;
-    Complex impedance(double) const { return z; }
+    void impedance(std::span<const double> f, double* re, double* im) const {
+      for (std::size_t k = 0; k < f.size(); ++k) {
+        re[k] = z.real();
+        im[k] = z.imag();
+      }
+    }
   };
   const Complex near_short{0.7e-12, -0.7e-12};  // |z| = 0.99e-12 ohm
   const Complex at_limit{1e-12, 0.0};

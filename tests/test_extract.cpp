@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "device/models.h"
 #include "extract/measurement.h"
@@ -127,6 +130,59 @@ TEST(Objective, ZeroResidualForPerfectCandidate) {
                                     truth.extrinsics());
   EXPECT_NEAR(err.rms_s, 0.0, 1e-12);
   EXPECT_NEAR(err.rms_dc_rel, 0.0, 1e-12);
+}
+
+TEST(Objective, RfResidualsEqualPhemtSParamsBitForBit) {
+  // The residual closure tabulates each bias run of RF points through the
+  // pHEMT lane kernel; every residual must equal the per-point
+  // Phemt::s_params route bit for bit, for a candidate off the truth and
+  // a data set whose biases repeat non-adjacently.
+  const device::Phemt truth = device::Phemt::reference_device();
+  MeasurementPlan plan = small_plan();
+  plan.rf_biases = {{-0.4, 2.0}, {-0.2, 2.0}, {-0.4, 2.0}};
+  numeric::Rng rng(6);
+  const MeasurementSet data =
+      synthesize_measurements(truth, plan, MeasurementNoise{}, rng);
+
+  std::vector<double> iv = truth.iv_model().parameters();
+  for (double& v : iv) v *= 1.01;
+  device::CapacitanceParams caps = truth.caps();
+  caps.cgs0 *= 0.97;
+  caps.tau_s *= 1.05;
+  std::vector<double> x = iv;
+  for (const double v :
+       {caps.cgs0, caps.cgd0, caps.cds, caps.ri, caps.tau_s, caps.vbi}) {
+    x.push_back(v);
+  }
+  std::unique_ptr<device::FetModel> model = truth.iv_model().clone();
+  model->set_parameters(iv);
+  device::CapacitanceParams candidate_caps;
+  candidate_caps.cgs0 = caps.cgs0;
+  candidate_caps.cgd0 = caps.cgd0;
+  candidate_caps.cds = caps.cds;
+  candidate_caps.ri = caps.ri;
+  candidate_caps.tau_s = caps.tau_s;
+  candidate_caps.vbi = caps.vbi;
+  const device::Phemt candidate(std::move(model), candidate_caps,
+                                truth.extrinsics(),
+                                device::NoiseTemperatures{});
+
+  const ObjectiveWeights weights{0.0, 1.0, 0.7};
+  const std::vector<double> r =
+      extraction_residuals(truth.iv_model(), data, truth.extrinsics(),
+                           weights)(x);
+  ASSERT_EQ(r.size(), data.dc.size() + 8 * data.rf.size());
+  std::size_t i = data.dc.size();
+  for (const RfPoint& p : data.rf) {
+    const rf::SParams s =
+        candidate.s_params(p.bias, p.s.frequency_hz, p.s.z0);
+    for (const auto& [model_s, meas] :
+         {std::pair{s.s11, p.s.s11}, std::pair{s.s21, p.s.s21},
+          std::pair{s.s12, p.s.s12}, std::pair{s.s22, p.s.s22}}) {
+      EXPECT_EQ(r[i++], weights.rf_weight * (model_s.real() - meas.real()));
+      EXPECT_EQ(r[i++], weights.rf_weight * (model_s.imag() - meas.imag()));
+    }
+  }
 }
 
 /// A Curtice quadratic that counts its live instances, so a test can see

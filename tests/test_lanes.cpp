@@ -1,0 +1,544 @@
+// Lane kernels (DESIGN.md "Tabulation arithmetic"):
+//   - numeric::sincos / numeric::expm1 within 1 ulp of glibc on the
+//     LineTabulation corpora and an edge grid, and equal to glibc on every
+//     lane outside their written ranges (NaN and +-inf included);
+//   - numeric::smith_div equal to std::complex division bit for bit;
+//   - every element lane kernel gives the same bits for a lane whether it
+//     is called with one lane or with sixteen at any offset;
+//   - hex pins of the line, passive and pHEMT kernels on a fixed corpus.
+//     The line pins hold this implementation's bits; the passive and pHEMT
+//     pins are the bits of the scalar code the lane kernels replaced, and
+//     fet_s_params keeps them.  The sanitizer builds run without
+//     target_clones, so the same pins check the baseline code path against
+//     the widest clone of an optimized build.  The pHEMT's e^{-j w tau}
+//     and the glibc-route line lanes come from glibc; the pins were taken
+//     with glibc 2.36 and GCC 12.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
+#include <cmath>
+#include <complex>
+#include <cstdint>
+#include <ios>
+#include <limits>
+#include <numbers>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "amplifier/lna.h"
+#include "circuit/netlist.h"
+#include "circuit/noisy_twoport.h"
+#include "device/phemt.h"
+#include "device/small_signal.h"
+#include "microstrip/line.h"
+#include "numeric/lanes.h"
+#include "numeric/rng.h"
+#include "passives/catalog.h"
+
+namespace gnsslna {
+namespace {
+
+using Complex = std::complex<double>;
+
+/// Distance in ulps between two finite doubles (+0 and -0 are 0 apart).
+std::int64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double x) {
+    const auto i = std::bit_cast<std::int64_t>(x);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+std::string hex(double x) {
+  std::ostringstream os;
+  os << std::hexfloat << x;
+  return os.str();
+}
+
+/// Bitwise equality, NaN payloads aside (both NaN counts as equal).
+bool same_bits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The beta l and alpha l of the LineTabulation corpora
+/// (tests/test_microstrip.cpp): its amplifier-like lines and its random
+/// synthetic propagation data, drawn with the same seeds and order.
+void line_corpora(std::vector<double>& beta_l, std::vector<double>& alpha_l) {
+  numeric::Rng rng(1575);
+  for (int k = 0; k < 3000; ++k) {
+    const microstrip::Substrate sub = k % 2 == 0
+                                          ? microstrip::Substrate::fr4()
+                                          : microstrip::Substrate::ro4350b();
+    const double width = rng.uniform(0.1e-3, 5e-3);
+    const double length = std::exp(rng.uniform(std::log(1e-4), std::log(0.5)));
+    const double f = rng.uniform(0.3e9, 4e9);
+    const microstrip::Line::Propagation p =
+        microstrip::Line(sub, width, length).propagation(f);
+    beta_l.push_back(p.beta_rad_m * length);
+    alpha_l.push_back(p.alpha_np_m * length);
+  }
+  numeric::Rng edge(1576);
+  for (int k = 0; k < 20000; ++k) {
+    const double alpha = edge.uniform() < 0.1 ? 0.0 : edge.uniform(0.0, 2.0);
+    const double beta = edge.uniform(-300.0, 300.0);
+    (void)edge.uniform(10.0, 200.0);  // z0
+    const double len = edge.uniform(1e-4, 0.3);
+    beta_l.push_back(beta * len);
+    alpha_l.push_back(alpha * len);
+  }
+}
+
+/// Checks lane results against glibc: within `bound` ulps inside the
+/// range, bit for bit outside it.
+void expect_near_glibc(const std::vector<double>& x, const double* got,
+                       double (*glibc)(double), bool (*in_range)(double),
+                       std::int64_t bound, const char* what) {
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const double want = glibc(x[k]);
+    if (!in_range(x[k])) {
+      EXPECT_TRUE(same_bits(got[k], want))
+          << what << "(" << hex(x[k]) << ") = " << hex(got[k])
+          << ", glibc " << hex(want) << " (outside the range)";
+    } else {
+      EXPECT_LE(ulp_distance(got[k], want), bound)
+          << what << "(" << hex(x[k]) << ") = " << hex(got[k]) << ", glibc "
+          << hex(want);
+      // Signed zeros map to themselves.
+      if (x[k] == 0.0 && want == 0.0) {
+        EXPECT_EQ(std::signbit(got[k]), std::signbit(want)) << hex(x[k]);
+      }
+    }
+  }
+}
+
+bool sincos_in_range(double x) {
+  return std::abs(x) < numeric::kSinCosLimit;
+}
+bool expm1_in_range(double x) {
+  return x >= 0.0 && x < numeric::kExpm1Limit;
+}
+
+TEST(LaneMath, SinCosWithinOneUlpOfGlibc) {
+  std::vector<double> x, alpha_l;
+  line_corpora(x, alpha_l);
+  numeric::Rng rng(4242);
+  for (int k = 0; k < 200000; ++k) x.push_back(rng.uniform(-60.0, 60.0));
+  // Multiples of pi/2 and their neighbours (the reduction's hardest
+  // arguments), the range boundaries +-1 ulp, both zeros, non-finite.
+  for (int k = -200; k <= 200; ++k) {
+    double v = k * (std::numbers::pi / 2.0);
+    double up = v, down = v;
+    x.push_back(v);
+    for (int j = 0; j < 4; ++j) {
+      up = std::nextafter(up, 1e300);
+      down = std::nextafter(down, -1e300);
+      x.push_back(up);
+      x.push_back(down);
+    }
+  }
+  const double lim = numeric::kSinCosLimit;
+  for (const double b : {lim, -lim}) {
+    x.push_back(b);
+    x.push_back(std::nextafter(b, 0.0));
+    x.push_back(std::nextafter(b, 2.0 * b));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {0.0, -0.0, 1e-300, -4.9e-324, 1e-8, 3e5, 1e300, inf,
+                         -inf, std::numeric_limits<double>::quiet_NaN()}) {
+    x.push_back(v);
+  }
+  std::vector<double> s(x.size()), c(x.size());
+  numeric::sincos(x, s.data(), c.data());
+  expect_near_glibc(x, s.data(), [](double v) { return std::sin(v); },
+                    sincos_in_range, 1, "sin");
+  expect_near_glibc(x, c.data(), [](double v) { return std::cos(v); },
+                    sincos_in_range, 1, "cos");
+}
+
+TEST(LaneMath, Expm1WithinOneUlpOfGlibc) {
+  std::vector<double> beta_l, x;
+  line_corpora(beta_l, x);
+  numeric::Rng rng(4243);
+  for (int k = 0; k < 200000; ++k) {
+    x.push_back(rng.uniform(0.0, numeric::kExpm1Limit));
+  }
+  for (int e = -1074; e < -1; e += 7) x.push_back(std::ldexp(1.0, e));
+  const double lim = numeric::kExpm1Limit;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {0.0, -0.0, 4.9e-324, 1e-300, std::nextafter(lim, 0.0), lim,
+        std::nextafter(lim, 1.0), 0.5, 3.0, 700.0, -1e-300, -1e-3, -2.0, inf,
+        -inf, std::numeric_limits<double>::quiet_NaN()}) {
+    x.push_back(v);
+  }
+  std::vector<double> y(x.size());
+  numeric::expm1(x, y.data());
+  expect_near_glibc(x, y.data(), [](double v) { return std::expm1(v); },
+                    expm1_in_range, 1, "expm1");
+}
+
+TEST(LaneMath, SmithDivEqualsComplexDivisionBitForBit) {
+  // Operands from a fixed list of components — |re| = |im| ties, zero
+  // parts of both signs, huge, tiny and subnormal values — in every
+  // combination, plus random ones; real numerators as 1.0 / z is written.
+  // Loaded at run time, so the compiler's inline division cannot fold.
+  std::vector<double> parts = {0.0,    -0.0,     1.0,     -1.0,   2.5,
+                               -2.5,   0.75,     3.0,     1e300,  -1e300,
+                               1e-300, -1e-300,  4.9e-324, 1.7e308, 1e-160,
+                               1e160,  0.1,      -7.0};
+  numeric::Rng rng(77);
+  std::vector<std::array<double, 4>> cases;
+  for (const double ar : parts) {
+    for (const double ai : parts) {
+      for (const double br : parts) {
+        for (const double bi : parts) {
+          if ((std::abs(ar) == 1.0 || ar == 2.5 || ar == 0.0) &&
+              (std::abs(ai) == 1.0 || ai == -2.5 || ai == 0.0)) {
+            cases.push_back({ar, ai, br, bi});
+          } else if (rng.uniform() < 0.05) {
+            cases.push_back({ar, ai, br, bi});
+          }
+        }
+      }
+    }
+  }
+  for (int k = 0; k < 100000; ++k) {
+    const double br = std::ldexp(rng.uniform(-1.0, 1.0), rng.uniform() < 0.5 ? 0 : 900);
+    const double bi = k % 3 == 0 ? br : std::ldexp(rng.uniform(-1.0, 1.0), -500);
+    cases.push_back({rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0), br, bi});
+  }
+  for (const auto& [ar, ai, br, bi] : cases) {
+    const Complex want = Complex{ar, ai} / Complex{br, bi};
+    double rr, ri;
+    numeric::smith_div(ar, ai, br, bi, rr, ri);
+    EXPECT_TRUE(same_bits(rr, want.real()) && same_bits(ri, want.imag()))
+        << "(" << hex(ar) << ", " << hex(ai) << ") / (" << hex(br) << ", "
+        << hex(bi) << "): " << hex(rr) << ", " << hex(ri) << " vs "
+        << hex(want.real()) << ", " << hex(want.imag());
+    const Complex want_real = ar / Complex{br, bi};
+    numeric::smith_div(ar, 0.0, br, bi, rr, ri);
+    EXPECT_TRUE(same_bits(rr, want_real.real()) &&
+                same_bits(ri, want_real.imag()))
+        << hex(ar) << " / (" << hex(br) << ", " << hex(bi) << ")";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One lane vs sixteen: the element kernels at any lane offset.
+
+constexpr std::size_t kLanes = 16;
+
+/// 40 grid frequencies: the amplifier's 16 plan lanes, then 24 more over
+/// 0.2-6 GHz.
+std::vector<double> wide_grid() {
+  std::vector<double> g = amplifier::LnaDesign::default_band();
+  for (const double f : amplifier::LnaDesign::stability_grid()) g.push_back(f);
+  for (int k = 0; g.size() < 40; ++k) g.push_back(0.2e9 + 0.25e9 * k);
+  return g;
+}
+
+/// Term rows of `lanes` lanes in owned storage.
+struct TermStore {
+  explicit TermStore(std::size_t lanes)
+      : re(rf::YTermRows::kTerms * lanes), im(re.size()), lanes(lanes) {}
+  rf::YTermRows rows() { return {re.data(), im.data(), lanes}; }
+  std::vector<double> re, im;
+  std::size_t lanes;
+};
+
+void expect_same_terms(const rf::YTermRows& a, std::size_t ka,
+                       const rf::YTermRows& b, std::size_t kb,
+                       const std::string& where) {
+  for (std::size_t t = 0; t < rf::YTermRows::kTerms; ++t) {
+    EXPECT_TRUE(same_bits(a.re[t * a.stride + ka], b.re[t * b.stride + kb]) &&
+                same_bits(a.im[t * a.stride + ka], b.im[t * b.stride + kb]))
+        << where << " term " << t;
+  }
+}
+
+TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
+  const std::vector<double> grid = wide_grid();
+  const std::size_t n = grid.size();
+
+  // Lines: a w50-like line on FR-4 over the grid, with lanes outside the
+  // lane route's range mixed in (alpha l beyond ln2/2, |beta l| beyond
+  // 1e5, alpha l < 0).
+  const microstrip::Line probe(microstrip::Substrate::fr4(), 1.9e-3, 1e-3);
+  microstrip::Line::PropagationRows prop;
+  probe.tabulate(grid, prop);
+  prop.alpha_np_m[5] = 40.0;
+  prop.beta_rad_m[11] = 3e6;
+  prop.alpha_np_m[17] = -0.5;
+  const double length = 0.0231;
+
+  // Passives, the pHEMT and its noise.
+  const passives::Capacitor cap =
+      passives::make_capacitor(2.2e-12, passives::Package::k0402);
+  const passives::Inductor ind =
+      passives::make_inductor(8.2e-9, passives::Package::k0603);
+  const device::Phemt dev = device::Phemt::reference_device();
+  const device::IntrinsicParams ip = dev.small_signal({-0.3, 2.7});
+  const device::ExtrinsicParams ex = dev.extrinsics();
+  const device::NoiseTemperatures nt = dev.temperatures();
+
+  for (std::size_t off = 0; off + kLanes <= n; ++off) {
+    const std::string at = "offset " + std::to_string(off);
+    const std::span<const double> f{grid.data() + off, kLanes};
+
+    TermStore line(kLanes);
+    microstrip::Line::y_lanes({prop.alpha_np_m.data() + off, kLanes},
+                              {prop.beta_rad_m.data() + off, kLanes},
+                              {prop.z0_ohm.data() + off, kLanes}, length,
+                              line.rows());
+    std::vector<Complex> twiss(4 * kLanes);
+    circuit::passive_twoport_csd_lanes(line.rows(), kLanes, 296.0,
+                                       twiss.data());
+
+    std::vector<double> zr(kLanes), zi(kLanes), lr(kLanes), li(kLanes);
+    cap.impedance(f, zr.data(), zi.data());
+    ind.impedance(f, lr.data(), li.data());
+    std::vector<Complex> y(kLanes), psd(kLanes);
+    circuit::lossy_admittance_lanes(lr, li.data(), y.data(), 296.0,
+                                    psd.data(), kLanes);
+
+    TermStore fet(kLanes);
+    device::fet_y(ip, ex, f, fet.rows());
+    std::vector<double> fmin(kLanes), rn(kLanes), gr(kLanes), gi(kLanes);
+    const rf::NoiseRows noise{fmin.data(), rn.data(), gr.data(), gi.data(),
+                              rf::kZ0};
+    device::pospieszalski_noise(ip, ex, nt, f, noise);
+    std::vector<Complex> cy(4 * kLanes);
+    circuit::noise_correlation_y_lanes(fet.rows(), noise, kLanes, cy.data());
+
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      const std::size_t lane = off + k;
+      const std::string where = at + " lane " + std::to_string(lane);
+      const double fk = grid[lane];
+
+      microstrip::Line::Propagation p;
+      p.frequency_hz = fk;
+      p.alpha_np_m = prop.alpha_np_m[lane];
+      p.beta_rad_m = prop.beta_rad_m[lane];
+      p.z0_ohm = prop.z0_ohm[lane];
+      rf::YTermLane one;
+      one.rows().store(0, microstrip::Line::y_from(p, length));
+      expect_same_terms(line.rows(), k, one.rows(), 0, "line " + where);
+      const auto twiss_one = circuit::passive_twoport_csd(
+          [&](double) { return microstrip::Line::y_from(p, length); },
+          296.0)(fk);
+      for (std::size_t e = 0; e < 4; ++e) {
+        EXPECT_TRUE(same_bits(twiss[4 * k + e].real(),
+                              twiss_one(e / 2, e % 2).real()) &&
+                    same_bits(twiss[4 * k + e].imag(),
+                              twiss_one(e / 2, e % 2).imag()))
+            << "Twiss CSD " << where;
+      }
+
+      const Complex zc = cap.impedance(fk), zl = ind.impedance(fk);
+      EXPECT_TRUE(same_bits(zr[k], zc.real()) && same_bits(zi[k], zc.imag()))
+          << "capacitor " << where;
+      EXPECT_TRUE(same_bits(lr[k], zl.real()) && same_bits(li[k], zl.imag()))
+          << "inductor " << where;
+      Complex y1, psd1;
+      const double zl_re = zl.real(), zl_im = zl.imag();
+      circuit::lossy_admittance_lanes({&zl_re, 1}, &zl_im, &y1, 296.0, &psd1,
+                                      1);
+      EXPECT_TRUE(same_bits(y[k].real(), y1.real()) &&
+                  same_bits(y[k].imag(), y1.imag()) &&
+                  same_bits(psd[k].real(), psd1.real()))
+          << "lossy admittance " << where;
+
+      rf::YTermLane fet_one;
+      fet_one.rows().store(0, device::fet_y(ip, ex, fk));
+      expect_same_terms(fet.rows(), k, fet_one.rows(), 0, "fet_y " + where);
+      const rf::NoiseParams np = device::pospieszalski_noise(ip, ex, nt, fk);
+      EXPECT_TRUE(same_bits(fmin[k], np.f_min) && same_bits(rn[k], np.r_n) &&
+                  same_bits(gr[k], np.gamma_opt.real()) &&
+                  same_bits(gi[k], np.gamma_opt.imag()))
+          << "Pospieszalski " << where;
+      const numeric::ComplexMatrix cy_one =
+          circuit::noise_correlation_y(device::fet_y(ip, ex, fk), np);
+      for (std::size_t e = 0; e < 4; ++e) {
+        EXPECT_TRUE(same_bits(cy[4 * k + e].real(),
+                              cy_one(e / 2, e % 2).real()) &&
+                    same_bits(cy[4 * k + e].imag(),
+                              cy_one(e / 2, e % 2).imag()))
+            << "noise correlation " << where;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hex pins on a fixed corpus.
+
+/// FNV-1a over the bit patterns of a kernel's outputs.
+struct Digest {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(double x) {
+    const auto u = std::bit_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (u >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(const Complex& z) {
+    add(z.real());
+    add(z.imag());
+  }
+};
+
+void expect_pin(double got, double want, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what << " = " << hex(got) << ", pinned " << hex(want);
+}
+
+/// The amplifier's 16 plan lanes.
+std::vector<double> plan_grid() {
+  std::vector<double> g = amplifier::LnaDesign::default_band();
+  for (const double f : amplifier::LnaDesign::stability_grid()) g.push_back(f);
+  return g;
+}
+
+TEST(LaneKernels, HexPinsOfTheLineKernel) {
+  // The w50 and bias-width lines of the default amplifier on FR-4 over the
+  // 16 plan lanes at three lengths, then lanes on both sides of the lane
+  // route's range boundaries: alpha l = ln2/2 - 1 ulp (lane route) and
+  // ln2/2 (glibc route), beta l = 1e5 - 1 ulp and 1e5.
+  const std::vector<double> grid = plan_grid();
+  const microstrip::Substrate sub = microstrip::Substrate::fr4();
+  Digest d;
+  std::vector<rf::YParams> ys;
+  for (const double width : {1.9e-3, 0.4e-3}) {
+    microstrip::Line::PropagationRows prop;
+    microstrip::Line(sub, width, 1e-3).tabulate(grid, prop);
+    for (const double length : {4.1e-3, 17.3e-3, 41e-3}) {
+      TermStore y(grid.size());
+      microstrip::Line::y_lanes(prop.alpha_np_m, prop.beta_rad_m, prop.z0_ohm,
+                                length, y.rows());
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        ys.push_back(y.rows().y(k, grid[k]));
+      }
+    }
+  }
+  const double lim = numeric::kExpm1Limit;
+  const double edges[][3] = {{std::nextafter(lim, 0.0), 1.3, 48.0},
+                             {lim, 1.3, 48.0},
+                             {0.01, std::nextafter(1e5, 0.0), 51.0},
+                             {0.01, 1e5, 51.0}};
+  for (const auto& e : edges) {
+    microstrip::Line::Propagation p;
+    p.alpha_np_m = e[0];
+    p.beta_rad_m = e[1];
+    p.z0_ohm = e[2];
+    ys.push_back(microstrip::Line::y_from(p, 1.0));
+  }
+  for (const rf::YParams& y : ys) {
+    d.add(y.y11);
+    d.add(y.y12);
+    d.add(y.y21);
+    d.add(y.y22);
+  }
+  expect_pin(ys[7].y11.real(), 0x1.05c60ec2d4db1p-8, "w50 l=4.1mm lane 7 Re y11");
+  expect_pin(ys[7].y12.imag(), 0x1.2bc437f7dec58p-2, "w50 l=4.1mm lane 7 Im y12");
+  expect_pin(ys[96 + 0].y11.imag(), -0x1.4e0fd701f57dbp-8, "alpha l = ln2/2 - 1ulp Im y11");
+  expect_pin(ys[96 + 1].y11.imag(), -0x1.4e0fd701f57dap-8, "alpha l = ln2/2 Im y11");
+  expect_pin(ys[96 + 2].y12.real(), 0x1.233ca79a37961p-3, "beta l = 1e5 - 1ulp Re y12");
+  expect_pin(ys[96 + 3].y12.real(), 0x1.233ca79de8132p-3, "beta l = 1e5 Re y12");
+  EXPECT_EQ(d.h, 0x0545bbed1299309fu) << std::hex << d.h;
+
+  // The lane sincos just inside its range (1 ulp from glibc there).
+  const double x = std::nextafter(1e5, 0.0);
+  double s, c;
+  numeric::sincos({&x, 1}, &s, &c);
+  expect_pin(s, 0x1.24daa9c727959p-5, "sin(1e5 - 1 ulp)");
+}
+
+TEST(LaneKernels, HexPinsOfThePassiveAndPhemtKernels) {
+  const std::vector<double> grid = plan_grid();
+  const std::size_t n = grid.size();
+
+  Digest passive;
+  std::vector<double> zr(n), zi(n);
+  std::vector<Complex> y(n), psd(n);
+  for (const double c : {0.5e-12, 2.2e-12, 33e-12, 100e-9}) {
+    passives::make_capacitor(c, passives::Package::k0402,
+                             c > 1e-9 ? passives::CapDielectric::kX7R
+                                      : passives::CapDielectric::kC0G)
+        .impedance(grid, zr.data(), zi.data());
+    circuit::lossy_admittance_lanes(zr, zi.data(), y.data(), 296.15,
+                                    psd.data(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      passive.add(zr[k]);
+      passive.add(zi[k]);
+      passive.add(y[k]);
+      passive.add(psd[k]);
+    }
+  }
+  expect_pin(y[3].real(), 0x1.291fc2153f194p-8, "100 nF X7R lane 3 Re y");
+  for (const double l : {1.5e-9, 8.2e-9, 47e-9}) {
+    passives::make_inductor(l, passives::Package::k0603)
+        .impedance(grid, zr.data(), zi.data());
+    circuit::lossy_admittance_lanes(zr, zi.data(), y.data(), 296.15,
+                                    psd.data(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      passive.add(zr[k]);
+      passive.add(zi[k]);
+      passive.add(y[k]);
+      passive.add(psd[k]);
+    }
+  }
+  expect_pin(zr[9], 0x1.074e379fd0ee7p+4, "47 nH lane 9 Re z");
+  expect_pin(psd[12].real(), 0x1.2120da5c116afp-83, "47 nH lane 12 thermal CSD");
+  EXPECT_EQ(passive.h, 0x3c633a073de4c507u) << std::hex << passive.h;
+
+  const device::Phemt dev = device::Phemt::reference_device();
+  Digest phemt;
+  TermStore fet(n);
+  std::vector<double> fmin(n), rn(n), gr(n), gi(n);
+  const rf::NoiseRows noise{fmin.data(), rn.data(), gr.data(), gi.data(),
+                            rf::kZ0};
+  std::vector<Complex> cy(4 * n);
+  for (const device::Bias bias : {device::Bias{-0.45, 2.0},
+                                  device::Bias{-0.3, 2.7},
+                                  device::Bias{-0.22, 3.4}}) {
+    const device::IntrinsicParams ip = dev.small_signal(bias);
+    device::fet_y(ip, dev.extrinsics(), grid, fet.rows());
+    device::pospieszalski_noise(ip, dev.extrinsics(), dev.temperatures(), grid,
+                                noise);
+    circuit::noise_correlation_y_lanes(fet.rows(), noise, n, cy.data());
+    for (std::size_t k = 0; k < n; ++k) {
+      const rf::YParams yk = fet.rows().y(k, grid[k]);
+      phemt.add(yk.y11);
+      phemt.add(yk.y12);
+      phemt.add(yk.y21);
+      phemt.add(yk.y22);
+      phemt.add(fmin[k]);
+      phemt.add(rn[k]);
+      phemt.add(gr[k]);
+      phemt.add(gi[k]);
+      for (std::size_t e = 0; e < 4; ++e) phemt.add(cy[4 * k + e]);
+      const rf::SParams s =
+          device::fet_s_params(ip, dev.extrinsics(), grid[k]);
+      phemt.add(s.s11);
+      phemt.add(s.s12);
+      phemt.add(s.s21);
+      phemt.add(s.s22);
+    }
+  }
+  const rf::YParams y5 = fet.rows().y(5, grid[5]);
+  expect_pin(y5.y21.real(), 0x1.ebb3158751f39p-4, "pHEMT (-0.22 V, 3.4 V) lane 5 Re y21");
+  expect_pin(y5.y12.imag(), -0x1.f1dd3c4c0f519p-13, "pHEMT lane 5 Im y12");
+  expect_pin(gi[5], 0x1.29a55a564809ap-3, "pHEMT lane 5 Im gamma_opt");
+  expect_pin(cy[4 * 5 + 1].imag(), 0x1.8dd739d4430a5p-75, "pHEMT lane 5 Im CY12");
+  EXPECT_EQ(phemt.h, 0xa4a688a23a5e1754u) << std::hex << phemt.h;
+}
+
+}  // namespace
+}  // namespace gnsslna

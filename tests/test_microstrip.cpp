@@ -65,7 +65,8 @@ TEST(Line, LossesPositiveAndGrowWithFrequency) {
   const Line line(Substrate::fr4(), 1.5e-3, 10e-3);
   EXPECT_GT(line.alpha_conductor(kF), 0.0);
   EXPECT_GT(line.alpha_dielectric(kF), 0.0);
-  EXPECT_GT(line.alpha(4e9), line.alpha(1e9));
+  EXPECT_GT(line.propagation(4e9).alpha_np_m,
+            line.propagation(1e9).alpha_np_m);
 }
 
 TEST(Line, Ro4350LessLossyThanFr4) {
@@ -98,7 +99,7 @@ TEST(Line, MatchedLineElectricalLengthMatchesS21Phase) {
   const double w50 = synthesize_width(sub, 50.0, kF);
   const Line line(sub, w50, 20e-3);
   const rf::SParams s = line.s_params(kF);
-  const double theta = line.electrical_length(kF);
+  const double theta = line.propagation(kF).beta_rad_m * line.length();
   EXPECT_NEAR(std::arg(s.s21), -theta, 0.02);
 }
 

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "amplifier/yield.h"
 #include "device/phemt.h"
 #include "numeric/sobol.h"
 #include "numeric/stats.h"
+#include "obs/obs.h"
 #include "reference_band.h"
 
 namespace gnsslna::amplifier {
@@ -296,8 +299,34 @@ TEST(YieldEngine, PlanReuseMatchesPerTrialRebuildBitForBit) {
   }
 }
 
+/// yield.plan_builds counted while `run` runs, with telemetry enabled for
+/// it; nullopt when the telemetry layer is compiled out.
+template <typename Run>
+std::optional<std::uint64_t> plan_builds_during(Run&& run) {
+#if defined(GNSSLNA_OBS_ENABLED)
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::vector<obs::CounterValue> before = obs::counter_snapshot();
+  run();
+  const std::vector<obs::CounterValue> delta =
+      obs::counter_delta(obs::counter_snapshot(), before);
+  obs::set_enabled(was_enabled);
+  for (const obs::CounterValue& c : delta) {
+    if (c.name == "yield.plan_builds") return c.value;
+  }
+  return 0;
+#else
+  run();
+  return std::nullopt;
+#endif
+}
+
 TEST(YieldEngine, FullReportIsBitIdenticalAcrossThreadsAndShards) {
+  // Every decomposition gives the serial report bit for bit, and each of
+  // the W = min(threads, shards) workers takes a shard: the nominal design
+  // is feasible, so each builds its plan exactly once.
   const DesignGoals goals = loose_goals();
+  const std::size_t n = 16;
   for (const YieldSampler sampler :
        {YieldSampler::kPseudoRandom, YieldSampler::kSobol}) {
     YieldOptions serial;
@@ -306,20 +335,27 @@ TEST(YieldEngine, FullReportIsBitIdenticalAcrossThreadsAndShards) {
     serial.shard = 16;
     numeric::Rng rng0(2718);
     const YieldReport reference = run_yield(
-        ref(), resolved_config(), DesignVector{}, goals, 16, rng0, serial);
+        ref(), resolved_config(), DesignVector{}, goals, n, rng0, serial);
     for (const std::size_t threads : {2u, 4u, 8u}) {
       for (const std::size_t shard : {1u, 7u, 64u}) {
         YieldOptions opt = serial;
         opt.threads = threads;
         opt.shard = shard;
         numeric::Rng rng(2718);
-        const YieldReport rep = run_yield(ref(), resolved_config(),
-                                          DesignVector{}, goals, 16, rng, opt);
-        expect_reports_identical(
-            reference, rep,
+        YieldReport rep;
+        const std::optional<std::uint64_t> builds = plan_builds_during([&] {
+          rep = run_yield(ref(), resolved_config(), DesignVector{}, goals, n,
+                          rng, opt);
+        });
+        const std::string where =
             "threads=" + std::to_string(threads) +
-                " shard=" + std::to_string(shard) +
-                (sampler == YieldSampler::kSobol ? " sobol" : " pseudo"));
+            " shard=" + std::to_string(shard) +
+            (sampler == YieldSampler::kSobol ? " sobol" : " pseudo");
+        expect_reports_identical(reference, rep, where);
+        if (builds) {
+          const std::size_t shards = (n + shard - 1) / shard;
+          EXPECT_EQ(*builds, std::min<std::size_t>(threads, shards)) << where;
+        }
       }
     }
   }
