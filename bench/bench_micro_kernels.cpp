@@ -31,6 +31,7 @@
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
 #include "device/phemt.h"
+#include "microstrip/line.h"
 #include "numeric/rng.h"
 #include "obs/obs.h"
 
@@ -262,6 +263,36 @@ void BM_YieldSampleRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_YieldSampleRebuild);
 
+/// The board step of a yield trial: the dispersion tables of the w50 and
+/// bias-width traces on one perturbed board over the 16 plan lanes, in
+/// one multi-width Line::tabulate pass, cycling through the boards of
+/// 1,024 pseudo trial draws (informational, not gated by perf_smoke).
+void BM_BoardTables(benchmark::State& state) {
+  amplifier::AmplifierConfig config;
+  config.resolve();
+  std::vector<double> grid = amplifier::LnaDesign::default_band();
+  const std::vector<double> mu_grid = amplifier::LnaDesign::stability_grid();
+  grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
+  const numeric::Rng root(12345);
+  std::vector<microstrip::Substrate> boards;
+  for (std::uint64_t trial = 0; trial < 1024; ++trial) {
+    boards.push_back(amplifier::pseudo_trial_draw(root, trial,
+                                                  amplifier::DesignVector{},
+                                                  config.substrate, {})
+                         .substrate);
+  }
+  const std::array<double, 2> widths{config.w50_m, config.w_bias_m};
+  std::array<microstrip::Line::PropagationRows, 2> rows;
+  microstrip::Line::tabulate(boards[0], widths, grid, rows);  // sizes rows
+  std::size_t next = 0;
+  run_counted(state, "BM_BoardTables", [&] {
+    microstrip::Line::tabulate(boards[next], widths, grid, rows);
+    next = (next + 1) % boards.size();
+    benchmark::DoNotOptimize(rows);
+  });
+}
+BENCHMARK(BM_BoardTables);
+
 /// Thread CPU time [s]: immune to descheduling on loaded hosts (the gate
 /// below also normalizes away frequency scaling via a reference kernel).
 double thread_cpu_seconds() {
@@ -284,25 +315,36 @@ double batch_ns(int iters, Op&& op, std::uint64_t* allocs = nullptr) {
   return ns;
 }
 
-/// The band-evaluation kernel (the BM_BandEvaluation workload) and one
+/// The band-evaluation kernel (the BM_BandEvaluation workload), one
 /// steady-state yield-engine trial (the BM_YieldSampleMc workload: pseudo
-/// draw + full re-stamp + batched evaluate), timed directly (no
-/// google-benchmark) in alternating batches, with the steady-state heap
-/// allocations per call (exactly 0 on the batched path).
+/// draw + full re-stamp + batched evaluate) and the band gate's two
+/// host-speed references (the BM_FetSParams and BM_BatchedSolve
+/// workloads), timed directly (no google-benchmark) in alternating
+/// batches, with the steady-state heap allocations per call (exactly 0 on
+/// the batched path).
 struct BandAndYieldTimes {
   double band_ns = 1e300;      ///< fastest of the first 5 band batches
   double band_allocs_per_op = 0.0;
   double yield_ns = 1e300;     ///< fastest of the first 5 yield batches
   double yield_ratio = 0.0;    ///< median per-alternation yield/band ratio
   double yield_allocs_per_op = 0.0;
+  double fet_ratio = 0.0;      ///< median per-alternation band/FET ratio
+  double batched_ratio = 0.0;  ///< median per-alternation band/solve ratio
 };
 
-/// The two kernels' batches alternate, and the yield gate reads the
-/// median over 15 alternations of each yield batch over the band batch
-/// beside it: a change of host speed moves both terms of one ratio alike,
-/// and the median ignores the few ratios a speed change straddles, where
-/// a ratio of two minima swings with whichever kernel caught the fastest
-/// stretch.
+/// The median of `v` (odd size).
+template <std::size_t N>
+double median_of(std::array<double, N> v) {
+  std::nth_element(v.begin(), v.begin() + N / 2, v.end());
+  return v[N / 2];
+}
+
+/// The four kernels' batches alternate, and each ratio gate reads the
+/// median over 15 alternations of one batch over the batch beside it: a
+/// change of host speed moves both terms of one ratio alike, and the
+/// median ignores the few ratios a speed change straddles, where a ratio
+/// of two minima (or of batches timed seconds apart) swings with
+/// whichever kernel caught the fastest stretch.
 BandAndYieldTimes time_band_and_yield() {
   const device::Phemt dev = device::Phemt::reference_device();
   amplifier::AmplifierConfig config;
@@ -332,10 +374,38 @@ BandAndYieldTimes time_band_and_yield() {
   next_trial();  // warm up as in BM_YieldSampleMc: cold build + counters
   next_trial();
 
+  // The host-speed references: the analytic FET S-parameter kernel,
+  // which the batched plan does not touch, and the raw batched
+  // assemble + factor + solve kernel the band path rides on.
+  const device::Bias fet_bias{-0.3, 2.0};
+  double fet_f = 1.1e9;
+  rf::SParams fet_sink{};
+  const auto fet_call = [&] {
+    fet_sink = dev.s_params(fet_bias, fet_f);
+    fet_f = fet_f < 1.7e9 ? fet_f + 1e6 : 1.1e9;
+  };
+  amplifier::AmplifierConfig solve_config;
+  solve_config.resolve();
+  const amplifier::LnaDesign lna(dev, solve_config, amplifier::DesignVector{});
+  std::vector<double> grid = amplifier::LnaDesign::default_band();
+  const std::vector<double> mu_grid = amplifier::LnaDesign::stability_grid();
+  grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
+  circuit::BatchedPlan plan(lna.build_netlist(), std::move(grid));
+  circuit::EvalWorkspace ws;
+  plan.factor(ws, 0, plan.size());  // warm up: commits the arena
+  const auto solve_call = [&] {
+    plan.mark_values_dirty();
+    plan.factor(ws, 0, plan.size());
+    plan.solve_ports(ws);
+    plan.solve_output_transfer(ws, 1);
+  };
+
   constexpr int kAlternations = 15, kMinBatches = 5;
   constexpr int kBandIters = 400, kYieldIters = 300;
+  constexpr int kFetIters = 4000, kSolveIters = 150;
   BandAndYieldTimes t;
-  std::array<double, kAlternations> ratios{};
+  std::array<double, kAlternations> yield_ratios{}, fet_ratios{},
+      batched_ratios{};
   std::uint64_t band_allocs = 0, yield_allocs = 0;
   for (int a = 0; a < kAlternations; ++a) {
     const double band_ns = batch_ns(kBandIters, [&] {
@@ -343,66 +413,26 @@ BandAndYieldTimes time_band_and_yield() {
       (void)evaluator.evaluate(d);
     }, &band_allocs);
     const double yield_ns = batch_ns(kYieldIters, next_trial, &yield_allocs);
-    ratios[a] = yield_ns / band_ns;
+    const double fet_ns = batch_ns(kFetIters, fet_call);
+    const double solve_ns = batch_ns(kSolveIters, solve_call);
+    yield_ratios[a] = yield_ns / band_ns;
+    fet_ratios[a] = band_ns / fet_ns;
+    batched_ratios[a] = band_ns / solve_ns;
     if (a < kMinBatches) {
       t.band_ns = std::min(t.band_ns, band_ns);
       t.yield_ns = std::min(t.yield_ns, yield_ns);
     }
   }
-  std::nth_element(ratios.begin(), ratios.begin() + kAlternations / 2,
-                   ratios.end());
-  t.yield_ratio = ratios[kAlternations / 2];
+  // Defeat dead-code elimination of the FET timing loop.
+  if (fet_sink.frequency_hz < 0.0) std::printf("impossible\n");
+  t.yield_ratio = median_of(yield_ratios);
+  t.fet_ratio = median_of(fet_ratios);
+  t.batched_ratio = median_of(batched_ratios);
   t.band_allocs_per_op =
       static_cast<double>(band_allocs) / (kAlternations * kBandIters);
   t.yield_allocs_per_op =
       static_cast<double>(yield_allocs) / (kAlternations * kYieldIters);
   return t;
-}
-
-/// Times the raw batched assemble+factor+solve kernel (the BM_BatchedSolve
-/// workload): the perf gate's second normalization reference.
-double time_batched_solve_ns() {
-  const device::Phemt dev = device::Phemt::reference_device();
-  amplifier::AmplifierConfig config;
-  config.resolve();
-  const amplifier::LnaDesign lna(dev, config, amplifier::DesignVector{});
-  const circuit::Netlist nl = lna.build_netlist();
-  std::vector<double> grid = amplifier::LnaDesign::default_band();
-  const std::vector<double> mu_grid = amplifier::LnaDesign::stability_grid();
-  grid.insert(grid.end(), mu_grid.begin(), mu_grid.end());
-  circuit::BatchedPlan plan(nl, std::move(grid));
-  circuit::EvalWorkspace ws;
-  plan.factor(ws, 0, plan.size());  // warm up: commits the arena
-  double best = 1e300;
-  for (int batch = 0; batch < 3; ++batch) {
-    best = std::min(best, batch_ns(1000, [&] {
-      plan.mark_values_dirty();
-      plan.factor(ws, 0, plan.size());
-      plan.solve_ports(ws);
-      plan.solve_output_transfer(ws, 1);
-    }));
-  }
-  return best;
-}
-
-/// The host-speed reference: the analytic FET S-parameter kernel, which
-/// the batched plan does not touch.  Its ratio to the band evaluation
-/// cancels uniform host slowdown (frequency scaling, shared CPU).
-double time_fet_reference_ns() {
-  const device::Phemt dev = device::Phemt::reference_device();
-  const device::Bias bias{-0.3, 2.0};
-  double f = 1.1e9;
-  rf::SParams sink{};
-  double best = 1e300;
-  for (int batch = 0; batch < 3; ++batch) {
-    best = std::min(best, batch_ns(100000, [&] {
-      sink = dev.s_params(bias, f);
-      f = f < 1.7e9 ? f + 1e6 : 1.1e9;
-    }));
-  }
-  // Defeat dead-code elimination of the timing loop.
-  if (sink.frequency_hz < 0.0) std::printf("impossible\n");
-  return best;
 }
 
 /// On a perf_smoke failure: re-run a short instrumented batch of the band
@@ -467,25 +497,25 @@ int perf_smoke(const std::string& baseline_path) {
   const BandAndYieldTimes band_and_yield = time_band_and_yield();
   const double now_allocs = band_and_yield.band_allocs_per_op;
   const double now_ns = band_and_yield.band_ns;
-  const double ref_ns = time_fet_reference_ns();
-  const double batched_ns = time_batched_solve_ns();
   const double limit_ns = 1.25 * baseline_ns;
   // Normalized checks: compare the band kernel against two in-process
   // references — the analytic FET kernel (untouched by the evaluation
-  // plan) and the raw batched solve (the core the band path rides on) —
-  // so a uniformly slower (or faster) host cancels out; only a regression
-  // of the band kernel itself moves both ratios.
-  const double ratio = now_ns / ref_ns;
+  // plan) and the raw batched solve (the core the band path rides on),
+  // each as the median of per-alternation ratios — so a uniformly slower
+  // (or faster) host cancels out; only a regression of the band kernel
+  // itself moves both ratios.
+  const double ratio = band_and_yield.fet_ratio;
   const double ratio_limit = 1.25 * baseline_ns / baseline_ref_ns;
   const double baseline_batched_ns =
       bench::bench_json_ns(entries, "BM_BatchedSolve");
-  const double batched_ratio = now_ns / batched_ns;
+  const double batched_ratio = band_and_yield.batched_ratio;
   const double batched_ratio_limit =
       baseline_batched_ns > 0.0 ? 1.25 * baseline_ns / baseline_batched_ns
                                 : 1e300;
   std::printf("[perf_smoke] band evaluation: %.0f ns/op (baseline %.0f, "
-              "limit %.0f); vs FET reference kernel: %.0fx (limit %.0fx); "
-              "vs batched-solve kernel: %.1fx (limit %.1fx)\n",
+              "limit %.0f); vs FET reference kernel (median of 15 "
+              "alternations): %.0fx (limit %.0fx); vs batched-solve kernel "
+              "(median of 15): %.1fx (limit %.1fx)\n",
               now_ns, baseline_ns, limit_ns, ratio, ratio_limit,
               batched_ratio, batched_ratio_limit);
   const bool time_regressed =

@@ -1,6 +1,7 @@
 #include "amplifier/lna.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <span>
@@ -70,15 +71,6 @@ FetClosures fet_closures(const device::Phemt& dev,
           [ip, ex, nt](double f) {
             return device::pospieszalski_noise(ip, ex, nt, f);
           }};
-}
-
-/// Length-independent dispersion table of a `width_m` line on `board`
-/// over `grid`.  Resizing to the plan grid is a no-op after the cold
-/// build, so a board step does not allocate.
-void tabulate_propagation(microstrip::Line::PropagationRows& prop,
-                          const microstrip::Substrate& board, double width_m,
-                          const std::vector<double>& grid) {
-  microstrip::Line(board, width_m, 1e-3).tabulate(grid, prop);
 }
 
 /// The band pass of every evaluation path (LnaDesign::evaluate and
@@ -412,20 +404,15 @@ void BandEvaluator::build(const DesignVector& design,
   DesignBindings bindings;
   const circuit::Netlist nl = lna.build_netlist(&bindings);
   circuit::BatchedPlan plan(nl, plan_grid(report_grid_));
-  // Length-independent dispersion table shared by the four matching lines
-  // (the length is applied per element in write_line).
-  microstrip::Line::PropagationRows w50;
-  tabulate_propagation(w50, board, config_.w50_m, plan.grid());
+  // Length-independent dispersion tables of the two trace widths (the
+  // length is applied per element in write_line); sized here, so a board
+  // step rewrites them without allocating.
+  std::array<microstrip::Line::PropagationRows, 2> trace_prop;
+  microstrip::Line::tabulate(board, trace_widths(), plan.grid(), trace_prop);
   // Commit to the members only once everything built, so a throwing
   // design leaves the evaluator reusable.
   bplan_ = std::move(plan);
-  w50_prop_ = std::move(w50);
-  // The bias-width table is read only by a board step, which tabulates it
-  // first; sizing it here keeps that step allocation-free.
-  const std::size_t lanes = bplan_.size();
-  wbias_prop_.alpha_np_m.resize(lanes);
-  wbias_prop_.beta_rad_m.resize(lanes);
-  wbias_prop_.z0_ohm.resize(lanes);
+  trace_prop_ = std::move(trace_prop);
   bindings_ = bindings;
   bias_ = lna.bias();
   last_ = design;
@@ -485,8 +472,8 @@ void BandEvaluator::retabulate(const DesignVector& design,
   // they are.
   const std::size_t nb = report_grid_.size();
   if (rewrite_board) {
-    tabulate_propagation(w50_prop_, board, config_.w50_m, bplan_.grid());
-    tabulate_propagation(wbias_prop_, board, config_.w_bias_m, bplan_.grid());
+    microstrip::Line::tabulate(board, trace_widths(), bplan_.grid(),
+                               trace_prop_);
   }
   if (config_.dispersive_passives) {
     if (changed(&DesignVector::c_in_f)) {
@@ -546,25 +533,26 @@ void BandEvaluator::retabulate(const DesignVector& design,
   }
   if (line_changed(&DesignVector::l_in_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlin1, design.l_in_m,
-                                     w50_prop_, t, nb);
+                                     trace_prop_[kW50], t, nb);
   }
   if (line_changed(&DesignVector::l_in2_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlin2, design.l_in2_m,
-                                     w50_prop_, t, nb);
+                                     trace_prop_[kW50], t, nb);
   }
   if (line_changed(&DesignVector::l_out_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlout1, design.l_out_m,
-                                     w50_prop_, t, nb);
+                                     trace_prop_[kW50], t, nb);
   }
   if (line_changed(&DesignVector::l_out2_m)) {
     retabulated += planw::write_line(bplan_, bindings_.tlout2, design.l_out2_m,
-                                     w50_prop_, t, nb);
+                                     trace_prop_[kW50], t, nb);
   }
   if (rewrite_board) {
     // The config-fixed elements a board step reaches: the bias line and
     // the tee parasitics.
     retabulated += planw::write_line(bplan_, bindings_.tlbias,
-                                     config_.l_bias_m, wbias_prop_, t, nb);
+                                     config_.l_bias_m,
+                                     trace_prop_[kBiasWidth], t, nb);
     if (bindings_.has_tee) {
       const microstrip::TeeJunction tee(board, config_.w50_m,
                                         config_.w_bias_m);

@@ -8,6 +8,8 @@
 // noise figure, stability, and DC current over the GNSS band.
 #pragma once
 
+#include <array>
+
 #include "amplifier/topology.h"
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
@@ -186,10 +188,16 @@ class BandEvaluator {
   circuit::EvalWorkspace workspace_;
   /// Dispersion curves of the w50 and bias-width lines on `board_` over
   /// the plan grid, in the structure-of-arrays rows the line lane kernel
-  /// reads: propagation data depend on (substrate, width, f) only,
-  /// so every line length reuses them (the netlist closure computes
-  /// Line::y_from(propagation(f), length) as well).
-  microstrip::Line::PropagationRows w50_prop_, wbias_prop_;
+  /// reads, tabulated by one multi-width Line::tabulate pass per board:
+  /// propagation data depend on (substrate, width, f) only, so every line
+  /// length reuses them (the netlist closure computes
+  /// Line::y_from(propagation(f), length), the one-lane call of the same
+  /// kernels).
+  static constexpr std::size_t kW50 = 0, kBiasWidth = 1;
+  std::array<double, 2> trace_widths() const {
+    return {config_.w50_m, config_.w_bias_m};
+  }
+  std::array<microstrip::Line::PropagationRows, 2> trace_prop_;
   /// Per-report-lane noise results from the batched sweep; sized on first
   /// use and reused (steady-state resize is a no-op, so no allocations).
   std::vector<circuit::NoiseResult> noise_buf_;

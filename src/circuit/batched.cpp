@@ -13,6 +13,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "circuit/noisy_twoport.h"
 #include "numeric/lanes.h"
 #include "obs/obs.h"
 #include "rf/units.h"
@@ -116,6 +117,14 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     t.order = g.injections.size();
     const std::size_t k = t.order;
     t.csd.resize(grid_.size() * k * k);
+    if (g.passive_twoport < twoports_.size() && k == 2) {
+      // The passive_twoport_csd closure's lane kernel over the two-port's
+      // tabulated Y-block: the closure's bits without a second Y-block
+      // evaluation per lane.
+      passive_twoport_csd_lanes(twoport_view(g.passive_twoport).terms,
+                                grid_.size(), g.temperature_k, t.csd.data());
+      continue;
+    }
     for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
       const numeric::ComplexMatrix m = g.csd(grid_[fi]);
       if (m.rows() != k || m.cols() != k) {

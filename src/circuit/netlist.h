@@ -41,6 +41,12 @@ struct NoiseGroup {
   std::vector<std::pair<NodeId, NodeId>> injections;  ///< (from, to) node pairs
   std::function<numeric::ComplexMatrix(double)> csd;
   std::string label;
+  /// Set by add_passive_twoport: the two-port stamp whose Twiss CSD at
+  /// temperature_k `csd` computes.  A tabulation that already holds that
+  /// stamp's Y-block over its grid (BatchedPlan) computes the CSD from it
+  /// with the same lane kernel instead of evaluating the Y-block again.
+  std::size_t passive_twoport = static_cast<std::size_t>(-1);
+  double temperature_k = 0.0;
 };
 
 /// External port definition.

@@ -179,6 +179,8 @@ ElementRef add_passive_twoport(Netlist& netlist, NodeId t1, NodeId t2,
   ng.injections = {{t1, common}, {t2, common}};
   ng.csd = passive_twoport_csd(y, temperature_k);
   ng.label = label.empty() ? "passive-noise" : label + "-noise";
+  ng.passive_twoport = ref.element.index;
+  ng.temperature_k = temperature_k;
   ref.noise_group = netlist.add_noise_group(std::move(ng));
   return ref;
 }

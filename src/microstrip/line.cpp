@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
@@ -24,21 +25,22 @@ double z01_homogeneous(double u) {
          std::log(f / u + std::sqrt(1.0 + (2.0 / u) * (2.0 / u)));
 }
 
-/// Hammerstad-Jensen static effective permittivity.
-double eeff_static(double u, double er) {
+/// Hammerstad-Jensen static effective permittivity; `b` is
+/// BoardConstants::eeff_b.
+double eeff_static(double u, double er, double b) {
   const double a =
       1.0 +
       std::log((std::pow(u, 4) + std::pow(u / 52.0, 2)) /
                (std::pow(u, 4) + 0.432)) /
           49.0 +
       std::log(1.0 + std::pow(u / 18.1, 3)) / 18.7;
-  const double b = 0.564 * std::pow((er - 0.9) / (er + 3.0), 0.053);
   return (er + 1.0) / 2.0 +
          (er - 1.0) / 2.0 * std::pow(1.0 + 10.0 / u, -a * b);
 }
 
-/// Hammerstad conductor-thickness width correction: effective u.
-double thickness_corrected_u(double u, double t_over_h, double er) {
+/// Hammerstad conductor-thickness width correction: effective u;
+/// `weight` is BoardConstants::dur_weight.
+double thickness_corrected_u(double u, double t_over_h, double weight) {
   if (t_over_h <= 0.0) return u;
   // Correction in the homogeneous medium, then weighted for the dielectric
   // (Hammerstad-Jensen's recommended treatment).
@@ -46,126 +48,336 @@ double thickness_corrected_u(double u, double t_over_h, double er) {
   const double du1 =
       t_over_h / kPi *
       std::log(1.0 + 4.0 * std::exp(1.0) / (t_over_h * coth * coth));
-  const double dur = 0.5 * du1 * (1.0 + 1.0 / std::cosh(std::sqrt(er - 1.0)));
+  const double dur = 0.5 * du1 * weight;
   return u + dur;
 }
 }  // namespace
 
+/// The factors of a line's constants that depend on eps_r alone, each
+/// exactly the subexpression the width constants would otherwise
+/// re-derive, so lines of several widths on one board share their bits.
+struct Line::BoardConstants {
+  double eeff_b;      // 0.564 ((er - 0.9) / (er + 3))^0.053
+  double dur_weight;  // 1 + 1 / cosh(sqrt(er - 1))
+  double kj_p2;       // Kirschning-Jansen P2
+  double kj_p4;       // Kirschning-Jansen P4
+};
+
+Line::BoardConstants Line::board_constants(const Substrate& substrate) {
+  substrate.validate();
+  const double er = substrate.epsilon_r;
+  return {0.564 * std::pow((er - 0.9) / (er + 3.0), 0.053),
+          1.0 + 1.0 / std::cosh(std::sqrt(er - 1.0)),
+          0.33622 * (1.0 - std::exp(-0.03442 * er)),
+          1.0 + 2.751 * (1.0 - std::exp(-std::pow(er / 15.916, 8)))};
+}
+
 Line::Line(const Substrate& substrate, double width_m, double length_m)
+    : Line(substrate, width_m, length_m, board_constants(substrate)) {}
+
+Line::Line(const Substrate& substrate, double width_m, double length_m,
+           const BoardConstants& board)
     : substrate_(substrate), width_m_(width_m), length_m_(length_m) {
-  substrate_.validate();
   if (width_m_ <= 0.0 || length_m_ <= 0.0) {
     throw std::invalid_argument("Line: width and length must be positive");
   }
   const double u = width_m_ / substrate_.height_m;
   const double t_over_h = substrate_.copper_thickness_m / substrate_.height_m;
-  u_eff_ = thickness_corrected_u(u, t_over_h, substrate_.epsilon_r);
-  eeff0_ = eeff_static(u_eff_, substrate_.epsilon_r);
+  u_eff_ = thickness_corrected_u(u, t_over_h, board.dur_weight);
+  eeff0_ = eeff_static(u_eff_, substrate_.epsilon_r, board.eeff_b);
   z0_static_ = z01_homogeneous(u_eff_) / std::sqrt(eeff0_);
-  const double er = substrate_.epsilon_r;
   kj_p1_exp_ = 0.065683 * std::exp(-8.7513 * u_eff_);
-  kj_p2_ = 0.33622 * (1.0 - std::exp(-0.03442 * er));
+  kj_p2_ = board.kj_p2;
   kj_p3_exp_ = 0.0363 * std::exp(-4.6 * u_eff_);
-  kj_p4_ = 1.0 + 2.751 * (1.0 - std::exp(-std::pow(er / 15.916, 8)));
+  kj_p4_ = board.kj_p4;
+}
+
+// The Kirschning-Jansen lane kernel (DESIGN.md "Tabulation arithmetic").
+// Its expressions are the model's scalar formulas in their association
+// order (tests/reference_line.h keeps them with glibc's pow), split by
+// what they depend on: the board part reads (substrate, f), the width
+// part a line's constants and the board part.  Each power x^y is
+// exp(y log x) on the lane log / exp, which is what moves a row from the
+// glibc formulas by a few ulps.
+
+struct Line::BoardLanes {
+  double fn[numeric::kLaneBlock];        // f h [GHz cm]
+  double p1_f[numeric::kLaneBlock];      // 0.6315 + 0.525 / (1 + 0.157 fn)^20
+  double p3_f[numeric::kLaneBlock];      // 1 - exp(-(fn / 3.87)^4.97)
+  double rs_rough[numeric::kLaneBlock];  // Rs * roughness factor
+  double lambda0[numeric::kLaneBlock];   // free-space wavelength
+  double w2pf[numeric::kLaneBlock];      // 2 pi f
+};
+
+struct Line::WidthLanes {
+  double eps_eff[numeric::kLaneBlock];
+  double z0[numeric::kLaneBlock];
+  double alpha_c[numeric::kLaneBlock];
+  double alpha_d[numeric::kLaneBlock];
+  double alpha[numeric::kLaneBlock];  // alpha_c + alpha_d
+  double beta[numeric::kLaneBlock];
+};
+
+namespace {
+
+using numeric::kLaneBlock;
+
+void check_frequencies(std::span<const double> grid_hz) {
+  for (const double f : grid_hz) {
+    if (f <= 0.0) {
+      throw std::invalid_argument("Line: frequency must be > 0");
+    }
+  }
+}
+
+/// log / exp for the vectorized pass: the polynomials, noting in
+/// `outside` whether any argument of the lane left their range.
+struct PolyMath {
+  std::uint64_t outside = 0;
+  double log(double x) {
+    outside |= !numeric::in_log_range(x);
+    return numeric::log_poly(x);
+  }
+  double exp(double x) {
+    outside |= !numeric::in_exp_range(x);
+    return numeric::exp_poly(x);
+  }
+};
+
+/// log / exp for a lane the vectorized pass flagged: the polynomial in
+/// range, glibc outside, per call (numeric::log_lane / exp_lane).
+struct LaneMath {
+  static double log(double x) { return numeric::log_lane(x); }
+  static double exp(double x) { return numeric::exp_lane(x); }
+};
+
+/// The substrate's scalars the board part reads.
+struct BoardScalars {
+  double height_m, resistivity, roughness;
+};
+
+/// Lane k of the board part: fn, the two f h factors of eps_eff(f), the
+/// surface resistance Rs and the argument of the roughness atan, lambda0
+/// and 2 pi f.
+template <typename Math>
+[[gnu::always_inline]] inline void board_lane(Math& math, const double* f, std::size_t k,
+                const BoardScalars& s, double* fn, double* p1_f,
+                double* p3_f, double* rs, double* atan_x, double* lambda0,
+                double* w2pf) {
+  // Kirschning-Jansen: fn is the normalized frequency f * h in GHz * cm.
+  const double fnk = f[k] / 1e9 * s.height_m * 100.0;
+  fn[k] = fnk;
+  p1_f[k] = 0.6315 + 0.525 / math.exp(20.0 * math.log(1.0 + 0.157 * fnk));
+  p3_f[k] = 1.0 - math.exp(-math.exp(4.97 * math.log(fnk / 3.87)));
+  // Surface resistance with the Hammerstad roughness correction
+  // 1 + 2/pi atan(1.4 (Delta / delta)^2); the atan is applied per lane
+  // afterwards (glibc).
+  rs[k] = std::sqrt(kPi * f[k] * kMu0 * s.resistivity);
+  const double skin_depth = std::sqrt(s.resistivity / (kPi * f[k] * kMu0));
+  const double ratio = s.roughness / skin_depth;
+  atan_x[k] = 1.4 * (ratio * ratio);
+  lambda0[k] = rf::kC0 / f[k];
+  w2pf[k] = 2.0 * kPi * f[k];
+}
+
+/// A line's constants the width part reads.
+struct WidthScalars {
+  double u, p1_exp, p2, p3_exp, p4, er, eeff0, z0_static, width_m, diel,
+      tan_delta;
+};
+
+/// Lane k of the width part: p = p1 P2 ((0.1844 + p3 P4) fn)^1.5763,
+/// eps_eff, Z0 (Edwards/Owens), the conductor and dielectric losses and
+/// beta.
+template <typename Math>
+[[gnu::always_inline]] inline void width_lane(Math& math, const WidthScalars& c, const double* fn,
+                const double* p1_f, const double* p3_f, const double* rs_rough,
+                const double* lambda0, const double* w2pf, std::size_t k,
+                double* eps_eff, double* z0, double* alpha_c, double* alpha_d,
+                double* alpha, double* beta) {
+  const double p1 = 0.27488 + p1_f[k] * c.u - c.p1_exp;
+  const double p3 = c.p3_exp * p3_f[k];
+  const double p =
+      p1 * c.p2 * math.exp(1.5763 * math.log((0.1844 + p3 * c.p4) * fn[k]));
+  const double ef = c.er - (c.er - c.eeff0) / (1.0 + p);
+  const double z = c.z0_static * (ef - 1.0) / (c.eeff0 - 1.0) *
+                   std::sqrt(c.eeff0 / ef);
+  const double ac = rs_rough[k] / (z * c.width_m);
+  // Standard mixed-media dielectric loss, in dB/m, converted to Np/m.
+  const double ad = c.diel * ((ef - 1.0) / std::sqrt(ef)) * c.tan_delta /
+                    lambda0[k] / 8.685889638;
+  eps_eff[k] = ef;
+  z0[k] = z;
+  alpha_c[k] = ac;
+  alpha_d[k] = ad;
+  alpha[k] = ac + ad;
+  beta[k] = w2pf[k] * std::sqrt(ef) / rf::kC0;
+}
+
+/// The board part over lanes [0, n) with the polynomials; flag[k] is
+/// nonzero where lane k must be recomputed with LaneMath, and the return
+/// value whether any lane must.
+GNSSLNA_LANE_CLONES
+std::uint64_t board_pass(const double* f, std::size_t n, BoardScalars s,
+                         double* fn, double* p1_f, double* p3_f, double* rs,
+                         double* atan_x, double* lambda0, double* w2pf,
+                         std::uint64_t* flag) {
+  std::uint64_t any = 0;
+  // The rows are disjoint and no output aliases f, which GCC cannot
+  // prove for eight row pointers.
+#pragma GCC ivdep
+  for (std::size_t k = 0; k < n; ++k) {
+    PolyMath math;
+    board_lane(math, f, k, s, fn, p1_f, p3_f, rs, atan_x, lambda0, w2pf);
+    flag[k] = math.outside;
+    any |= math.outside;
+  }
+  return any;
+}
+
+/// The width part over lanes [0, n), as board_pass.
+GNSSLNA_LANE_CLONES
+std::uint64_t width_pass(WidthScalars c, const double* fn, const double* p1_f,
+                         const double* p3_f, const double* rs_rough,
+                         const double* lambda0, const double* w2pf,
+                         std::size_t n, double* eps_eff, double* z0,
+                         double* alpha_c, double* alpha_d, double* alpha,
+                         double* beta, std::uint64_t* flag) {
+  std::uint64_t any = 0;
+#pragma GCC ivdep
+  for (std::size_t k = 0; k < n; ++k) {
+    PolyMath math;
+    width_lane(math, c, fn, p1_f, p3_f, rs_rough, lambda0, w2pf, k, eps_eff,
+               z0, alpha_c, alpha_d, alpha, beta);
+    flag[k] = math.outside;
+    any |= math.outside;
+  }
+  return any;
+}
+
+}  // namespace
+
+void Line::board_lanes(const Substrate& substrate, const double* f,
+                       std::size_t n, BoardLanes& board) {
+  const BoardScalars s{substrate.height_m, substrate.resistivity_ohm_m,
+                       substrate.roughness_rms_m};
+  double rs[kLaneBlock], atan_x[kLaneBlock];
+  std::uint64_t flag[kLaneBlock];
+  if (board_pass(f, n, s, board.fn, board.p1_f, board.p3_f, rs, atan_x,
+                 board.lambda0, board.w2pf, flag) != 0) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (flag[k] == 0) continue;
+      LaneMath math;
+      board_lane(math, f, k, s, board.fn, board.p1_f, board.p3_f, rs, atan_x,
+                 board.lambda0, board.w2pf);
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    board.rs_rough[k] = rs[k] * (1.0 + 2.0 / kPi * std::atan(atan_x[k]));
+  }
+}
+
+void Line::width_lanes(const BoardLanes& board, std::size_t n,
+                       WidthLanes& out) const {
+  const double er = substrate_.epsilon_r;
+  const WidthScalars c{u_eff_,     kj_p1_exp_, kj_p2_,
+                       kj_p3_exp_, kj_p4_,     er,
+                       eeff0_,     z0_static_, width_m_,
+                       27.3 * (er / (er - 1.0)), substrate_.tan_delta};
+  std::uint64_t flag[kLaneBlock];
+  if (width_pass(c, board.fn, board.p1_f, board.p3_f, board.rs_rough,
+                 board.lambda0, board.w2pf, n, out.eps_eff, out.z0,
+                 out.alpha_c, out.alpha_d, out.alpha, out.beta, flag) != 0) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (flag[k] == 0) continue;
+      LaneMath math;
+      width_lane(math, c, board.fn, board.p1_f, board.p3_f, board.rs_rough,
+                 board.lambda0, board.w2pf, k, out.eps_eff, out.z0,
+                 out.alpha_c, out.alpha_d, out.alpha, out.beta);
+    }
+  }
+}
+
+void Line::one_lane(double frequency_hz, WidthLanes& out) const {
+  check_frequencies({&frequency_hz, 1});
+  BoardLanes board;
+  board_lanes(substrate_, &frequency_hz, 1, board);
+  width_lanes(board, 1, out);
 }
 
 double Line::epsilon_eff(double frequency_hz) const {
-  if (frequency_hz <= 0.0) {
-    throw std::invalid_argument("Line::epsilon_eff: frequency must be > 0");
-  }
-  // Kirschning-Jansen dispersion model.  fn is the normalized frequency
-  // f * h in GHz * cm.  The frequency-independent factors come from the
-  // constructor; the association order is unchanged, so every value is
-  // bit-identical to evaluating the whole model here.
-  const double er = substrate_.epsilon_r;
-  const double u = u_eff_;
-  const double fn = frequency_hz / 1e9 * substrate_.height_m * 100.0;
-
-  const double p1 =
-      0.27488 + (0.6315 + 0.525 / std::pow(1.0 + 0.157 * fn, 20)) * u -
-      kj_p1_exp_;
-  const double p3 =
-      kj_p3_exp_ * (1.0 - std::exp(-std::pow(fn / 3.87, 4.97)));
-  const double p = p1 * kj_p2_ * std::pow((0.1844 + p3 * kj_p4_) * fn, 1.5763);
-
-  return er - (er - eeff0_) / (1.0 + p);
-}
-
-double Line::z0_from_eeff(double ef) const {
-  // Edwards/Owens dispersion relation: ties Z0(f) to eps_eff(f); accurate
-  // to ~1% below ~10 GHz on thin substrates, ample at L-band.
-  return z0_static_ * (ef - 1.0) / (eeff0_ - 1.0) * std::sqrt(eeff0_ / ef);
+  WidthLanes out;
+  one_lane(frequency_hz, out);
+  return out.eps_eff[0];
 }
 
 double Line::z0(double frequency_hz) const {
-  return z0_from_eeff(epsilon_eff(frequency_hz));
-}
-
-double Line::alpha_conductor_from(double frequency_hz, double z0_f) const {
-  if (frequency_hz <= 0.0) {
-    throw std::invalid_argument("Line::alpha_conductor: frequency must be > 0");
-  }
-  // Surface resistance of the conductor.
-  const double rs =
-      std::sqrt(kPi * frequency_hz * kMu0 * substrate_.resistivity_ohm_m);
-  // Hammerstad roughness correction.
-  const double skin_depth =
-      std::sqrt(substrate_.resistivity_ohm_m / (kPi * frequency_hz * kMu0));
-  const double rough = 1.0 + 2.0 / kPi *
-                                 std::atan(1.4 * std::pow(substrate_.roughness_rms_m /
-                                                              skin_depth,
-                                                          2));
-  // Simple wide-strip attenuation Rs / (Z0 w); adequate for w/h ~ 2 lines.
-  return rs * rough / (z0_f * width_m_);
+  WidthLanes out;
+  one_lane(frequency_hz, out);
+  return out.z0[0];
 }
 
 double Line::alpha_conductor(double frequency_hz) const {
-  return alpha_conductor_from(frequency_hz, z0(frequency_hz));
-}
-
-double Line::alpha_dielectric_from(double frequency_hz, double ef) const {
-  const double er = substrate_.epsilon_r;
-  const double lambda0 = rf::kC0 / frequency_hz;
-  // Standard mixed-media dielectric loss, in dB/m, converted to Np/m.
-  const double alpha_db_per_m = 27.3 * (er / (er - 1.0)) *
-                                ((ef - 1.0) / std::sqrt(ef)) *
-                                substrate_.tan_delta / lambda0;
-  return alpha_db_per_m / 8.685889638;
+  WidthLanes out;
+  one_lane(frequency_hz, out);
+  return out.alpha_c[0];
 }
 
 double Line::alpha_dielectric(double frequency_hz) const {
-  return alpha_dielectric_from(frequency_hz, epsilon_eff(frequency_hz));
-}
-
-double Line::beta(double frequency_hz) const {
-  return 2.0 * kPi * frequency_hz * std::sqrt(epsilon_eff(frequency_hz)) /
-         rf::kC0;
+  WidthLanes out;
+  one_lane(frequency_hz, out);
+  return out.alpha_d[0];
 }
 
 Line::Propagation Line::propagation(double frequency_hz) const {
-  // Evaluate the Kirschning-Jansen curve once and derive everything from
-  // it; each expression below is the body of the matching public accessor,
-  // so the values are bit-identical to calling them individually.
-  const double ef = epsilon_eff(frequency_hz);
+  WidthLanes out;
+  one_lane(frequency_hz, out);
   Propagation p;
   p.frequency_hz = frequency_hz;
-  p.z0_ohm = z0_from_eeff(ef);
-  p.alpha_np_m = alpha_conductor_from(frequency_hz, p.z0_ohm) +
-                 alpha_dielectric_from(frequency_hz, ef);
-  p.beta_rad_m = 2.0 * kPi * frequency_hz * std::sqrt(ef) / rf::kC0;
+  p.alpha_np_m = out.alpha[0];
+  p.beta_rad_m = out.beta[0];
+  p.z0_ohm = out.z0[0];
   return p;
 }
 
 void Line::tabulate(std::span<const double> grid_hz,
                     PropagationRows& rows) const {
-  rows.alpha_np_m.resize(grid_hz.size());
-  rows.beta_rad_m.resize(grid_hz.size());
-  rows.z0_ohm.resize(grid_hz.size());
-  for (std::size_t k = 0; k < grid_hz.size(); ++k) {
-    const Propagation p = propagation(grid_hz[k]);
-    rows.alpha_np_m[k] = p.alpha_np_m;
-    rows.beta_rad_m[k] = p.beta_rad_m;
-    rows.z0_ohm[k] = p.z0_ohm;
+  tabulate(substrate_, {&width_m_, 1}, grid_hz, {&rows, 1});
+}
+
+void Line::tabulate(const Substrate& board,
+                    std::span<const double> widths_m,
+                    std::span<const double> grid_hz,
+                    std::span<PropagationRows> rows) {
+  if (rows.size() != widths_m.size()) {
+    throw std::invalid_argument("Line::tabulate: one row set per width");
+  }
+  const BoardConstants constants = board_constants(board);
+  for (const double w : widths_m) {
+    if (w <= 0.0) {
+      throw std::invalid_argument("Line: width and length must be positive");
+    }
+  }
+  check_frequencies(grid_hz);
+  const std::size_t n = grid_hz.size();
+  for (PropagationRows& r : rows) {
+    r.alpha_np_m.resize(n);
+    r.beta_rad_m.resize(n);
+    r.z0_ohm.resize(n);
+  }
+  BoardLanes lanes;
+  WidthLanes out;
+  for (std::size_t b = 0; b < n; b += kLaneBlock) {
+    const std::size_t nb = std::min(kLaneBlock, n - b);
+    board_lanes(board, grid_hz.data() + b, nb, lanes);
+    // The width constants are rebuilt per block (one block for a grid of
+    // up to kLaneBlock frequencies).
+    for (std::size_t i = 0; i < widths_m.size(); ++i) {
+      Line(board, widths_m[i], 1.0, constants).width_lanes(lanes, nb, out);
+      std::copy_n(out.alpha, nb, rows[i].alpha_np_m.data() + b);
+      std::copy_n(out.beta, nb, rows[i].beta_rad_m.data() + b);
+      std::copy_n(out.z0, nb, rows[i].z0_ohm.data() + b);
+    }
   }
 }
 
@@ -301,8 +513,16 @@ double synthesize_width(const Substrate& substrate, double z0_target,
   // Z0 decreases monotonically with width: bisection over a generous range.
   double lo = substrate.height_m * 0.02;   // very narrow -> high Z0
   double hi = substrate.height_m * 40.0;   // very wide  -> low Z0
+  // Every step is Line(substrate, w, l).z0(f): the board's constants and
+  // its lane at f are computed once, and each width runs the width part.
+  const Line::BoardConstants constants = Line::board_constants(substrate);
+  check_frequencies({&frequency_hz, 1});
+  Line::BoardLanes board;
+  Line::board_lanes(substrate, &frequency_hz, 1, board);
   const auto z_at = [&](double w) {
-    return Line(substrate, w, 1e-3).z0(frequency_hz);
+    Line::WidthLanes out;
+    Line(substrate, w, 1e-3, constants).width_lanes(board, 1, out);
+    return out.z0[0];
   };
   if (z0_target > z_at(lo) || z0_target < z_at(hi)) {
     throw std::domain_error(
@@ -329,8 +549,8 @@ double length_for_electrical(const Substrate& substrate, double width_m,
   if (theta_rad <= 0.0) {
     throw std::invalid_argument("length_for_electrical: theta must be > 0");
   }
-  const Line probe(substrate, width_m, 1e-3);
-  return theta_rad / probe.beta(frequency_hz);
+  return theta_rad /
+         Line(substrate, width_m, 1e-3).propagation(frequency_hz).beta_rad_m;
 }
 
 }  // namespace gnsslna::microstrip

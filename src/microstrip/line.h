@@ -13,6 +13,7 @@
 // dispersive and lossy.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -27,8 +28,8 @@ class Line {
   /// Per-unit-length propagation data at one frequency.  Depends only on
   /// (substrate, width, frequency) — NOT on length — so a table of these
   /// can be shared by all lines of one width while an optimizer varies
-  /// their lengths.  alpha_np_m is alpha_conductor() + alpha_dielectric(),
-  /// beta_rad_m and z0_ohm are exactly what beta() and z0() return.
+  /// their lengths.  alpha_np_m is alpha_conductor() + alpha_dielectric()
+  /// and z0_ohm is exactly what z0() returns.
   struct Propagation {
     double frequency_hz = 0.0;
     double alpha_np_m = 0.0;  ///< total attenuation [Np/m]
@@ -36,7 +37,8 @@ class Line {
     double z0_ohm = 0.0;      ///< dispersive characteristic impedance [ohm]
   };
 
-  /// Constructs a line; width and length in metres, both > 0.
+  /// Constructs a line; width and length in metres, both > 0.  Computes
+  /// the quasi-static Hammerstad-Jensen constants of its width.
   Line(const Substrate& substrate, double width_m, double length_m);
 
   /// Quasi-static (f -> 0) effective permittivity (Hammerstad-Jensen).
@@ -44,6 +46,12 @@ class Line {
 
   /// Quasi-static characteristic impedance [ohm].
   double z0_static() const { return z0_static_; }
+
+  // The frequency-dependent quantities below are one-lane calls of the
+  // Kirschning-Jansen lane kernel that tabulate() runs (DESIGN.md
+  // "Tabulation arithmetic"), so each returns the bits of lane k of a
+  // table at grid frequency k.  Each throws std::invalid_argument for
+  // f <= 0.
 
   /// Dispersive effective permittivity at f (Kirschning-Jansen).
   double epsilon_eff(double frequency_hz) const;
@@ -57,24 +65,33 @@ class Line {
   /// Dielectric attenuation [Np/m] at f.
   double alpha_dielectric(double frequency_hz) const;
 
-  /// Phase constant beta [rad/m] at f.
-  double beta(double frequency_hz) const;
-
   /// Propagation data over a grid in structure-of-arrays layout, the rows
   /// the lane kernel y_lanes reads: lane k is grid frequency k.
   struct PropagationRows {
     std::vector<double> alpha_np_m, beta_rad_m, z0_ohm;
   };
 
-  /// All per-unit-length propagation quantities with the dispersion curve
-  /// evaluated once (the individual accessors above each re-derive
-  /// eps_eff(f); this computes it a single time and reuses it — the
-  /// returned values are bit-identical to the accessors').
+  /// All per-unit-length propagation quantities at f from one evaluation
+  /// of the dispersion curve (bit-identical to the accessors above).
   Propagation propagation(double frequency_hz) const;
 
   /// propagation(f) at every frequency of `grid_hz` into `rows` (resized
-  /// to the grid: no allocation once sized).
+  /// to the grid: no allocation once sized).  The one-width call of the
+  /// multi-width tabulate below.
   void tabulate(std::span<const double> grid_hz, PropagationRows& rows) const;
+
+  /// The dispersion rows of lines of several widths on `board` from one
+  /// pass of the lane kernel: the factors that depend only on the board
+  /// and the frequency (Kirschning-Jansen's f h terms, the surface
+  /// resistance and roughness, the eps_r-only constants) are computed
+  /// once, then each width's rows into rows[i] (each resized to the
+  /// grid).  rows[i] holds exactly what
+  /// Line(board, widths_m[i], l).tabulate() would for any length l.
+  /// Throws std::invalid_argument, before writing any row, for an invalid
+  /// board, a width or grid frequency <= 0, or a size mismatch.
+  static void tabulate(const Substrate& board, std::span<const double> widths_m,
+                       std::span<const double> grid_hz,
+                       std::span<PropagationRows> rows);
 
   /// Y-parameters of a line of `length_m` from propagation data, in
   /// closed form: Y11 = Y22 = coth(gamma l) / Z0 and
@@ -107,9 +124,28 @@ class Line {
   const Substrate& substrate() const { return substrate_; }
 
  private:
-  double z0_from_eeff(double epsilon_eff_f) const;
-  double alpha_conductor_from(double frequency_hz, double z0_f) const;
-  double alpha_dielectric_from(double frequency_hz, double epsilon_eff_f) const;
+  friend double synthesize_width(const Substrate&, double, double);
+
+  struct BoardConstants;  // eps_r-only factors of the constants (line.cpp)
+  struct BoardLanes;      // board part of one lane block (line.cpp)
+  struct WidthLanes;      // one width's rows over one lane block (line.cpp)
+
+  /// Validates the substrate and computes its BoardConstants.
+  static BoardConstants board_constants(const Substrate& substrate);
+  /// The constructor's width constants from shared BoardConstants (the
+  /// substrate is already validated).
+  Line(const Substrate& substrate, double width_m, double length_m,
+       const BoardConstants& board);
+
+  /// The board part of the kernel over lanes [0, n) of `f` (n <=
+  /// numeric::kLaneBlock, every f > 0).
+  static void board_lanes(const Substrate& substrate, const double* f,
+                          std::size_t n, BoardLanes& board);
+  /// The width part: this line's rows over the lanes of `board`.
+  void width_lanes(const BoardLanes& board, std::size_t n,
+                   WidthLanes& out) const;
+  /// Both parts for the one lane at f (throws for f <= 0).
+  void one_lane(double frequency_hz, WidthLanes& out) const;
 
   Substrate substrate_;
   double width_m_;
@@ -117,8 +153,7 @@ class Line {
   double u_eff_;      // thickness-corrected w/h
   double eeff0_;      // static effective permittivity
   double z0_static_;  // static characteristic impedance
-  // Frequency-independent Kirschning-Jansen factors of epsilon_eff(f),
-  // each exactly the subexpression epsilon_eff would otherwise re-derive.
+  // Frequency-independent Kirschning-Jansen factors of epsilon_eff(f).
   double kj_p1_exp_;  // 0.065683 * exp(-8.7513 u)
   double kj_p2_;      // P2
   double kj_p3_exp_;  // 0.0363 * exp(-4.6 u)

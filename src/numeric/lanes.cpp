@@ -1,11 +1,11 @@
-// Lane-wise sincos and expm1 (see lanes.h).
+// Lane-wise sincos, expm1, log and exp (see lanes.h).
 //
 // Compiled with -O3 -ffp-contract=off (src/numeric/CMakeLists.txt): the
 // lane loops are straight-line IEEE mul/add/sub/div streams the
 // vectorizer packs without reassociating, and no clone may fuse a
 // multiply-add, so every clone and the scalar epilogue compute the same
 // bits.  The polynomials and reduction constants are fdlibm's (k_sin.c,
-// k_cos.c, e_rem_pio2.c, s_expm1.c), as hex floats.
+// k_cos.c, e_rem_pio2.c, s_expm1.c, e_log.c, e_exp.c), as hex floats.
 #include "numeric/lanes.h"
 
 #include <bit>
@@ -108,6 +108,29 @@ void expm1_lanes(const double* x, double* y, std::size_t n) {
   }
 }
 
+/// Writes log_poly / exp_poly of every lane and returns nonzero when any
+/// lane is outside the range (log and exp then recompute those lanes with
+/// glibc).
+GNSSLNA_LANE_CLONES
+std::uint64_t log_lanes(const double* x, double* y, std::size_t n) {
+  std::uint64_t outside = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    y[k] = log_poly(x[k]);
+    outside |= !in_log_range(x[k]);
+  }
+  return outside;
+}
+
+GNSSLNA_LANE_CLONES
+std::uint64_t exp_lanes(const double* x, double* y, std::size_t n) {
+  std::uint64_t outside = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    y[k] = exp_poly(x[k]);
+    outside |= !in_exp_range(x[k]);
+  }
+  return outside;
+}
+
 }  // namespace
 
 void sincos(std::span<const double> x, double* s, double* c) {
@@ -125,6 +148,16 @@ void expm1(std::span<const double> x, double* y) {
   for (std::size_t k = 0; k < x.size(); ++k) {
     if (!(x[k] >= 0.0 && x[k] < kExpm1Limit)) y[k] = std::expm1(x[k]);
   }
+}
+
+void log(std::span<const double> x, double* y) {
+  if (log_lanes(x.data(), y, x.size()) == 0) return;
+  for (std::size_t k = 0; k < x.size(); ++k) y[k] = log_lane(x[k]);
+}
+
+void exp(std::span<const double> x, double* y) {
+  if (exp_lanes(x.data(), y, x.size()) == 0) return;
+  for (std::size_t k = 0; k < x.size(); ++k) y[k] = exp_lane(x[k]);
 }
 
 }  // namespace gnsslna::numeric

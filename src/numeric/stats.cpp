@@ -64,13 +64,6 @@ double mad_sigma(const std::vector<double>& v) {
   return 1.4826 * median(std::move(dev));
 }
 
-double rms(const std::vector<double>& v) {
-  require_nonempty(v, "rms");
-  double s = 0.0;
-  for (const double x : v) s += x * x;
-  return std::sqrt(s / static_cast<double>(v.size()));
-}
-
 double normal_quantile(double p) {
   // Acklam's rational approximation to the probit function: central
   // rational minimax fit plus two tail fits in sqrt(-2 log p).

@@ -22,9 +22,6 @@ double percentile(std::vector<double> v, double p);
 /// Gaussian data.  The robust spread estimator used in extraction step 3.
 double mad_sigma(const std::vector<double>& v);
 
-/// Root mean square of the entries.
-double rms(const std::vector<double>& v);
-
 /// Inverse standard-normal CDF (probit), p in (0, 1); returns -inf/+inf at
 /// the closed endpoints.  Acklam's rational approximation, |relative
 /// error| < 1.2e-9 — a fixed polynomial evaluation (no iterative

@@ -130,13 +130,4 @@ inline std::complex<double> z_from_gamma(std::complex<double> gamma,
   return z0 * (1.0 + gamma) / den;
 }
 
-/// VSWR for a reflection coefficient magnitude < 1.
-inline double vswr(const std::complex<double>& gamma) {
-  const double g = std::abs(gamma);
-  if (g >= 1.0) {
-    throw std::domain_error("vswr: |gamma| must be < 1");
-  }
-  return (1.0 + g) / (1.0 - g);
-}
-
 }  // namespace gnsslna::rf

@@ -11,6 +11,8 @@
 // values across toolchains.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <deque>
 #include <iterator>
 #include <numbers>
@@ -865,6 +867,50 @@ TEST(EvalWorkspace, TwoThreadsWithDistinctWorkspacesAgreeWithSerial) {
 
 // ---------------------------------------------------------------------------
 // Swept analyses route through the batched core
+
+TEST(BatchedPlan, PassiveTwoPortCsdEqualsItsClosureBitForBit) {
+  // The plan computes a passive two-port's Twiss CSD from its tabulated
+  // Y-block; the netlist's csd closure (the per-call analyses' route)
+  // evaluates the Y-block again.  Both run passive_twoport_csd_lanes on
+  // the same Y values, so every lane must carry the closure's bits: the
+  // amplifier's five lines on FR-4 and RO4350B over the plan lanes.
+  const device::Phemt dev = device::Phemt::reference_device();
+  std::vector<double> grid = amplifier::LnaDesign::default_band();
+  for (const double f : amplifier::LnaDesign::stability_grid()) {
+    grid.push_back(f);
+  }
+  for (const microstrip::Substrate& sub :
+       {microstrip::Substrate::fr4(), microstrip::Substrate::ro4350b()}) {
+    amplifier::AmplifierConfig config;
+    config.substrate = sub;
+    config.resolve();
+    const Netlist nl =
+        amplifier::LnaDesign(dev, config, amplifier::DesignVector{})
+            .build_netlist();
+    BatchedPlan plan(nl, grid);
+    int compared = 0;
+    for (std::size_t gi = 0; gi < nl.noise_groups().size(); ++gi) {
+      const NoiseGroup& g = nl.noise_groups()[gi];
+      if (g.passive_twoport == static_cast<std::size_t>(-1)) continue;
+      ++compared;
+      const BatchedPlan::NoiseView nv = plan.noise_view(gi);
+      ASSERT_EQ(nv.order, 2u);
+      for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+        const numeric::ComplexMatrix m = g.csd(grid[fi]);
+        for (std::size_t e = 0; e < 4; ++e) {
+          const Complex want = m(e / 2, e % 2);
+          const Complex got = nv.csd[4 * fi + e];
+          EXPECT_TRUE(std::bit_cast<std::uint64_t>(got.real()) ==
+                          std::bit_cast<std::uint64_t>(want.real()) &&
+                      std::bit_cast<std::uint64_t>(got.imag()) ==
+                          std::bit_cast<std::uint64_t>(want.imag()))
+              << g.label << " lane " << fi << " entry " << e;
+        }
+      }
+    }
+    EXPECT_EQ(compared, 5) << "eps_r " << sub.epsilon_r;
+  }
+}
 
 TEST(BatchedPlan, SweepsMatchPerCallAnalyses) {
   std::mt19937 rng(123u);

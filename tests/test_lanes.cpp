@@ -15,11 +15,13 @@
 //     with glibc 2.36 and GCC 12.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
 #include <ios>
 #include <limits>
 #include <numbers>
@@ -37,6 +39,8 @@
 #include "numeric/lanes.h"
 #include "numeric/rng.h"
 #include "passives/catalog.h"
+#include "rf/sweep.h"
+#include "reference_line.h"
 
 namespace gnsslna {
 namespace {
@@ -64,6 +68,22 @@ bool same_bits(double a, double b) {
   if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
+
+/// FNV-1a over the bit patterns of a kernel's outputs.
+struct Digest {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(double x) {
+    const auto u = std::bit_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (u >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(const Complex& z) {
+    add(z.real());
+    add(z.imag());
+  }
+};
 
 /// The beta l and alpha l of the LineTabulation corpora
 /// (tests/test_microstrip.cpp): its amplifier-like lines and its random
@@ -228,10 +248,240 @@ TEST(LaneMath, SmithDivEqualsComplexDivisionBitForBit) {
   }
 }
 
+constexpr std::size_t kLanes = 16;
+
+bool log_in_range(double x) {
+  return x >= std::numeric_limits<double>::min() &&
+         x <= std::numeric_limits<double>::max();
+}
+bool exp_in_range(double x) { return std::abs(x) < numeric::kExpLimit; }
+
+TEST(LaneMath, LogWithinOneUlpOfGlibc) {
+  std::vector<double> x;
+  numeric::Rng rng(4244);
+  // Every binade of the normal range, then the dispersion kernel's bases.
+  for (int k = 0; k < 200000; ++k) {
+    x.push_back(std::ldexp(rng.uniform(1.0, 2.0),
+                           static_cast<int>(rng.uniform(-1022.0, 1024.0))));
+  }
+  for (int k = 0; k < 100000; ++k) x.push_back(rng.uniform(1e-6, 20.0));
+  // x near 1 (f = x - 1 tiny, e_log.c's special case), near the
+  // sqrt(2)/2 normalization edge and the hfsq form's mantissa window.
+  double up = 1.0, down = 1.0;
+  for (int j = 0; j < 200; ++j) {
+    up = std::nextafter(up, 2.0);
+    down = std::nextafter(down, 0.0);
+    x.push_back(up);
+    x.push_back(down);
+  }
+  for (int e = -60; e < 0; ++e) {
+    x.push_back(1.0 + std::ldexp(1.0, e));
+    x.push_back(1.0 - std::ldexp(1.0, e));
+  }
+  for (const double v : {std::sqrt(2.0), std::sqrt(0.5), 1.38, 1.4, 1.42}) {
+    double a = v, b = v;
+    for (int j = 0; j < 8; ++j) {
+      a = std::nextafter(a, 3.0);
+      b = std::nextafter(b, 0.0);
+      x.push_back(a);
+      x.push_back(b);
+    }
+  }
+  // The range boundaries +-1 ulp, zeros, negatives, subnormals, non-finite.
+  const double lo = std::numeric_limits<double>::min();
+  const double hi = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {lo, std::nextafter(lo, 0.0), std::nextafter(lo, 1.0), hi,
+        std::nextafter(hi, 0.0), inf, -inf, 0.0, -0.0, -1.0, -lo, -hi,
+        4.9e-324, 1e-310, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()}) {
+    x.push_back(v);
+  }
+  std::vector<double> y(x.size());
+  numeric::log(x, y.data());
+  expect_near_glibc(x, y.data(), [](double v) { return std::log(v); },
+                    log_in_range, 1, "log");
+  // The in-range lanes' bits (the polynomial's, independent of glibc): a
+  // coefficient or reduction change that flips any rounding moves it.
+  Digest d;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (log_in_range(x[k])) d.add(y[k]);
+  }
+  EXPECT_EQ(d.h, 0xbbd5f402acf22149u) << std::hex << d.h;
+  double one = 1.0, log_one = -1.0;
+  numeric::log({&one, 1}, &log_one);
+  EXPECT_TRUE(log_one == 0.0 && !std::signbit(log_one)) << hex(log_one);
+}
+
+TEST(LaneMath, ExpWithinOneUlpOfGlibc) {
+  std::vector<double> x;
+  numeric::Rng rng(4245);
+  const double lim = numeric::kExpLimit;
+  for (int k = 0; k < 200000; ++k) x.push_back(rng.uniform(-lim, lim));
+  for (int k = 0; k < 100000; ++k) x.push_back(rng.uniform(-45.0, 15.0));
+  // Around 0 (k = 0 and e_exp.c's tiny-argument case) and the reduction's
+  // rounding points k ln2 +- ln2/2.
+  for (int e = -1074; e < 0; e += 3) {
+    x.push_back(std::ldexp(1.0, e));
+    x.push_back(-std::ldexp(1.0, e));
+  }
+  for (int k = -1021; k <= 1021; k += 17) {
+    for (const double c : {k * std::numbers::ln2 + 0.5 * std::numbers::ln2,
+                           k * std::numbers::ln2 - 0.5 * std::numbers::ln2,
+                           k * std::numbers::ln2}) {
+      if (std::abs(c) >= lim) continue;
+      x.push_back(c);
+      x.push_back(std::nextafter(c, 1e300));
+      x.push_back(std::nextafter(c, -1e300));
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double b : {lim, -lim}) {
+    x.push_back(b);
+    x.push_back(std::nextafter(b, 0.0));
+    x.push_back(std::nextafter(b, 2.0 * b));
+  }
+  for (const double v : {0.0, -0.0, 709.0, 709.78, 710.0, -708.5, -745.0,
+                         -746.0, 1e300, -1e300, inf, -inf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    x.push_back(v);
+  }
+  std::vector<double> y(x.size());
+  numeric::exp(x, y.data());
+  expect_near_glibc(x, y.data(), [](double v) { return std::exp(v); },
+                    exp_in_range, 1, "exp");
+  Digest d;  // as in LogWithinOneUlpOfGlibc
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (exp_in_range(x[k])) d.add(y[k]);
+  }
+  EXPECT_EQ(d.h, 0x968e04d7ad6c0ac4u) << std::hex << d.h;
+}
+
+// ---------------------------------------------------------------------------
+// The Kirschning-Jansen lane kernel against the scalar model with glibc's
+// pow (tests/reference_line.h), within the written row bounds of DESIGN.md
+// "Tabulation arithmetic".
+
+/// Row bounds [ulps] of the kernel against reference::LineModel.
+constexpr std::int64_t kEpsEffUlps = 4;
+constexpr std::int64_t kZ0Ulps = 8;
+constexpr std::int64_t kAlphaUlps = 8;
+constexpr std::int64_t kBetaUlps = 4;
+
+/// Within `bound` ulps, or both NaN, or equal infinities.
+void expect_row(double got, double want, std::int64_t bound,
+                std::int64_t& worst, const std::string& what) {
+  if (std::isnan(want) || std::isnan(got)) {
+    EXPECT_TRUE(std::isnan(want) && std::isnan(got))
+        << what << " = " << hex(got) << ", reference " << hex(want);
+    return;
+  }
+  const std::int64_t d = ulp_distance(got, want);
+  worst = std::max(worst, d);
+  EXPECT_LE(d, bound) << what << " = " << hex(got) << ", reference "
+                      << hex(want);
+}
+
+TEST(LineTabulation, KirschningJansenRowsWithinBoundsOfReference) {
+  // Boards over eps_r 1.5-12.5, h 0.1-3 mm, t 0-70 um, widths 0.02-40 h,
+  // 16 lanes over 0.1-20 GHz: each board tabulates two widths in one
+  // multi-width pass, each width alone, and lane by lane through the
+  // one-lane accessors.  Then edge lanes: frequencies from 1 Hz to
+  // 1e15 Hz, box corners, and a NaN lane.
+  numeric::Rng rng(2406);
+  std::int64_t worst[4] = {0, 0, 0, 0};  // eps_eff, Z0, alpha, beta
+  std::vector<double> grid(kLanes);
+  std::array<microstrip::Line::PropagationRows, 2> rows;
+  microstrip::Line::PropagationRows alone;
+  const auto check = [&](const microstrip::Substrate& sub,
+                         const std::array<double, 2>& widths,
+                         const std::string& where) {
+    microstrip::Line::tabulate(sub, widths, grid, rows);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const reference::LineModel ref(sub, widths[i]);
+      const microstrip::Line line(sub, widths[i], 1e-3);
+      line.tabulate(grid, alone);
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        const double f = grid[k];
+        const std::string at = where + " width " + hex(widths[i]) + " f " +
+                               hex(f);
+        expect_row(line.epsilon_eff(f), ref.epsilon_eff(f), kEpsEffUlps,
+                   worst[0], "eps_eff " + at);
+        expect_row(line.z0(f), ref.z0(f), kZ0Ulps, worst[1], "z0 " + at);
+        expect_row(rows[i].z0_ohm[k], ref.z0(f), kZ0Ulps, worst[1],
+                   "z0 row " + at);
+        expect_row(line.alpha_conductor(f), ref.alpha_conductor(f),
+                   kAlphaUlps, worst[2], "alpha_c " + at);
+        expect_row(line.alpha_dielectric(f), ref.alpha_dielectric(f),
+                   kAlphaUlps, worst[2], "alpha_d " + at);
+        expect_row(rows[i].alpha_np_m[k],
+                   ref.alpha_conductor(f) + ref.alpha_dielectric(f),
+                   kAlphaUlps, worst[2], "alpha row " + at);
+        expect_row(rows[i].beta_rad_m[k], ref.beta(f), kBetaUlps, worst[3],
+                   "beta row " + at);
+        // The multi-width pass, the one-width pass and the one-lane
+        // accessor compute the same bits.
+        const microstrip::Line::Propagation p = line.propagation(f);
+        EXPECT_TRUE(same_bits(rows[i].alpha_np_m[k], alone.alpha_np_m[k]) &&
+                    same_bits(rows[i].beta_rad_m[k], alone.beta_rad_m[k]) &&
+                    same_bits(rows[i].z0_ohm[k], alone.z0_ohm[k]) &&
+                    same_bits(p.alpha_np_m, alone.alpha_np_m[k]) &&
+                    same_bits(p.beta_rad_m, alone.beta_rad_m[k]) &&
+                    same_bits(p.z0_ohm, alone.z0_ohm[k]))
+            << at;
+      }
+    }
+  };
+  const auto board = [&](double er, double h, double t) {
+    microstrip::Substrate sub;
+    sub.epsilon_r = er;
+    sub.height_m = h;
+    sub.copper_thickness_m = t;
+    sub.tan_delta = rng.uniform(0.0005, 0.03);
+    sub.roughness_rms_m = rng.uniform(0.0, 3e-6);
+    return sub;
+  };
+  const auto width = [&](double h) {
+    return h * std::exp(rng.uniform(std::log(0.02), std::log(40.0)));
+  };
+  for (int b = 0; b < 9375; ++b) {
+    const microstrip::Substrate sub =
+        board(rng.uniform(1.5, 12.5), rng.uniform(0.1e-3, 3e-3),
+              rng.uniform(0.0, 70e-6));
+    for (double& f : grid) f = rng.uniform(0.1e9, 20e9);
+    check(sub, {width(sub.height_m), width(sub.height_m)},
+          "board " + std::to_string(b));
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edge = {1.0,   1e3,    1e6,  1e8,  0.1e9, 20e9,
+                                    1e11,  1e12,   1e13, 1e15, nan,   1.575e9,
+                                    3.5e9, 4.9e-324, 1e300, 2e12};
+  for (const double er : {1.5, 12.5}) {
+    for (const double h : {0.1e-3, 3e-3}) {
+      for (const double t : {0.0, 70e-6}) {
+        const microstrip::Substrate sub = board(er, h, t);
+        std::copy(edge.begin(), edge.end(), grid.begin());
+        check(sub, {0.02 * h, 40.0 * h}, "edge");
+      }
+    }
+  }
+  // Measured worst cases on this corpus (the bounds leave headroom for a
+  // different libm or compiler).
+  RecordProperty("worst_ulps_eps_eff_z0_alpha_beta",
+                 std::to_string(worst[0]) + " " + std::to_string(worst[1]) +
+                     " " + std::to_string(worst[2]) + " " +
+                     std::to_string(worst[3]));
+  std::printf("worst ulps: eps_eff %lld, z0 %lld, alpha %lld, beta %lld\n",
+              static_cast<long long>(worst[0]),
+              static_cast<long long>(worst[1]),
+              static_cast<long long>(worst[2]),
+              static_cast<long long>(worst[3]));
+}
+
 // ---------------------------------------------------------------------------
 // One lane vs sixteen: the element kernels at any lane offset.
 
-constexpr std::size_t kLanes = 16;
 
 /// 40 grid frequencies: the amplifier's 16 plan lanes, then 24 more over
 /// 0.2-6 GHz.
@@ -286,9 +536,43 @@ TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
   const device::ExtrinsicParams ex = dev.extrinsics();
   const device::NoiseTemperatures nt = dev.temperatures();
 
+  // The dispersion kernel: two widths on a perturbed FR-4 board over the
+  // grid with lanes whose log/exp arguments leave the polynomial ranges
+  // (1 Hz, 1e15 Hz, a subnormal frequency).
+  microstrip::Substrate board = microstrip::Substrate::fr4();
+  board.epsilon_r = 4.53;
+  board.height_m = 0.77e-3;
+  const std::array<double, 2> widths{1.52e-3, 0.4e-3};
+  std::vector<double> kj_grid = grid;
+  kj_grid[3] = 1.0;
+  kj_grid[20] = 1e15;
+  kj_grid[33] = 4.9e-324;
+
   for (std::size_t off = 0; off + kLanes <= n; ++off) {
     const std::string at = "offset " + std::to_string(off);
     const std::span<const double> f{grid.data() + off, kLanes};
+
+    const std::span<const double> kj_f{kj_grid.data() + off, kLanes};
+    std::array<microstrip::Line::PropagationRows, 2> two_widths, one_width;
+    microstrip::Line::tabulate(board, widths, kj_f, two_widths);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const microstrip::Line line(board, widths[i], 1e-3);
+      line.tabulate(kj_f, one_width[i]);
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        const microstrip::Line::Propagation p = line.propagation(kj_f[k]);
+        EXPECT_TRUE(
+            same_bits(two_widths[i].alpha_np_m[k], one_width[i].alpha_np_m[k]) &&
+            same_bits(two_widths[i].beta_rad_m[k], one_width[i].beta_rad_m[k]) &&
+            same_bits(two_widths[i].z0_ohm[k], one_width[i].z0_ohm[k]))
+            << "two-width pass, width " << i << " " << at << " lane "
+            << off + k;
+        EXPECT_TRUE(same_bits(p.alpha_np_m, one_width[i].alpha_np_m[k]) &&
+                    same_bits(p.beta_rad_m, one_width[i].beta_rad_m[k]) &&
+                    same_bits(p.z0_ohm, one_width[i].z0_ohm[k]))
+            << "propagation(f), width " << i << " " << at << " lane "
+            << off + k;
+      }
+    }
 
     TermStore line(kLanes);
     microstrip::Line::y_lanes({prop.alpha_np_m.data() + off, kLanes},
@@ -377,22 +661,6 @@ TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
 // ---------------------------------------------------------------------------
 // Hex pins on a fixed corpus.
 
-/// FNV-1a over the bit patterns of a kernel's outputs.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ull;
-  void add(double x) {
-    const auto u = std::bit_cast<std::uint64_t>(x);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void add(const Complex& z) {
-    add(z.real());
-    add(z.imag());
-  }
-};
-
 void expect_pin(double got, double want, const std::string& what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
             std::bit_cast<std::uint64_t>(want))
@@ -458,6 +726,78 @@ TEST(LaneKernels, HexPinsOfTheLineKernel) {
   double s, c;
   numeric::sincos({&x, 1}, &s, &c);
   expect_pin(s, 0x1.24daa9c727959p-5, "sin(1e5 - 1 ulp)");
+}
+
+TEST(LaneKernels, HexPinsOfTheDispersionKernel) {
+  // Rows of three widths on FR-4, RO4350B and a 10.2 / 0.25 mm board over
+  // the 16 plan lanes from one multi-width pass, and the one-lane eps_eff
+  // and losses at every lane; then lane log / exp on a fixed set, and the
+  // resolved trace geometry of the default amplifier (w50 and the
+  // quarter-wave bias line), whose bits set every design downstream.
+  const std::vector<double> grid = plan_grid();
+  microstrip::Substrate ceramic = microstrip::Substrate::fr4();
+  ceramic.epsilon_r = 10.2;
+  ceramic.height_m = 0.25e-3;
+  ceramic.copper_thickness_m = 17e-6;
+  ceramic.tan_delta = 0.0023;
+  Digest d;
+  const std::array<double, 3> widths{1.9e-3, 0.4e-3, 0.2e-3};
+  std::array<microstrip::Line::PropagationRows, 3> rows;
+  double pinned[3] = {};
+  int board_index = 0;
+  for (const microstrip::Substrate& sub :
+       {microstrip::Substrate::fr4(), microstrip::Substrate::ro4350b(),
+        ceramic}) {
+    microstrip::Line::tabulate(sub, widths, grid, rows);
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      const microstrip::Line line(sub, widths[i], 1e-3);
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        d.add(rows[i].alpha_np_m[k]);
+        d.add(rows[i].beta_rad_m[k]);
+        d.add(rows[i].z0_ohm[k]);
+        d.add(line.epsilon_eff(grid[k]));
+        d.add(line.alpha_conductor(grid[k]));
+        d.add(line.alpha_dielectric(grid[k]));
+      }
+    }
+    pinned[board_index++] = rows[0].z0_ohm[7];
+  }
+  expect_pin(rows[1].alpha_np_m[12], 0x1.9493b2148a106p+0, "10.2/0.25 mm w=0.4 mm lane 12 alpha");
+  expect_pin(rows[2].beta_rad_m[3], 0x1.30e752721d518p+6, "10.2/0.25 mm w=0.2 mm lane 3 beta");
+  expect_pin(pinned[0], 0x1.592daf95bbaf6p+5, "FR-4 w=1.9 mm lane 7 z0");
+  expect_pin(pinned[1], 0x1.19c78d84f15abp+5, "RO4350B w=1.9 mm lane 7 z0");
+  EXPECT_EQ(d.h, 0x8c1c492672101ff4u) << std::hex << d.h;
+
+  // log over 2^-40 .. 2^40 (negative bases take glibc), exp over
+  // +-250 with its out-of-range lanes.
+  std::vector<double> x, e;
+  for (int k = -40; k <= 40; ++k) {
+    x.push_back(std::ldexp(1.0 + 0.37 * k, k));
+    e.push_back(6.3 * k - 0.1);
+  }
+  e.push_back(-800.0);
+  e.push_back(800.0);
+  std::vector<double> lx(x.size()), ex(e.size());
+  numeric::log(x, lx.data());
+  numeric::exp(e, ex.data());
+  Digest math;
+  for (const double v : lx) math.add(v);
+  for (const double v : ex) math.add(v);
+  EXPECT_EQ(math.h, 0x9077f914790c1592u) << std::hex << math.h;
+
+  // The parent's bits: the bisection's comparisons did not move.
+  const double f_centre = 0.5 * (rf::kGnssBandLowHz + rf::kGnssBandHighHz);
+  amplifier::AmplifierConfig fr4;
+  fr4.resolve();
+  amplifier::AmplifierConfig ro;
+  ro.substrate = microstrip::Substrate::ro4350b();
+  ro.resolve();
+  expect_pin(fr4.w50_m, 0x1.86dc935c43855p-10, "w50 on FR-4");
+  expect_pin(ro.w50_m, 0x1.23da845bf57c3p-10, "w50 on RO4350B");
+  expect_pin(microstrip::length_for_electrical(microstrip::Substrate::fr4(),
+                                               0.2e-3, std::numbers::pi / 2.0,
+                                               f_centre),
+             0x1.fb1cd5bee4498p-6, "quarter-wave bias line on FR-4");
 }
 
 TEST(LaneKernels, HexPinsOfThePassiveAndPhemtKernels) {

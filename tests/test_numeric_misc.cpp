@@ -111,14 +111,9 @@ TEST(Stats, MadSigmaIgnoresOutliers) {
   EXPECT_NEAR(mad_sigma(v), 1.0, 0.1);  // stddev would be ~100x off
 }
 
-TEST(Stats, RmsKnownValue) {
-  EXPECT_DOUBLE_EQ(rms({3.0, 4.0, 0.0, 0.0}), 2.5);
-}
-
 TEST(Stats, EmptyInputsThrow) {
   EXPECT_THROW(mean({}), std::invalid_argument);
   EXPECT_THROW(median({}), std::invalid_argument);
-  EXPECT_THROW(rms({}), std::invalid_argument);
 }
 
 }  // namespace

@@ -66,12 +66,6 @@ TEST(Units, GammaOfMatchedLoadIsZero) {
   expect_close(gamma_from_z({50.0, 0.0}), {0.0, 0.0});
 }
 
-TEST(Units, VswrOfMatchIsOne) {
-  EXPECT_DOUBLE_EQ(vswr({0.0, 0.0}), 1.0);
-  EXPECT_NEAR(vswr({0.5, 0.0}), 3.0, 1e-12);
-  EXPECT_THROW(vswr({1.0, 0.0}), std::domain_error);
-}
-
 TEST(Units, InvalidArgumentsThrow) {
   EXPECT_THROW(db_from_ratio(0.0), std::invalid_argument);
   EXPECT_THROW(db_from_mag(-1.0), std::invalid_argument);
