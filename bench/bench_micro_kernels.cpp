@@ -12,8 +12,10 @@
 //                   committed snapshot of this output);
 //   --perf-smoke <baseline.json>
 //                   skip google-benchmark entirely: time the band-
-//                   evaluation kernel directly and exit non-zero when it
-//                   is more than 25% slower than the committed baseline.
+//                   evaluation kernel directly and exit non-zero when its
+//                   time relative to both host-speed references (the FET
+//                   kernel and the batched solve) is more than 25% above
+//                   the committed rows' ratios.
 //                   Setting GNSSLNA_SKIP_PERF_SMOKE skips the check (for
 //                   sanitizer builds, loaded CI hosts, foreign machines).
 #define GNSSLNA_BENCH_COUNT_ALLOCS
@@ -497,13 +499,14 @@ int perf_smoke(const std::string& baseline_path) {
   const BandAndYieldTimes band_and_yield = time_band_and_yield();
   const double now_allocs = band_and_yield.band_allocs_per_op;
   const double now_ns = band_and_yield.band_ns;
-  const double limit_ns = 1.25 * baseline_ns;
-  // Normalized checks: compare the band kernel against two in-process
+  // The band gate compares the band kernel against two in-process
   // references — the analytic FET kernel (untouched by the evaluation
   // plan) and the raw batched solve (the core the band path rides on),
   // each as the median of per-alternation ratios — so a uniformly slower
   // (or faster) host cancels out; only a regression of the band kernel
-  // itself moves both ratios.
+  // itself moves both ratios, and it fails when both exceed 1.25x their
+  // committed ratios.  The absolute time is printed for context only: it
+  // carries the host speed of the session that recorded the rows.
   const double ratio = band_and_yield.fet_ratio;
   const double ratio_limit = 1.25 * baseline_ns / baseline_ref_ns;
   const double baseline_batched_ns =
@@ -512,15 +515,15 @@ int perf_smoke(const std::string& baseline_path) {
   const double batched_ratio_limit =
       baseline_batched_ns > 0.0 ? 1.25 * baseline_ns / baseline_batched_ns
                                 : 1e300;
-  std::printf("[perf_smoke] band evaluation: %.0f ns/op (baseline %.0f, "
-              "limit %.0f); vs FET reference kernel (median of 15 "
-              "alternations): %.0fx (limit %.0fx); vs batched-solve kernel "
-              "(median of 15): %.1fx (limit %.1fx)\n",
-              now_ns, baseline_ns, limit_ns, ratio, ratio_limit,
-              batched_ratio, batched_ratio_limit);
+  std::printf("[perf_smoke] band evaluation: %.0f ns/op (committed row "
+              "%.0f, not gated)\n",
+              now_ns, baseline_ns);
+  std::printf("[perf_smoke] band evaluation vs FET reference kernel (median "
+              "of 15 alternations): %.0fx (limit %.0fx); vs batched-solve "
+              "kernel (median of 15): %.1fx (limit %.1fx)\n",
+              ratio, ratio_limit, batched_ratio, batched_ratio_limit);
   const bool time_regressed =
-      now_ns > limit_ns && ratio > ratio_limit &&
-      batched_ratio > batched_ratio_limit;
+      ratio > ratio_limit && batched_ratio > batched_ratio_limit;
   // Yield-engine per-sample gate: the cost of one yield trial is pinned
   // as a RATIO to the band-evaluation kernel measured in the same
   // process, as the median of per-alternation ratios, so host speed
@@ -566,8 +569,8 @@ int perf_smoke(const std::string& baseline_path) {
     if (time_regressed) {
       std::fprintf(stderr,
                    "[perf_smoke] FAIL: band-evaluation kernel regressed "
-                   ">25%% vs committed baseline (absolute AND both "
-                   "host-normalized references)\n");
+                   ">25%% vs committed baseline (both host-normalized "
+                   "references)\n");
     }
     if (allocs_regressed) {
       std::fprintf(stderr,

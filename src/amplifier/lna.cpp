@@ -80,25 +80,34 @@ FetClosures fet_closures(const device::Phemt& dev,
 /// The plan grid must be the report grids back to back — grid g ends at
 /// lane grid_ends[g], and each holds >= 1 frequency — followed by
 /// LnaDesign::stability_grid(), whose mu every report shares.  `id_a` is
-/// the design's drain current and `noise` reusable per-lane scratch
-/// (resized to the report lanes).  Agrees with the per-call analyses
+/// the design's drain current and `scratch` reusable per-lane storage
+/// (sized on first use).  The S-parameters of every lane come from one
+/// lane pass and mu from the mu lane kernel; the min, max and sum walks
+/// run serially in grid order.  Agrees with the per-call analyses
 /// (circuit::s_params / noise_analysis) reduced in the same order within
 /// the written tolerance of the batched core (tests/reference_band.h).
 void band_report(const circuit::BatchedPlan& plan, circuit::EvalWorkspace& ws,
                  std::span<const std::size_t> grid_ends, double id_a,
-                 std::vector<circuit::NoiseResult>& noise,
-                 BandReport* reports) {
+                 BandScratch& scratch, BandReport* reports) {
   const std::size_t nf = plan.size();
   const std::size_t report_lanes = grid_ends.back();
+  const std::size_t mu_lanes = nf - report_lanes;
   plan.factor(ws, 0, nf);
   plan.solve_ports(ws);
   plan.solve_output_transfer(ws, 1, 0, report_lanes);
-  noise.resize(report_lanes);  // steady state: no-op, no allocation
-  plan.noise_sweep(ws, 0, 1, noise.data());
+  // Steady state: every resize is a no-op, no allocation.
+  scratch.noise.resize(report_lanes);
+  scratch.s.resize(2 * 4 * nf);
+  scratch.mu.resize(2 * mu_lanes);
+  plan.noise_sweep(ws, 0, 1, scratch.noise.data());
+  const rf::SRows s{scratch.s.data(), scratch.s.data() + 4 * nf, nf};
+  plan.s_params_sweep(ws, 0, nf, s);
+  double* const mu_src = scratch.mu.data();
+  double* const mu_ld = mu_src + mu_lanes;
+  rf::mu_lanes(s.from(report_lanes), mu_lanes, mu_src, mu_ld);
   double mu_min = 1e9;
-  for (std::size_t fi = report_lanes; fi < nf; ++fi) {
-    const rf::SParams s = plan.s_params_at(ws, fi);
-    mu_min = std::min(mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
+  for (std::size_t l = 0; l < mu_lanes; ++l) {
+    mu_min = std::min(mu_min, std::min(mu_src[l], mu_ld[l]));
   }
   // Serial grid-order walk over each report grid's lanes.
   std::size_t begin = 0;
@@ -112,15 +121,16 @@ void band_report(const circuit::BatchedPlan& plan, circuit::EvalWorkspace& ws,
     rep.s11_worst_db = -1e9;
     rep.s22_worst_db = -1e9;
     for (std::size_t fi = begin; fi < end; ++fi) {
-      const rf::SParams s = plan.s_params_at(ws, fi);
-      const double nf_db = noise[fi].noise_figure_db;
-      const double gt = rf::db20(s.s21);
+      const double nf_db = scratch.noise[fi].noise_figure_db;
+      const double gt = rf::db20(s.at(rf::SRows::kS21, fi));
       nf_sum += nf_db;
       gt_sum += gt;
       rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
       rep.gt_min_db = std::min(rep.gt_min_db, gt);
-      rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
-      rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
+      rep.s11_worst_db =
+          std::max(rep.s11_worst_db, rf::db20(s.at(rf::SRows::kS11, fi)));
+      rep.s22_worst_db =
+          std::max(rep.s22_worst_db, rf::db20(s.at(rf::SRows::kS22, fi)));
     }
     rep.nf_avg_db = nf_sum / static_cast<double>(end - begin);
     rep.gt_avg_db = gt_sum / static_cast<double>(end - begin);
@@ -354,10 +364,10 @@ BandReport LnaDesign::evaluate(const std::vector<double>& band_hz) const {
   GNSSLNA_OBS_COUNT("amplifier.band_evaluations");
   const circuit::BatchedPlan plan(build_netlist(), plan_grid(band_hz));
   circuit::EvalWorkspace ws;
-  std::vector<circuit::NoiseResult> noise;
+  BandScratch scratch;
   const std::size_t band_end = band_hz.size();
   BandReport rep;
-  band_report(plan, ws, {&band_end, 1}, bias_.id_a, noise, &rep);
+  band_report(plan, ws, {&band_end, 1}, bias_.id_a, scratch, &rep);
   return rep;
 }
 
@@ -387,7 +397,7 @@ BandReport BandEvaluator::evaluate(const DesignVector& design,
   } else {
     build(design, board);
   }
-  band_report(bplan_, workspace_, grid_ends_, bias_.id_a, noise_buf_,
+  band_report(bplan_, workspace_, grid_ends_, bias_.id_a, scratch_,
               reports_.data());
   return reports_.front();
 }

@@ -29,6 +29,16 @@ struct BandReport {
   double id_a = 0.0;         ///< DC drain current
 };
 
+/// Reusable per-lane storage of the band pass: the report lanes' noise
+/// results, the S-parameter rows of every plan lane and the mu rows of
+/// the stability lanes.  Sized on first use and reused, so a steady-state
+/// band pass does not allocate.
+struct BandScratch {
+  std::vector<circuit::NoiseResult> noise;
+  std::vector<double> s;
+  std::vector<double> mu;
+};
+
 /// Handles to the elements of an LNA netlist that depend on the design
 /// vector (or its derived bias network).  Everything else — decoupling,
 /// bias line, tee parasitics, blocking caps — is fixed by the config, so a
@@ -198,9 +208,7 @@ class BandEvaluator {
     return {config_.w50_m, config_.w_bias_m};
   }
   std::array<microstrip::Line::PropagationRows, 2> trace_prop_;
-  /// Per-report-lane noise results from the batched sweep; sized on first
-  /// use and reused (steady-state resize is a no-op, so no allocations).
-  std::vector<circuit::NoiseResult> noise_buf_;
+  BandScratch scratch_;
   BiasNetwork bias_;  ///< bias for `last_` (id_a, r_drain)
   bool force_full_retab_ = false;  ///< a write threw mid-retabulation; the
                                    ///< tables may be mixed, rewrite all

@@ -11,12 +11,12 @@
 // is noisy).
 //
 // Used by BandEvaluator (amplifier/lna.cpp), which serves both optimizer
-// loops and tolerance trials.  `noise_lanes` bounds how many leading grid
-// lanes get their noise CSDs rewritten: noise data are only ever read for
-// the report lanes (noise_sweep / noise_at stop before the stability
-// lanes), so a caller that knows its report lanes can skip the stability
-// lanes' CSDs without changing any produced figure.  The default rewrites
-// every lane.
+// loops and tolerance trials.  Every table is (re, im) lane rows (the
+// plan's views); `noise_lanes` bounds how many leading grid lanes get
+// their noise CSD rows rewritten: noise data are only ever read for the
+// report lanes (the noise program stops before the stability lanes), so a
+// caller that knows its report lanes can skip the stability lanes' CSDs
+// without changing any produced figure.  The default rewrites every lane.
 //
 // Internal amplifier header, not part of the public API surface.
 #pragma once
@@ -46,8 +46,8 @@ inline constexpr std::size_t kAllLanes =
 
 /// Dispersive one-port (z_of(part) through add_lossy_impedance): the
 /// part's impedance lane kernel, then circuit::lossy_admittance_lanes for
-/// the stamp and (for the first noise_lanes lanes) the thermal-noise CSD —
-/// the kernels whose one-lane calls the two closures make.
+/// the stamp row and (for the first noise_lanes lanes) the thermal-noise
+/// CSD row — the kernels whose one-lane calls the two closures make.
 template <typename Part>
 std::size_t write_lossy(circuit::BatchedPlan& plan,
                         const circuit::ElementRef& ref, const Part& part,
@@ -56,18 +56,17 @@ std::size_t write_lossy(circuit::BatchedPlan& plan,
   const std::vector<double>& grid = plan.grid();
   const circuit::BatchedPlan::StampView sv = plan.stamp_view(ref.element.index);
   const bool noisy = ref.noise_group != circuit::kNoNoiseGroup;
-  const circuit::BatchedPlan::NoiseView nv =
-      noisy ? plan.noise_view(ref.noise_group)
-            : circuit::BatchedPlan::NoiseView{};
+  const circuit::CsdRows csd =
+      noisy ? plan.noise_view(ref.noise_group).csd : circuit::CsdRows{};
   const std::size_t nn = noisy ? std::min(noise_lanes, sv.count) : 0;
   using numeric::kLaneBlock;
   double z_re[kLaneBlock], z_im[kLaneBlock];
   for (std::size_t b = 0; b < sv.count; b += kLaneBlock) {
     const std::size_t nb = std::min(kLaneBlock, sv.count - b);
     part.impedance({grid.data() + b, nb}, z_re, z_im);
-    circuit::lossy_admittance_lanes(
-        {z_re, nb}, z_im, sv.values + b, temperature_k,
-        noisy ? nv.csd + b : nullptr, nn > b ? std::min(nn - b, nb) : 0);
+    circuit::lossy_admittance_lanes({z_re, nb}, z_im, sv.re + b, sv.im + b,
+                                    temperature_k, csd.from(b),
+                                    nn > b ? std::min(nn - b, nb) : 0);
   }
   return noisy ? 2 : 1;
 }
@@ -81,7 +80,8 @@ inline std::size_t write_capacitor(circuit::BatchedPlan& plan,
   const std::vector<double>& grid = plan.grid();
   const circuit::BatchedPlan::StampView sv = plan.stamp_view(id.index);
   for (std::size_t fi = 0; fi < sv.count; ++fi) {
-    sv.values[fi] = circuit::Complex{0.0, kTwoPi * grid[fi] * farads};
+    sv.re[fi] = 0.0;
+    sv.im[fi] = kTwoPi * grid[fi] * farads;
   }
   return 1;
 }
@@ -95,7 +95,8 @@ inline std::size_t write_inductor(circuit::BatchedPlan& plan,
   const std::vector<double>& grid = plan.grid();
   const circuit::BatchedPlan::StampView sv = plan.stamp_view(id.index);
   for (std::size_t fi = 0; fi < sv.count; ++fi) {
-    sv.values[fi] = circuit::Complex{0.0, -1.0 / (kTwoPi * grid[fi] * henries)};
+    sv.re[fi] = 0.0;
+    sv.im[fi] = -1.0 / (kTwoPi * grid[fi] * henries);
   }
   return 1;
 }
@@ -109,16 +110,15 @@ inline std::size_t write_resistor(circuit::BatchedPlan& plan,
   }
   const double g = 1.0 / ohms;
   const circuit::BatchedPlan::StampView sv = plan.stamp_view(ref.element.index);
-  for (std::size_t fi = 0; fi < sv.count; ++fi) {  // 1: freq-independent
-    sv.values[fi] = circuit::Complex{g, 0.0};
+  for (std::size_t fi = 0; fi < sv.count; ++fi) {  // every lane holds g
+    sv.re[fi] = g;
+    sv.im[fi] = 0.0;
   }
   if (ref.noise_group == circuit::kNoNoiseGroup) return 1;
   const double psd = 4.0 * rf::kBoltzmann * temperature_k * g;
   const circuit::BatchedPlan::NoiseView nv = plan.noise_view(ref.noise_group);
   const std::size_t nn = std::min(noise_lanes, nv.count);
-  for (std::size_t fi = 0; fi < nn; ++fi) {
-    nv.csd[fi] = circuit::Complex{psd, 0.0};
-  }
+  for (std::size_t fi = 0; fi < nn; ++fi) nv.csd.store(0, fi, psd, 0.0);
   return 2;
 }
 
@@ -171,7 +171,7 @@ inline std::size_t write_fet(circuit::BatchedPlan& plan,
     const std::size_t nb = std::min(kLaneBlock, nn - b);
     device::pospieszalski_noise(ip, ex, nt, {grid.data() + b, nb}, np);
     circuit::noise_correlation_y_lanes(tv.terms.from(b), np, nb,
-                                       nv.csd + b * 4);
+                                       nv.csd.from(b));
   }
   return 2;
 }

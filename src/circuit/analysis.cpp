@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "circuit/batched.h"
+#include "circuit/noisy_twoport.h"
 #include "numeric/parallel.h"
 #include "rf/units.h"
 
@@ -123,7 +124,12 @@ NoiseResult noise_core(const Netlist& netlist, std::size_t input_port,
   const Port& out = netlist.ports()[output_port];
   const std::size_t n = netlist.node_count() - 1;
 
-  numeric::ComplexMatrix y = netlist.assemble(frequency_hz);
+  // The assembly also returns every two-port's Y-block, from which a
+  // passive two-port's Twiss CSD is computed below (twiss_csd, which its
+  // closure applies to the same values, so the same bits) instead of
+  // evaluating the Y-block a second time.
+  std::vector<rf::YParams> blocks;
+  numeric::ComplexMatrix y = netlist.assemble(frequency_hz, &blocks);
   for (std::size_t p = 0; p < netlist.ports().size(); ++p) {
     const Port& port = netlist.ports()[p];
     if (p == input_port) {
@@ -153,7 +159,10 @@ NoiseResult noise_core(const Netlist& netlist, std::size_t input_port,
   double psd_network = 0.0;
   for (const NoiseGroup& group : netlist.noise_groups()) {
     const std::size_t k = group.injections.size();
-    const numeric::ComplexMatrix csd = group.csd(frequency_hz);
+    const numeric::ComplexMatrix csd =
+        group.passive_twoport < blocks.size() && k == 2
+            ? twiss_csd(blocks[group.passive_twoport], group.temperature_k)
+            : group.csd(frequency_hz);
     if (csd.rows() != k || csd.cols() != k) {
       throw std::invalid_argument("noise_analysis: CSD size mismatch in '" +
                                   group.label + "'");

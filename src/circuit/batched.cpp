@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -49,83 +50,103 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
   ports_ = netlist.ports();
   unknowns_ = netlist.node_count() - 1;
   const std::size_t n = unknowns_;
+  const std::size_t G = grid_.size();
+
+  // Row pairs: the zero pair, one per stamp, nine per two-port, one per
+  // port, then order^2 per noise group.
+  std::size_t pairs = 1;
+  const auto take = [&](std::size_t count) {
+    const std::size_t offset = pairs * 2 * G;
+    pairs += count;
+    return offset;
+  };
+  for (std::size_t si = 0; si < netlist.stamps_.size(); ++si) {
+    stamp_rows_.push_back(take(1));
+  }
+  for (std::size_t ti = 0; ti < netlist.twoports_.size(); ++ti) {
+    twoport_rows_.push_back(take(rf::YTermRows::kTerms));
+  }
+  std::vector<std::size_t> port_rows;
+  for (std::size_t pi = 0; pi < ports_.size(); ++pi) {
+    port_rows.push_back(take(1));
+  }
+  noise_.resize(netlist.noise_groups_.size());
+  for (std::size_t gi = 0; gi < noise_.size(); ++gi) {
+    NoiseTable& t = noise_[gi];
+    t.injections = netlist.noise_groups_[gi].injections;
+    t.order = t.injections.size();
+    t.rows = take(t.order * t.order);
+  }
+  rows_.assign(pairs * 2 * G, 0.0);
 
   // The flat scatter list in Netlist::assemble_terminated order, with
   // ground-touching terms dropped; every slot it writes is structural.
   std::vector<bool> assembled(n * n, false);
-  const auto scatter = [&](NodeId row, NodeId col, std::uint32_t table,
-                           Source source, TpKind kind, bool subtract) {
+  const auto scatter = [&](NodeId row, NodeId col, std::size_t offset,
+                           bool negate) {
     if (row == kGround || col == kGround) return;
     const std::size_t slot = (row - 1) * n + (col - 1);
-    scatter_.push_back({0, static_cast<std::uint32_t>(slot), table, source,
-                        kind, subtract, !assembled[slot]});
+    scatter_.push_back({static_cast<std::uint32_t>(slot),
+                        offset << 1 | (negate ? 1u : 0u)});
     assembled[slot] = true;
   };
 
-  stamps_.resize(netlist.stamps_.size());
-  for (std::size_t si = 0; si < stamps_.size(); ++si) {
+  for (std::size_t si = 0; si < stamp_rows_.size(); ++si) {
     const Netlist::Stamp& st = netlist.stamps_[si];
-    StampTable& t = stamps_[si];
-    t.frequency_independent = st.frequency_independent;
+    const std::size_t o = stamp_rows_[si];
     // Netlist::assemble bump order: (out_p,in_p,+) (out_p,in_n,-)
     // (out_n,in_p,-) (out_n,in_n,+).
-    const auto idx = static_cast<std::uint32_t>(si);
-    scatter(st.out_p, st.in_p, idx, Source::kStamp, TpKind::kY11, false);
-    scatter(st.out_p, st.in_n, idx, Source::kStamp, TpKind::kY11, true);
-    scatter(st.out_n, st.in_p, idx, Source::kStamp, TpKind::kY11, true);
-    scatter(st.out_n, st.in_n, idx, Source::kStamp, TpKind::kY11, false);
-    if (!grid_.empty()) {
-      t.values.resize(t.frequency_independent ? 1 : grid_.size());
-      for (std::size_t k = 0; k < t.values.size(); ++k) {
-        t.values[k] = st.value(grid_[k]);
-      }
+    scatter(st.out_p, st.in_p, o, false);
+    scatter(st.out_p, st.in_n, o, true);
+    scatter(st.out_n, st.in_p, o, true);
+    scatter(st.out_n, st.in_n, o, false);
+    const StampView v = stamp_view(si);
+    for (std::size_t fi = 0; fi < G; ++fi) {
+      // A frequency-independent stamp is evaluated once, held in every lane.
+      const Complex y = st.frequency_independent && fi > 0
+                            ? Complex{v.re[0], v.im[0]}
+                            : st.value(grid_[fi]);
+      v.re[fi] = y.real();
+      v.im[fi] = y.imag();
     }
   }
 
-  twoports_.resize(netlist.twoports_.size());
-  for (std::size_t ti = 0; ti < twoports_.size(); ++ti) {
+  for (std::size_t ti = 0; ti < twoport_rows_.size(); ++ti) {
     const Netlist::TwoPortStamp& tp = netlist.twoports_[ti];
-    TwoPortTable& t = twoports_[ti];
     // The nine bump() calls of Netlist::assemble's two-port expansion, in
-    // order.
+    // order: term k of rf::YTermRows.
     const NodeId a = tp.t1, b = tp.t2, c = tp.common;
     const NodeId rows[9] = {a, a, a, b, b, b, c, c, c};
     const NodeId cols[9] = {a, b, c, a, b, c, a, b, c};
-    for (int k = 0; k < 9; ++k) {
-      scatter(rows[k], cols[k], static_cast<std::uint32_t>(ti),
-              Source::kTwoPort, static_cast<TpKind>(k), false);
+    for (std::size_t k = 0; k < 9; ++k) {
+      scatter(rows[k], cols[k], twoport_rows_[ti] + k * 2 * G, false);
     }
-    t.kind_re.resize(rf::YTermRows::kTerms * grid_.size());
-    t.kind_im.resize(rf::YTermRows::kTerms * grid_.size());
     const TwoPortView v = twoport_view(ti);
-    for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
+    for (std::size_t fi = 0; fi < G; ++fi) {
       v.terms.store(fi, tp.y(grid_[fi]));
     }
   }
 
   for (std::size_t pi = 0; pi < ports_.size(); ++pi) {
-    scatter(ports_[pi].node, ports_[pi].node, static_cast<std::uint32_t>(pi),
-            Source::kPort, TpKind::kY11, false);
+    scatter(ports_[pi].node, ports_[pi].node, port_rows[pi], false);
+    std::fill_n(rows_.data() + port_rows[pi], G, 1.0 / ports_[pi].z0);
   }
   compile_program(assembled);
 
-  noise_.resize(netlist.noise_groups_.size());
   for (std::size_t gi = 0; gi < noise_.size(); ++gi) {
     const NoiseGroup& g = netlist.noise_groups_[gi];
-    NoiseTable& t = noise_[gi];
-    t.injections = g.injections;
-    t.order = g.injections.size();
+    const NoiseTable& t = noise_[gi];
     const std::size_t k = t.order;
-    t.csd.resize(grid_.size() * k * k);
-    if (g.passive_twoport < twoports_.size() && k == 2) {
+    const NoiseView nv = noise_view(gi);
+    if (g.passive_twoport < twoport_rows_.size() && k == 2) {
       // The passive_twoport_csd closure's lane kernel over the two-port's
       // tabulated Y-block: the closure's bits without a second Y-block
       // evaluation per lane.
-      passive_twoport_csd_lanes(twoport_view(g.passive_twoport).terms,
-                                grid_.size(), g.temperature_k, t.csd.data());
+      passive_twoport_csd_lanes(twoport_view(g.passive_twoport).terms, G,
+                                g.temperature_k, nv.csd);
       continue;
     }
-    for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
+    for (std::size_t fi = 0; fi < G; ++fi) {
       const numeric::ComplexMatrix m = g.csd(grid_[fi]);
       if (m.rows() != k || m.cols() != k) {
         throw std::invalid_argument("noise_analysis: CSD size mismatch in '" +
@@ -133,15 +154,25 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
       }
       for (std::size_t r = 0; r < k; ++r) {
         for (std::size_t c = 0; c < k; ++c) {
-          t.csd[fi * k * k + r * k + c] = m(r, c);
+          nv.csd.store(r * k + c, fi, m(r, c).real(), m(r, c).imag());
         }
       }
     }
   }
 
+  // The noise program.
   max_injections_ = 1;
-  for (const NoiseTable& g : noise_) {
-    max_injections_ = std::max(max_injections_, g.injections.size());
+  for (const NoiseTable& t : noise_) {
+    max_injections_ = std::max(max_injections_, t.order);
+    noise_order_.push_back(static_cast<std::uint32_t>(t.order));
+    noise_csd_.push_back(t.rows);
+    for (const auto& [from, to] : t.injections) {
+      noise_from_.push_back(from == kGround
+                                ? kGroundRow
+                                : static_cast<std::uint32_t>(from - 1));
+      noise_to_.push_back(to == kGround ? kGroundRow
+                                        : static_cast<std::uint32_t>(to - 1));
+    }
   }
 }
 
@@ -197,8 +228,6 @@ void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
   build(upper_rows_, filled, true, upper);
   build(lower_cols_, filled, false, lower);
   build(upper_cols_, filled, false, upper);
-  build(assembled_cols_, assembled, false,
-        [](std::size_t, std::size_t) { return true; });
 
   std::size_t update_count = 0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -217,27 +246,57 @@ void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
       }
     }
   }
-  fill_.clear();
-  fill_.reserve(positions_);
-  for (std::size_t s = 0; s < n * n; ++s) {
-    if (filled[s] && !assembled[s]) fill_.push_back(pos[s]);
+
+  // The assembly program: a counting sort of the scatter list by position,
+  // which keeps each position's contributions in scatter order; a fill-in
+  // position gets one entry, the zero pair (code 0).
+  asm_start_.assign(positions_ + 1, 0);
+  for (const Scatter& sc : scatter_) ++asm_start_[pos[sc.slot] + 1];
+  for (std::size_t p = 0; p < positions_; ++p) {
+    asm_start_[p + 1] = std::max(asm_start_[p + 1], std::uint32_t{1}) +
+                        asm_start_[p];
   }
-  for (Scatter& sc : scatter_) sc.pos = pos[sc.slot];
+  asm_code_.assign(asm_start_[positions_], 0);
+  std::vector<std::uint32_t> next(asm_start_.begin(), asm_start_.end() - 1);
+  for (const Scatter& sc : scatter_) asm_code_[next[pos[sc.slot]]++] = sc.code;
+  asm_col_.clear();
+  std::vector<bool> column_seen(n, false);
+  for (std::size_t s = 0; s < n * n; ++s) {
+    if (!filled[s]) continue;
+    const std::size_t col = s % n;
+    asm_col_.push_back(static_cast<std::uint32_t>(col << 1) |
+                       (column_seen[col] ? 0u : 1u));
+    column_seen[col] = true;
+  }
 }
 
 BatchedPlan::StampView BatchedPlan::stamp_view(std::size_t stamp_index) {
-  StampTable& t = stamps_.at(stamp_index);
-  return {t.values.data(), t.values.size()};
+  double* const re = rows_.data() + stamp_rows_.at(stamp_index);
+  return {re, re + grid_.size(), grid_.size()};
 }
 
 BatchedPlan::TwoPortView BatchedPlan::twoport_view(std::size_t twoport_index) {
-  TwoPortTable& t = twoports_.at(twoport_index);
-  return {{t.kind_re.data(), t.kind_im.data(), grid_.size()}, grid_.size()};
+  const std::size_t G = grid_.size();
+  double* const re = rows_.data() + twoport_rows_.at(twoport_index);
+  return {{re, re + G, 2 * G}, G};
 }
 
 BatchedPlan::NoiseView BatchedPlan::noise_view(std::size_t group_index) {
-  NoiseTable& t = noise_.at(group_index);
-  return {t.csd.data(), t.order, grid_.size()};
+  const NoiseTable& t = noise_.at(group_index);
+  const std::size_t G = grid_.size();
+  double* const re = rows_.data() + t.rows;
+  return {{re, re + G, 2 * G, t.order}, G};
+}
+
+Complex BatchedPlan::noise_csd(std::size_t group_index, std::size_t i,
+                               std::size_t j, std::size_t fi) const {
+  const NoiseTable& t = noise_.at(group_index);
+  if (i >= t.order || j >= t.order || fi >= grid_.size()) {
+    throw std::out_of_range("BatchedPlan::noise_csd: entry out of range");
+  }
+  const std::size_t G = grid_.size();
+  const double* const re = rows_.data() + t.rows + (i * t.order + j) * 2 * G;
+  return {re[fi], re[G + fi]};
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +330,6 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
     ws.sol_im_ = a.alloc_array<double>(2 * n * lanes);
     ws.w_re_ = a.alloc_array<double>(n * lanes);
     ws.w_im_ = a.alloc_array<double>(n * lanes);
-    ws.h_ = a.alloc_array<Complex>(max_injections_);
     ws.nh_re_ = a.alloc_array<double>(max_injections_ * lanes);
     ws.nh_im_ = a.alloc_array<double>(max_injections_ * lanes);
     ws.nacc_ = a.alloc_array<double>(lanes);
@@ -298,104 +356,96 @@ void BatchedPlan::bind(EvalWorkspace& ws, std::size_t f_begin,
 }
 
 // ---------------------------------------------------------------------------
-// Assembly
+// Compiled assembly
 
-GNSSLNA_LANE_CLONES
-void BatchedPlan::assemble(EvalWorkspace& ws) const {
-  const std::size_t L = ws.lanes_;
-  const std::size_t fb = ws.f_begin_;
-  const std::size_t G = grid_.size();
-  double* const vre = ws.v_re_;
-  double* const vim = ws.v_im_;
+namespace {
 
-  // Fill-in positions start at zero; assembled ones are zeroed on their
-  // first write, which replays the zero-initialized accumulator of
-  // Netlist::assemble.
-  for (const std::uint32_t p : fill_) {
-    std::fill_n(vre + std::size_t{p} * L, L, 0.0);
-    std::fill_n(vim + std::size_t{p} * L, L, 0.0);
-  }
-  for (const Scatter& sc : scatter_) {
-    double* const re = vre + std::size_t{sc.pos} * L;
-    double* const im = vim + std::size_t{sc.pos} * L;
-    if (sc.first) {
-      std::fill_n(re, L, 0.0);
-      std::fill_n(im, L, 0.0);
-    }
-    switch (sc.source) {
-      case Source::kStamp: {
-        const StampTable& t = stamps_[sc.table];
-        if (t.frequency_independent) {
-          const double vr = t.values[0].real();
-          const double vi = t.values[0].imag();
-          if (!sc.subtract) {
-            for (std::size_t l = 0; l < L; ++l) {
-              re[l] += vr;
-              im[l] += vi;
-            }
-          } else {
-            for (std::size_t l = 0; l < L; ++l) {
-              re[l] -= vr;
-              im[l] -= vi;
-            }
-          }
-        } else {
-          const Complex* const v = t.values.data() + fb;
-          if (!sc.subtract) {
-            for (std::size_t l = 0; l < L; ++l) {
-              re[l] += v[l].real();
-              im[l] += v[l].imag();
-            }
-          } else {
-            for (std::size_t l = 0; l < L; ++l) {
-              re[l] -= v[l].real();
-              im[l] -= v[l].imag();
-            }
-          }
-        }
-        break;
-      }
-      case Source::kTwoPort: {
-        // The expanded kind rows already hold exactly the complex value
-        // Netlist::assemble forms for this term (rf::YTermRows::store), so
-        // the lane loop is a contiguous add just like the stamp path.
-        const TwoPortTable& t = twoports_[sc.table];
-        const std::size_t kk = static_cast<std::size_t>(sc.kind);
-        const double* const vr = t.kind_re.data() + kk * G + fb;
-        const double* const vi = t.kind_im.data() + kk * G + fb;
-        for (std::size_t l = 0; l < L; ++l) {
-          re[l] += vr[l];
-          im[l] += vi[l];
-        }
-        break;
-      }
-      case Source::kPort: {
-        const double g = 1.0 / ports_[sc.table].z0;
-        for (std::size_t l = 0; l < L; ++l) {
-          re[l] += g;
-          im[l] += 0.0;
-        }
-        break;
-      }
-    }
-  }
-
-  // Column maxima of the assembled one-norms, for the health check.  A NaN
-  // entry makes its column's maximum NaN, which fails every comparison.
-  for (std::size_t j = 0; j < unknowns_; ++j) {
-    double* const cm = ws.colmax_ + j * L;
-    std::fill_n(cm, L, 0.0);
-    for (std::uint32_t e = assembled_cols_.start[j];
-         e < assembled_cols_.start[j + 1]; ++e) {
-      const double* const re = vre + std::size_t{assembled_cols_.pos[e]} * L;
-      const double* const im = vim + std::size_t{assembled_cols_.pos[e]} * L;
+// Position p of the store (L lanes, LF = compile-time count, 0 = runtime
+// L_rt) sums its contributions from +0.0 in the list order, so every lane
+// replays the zero-initialized accumulation of Netlist::assemble_terminated
+// bit for bit; the 16-lane instantiation accumulates in registers and
+// stores once.  `rows` is offset to the first bound lane.  The column
+// maxima of the assembled one-norms (the health check's reference) are
+// folded into the same pass: a one-norm |re| + |im| is +0, positive, +inf
+// or a NaN with its sign bit clear, and on those values the order of the
+// bit patterns as signed integers is the value order with every NaN above
+// every number, so a signed-integer max gives the outcome of
+// (m > c || isnan(m)) ? m : c without a branch (a NaN column stays NaN,
+// which fails every comparison of the health check).
+template <std::size_t LF>
+inline __attribute__((always_inline)) void assemble_body(
+    const std::size_t positions, const std::size_t L_rt, const std::size_t G,
+    const std::uint32_t* __restrict start, const std::size_t* __restrict code,
+    const std::uint32_t* __restrict col, const double* __restrict rows,
+    double* __restrict vr, double* __restrict vi, double* __restrict cm) {
+  const std::size_t L = LF != 0 ? LF : L_rt;
+  for (std::size_t p = 0; p < positions; ++p) {
+    double acc_re[LF != 0 ? LF : 1], acc_im[LF != 0 ? LF : 1];
+    double* const ar = LF != 0 ? acc_re : vr + p * L;
+    double* const ai = LF != 0 ? acc_im : vi + p * L;
+    std::uint32_t e = start[p];
+    const double* r = rows + (code[e] >> 1);
+    if (code[e] & 1) {
       for (std::size_t l = 0; l < L; ++l) {
-        const double m = std::abs(re[l]) + std::abs(im[l]);
-        cm[l] = (m > cm[l] || std::isnan(m)) ? m : cm[l];
+        ar[l] = 0.0 - r[l];
+        ai[l] = 0.0 - r[G + l];
+      }
+    } else {
+      for (std::size_t l = 0; l < L; ++l) {
+        ar[l] = 0.0 + r[l];
+        ai[l] = 0.0 + r[G + l];
+      }
+    }
+    for (++e; e < start[p + 1]; ++e) {
+      r = rows + (code[e] >> 1);
+      if (code[e] & 1) {
+        for (std::size_t l = 0; l < L; ++l) {
+          ar[l] -= r[l];
+          ai[l] -= r[G + l];
+        }
+      } else {
+        for (std::size_t l = 0; l < L; ++l) {
+          ar[l] += r[l];
+          ai[l] += r[G + l];
+        }
+      }
+    }
+    if constexpr (LF != 0) {
+      for (std::size_t l = 0; l < L; ++l) {
+        vr[p * L + l] = ar[l];
+        vi[p * L + l] = ai[l];
+      }
+    }
+    double* const c = cm + std::size_t{col[p] >> 1} * L;
+    if (col[p] & 1) {
+      for (std::size_t l = 0; l < L; ++l) {
+        c[l] = std::abs(ar[l]) + std::abs(ai[l]);
+      }
+    } else {
+      for (std::size_t l = 0; l < L; ++l) {
+        const double m = std::abs(ar[l]) + std::abs(ai[l]);
+        c[l] = std::bit_cast<double>(
+            std::max(std::bit_cast<std::int64_t>(c[l]),
+                     std::bit_cast<std::int64_t>(m)));
       }
     }
   }
 }
+
+GNSSLNA_LANE_CLONES
+void assemble_kernel(const std::size_t positions, const std::size_t L,
+                     const std::size_t G, const std::uint32_t* const start,
+                     const std::size_t* const code,
+                     const std::uint32_t* const col, const double* const rows,
+                     double* const vr, double* const vi, double* const cm) {
+  if (L == 16) {
+    assemble_body<16>(positions, L, G, start, code, col, rows, vr, vi, cm);
+  } else {
+    assemble_body<0>(positions, L, G, start, code, col, rows, vr, vi, cm);
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Static-order LU program with per-lane health check
@@ -469,9 +519,10 @@ template <std::size_t LF>
 inline __attribute__((always_inline)) void factor_lanes_body(
     const std::size_t n, const std::size_t L_rt,
     const std::uint32_t* const diag, const Lines lcols, const Lines urows,
-    const std::uint32_t* target, double* const vr, double* const vi,
-    double* const dr, double* const di, const double* const cm,
-    double* const dense) {
+    const std::uint32_t* target, double* __restrict const vr,
+    double* __restrict const vi, double* __restrict const dr,
+    double* __restrict const di, const double* __restrict const cm,
+    double* __restrict const dense) {
   const std::size_t L = LF != 0 ? LF : L_rt;
   for (std::size_t k = 0; k < n; ++k) {
     const double* const zr = vr + std::size_t{diag[k]} * L;
@@ -543,28 +594,9 @@ void BatchedPlan::dense_factor(EvalWorkspace& ws, std::size_t lane) const {
     a.fill();
   }
   for (const Scatter& sc : scatter_) {
-    Complex& y = a(sc.slot / n, sc.slot % n);
-    switch (sc.source) {
-      case Source::kStamp: {
-        const StampTable& t = stamps_[sc.table];
-        const Complex v = t.values[t.frequency_independent ? 0 : fi];
-        if (sc.subtract) {
-          y -= v;
-        } else {
-          y += v;
-        }
-        break;
-      }
-      case Source::kTwoPort: {
-        const TwoPortTable& t = twoports_[sc.table];
-        const std::size_t at = static_cast<std::size_t>(sc.kind) * G + fi;
-        y += Complex{t.kind_re[at], t.kind_im[at]};
-        break;
-      }
-      case Source::kPort:
-        y += Complex{1.0 / ports_[sc.table].z0, 0.0};
-        break;
-    }
+    const double* const r = rows_.data() + (sc.code >> 1) + fi;
+    const Complex v{r[0], r[G]};
+    a(sc.slot / n, sc.slot % n) += (sc.code & 1) ? -v : v;
   }
   ws.lu_lane_ = kNoLane;
   ws.lu_.refactor(a);
@@ -581,7 +613,9 @@ void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
   ws.lu_lane_ = kNoLane;
   const std::size_t L = ws.lanes_;
   std::fill_n(ws.dense_, L, 0.0);
-  assemble(ws);
+  assemble_kernel(positions_, L, grid_.size(), asm_start_.data(),
+                  asm_code_.data(), asm_col_.data(),
+                  rows_.data() + ws.f_begin_, ws.v_re_, ws.v_im_, ws.colmax_);
   factor_lanes_kernel(unknowns_, L, diag_.data(), lines(lower_cols_),
                       lines(upper_rows_), updates_.data(), ws.v_re_, ws.v_im_,
                       ws.dinv_re_, ws.dinv_im_, ws.colmax_, ws.dense_);
@@ -877,107 +911,151 @@ void BatchedPlan::solve_output_transfer(EvalWorkspace& ws,
 }
 
 // ---------------------------------------------------------------------------
-// Per-frequency result extraction (scalar std::complex arithmetic, exactly
-// as circuit::s_matrix / noise_analysis compute it from their solutions)
+// Result extraction (the per-lane expressions of circuit::s_matrix and
+// noise_analysis, on their solutions)
 
-rf::SParams BatchedPlan::s_params_at(const EvalWorkspace& ws,
-                                     std::size_t fi) const {
+void BatchedPlan::s_params_sweep(const EvalWorkspace& ws, std::size_t f_begin,
+                                 std::size_t f_end,
+                                 const rf::SRows& out) const {
   if (ws.plan_ != this || !ws.have_ports_ ||
-      ws.seen_revision_ != revision_ || fi < ws.f_begin_ ||
-      fi >= ws.f_end_) {
+      ws.seen_revision_ != revision_ || f_begin < ws.f_begin_ ||
+      f_end > ws.f_end_ || f_begin >= f_end) {
     throw std::logic_error("BatchedPlan::s_params_at: lane not solved");
   }
   const std::size_t n = unknowns_;
   const std::size_t L = ws.lanes_;
-  const std::size_t l = fi - ws.f_begin_;
+  const std::size_t l0 = f_begin - ws.f_begin_;
+  const std::size_t m = f_end - f_begin;
   const double sqrt_z0[2] = {std::sqrt(ports_[0].z0), std::sqrt(ports_[1].z0)};
-  Complex sm[2][2];
-  for (std::size_t j = 0; j < 2; ++j) {
-    for (std::size_t i = 0; i < 2; ++i) {
-      const std::size_t row = ports_[i].node - 1;
-      const Complex sol{ws.sol_re_[(j * n + row) * L + l],
-                        ws.sol_im_[(j * n + row) * L + l]};
-      sm[i][j] = sol / sqrt_z0[i] -
-                 (i == j ? Complex{1.0, 0.0} : Complex{0.0, 0.0});
+  // S_ij = sol_j[port i] / sqrt(z0_i) - delta_ij, the complex-by-real
+  // quotient and the subtraction component by component.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::size_t row = ports_[i].node - 1;
+    for (std::size_t j = 0; j < 2; ++j) {
+      const double* const sr = ws.sol_re_ + (j * n + row) * L + l0;
+      const double* const si = ws.sol_im_ + (j * n + row) * L + l0;
+      double* const re = out.re + (2 * i + j) * out.stride;
+      double* const im = out.im + (2 * i + j) * out.stride;
+      const double delta = i == j ? 1.0 : 0.0;
+      for (std::size_t l = 0; l < m; ++l) {
+        re[l] = sr[l] / sqrt_z0[i] - delta;
+        im[l] = si[l] / sqrt_z0[i] - 0.0;
+      }
     }
   }
+}
+
+rf::SParams BatchedPlan::s_params_at(const EvalWorkspace& ws,
+                                     std::size_t fi) const {
+  double re[4], im[4];
+  s_params_sweep(ws, fi, fi + 1, {re, im, 1});
   rf::SParams out;
   out.frequency_hz = grid_[fi];
   out.z0 = ports_[0].z0;
-  out.s11 = sm[0][0];
-  out.s12 = sm[0][1];
-  out.s21 = sm[1][0];
-  out.s22 = sm[1][1];
+  out.s11 = {re[rf::SRows::kS11], im[rf::SRows::kS11]};
+  out.s12 = {re[rf::SRows::kS12], im[rf::SRows::kS12]};
+  out.s21 = {re[rf::SRows::kS21], im[rf::SRows::kS21]};
+  out.s22 = {re[rf::SRows::kS22], im[rf::SRows::kS22]};
   return out;
 }
 
-NoiseResult BatchedPlan::noise_at(const EvalWorkspace& ws, std::size_t fi,
-                                  std::size_t input_port,
-                                  std::size_t output_port,
-                                  double t_source_k) const {
-  if (ports_.size() < 2) {
-    throw std::invalid_argument("noise_analysis: not enough ports");
+Complex EvalWorkspace::transfer(std::size_t i, std::size_t fi) const {
+  if (plan_ == nullptr || !factored_ || !have_w_ ||
+      seen_revision_ != plan_->revision() || fi < w_begin_ || fi >= w_end_ ||
+      i >= bound_unknowns_) {
+    throw std::logic_error("EvalWorkspace::transfer: lane not solved");
   }
-  if (input_port >= ports_.size() || output_port >= ports_.size() ||
-      input_port == output_port) {
-    throw std::invalid_argument("noise_analysis: bad port indices");
-  }
-  if (ws.plan_ != this || !ws.have_w_ || ws.w_port_ != output_port ||
-      ws.seen_revision_ != revision_ || fi < ws.w_begin_ ||
-      fi >= ws.w_end_) {
-    throw std::logic_error("BatchedPlan::noise_at: lane not solved");
-  }
-  const std::size_t L = ws.lanes_;
-  const std::size_t l = fi - ws.f_begin_;
-  const Port& in = ports_[input_port];
-  const Complex y_source{1.0 / in.z0, 0.0};
+  const std::size_t l = fi - f_begin_;
+  return {w_re_[i * lanes_ + l], w_im_[i * lanes_ + l]};
+}
 
-  const auto transfer = [&](NodeId from, NodeId to) -> Complex {
-    const Complex vf = from == kGround
-                           ? Complex{0.0, 0.0}
-                           : Complex{ws.w_re_[(from - 1) * L + l],
-                                     ws.w_im_[(from - 1) * L + l]};
-    const Complex vt = to == kGround
-                           ? Complex{0.0, 0.0}
-                           : Complex{ws.w_re_[(to - 1) * L + l],
-                                     ws.w_im_[(to - 1) * L + l]};
-    return vf - vt;
-  };
+namespace {
 
-  double psd_network = 0.0;
-  for (const NoiseTable& group : noise_) {
-    const std::size_t k = group.order;
-    const Complex* const csd = group.csd.data() + fi * k * k;
-    for (std::size_t j = 0; j < k; ++j) {
-      ws.h_[j] =
-          transfer(group.injections[j].first, group.injections[j].second);
-    }
-    Complex acc{0.0, 0.0};
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < k; ++j) {
-        acc += ws.h_[i] * csd[i * k + j] * std::conj(ws.h_[j]);
+// The compiled noise program over SL lanes of stride L (LF/SLF pin both
+// for the band evaluator's 7 in-band lanes of a 16-lane grid; 0 = runtime
+// L_rt and SL_rt).  Per group: the transfer of each injection, h_j =
+// w[from] - w[to] with ground read from the zero row, then the quadratic
+// form h^H C h accumulated term by term in (i, j) order from the CSD's
+// lane rows, added to the network PSD.  Within a lane every operation -
+// including the expansion of the two complex multiplies of
+// h_i * C_ij * conj(h_j) into naive re/im arithmetic and of
+// t * conj(h_j) into tr*hjr + ti*hji (IEEE subtraction of a negated
+// operand IS addition, bit for bit) - is circuit::noise_analysis's, in its
+// order.  `rows` is the plan's row buffer offset to the first lane, w the
+// solution offset to it; `acc` and `psd` are SL-lane scratch (the 7-lane
+// instantiation keeps them in registers and stores psd once).
+template <std::size_t LF, std::size_t SLF>
+inline __attribute__((always_inline)) void noise_program_body(
+    const std::size_t groups, const std::size_t L_rt, const std::size_t SL_rt,
+    const std::size_t G, const std::uint32_t* __restrict order,
+    const std::size_t* __restrict csd, const std::uint32_t* __restrict from,
+    const std::uint32_t* __restrict to, const double* __restrict rows,
+    const double* __restrict zeros, const double* __restrict wr,
+    const double* __restrict wi, double* __restrict hr,
+    double* __restrict hi, double* __restrict acc_rt,
+    double* __restrict psd_rt, const std::uint32_t ground) {
+  const std::size_t L = LF != 0 ? LF : L_rt;
+  const std::size_t SL = SLF != 0 ? SLF : SL_rt;
+  double acc_local[SLF != 0 ? SLF : 1], psd_local[SLF != 0 ? SLF : 1];
+  double* const acc = SLF != 0 ? acc_local : acc_rt;
+  double* const psd = SLF != 0 ? psd_local : psd_rt;
+  for (std::size_t l = 0; l < SL; ++l) psd[l] = 0.0;
+  const std::uint32_t* f = from;
+  const std::uint32_t* t = to;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t k = order[g];
+    for (std::size_t j = 0; j < k; ++j, ++f, ++t) {
+      const double* const fr = *f == ground ? zeros : wr + std::size_t{*f} * L;
+      const double* const fi = *f == ground ? zeros : wi + std::size_t{*f} * L;
+      const double* const tr = *t == ground ? zeros : wr + std::size_t{*t} * L;
+      const double* const ti = *t == ground ? zeros : wi + std::size_t{*t} * L;
+      for (std::size_t l = 0; l < SL; ++l) {
+        hr[j * SL + l] = fr[l] - tr[l];
+        hi[j * SL + l] = fi[l] - ti[l];
       }
     }
-    psd_network += acc.real();
+    for (std::size_t l = 0; l < SL; ++l) acc[l] = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        const double* const cr = rows + csd[g] + (i * k + j) * 2 * G;
+        const double* const ci = cr + G;
+        const double* const air = hr + i * SL;
+        const double* const aii = hi + i * SL;
+        const double* const ajr = hr + j * SL;
+        const double* const aji = hi + j * SL;
+        for (std::size_t l = 0; l < SL; ++l) {
+          const double mr = air[l] * cr[l] - aii[l] * ci[l];
+          const double mi = air[l] * ci[l] + aii[l] * cr[l];
+          acc[l] += mr * ajr[l] + mi * aji[l];
+        }
+      }
+    }
+    for (std::size_t l = 0; l < SL; ++l) psd[l] += acc[l];
   }
-
-  const Complex h_src = transfer(in.node, kGround);
-  const double psd_source = 4.0 * rf::kBoltzmann * t_source_k *
-                            std::max(y_source.real(), 0.0) *
-                            std::norm(h_src);
-  if (psd_source <= 0.0) {
-    throw std::domain_error(
-        "noise_analysis: source noise does not reach the output (no signal "
-        "path, or a lossless source?)");
+  if constexpr (SLF != 0) {
+    for (std::size_t l = 0; l < SL; ++l) psd_rt[l] = psd[l];
   }
-
-  NoiseResult r;
-  r.source_noise_psd = psd_source;
-  r.output_noise_psd = psd_source + psd_network;
-  r.noise_factor = r.output_noise_psd / r.source_noise_psd;
-  r.noise_figure_db = rf::db_from_ratio(r.noise_factor);
-  return r;
 }
+
+GNSSLNA_LANE_CLONES
+void noise_program_kernel(
+    const std::size_t groups, const std::size_t L, const std::size_t SL,
+    const std::size_t G, const std::uint32_t* const order,
+    const std::size_t* const csd, const std::uint32_t* const from,
+    const std::uint32_t* const to, const double* const rows,
+    const double* const zeros, const double* const wr, const double* const wi,
+    double* const hr, double* const hi, double* const acc, double* const psd,
+    const std::uint32_t ground) {
+  if (L == 16 && SL == 7) {
+    noise_program_body<16, 7>(groups, L, SL, G, order, csd, from, to, rows,
+                              zeros, wr, wi, hr, hi, acc, psd, ground);
+  } else {
+    noise_program_body<0, 0>(groups, L, SL, G, order, csd, from, to, rows,
+                             zeros, wr, wi, hr, hi, acc, psd, ground);
+  }
+}
+
+}  // namespace
 
 void BatchedPlan::noise_sweep(const EvalWorkspace& ws, std::size_t input_port,
                               std::size_t output_port, NoiseResult* out,
@@ -996,66 +1074,23 @@ void BatchedPlan::noise_sweep(const EvalWorkspace& ws, std::size_t input_port,
   const std::size_t L = ws.lanes_;
   const std::size_t s0 = ws.w_begin_ - ws.f_begin_;
   const std::size_t SL = ws.w_end_ - ws.w_begin_;
-  const std::size_t f0 = ws.w_begin_;
-  double* const hr = ws.nh_re_;
-  double* const hi = ws.nh_im_;
-  double* const acc = ws.nacc_;
-  double* const psd = ws.npsd_;
+  noise_program_kernel(noise_order_.size(), L, SL, grid_.size(),
+                       noise_order_.data(), noise_csd_.data(),
+                       noise_from_.data(), noise_to_.data(),
+                       rows_.data() + ws.w_begin_, rows_.data(),
+                       ws.w_re_ + s0, ws.w_im_ + s0, ws.nh_re_, ws.nh_im_,
+                       ws.nacc_, ws.npsd_, kGroundRow);
 
-  // Network noise: per group, the injection transfers for all lanes, then
-  // the quadratic form h^H C h accumulated term by term in noise_at's
-  // (i, j) order.  Within a lane every operation — including the expansion
-  // of the two std::complex multiplies into naive re/im arithmetic and of
-  // t * conj(h_j) into tr*hjr + ti*hji (IEEE subtraction of a negated
-  // operand IS addition, bit for bit) — replays noise_at exactly.
-  for (std::size_t l = 0; l < SL; ++l) psd[l] = 0.0;
-  for (const NoiseTable& group : noise_) {
-    const std::size_t k = group.order;
-    const std::size_t kk = k * k;
-    for (std::size_t j = 0; j < k; ++j) {
-      const NodeId from = group.injections[j].first;
-      const NodeId to = group.injections[j].second;
-      const double* const fr =
-          from == kGround ? nullptr : ws.w_re_ + (from - 1) * L + s0;
-      const double* const fi_ =
-          from == kGround ? nullptr : ws.w_im_ + (from - 1) * L + s0;
-      const double* const tr =
-          to == kGround ? nullptr : ws.w_re_ + (to - 1) * L + s0;
-      const double* const ti =
-          to == kGround ? nullptr : ws.w_im_ + (to - 1) * L + s0;
-      for (std::size_t l = 0; l < SL; ++l) {
-        hr[j * SL + l] = (fr ? fr[l] : 0.0) - (tr ? tr[l] : 0.0);
-        hi[j * SL + l] = (fi_ ? fi_[l] : 0.0) - (ti ? ti[l] : 0.0);
-      }
-    }
-    for (std::size_t l = 0; l < SL; ++l) acc[l] = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < k; ++j) {
-        const Complex* const cs = group.csd.data() + f0 * kk + i * k + j;
-        const double* const air = hr + i * SL;
-        const double* const aii = hi + i * SL;
-        const double* const ajr = hr + j * SL;
-        const double* const aji = hi + j * SL;
-        for (std::size_t l = 0; l < SL; ++l) {
-          const double cr = cs[l * kk].real();
-          const double ci = cs[l * kk].imag();
-          const double mr = air[l] * cr - aii[l] * ci;
-          const double mi = air[l] * ci + aii[l] * cr;
-          acc[l] += mr * ajr[l] + mi * aji[l];
-        }
-      }
-    }
-    for (std::size_t l = 0; l < SL; ++l) psd[l] += acc[l];
-  }
-
-  // Source noise and per-lane results, exactly noise_at's expressions; the
-  // lane-invariant PSD prefix keeps noise_at's left-to-right association.
+  // Source noise and per-lane results, exactly noise_analysis's
+  // expressions; the lane-invariant PSD prefix keeps its left-to-right
+  // association.
   const Port& in = ports_[input_port];
   const Complex y_source{1.0 / in.z0, 0.0};
   const double psd_prefix = 4.0 * rf::kBoltzmann * t_source_k *
                             std::max(y_source.real(), 0.0);
   const double* const sr = ws.w_re_ + (in.node - 1) * L + s0;
   const double* const si = ws.w_im_ + (in.node - 1) * L + s0;
+  const double* const psd = ws.npsd_;
   for (std::size_t l = 0; l < SL; ++l) {
     const double ar = sr[l] - 0.0;
     const double ai = si[l] - 0.0;

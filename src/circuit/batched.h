@@ -9,15 +9,23 @@
 // vectorizable) index; one pass of the factorization advances every
 // frequency in lock-step.
 //
+// Tables: every value table (stamp admittances, two-port term rows, noise
+// CSDs, and the port terminations) is a set of (re, im) lane row pairs
+// over the plan grid in one plan-owned buffer, addressed by row offset,
+// so copying or moving a plan keeps its compiled programs valid.
+//
 // Structure: the MNA system is sparse (the fig. 3 amplifier has 47
 // structural nonzeros among 15 x 15 entries).  When the plan is built it
 // eliminates the assembled pattern symbolically in diagonal order and
 // compiles the result into one static program: a compact lane-major store
 // holding only the filled positions (67 for fig. 3), a flat list of
 // rank-1 update steps, and per-row and per-column substitution lists.
-// factor, solve_ports and solve_output_transfer run that program for any
-// lane count with no pivot search, row swap or permutation.  DESIGN.md
-// ("Batched evaluation core") describes the program.
+// Assembly and the noise sweep are compiled too: a position-major list of
+// (row offset, sign) contributions, and a flat list of injection rows and
+// CSD rows per noise group.  factor, solve_ports, solve_output_transfer
+// and noise_sweep run these programs for any lane count with no pivot
+// search, row swap, permutation or per-element dispatch.  DESIGN.md
+// ("Batched evaluation core") describes the programs.
 //
 // Accuracy contract: results agree with the per-call analyses
 // (circuit::s_params / noise_analysis, the reference oracle of the tests)
@@ -112,6 +120,14 @@ class EvalWorkspace {
            dense_[fi - f_begin_] != 0.0;
   }
 
+  /// Output-transfer solution at unknown i (node i + 1) of grid lane fi,
+  /// for the lanes the last solve_output_transfer covered (for
+  /// transfer_port(), at the plan's current revision); throws
+  /// std::logic_error for any other lane.  Read-only access for
+  /// inspection and the tests' lane-by-lane replay of the noise sweep.
+  Complex transfer(std::size_t i, std::size_t fi) const;
+  std::size_t transfer_port() const { return w_port_; }
+
  private:
   friend class BatchedPlan;
 
@@ -143,8 +159,7 @@ class EvalWorkspace {
   double* sol_im_ = nullptr;
   double* w_re_ = nullptr;       // output-transfer solution
   double* w_im_ = nullptr;
-  Complex* h_ = nullptr;         // per-group injection transfers
-  double* nh_re_ = nullptr;      // batched injection transfers
+  double* nh_re_ = nullptr;      // injection transfers of one noise group
   double* nh_im_ = nullptr;      //   (max_injections rows, lane-major)
   double* nacc_ = nullptr;       // per-group quadratic-form accumulator
   double* npsd_ = nullptr;       // network noise PSD accumulator
@@ -187,13 +202,14 @@ class BatchedPlan {
   // The written values must be exactly what the corresponding Netlist
   // closure would have returned — that is what keeps the direct path
   // bit-identical to compiling a fresh plan from a rebuilt netlist (pinned
-  // by tests).
+  // by tests).  Every view covers all grid().size() lanes; a
+  // frequency-independent stamp holds its value in every lane.
 
-  /// Stamp value table; count == 1 for frequency-independent stamps,
-  /// grid().size() otherwise.
+  /// Stamp value table: one (re, im) lane row pair.
   struct StampView {
-    Complex* values;
-    std::size_t count;
+    double* re;
+    double* im;
+    std::size_t count;  // grid().size()
   };
   StampView stamp_view(std::size_t stamp_index);
 
@@ -202,18 +218,28 @@ class BatchedPlan {
   /// lane kernels write the rows directly.
   struct TwoPortView {
     rf::YTermRows terms;
-    std::size_t count;
+    std::size_t count;  // grid().size()
   };
   TwoPortView twoport_view(std::size_t twoport_index);
 
-  /// Noise CSD table: row-major order x order complex block per grid
-  /// frequency, laid out csd[fi*order*order + r*order + c].
+  /// Noise CSD table: order x order CSD rows, one lane per grid frequency.
   struct NoiseView {
-    Complex* csd;
-    std::size_t order;
+    CsdRows csd;
     std::size_t count;  // grid().size()
   };
   NoiseView noise_view(std::size_t group_index);
+
+  /// Read-only view of the noise groups as the noise program reads them:
+  /// group gi's injections (node pairs) and its CSD entry (i, j) at grid
+  /// lane fi.  For inspection and the tests' lane-by-lane replay of the
+  /// noise sweep.
+  std::size_t noise_group_count() const { return noise_.size(); }
+  const std::vector<std::pair<NodeId, NodeId>>& noise_injections(
+      std::size_t group_index) const {
+    return noise_.at(group_index).injections;
+  }
+  Complex noise_csd(std::size_t group_index, std::size_t i, std::size_t j,
+                    std::size_t fi) const;
 
   /// Invalidates cached factorizations after direct writes through the
   /// views above (noise-only writes do not need it: factorizations read
@@ -250,50 +276,35 @@ class BatchedPlan {
   /// Sentinel for solve_output_transfer's default lane range.
   static constexpr std::size_t kWholeRange = static_cast<std::size_t>(-1);
 
-  /// Two-port S-parameters at grid index fi (must lie in the bound lane
-  /// range; solve_ports must have run).  Within the written tolerance of
-  /// circuit::s_params, and equal to it on a dense-path lane.
+  /// Two-port S-parameters of grid lanes [f_begin, f_end) into `out`
+  /// (lane 0 of the rows is f_begin), in one lane pass (the lanes must lie
+  /// in the bound range; solve_ports must have run).  Within the written
+  /// tolerance of circuit::s_params, and equal to it on a dense-path lane.
+  void s_params_sweep(const EvalWorkspace& ws, std::size_t f_begin,
+                      std::size_t f_end, const rf::SRows& out) const;
+
+  /// S-parameters at grid index fi: the one-lane call of s_params_sweep.
   rf::SParams s_params_at(const EvalWorkspace& ws, std::size_t fi) const;
 
-  /// Standard (z0-source) noise analysis at grid index fi
-  /// (solve_output_transfer must have run for `output_port`).  Within the
+  /// Standard (z0-source) noise analysis over the transfer-solved lane
+  /// range [w_begin, w_end): one NoiseResult per lane into `out` (out[0]
+  /// is lane w_begin), from the compiled noise program.  Within the
   /// written tolerance of circuit::noise_analysis, and equal to it on a
   /// dense-path lane.
-  NoiseResult noise_at(const EvalWorkspace& ws, std::size_t fi,
-                       std::size_t input_port, std::size_t output_port,
-                       double t_source_k = rf::kT0) const;
-
-  /// Batched noise_at over the transfer-solved lane range
-  /// [ws.w_begin(), ws.w_end()): writes one NoiseResult per lane into
-  /// `out` (out[0] is lane w_begin).  Per-lane arithmetic and operation
-  /// order are exactly noise_at's — only the loop nesting across lanes
-  /// differs — so every field is bit-identical to calling noise_at lane
-  /// by lane.
   void noise_sweep(const EvalWorkspace& ws, std::size_t input_port,
                    std::size_t output_port, NoiseResult* out,
                    double t_source_k = rf::kT0) const;
 
  private:
-  // Netlist::assemble's two-port expansion: which of the nine bump
-  // expressions produces a term's value.  The numeric order is the row
-  // order of rf::YTermRows.
-  enum class TpKind : std::uint8_t {
-    kY11, kY12, kNeg1112, kY21, kY22, kNeg2122, kNeg1121, kNeg1222, kSum
-  };
-  enum class Source : std::uint8_t { kStamp, kTwoPort, kPort };
-
-  // One addition of a table value into one entry of the assembled
-  // (ground-eliminated, port-terminated) matrix.  The flat list holds them
-  // in exactly Netlist::assemble_terminated's order: every stamp bump,
-  // then every two-port term, then every port termination.
+  // One addition of Netlist::assemble_terminated, in its order (every
+  // stamp bump, then every two-port term, then every port termination),
+  // with ground-touching terms dropped: the dense path replays the list.
+  // `code` is the row offset of the added table row pair shifted left
+  // once, bit 0 set where the value is negated first (a stamp bump of
+  // sign -1).
   struct Scatter {
-    std::uint32_t pos;    // compact store position
-    std::uint32_t slot;   // row * n + col of the dense matrix
-    std::uint32_t table;  // stamp, two-port or port index
-    Source source;
-    TpKind kind;          // two-port term expression (kTwoPort only)
-    bool subtract;        // stamp bump of sign -1
-    bool first;           // first write to `pos`: zero it before adding
+    std::uint32_t slot;  // row * n + col of the dense matrix
+    std::size_t code;
   };
 
   // Filled positions of the static program grouped by row or column, with
@@ -303,35 +314,47 @@ class BatchedPlan {
     std::vector<std::uint32_t> pos, index, start;
   };
 
-  struct StampTable {
-    bool frequency_independent = false;
-    std::vector<Complex> values;  // 1 entry if frequency-independent
-  };
-  struct TwoPortTable {
-    // Term rows ([kind * grid + fi], TpKind order = rf::YTermRows order):
-    // assembly adds these rows contiguously.
-    std::vector<double> kind_re, kind_im;
-  };
   struct NoiseTable {
     std::vector<std::pair<NodeId, NodeId>> injections;
     std::size_t order = 0;
-    std::vector<Complex> csd;  // [fi*order*order + r*order + c]
+    std::size_t rows = 0;  // offset of its order^2 row pairs
   };
 
   static std::uint64_t next_revision();
   void compile_program(const std::vector<bool>& assembled);
   void bind(EvalWorkspace& ws, std::size_t f_begin, std::size_t f_end) const;
-  void assemble(EvalWorkspace& ws) const;
   void dense_factor(EvalWorkspace& ws, std::size_t lane) const;
 
   std::vector<double> grid_;
   std::vector<Port> ports_;
   std::size_t unknowns_ = 0;
   std::size_t max_injections_ = 1;
-  std::vector<Scatter> scatter_;
-  std::vector<StampTable> stamps_;
-  std::vector<TwoPortTable> twoports_;
+
+  // Every value table as (re, im) lane row pairs of grid_.size() lanes:
+  // the pair at offset o holds the re lanes at o and the im lanes at
+  // o + grid_.size().  Offset 0 is a pair of zeros (the assembly's
+  // fill-in positions and the noise program's ground).
+  std::vector<double> rows_;
+  std::vector<std::size_t> stamp_rows_;    // one pair per stamp
+  std::vector<std::size_t> twoport_rows_;  // nine pairs (rf::YTermRows order)
   std::vector<NoiseTable> noise_;
+  std::vector<Scatter> scatter_;
+
+  // The compiled assembly: position p sums the row pairs
+  // asm_code_[asm_start_[p] .. asm_start_[p + 1]) (Scatter::code form, in
+  // scatter order; a fill-in position adds the zero pair) from +0.0, and
+  // asm_col_[p] is its column shifted left once, bit 0 set on the first
+  // position of that column (row-major numbering).
+  std::vector<std::uint32_t> asm_start_, asm_col_;
+  std::vector<std::size_t> asm_code_;
+
+  // The compiled noise program: per group its order and the offset of its
+  // CSD row pairs; per injection (groups back to back) the unknowns of its
+  // two nodes, kGroundRow for ground.
+  static constexpr std::uint32_t kGroundRow = 0xffffffffu;
+  std::vector<std::uint32_t> noise_order_;
+  std::vector<std::size_t> noise_csd_;
+  std::vector<std::uint32_t> noise_from_, noise_to_;
 
   // The static program: the assembled pattern plus the diagonal,
   // eliminated in diagonal order, its filled positions numbered row-major.
@@ -344,8 +367,6 @@ class BatchedPlan {
   // Rank-1 update targets: step k, each L entry of column k, each U entry
   // of row k, in list order.
   std::vector<std::uint32_t> updates_;
-  std::vector<std::uint32_t> fill_;  // positions only fill-in creates
-  LineLists assembled_cols_;         // assembled positions by column
   std::uint64_t revision_ = next_revision();
 };
 

@@ -40,9 +40,9 @@ AdmittanceFn lossy_admittance(std::function<Complex(double)> impedance) {
   return [impedance = std::move(impedance)](double f) -> Complex {
     const Complex z = impedance(f);
     const double z_re = z.real(), z_im = z.imag();
-    Complex y;
-    lossy_admittance_lanes({&z_re, 1}, &z_im, &y, 0.0, nullptr, 0);
-    return y;
+    double y_re, y_im;
+    lossy_admittance_lanes({&z_re, 1}, &z_im, &y_re, &y_im, 0.0, {}, 0);
+    return {y_re, y_im};
   };
 }
 
@@ -51,44 +51,54 @@ std::function<numeric::ComplexMatrix(double)> lossy_csd(
   return [impedance = std::move(impedance), temperature_k](double f) {
     const Complex z = impedance(f);
     const double z_re = z.real(), z_im = z.imag();
-    Complex y, psd;
-    lossy_admittance_lanes({&z_re, 1}, &z_im, &y, temperature_k, &psd, 1);
-    numeric::ComplexMatrix m(1, 1);
-    m(0, 0) = psd;
-    return m;
+    double y_re, y_im;
+    CsdLane psd;
+    lossy_admittance_lanes({&z_re, 1}, &z_im, &y_re, &y_im, temperature_k,
+                           psd.rows(1), 1);
+    return psd.matrix(1);
   };
 }
 
 GNSSLNA_LANE_CLONES
 void lossy_admittance_kernel(const double* z_re, const double* z_im,
-                             std::size_t lanes, Complex* y, double psd_scale,
-                             Complex* csd, std::size_t noise_lanes) {
+                             std::size_t lanes, double* y_re, double* y_im,
+                             double psd_scale, double* csd_re, double* csd_im,
+                             std::size_t noise_lanes) {
   for (std::size_t k = 0; k < lanes; ++k) {
-    double yr, yi;
-    numeric::smith_div(1.0, 0.0, z_re[k], z_im[k], yr, yi);
-    y[k] = Complex{yr, yi};
+    numeric::smith_div(1.0, 0.0, z_re[k], z_im[k], y_re[k], y_im[k]);
   }
   // Thermal noise of the dissipative part: 4 k T Re{Y}, with std::max's
   // (0 < Re y ? Re y : 0) selection.
   for (std::size_t k = 0; k < noise_lanes; ++k) {
-    const double g = y[k].real();
-    csd[k] = Complex{psd_scale * (0.0 < g ? g : 0.0), 0.0};
+    const double g = y_re[k];
+    csd_re[k] = psd_scale * (0.0 < g ? g : 0.0);
+    csd_im[k] = 0.0;
   }
 }
 
 }  // namespace
 
 void lossy_admittance_lanes(std::span<const double> z_re, const double* z_im,
-                            Complex* y, double temperature_k, Complex* csd,
-                            std::size_t noise_lanes) {
+                            double* y_re, double* y_im, double temperature_k,
+                            const CsdRows& csd, std::size_t noise_lanes) {
   for (std::size_t k = 0; k < z_re.size(); ++k) {
     if (rf::magnitude_below(Complex{z_re[k], z_im[k]}, 1e-12)) {
       throw std::domain_error("add_lossy_impedance: near-short element");
     }
   }
-  lossy_admittance_kernel(z_re.data(), z_im, z_re.size(), y,
-                          4.0 * rf::kBoltzmann * temperature_k, csd,
-                          noise_lanes);
+  lossy_admittance_kernel(z_re.data(), z_im, z_re.size(), y_re, y_im,
+                          4.0 * rf::kBoltzmann * temperature_k, csd.re,
+                          csd.im, noise_lanes);
+}
+
+numeric::ComplexMatrix CsdLane::matrix(std::size_t order) const {
+  numeric::ComplexMatrix m(order, order);
+  for (std::size_t i = 0; i < order; ++i) {
+    for (std::size_t j = 0; j < order; ++j) {
+      m(i, j) = Complex{re[i * order + j], im[i * order + j]};
+    }
+  }
+  return m;
 }
 
 Netlist::Netlist() { node_labels_.push_back("gnd"); }
@@ -244,6 +254,11 @@ std::size_t Netlist::add_port(NodeId node, double z0, std::string label) {
 }
 
 numeric::ComplexMatrix Netlist::assemble(double frequency_hz) const {
+  return assemble(frequency_hz, nullptr);
+}
+
+numeric::ComplexMatrix Netlist::assemble(
+    double frequency_hz, std::vector<rf::YParams>* blocks) const {
   if (frequency_hz <= 0.0) {
     throw std::invalid_argument("Netlist::assemble: frequency must be > 0");
   }
@@ -264,8 +279,11 @@ numeric::ComplexMatrix Netlist::assemble(double frequency_hz) const {
     bump(st.out_n, st.in_n, v);
   }
 
-  for (const TwoPortStamp& tp : twoports_) {
+  if (blocks != nullptr) blocks->resize(twoports_.size());
+  for (std::size_t ti = 0; ti < twoports_.size(); ++ti) {
+    const TwoPortStamp& tp = twoports_[ti];
     const rf::YParams yp = tp.y(frequency_hz);
+    if (blocks != nullptr) (*blocks)[ti] = yp;
     // Indefinite 3x3 expansion of the grounded-common 2x2 block: rows and
     // columns sum to zero.
     const Complex y11 = yp.y11, y12 = yp.y12, y21 = yp.y21, y22 = yp.y22;

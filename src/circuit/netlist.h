@@ -75,15 +75,49 @@ struct ElementRef {
   std::size_t noise_group = kNoNoiseGroup;
 };
 
+/// Lane-major rows of a k x k noise CSD (k = order): entry (i, j) of
+/// lane l is re[(i * order + j) * stride + l] + j im[(i * order + j) *
+/// stride + l], i.e. k^2 row pairs.  The noise lane kernels write these
+/// rows directly; a one-lane call (CsdLane) reads its matrix back.
+struct CsdRows {
+  double* re = nullptr;
+  double* im = nullptr;
+  std::size_t stride = 0;
+  std::size_t order = 0;
+
+  /// Entry e = i * order + j of lane l.
+  void store(std::size_t e, std::size_t l, double r, double i) const {
+    re[e * stride + l] = r;
+    im[e * stride + l] = i;
+  }
+  Complex at(std::size_t i, std::size_t j, std::size_t l) const {
+    const std::size_t e = (i * order + j) * stride + l;
+    return {re[e], im[e]};
+  }
+  /// The rows of lanes [offset, ...): the same stride, shifted origin.
+  CsdRows from(std::size_t offset) const {
+    return {re + offset, im + offset, stride, order};
+  }
+};
+
+/// One lane of CSD rows of order <= 2 in local storage, for the one-lane
+/// calls of the noise lane kernels (the netlist closures).
+struct CsdLane {
+  double re[4];
+  double im[4];
+  CsdRows rows(std::size_t order) { return {re, im, 1, order}; }
+  numeric::ComplexMatrix matrix(std::size_t order) const;
+};
+
 /// Lane kernel of add_lossy_impedance's tabulation (its admittance and
-/// noise closures are one-lane calls): y[k] = 1 / z[k] at every lane of
-/// (z_re, z_im), and for the first `noise_lanes` lanes the thermal CSD
-/// 4kT max(0, Re y[k]) into csd[k] (csd may be null when noise_lanes is
-/// 0).  Throws std::domain_error, before writing anything, when a lane is
-/// a near-short (|z| < 1e-12).
+/// noise closures are one-lane calls): y = 1 / z at every lane of
+/// (z_re, z_im) into the row pair (y_re, y_im), and for the first
+/// `noise_lanes` lanes the 1 x 1 thermal CSD 4kT max(0, Re y) + j 0 into
+/// `csd` (unused when noise_lanes is 0).  Throws std::domain_error, before
+/// writing anything, when a lane is a near-short (|z| < 1e-12).
 void lossy_admittance_lanes(std::span<const double> z_re, const double* z_im,
-                            Complex* y, double temperature_k, Complex* csd,
-                            std::size_t noise_lanes);
+                            double* y_re, double* y_im, double temperature_k,
+                            const CsdRows& csd, std::size_t noise_lanes);
 
 class Netlist {
  public:
@@ -157,6 +191,14 @@ class Netlist {
   /// Assembles the (node_count-1)^2 complex admittance matrix at frequency
   /// f, ground eliminated, WITHOUT port terminations.
   numeric::ComplexMatrix assemble(double frequency_hz) const;
+
+  /// Like assemble(), also storing every two-port stamp's Y-block at f
+  /// (the values the assembly added) into `*blocks`, resized to
+  /// twoport_count(), when `blocks` is not null: the per-call noise
+  /// analysis computes its passive two-ports' Twiss CSDs from them instead
+  /// of evaluating each Y-block again.
+  numeric::ComplexMatrix assemble(double frequency_hz,
+                                  std::vector<rf::YParams>* blocks) const;
 
   /// Like assemble(), plus 1/z0 termination stamped at every port node.
   numeric::ComplexMatrix assemble_terminated(double frequency_hz) const;

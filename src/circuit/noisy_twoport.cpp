@@ -11,9 +11,12 @@ namespace {
 
 GNSSLNA_LANE_CLONES
 void noise_correlation_lanes(const rf::YTermRows y, const rf::NoiseRows np,
-                             std::size_t lanes, Complex* csd) {
+                             std::size_t lanes, const CsdRows csd) {
   const double scale = 4.0 * rf::kBoltzmann * rf::kT0;
   const std::size_t g = y.stride;
+  // The CSD rows never overlap the input rows (every caller's tables are
+  // distinct), which the vectorizer cannot prove for eight output rows.
+#pragma GCC ivdep
   for (std::size_t k = 0; k < lanes; ++k) {
     // Y_opt = 1 / z_from_gamma(gamma_opt, z0), with z_from_gamma's
     // z0 (1 + gamma) / (1 - gamma).
@@ -69,17 +72,16 @@ void noise_correlation_lanes(const rf::YTermRows y, const rf::NoiseRows np,
       r[4 * i + 2] = numeric::lane_select(use_p, br, 0.0);
       r[4 * i + 3] = numeric::lane_select(use_p, bi, 0.0);
     }
-    csd[4 * k + 0] = Complex{r[0], r[1]};
-    csd[4 * k + 1] = Complex{r[2], r[3]};
-    csd[4 * k + 2] = Complex{r[4], r[5]};
-    csd[4 * k + 3] = Complex{r[6], r[7]};
+    for (std::size_t e = 0; e < 4; ++e) {
+      csd.store(e, k, r[2 * e], r[2 * e + 1]);
+    }
   }
 }
 
 }  // namespace
 
 void noise_correlation_y_lanes(const rf::YTermRows& y, const rf::NoiseRows& np,
-                               std::size_t lanes, Complex* csd) {
+                               std::size_t lanes, const CsdRows& csd) {
   for (std::size_t k = 0; k < lanes; ++k) {
     if (np.f_min[k] < 1.0 || np.r_n[k] <= 0.0) {
       throw std::invalid_argument("noise_correlation_y: invalid noise params");
@@ -99,22 +101,20 @@ numeric::ComplexMatrix noise_correlation_y(const rf::YParams& y,
   lane.rows().store(0, y);
   double f_min = np.f_min, r_n = np.r_n;
   double gamma_re = np.gamma_opt.real(), gamma_im = np.gamma_opt.imag();
-  Complex cy[4];
-  noise_correlation_y_lanes(
-      lane.rows(), {&f_min, &r_n, &gamma_re, &gamma_im, np.z0}, 1, cy);
-  numeric::ComplexMatrix m(2, 2);
-  m(0, 0) = cy[0];
-  m(0, 1) = cy[1];
-  m(1, 0) = cy[2];
-  m(1, 1) = cy[3];
-  return m;
+  CsdLane cy;
+  noise_correlation_y_lanes(lane.rows(),
+                            {&f_min, &r_n, &gamma_re, &gamma_im, np.z0}, 1,
+                            cy.rows(2));
+  return cy.matrix(2);
 }
 
 GNSSLNA_LANE_CLONES
 void passive_twoport_csd_lanes(const rf::YTermRows& y, std::size_t lanes,
-                               double temperature_k, Complex* csd) {
+                               double temperature_k, const CsdRows& csd) {
   const double s = 2.0 * rf::kBoltzmann * temperature_k;
   const std::size_t g = y.stride;
+  // As in noise_correlation_lanes: the CSD rows never overlap the Y rows.
+#pragma GCC ivdep
   for (std::size_t k = 0; k < lanes; ++k) {
     const double r11 = y.re[0 * g + k], i11 = y.im[0 * g + k];
     const double r12 = y.re[1 * g + k], i12 = y.im[1 * g + k];
@@ -124,10 +124,10 @@ void passive_twoport_csd_lanes(const rf::YTermRows& y, std::size_t lanes,
     // real s; then the diagonal's negative real round-off is clamped.
     const double d00 = (r11 + r11) * s;
     const double d11 = (r22 + r22) * s;
-    csd[4 * k + 0] = Complex{d00 < 0.0 ? 0.0 : d00, (i11 - i11) * s};
-    csd[4 * k + 1] = Complex{(r12 + r21) * s, (i12 - i21) * s};
-    csd[4 * k + 2] = Complex{(r21 + r12) * s, (i21 - i12) * s};
-    csd[4 * k + 3] = Complex{d11 < 0.0 ? 0.0 : d11, (i22 - i22) * s};
+    csd.store(0, k, d00 < 0.0 ? 0.0 : d00, (i11 - i11) * s);
+    csd.store(1, k, (r12 + r21) * s, (i12 - i21) * s);
+    csd.store(2, k, (r21 + r12) * s, (i21 - i12) * s);
+    csd.store(3, k, d11 < 0.0 ? 0.0 : d11, (i22 - i22) * s);
   }
 }
 
@@ -152,17 +152,16 @@ ElementRef add_noisy_three_terminal(Netlist& netlist, NodeId t1, NodeId t2,
 std::function<numeric::ComplexMatrix(double)> passive_twoport_csd(
     YBlockFn y, double temperature_k) {
   return [y = std::move(y), temperature_k](double f) {
-    rf::YTermLane lane;
-    lane.rows().store(0, y(f));
-    Complex cy[4];
-    passive_twoport_csd_lanes(lane.rows(), 1, temperature_k, cy);
-    numeric::ComplexMatrix m(2, 2);
-    m(0, 0) = cy[0];
-    m(0, 1) = cy[1];
-    m(1, 0) = cy[2];
-    m(1, 1) = cy[3];
-    return m;
+    return twiss_csd(y(f), temperature_k);
   };
+}
+
+numeric::ComplexMatrix twiss_csd(const rf::YParams& y, double temperature_k) {
+  rf::YTermLane lane;
+  lane.rows().store(0, y);
+  CsdLane cy;
+  passive_twoport_csd_lanes(lane.rows(), 1, temperature_k, cy.rows(2));
+  return cy.matrix(2);
 }
 
 ElementRef add_passive_twoport(Netlist& netlist, NodeId t1, NodeId t2,

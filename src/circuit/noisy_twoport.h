@@ -30,15 +30,16 @@ using NoiseParamsFn = std::function<rf::NoiseParams(double)>;
 numeric::ComplexMatrix noise_correlation_y(const rf::YParams& y,
                                            const rf::NoiseParams& np);
 
-/// Lane kernel of noise_correlation_y: the row-major 2x2 CY of each of the
-/// first `lanes` lanes of the term rows `y` and noise rows `np` into
-/// csd[4k .. 4k + 3].  Per lane it replays the scalar route term by term
+/// Lane kernel of noise_correlation_y: the 2x2 CY of each of the first
+/// `lanes` lanes of the term rows `y` and noise rows `np` into the order-2
+/// CSD rows `csd`.  Per lane it replays the scalar route term by term
 /// (Gamma_opt -> Z_opt -> Y_opt through rf::z_from_gamma's operations,
 /// then T CA T^H as Matrix::operator* forms it, including its skip of
-/// exactly-zero left factors).  Throws as noise_correlation_y does
-/// (invalid noise parameters, |Gamma_opt| = 1), before writing anything.
+/// exactly-zero left factors).  The CSD rows must not overlap the input
+/// rows.  Throws as noise_correlation_y does (invalid noise parameters,
+/// |Gamma_opt| = 1), before writing anything.
 void noise_correlation_y_lanes(const rf::YTermRows& y, const rf::NoiseRows& np,
-                               std::size_t lanes, Complex* csd);
+                               std::size_t lanes, const CsdRows& csd);
 
 /// Stamps a three-terminal noisy two-port: the Y-block (common-terminal
 /// grounded convention) plus its correlated noise current pair.  Returns
@@ -59,15 +60,21 @@ ElementRef add_passive_twoport(Netlist& netlist, NodeId t1, NodeId t2,
                                std::string label = {});
 
 /// Builds the Twiss thermal CSD function, CY(f) = 2 k T (Y(f) + Y(f)^H)
-/// with tiny negative diagonal round-off clamped (one-sided convention).
+/// with tiny negative diagonal round-off clamped (one-sided convention):
+/// twiss_csd of y(f).
 std::function<numeric::ComplexMatrix(double)> passive_twoport_csd(
     YBlockFn y, double temperature_k);
 
+/// The Twiss CSD of one Y-block at temperature_k: the one-lane call of
+/// passive_twoport_csd_lanes.  The per-call noise analysis applies it to
+/// the Y-block its assembly evaluated.
+numeric::ComplexMatrix twiss_csd(const rf::YParams& y, double temperature_k);
+
 /// Lane kernel of the passive_twoport_csd closure (which is its one-lane
-/// call): the row-major 2x2 Twiss CSD 2kT (Y + Y^H) of each of the first
-/// `lanes` lanes of the term rows `y` into csd[4k .. 4k + 3], with tiny
-/// negative diagonal round-off clamped.
+/// call): the 2x2 Twiss CSD 2kT (Y + Y^H) of each of the first `lanes`
+/// lanes of the term rows `y` into the order-2 CSD rows `csd` (which must
+/// not overlap them), with tiny negative diagonal round-off clamped.
 void passive_twoport_csd_lanes(const rf::YTermRows& y, std::size_t lanes,
-                               double temperature_k, Complex* csd);
+                               double temperature_k, const CsdRows& csd);
 
 }  // namespace gnsslna::circuit

@@ -31,13 +31,13 @@ class Arena {
   Arena(Arena&&) = default;
   Arena& operator=(Arena&&) = default;
 
-  /// Returns `bytes` of storage aligned to `align` (a power of two).
-  /// Allocates a new block only when no committed block can satisfy the
-  /// request — i.e. only during warm-up.
+  /// Returns `bytes` of storage aligned to `align` (a power of two no
+  /// larger than kLineBytes).  Allocates a new block only when no
+  /// committed block can satisfy the request — i.e. only during warm-up.
   void* allocate(std::size_t bytes, std::size_t align) {
     while (block_ < blocks_.size()) {
       const std::uintptr_t base =
-          reinterpret_cast<std::uintptr_t>(blocks_[block_].data.get());
+          reinterpret_cast<std::uintptr_t>(blocks_[block_].base);
       const std::uintptr_t aligned = (base + offset_ + (align - 1)) & ~(align - 1);
       const std::size_t start = static_cast<std::size_t>(aligned - base);
       if (start + bytes <= blocks_[block_].size) {
@@ -54,15 +54,24 @@ class Arena {
     const std::size_t grown = blocks_.empty() ? kInitialBlockBytes
                                               : 2 * blocks_.back().size;
     const std::size_t size = grown > bytes + align ? grown : bytes + align;
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(size), size});
+    Block block{std::make_unique<std::byte[]>(size + kLineBytes), nullptr,
+                size};
+    const std::uintptr_t raw =
+        reinterpret_cast<std::uintptr_t>(block.data.get());
+    block.base = block.data.get() + (kLineBytes - raw % kLineBytes) % kLineBytes;
+    blocks_.push_back(std::move(block));
     return allocate(bytes, align);
   }
 
   /// Typed array carve; elements are NOT constructed (intended for
   /// trivially-constructible scalars: double, std::size_t, complex pairs).
+  /// Every array starts on a 64-byte line, so the batched kernels' lane
+  /// rows (16 lanes are two lines) start on line boundaries wherever the
+  /// heap put the block, and the footprint does not depend on it.
   template <typename T>
   T* alloc_array(std::size_t count) {
-    return static_cast<T*>(allocate(count * sizeof(T), alignof(T)));
+    static_assert(alignof(T) <= kLineBytes);
+    return static_cast<T*>(allocate(count * sizeof(T), kLineBytes));
   }
 
   /// Rewinds the cursor; committed blocks are retained for reuse.
@@ -86,9 +95,13 @@ class Arena {
 
  private:
   static constexpr std::size_t kInitialBlockBytes = 16 * 1024;
+  static constexpr std::size_t kLineBytes = 64;
 
+  // `base` is the first line boundary of `data`, which holds size + one
+  // line of padding.
   struct Block {
     std::unique_ptr<std::byte[]> data;
+    std::byte* base = nullptr;
     std::size_t size = 0;
   };
 

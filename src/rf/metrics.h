@@ -16,6 +16,14 @@ double mu_source(const SParams& s);
 /// Edwards-Sinsky stability measure mu' (load side).
 double mu_load(const SParams& s);
 
+/// mu_source and mu_load of lanes [0, lanes) of `s` into mu_src[k] and
+/// mu_ld[k]: per lane the operations of the two scalar functions, in
+/// their order, in one vectorized pass; a lane where one of their
+/// magnitudes' |z|^2 falls outside norm_is_accurate takes the scalar
+/// functions.  Bit-identical to calling them lane by lane.
+void mu_lanes(const SRows& s, std::size_t lanes, double* mu_src,
+              double* mu_ld);
+
 /// Output reflection coefficient seen with source reflection gamma_s.
 Complex gamma_out(const SParams& s, Complex gamma_s);
 

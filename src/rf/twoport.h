@@ -120,6 +120,24 @@ struct YTermLane {
   YTermRows rows() { return {re, im, 1}; }
 };
 
+/// Lane-major S-parameters: s11, s12, s21 and s22 (rows 0 to 3) of lane k
+/// are re[t * stride + k] + j im[t * stride + k].
+struct SRows {
+  static constexpr std::size_t kS11 = 0, kS12 = 1, kS21 = 2, kS22 = 3;
+
+  double* re = nullptr;
+  double* im = nullptr;
+  std::size_t stride = 0;
+
+  Complex at(std::size_t t, std::size_t k) const {
+    return {re[t * stride + k], im[t * stride + k]};
+  }
+  /// The rows of lanes [offset, ...): the same stride, shifted origin.
+  SRows from(std::size_t offset) const {
+    return {re + offset, im + offset, stride};
+  }
+};
+
 /// Impedance parameters (V = Z I).
 struct ZParams {
   double frequency_hz = 0.0;

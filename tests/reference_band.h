@@ -19,10 +19,12 @@
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "amplifier/lna.h"
 #include "circuit/analysis.h"
+#include "circuit/batched.h"
 #include "circuit/netlist.h"
 #include "rf/metrics.h"
 #include "rf/units.h"
@@ -100,6 +102,64 @@ inline circuit::Netlist collapsing_pivot_netlist(double resonance_hz) {
   nl.add_port(b);
   nl.add_port(c);
   return nl;
+}
+
+/// The noise sweep of one lane replayed with std::complex arithmetic, as
+/// circuit::noise_analysis computes it, from what the plan holds (each
+/// noise group's injections and CSD entries) and the workspace's output
+/// transfer solution: h_j = w[from] - w[to] per injection, the quadratic
+/// form h^H C h per group, then the source termination's PSD.
+/// BatchedPlan::noise_sweep runs the compiled noise program over lanes
+/// and must equal this replay bit for bit.  Throws std::logic_error for a
+/// lane the transfer solve for `output_port` did not cover.
+inline circuit::NoiseResult noise_at(const circuit::BatchedPlan& plan,
+                                     const circuit::EvalWorkspace& ws,
+                                     std::size_t fi, std::size_t input_port,
+                                     std::size_t output_port,
+                                     double t_source_k = rf::kT0) {
+  using circuit::Complex;
+  using circuit::kGround;
+  using circuit::NodeId;
+  if (ws.transfer_port() != output_port) {
+    throw std::logic_error("reference::noise_at: lane not solved");
+  }
+  const auto transfer = [&](NodeId from, NodeId to) -> Complex {
+    const Complex vf =
+        from == kGround ? Complex{0.0, 0.0} : ws.transfer(from - 1, fi);
+    const Complex vt = to == kGround ? Complex{0.0, 0.0} : ws.transfer(to - 1, fi);
+    return vf - vt;
+  };
+  double psd_network = 0.0;
+  for (std::size_t gi = 0; gi < plan.noise_group_count(); ++gi) {
+    const auto& injections = plan.noise_injections(gi);
+    const std::size_t k = injections.size();
+    std::vector<Complex> h(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      h[j] = transfer(injections[j].first, injections[j].second);
+    }
+    Complex acc{0.0, 0.0};
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        acc += h[i] * plan.noise_csd(gi, i, j, fi) * std::conj(h[j]);
+      }
+    }
+    psd_network += acc.real();
+  }
+  const circuit::Port& in = plan.ports().at(input_port);
+  const Complex y_source{1.0 / in.z0, 0.0};
+  const Complex h_src = transfer(in.node, kGround);
+  const double psd_source = 4.0 * rf::kBoltzmann * t_source_k *
+                            std::max(y_source.real(), 0.0) *
+                            std::norm(h_src);
+  if (psd_source <= 0.0) {
+    throw std::domain_error("reference::noise_at: no source noise");
+  }
+  circuit::NoiseResult r;
+  r.source_noise_psd = psd_source;
+  r.output_noise_psd = psd_source + psd_network;
+  r.noise_factor = r.output_noise_psd / r.source_noise_psd;
+  r.noise_figure_db = rf::db_from_ratio(r.noise_factor);
+  return r;
 }
 
 inline amplifier::BandReport reference_band_report(

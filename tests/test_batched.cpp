@@ -11,10 +11,13 @@
 // values across toolchains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <iterator>
+#include <limits>
 #include <numbers>
 #include <optional>
 #include <random>
@@ -24,15 +27,19 @@
 
 #include "amplifier/lna.h"
 #include "amplifier/plan_writers.h"
+#include "amplifier/yield.h"
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
 #include "circuit/netlist.h"
 #include "circuit/noisy_twoport.h"
 #include "device/phemt.h"
 #include "microstrip/substrate.h"
+#include "mission/objective.h"
+#include "mission/scenario.h"
 #include "numeric/rng.h"
 #include "obs/obs.h"
 #include "reference_band.h"
+#include "rf/metrics.h"
 #include "rf/sweep.h"
 #include "rf/units.h"
 
@@ -156,8 +163,8 @@ struct LaneResult {
 };
 
 /// Every lane of `grid` through the batched plan split into `nchunks`
-/// contiguous workspace chunks; also checks noise_sweep against
-/// lane-by-lane noise_at, bit for bit.
+/// contiguous workspace chunks; also checks noise_sweep against the
+/// lane-by-lane replay reference::noise_at, bit for bit.
 std::vector<LaneResult> run_chunked(const BatchedPlan& plan,
                                     std::size_t nchunks) {
   const std::size_t nf = plan.size();
@@ -172,8 +179,8 @@ std::vector<LaneResult> run_chunked(const BatchedPlan& plan,
     std::vector<NoiseResult> sweep(r.end - r.begin);
     plan.noise_sweep(ws, 0, 1, sweep.data());
     for (std::size_t fi = r.begin; fi < r.end; ++fi) {
-      out[fi] = {plan.s_params_at(ws, fi), plan.noise_at(ws, fi, 0, 1),
-                 ws.repivoted(fi)};
+      out[fi] = {plan.s_params_at(ws, fi),
+                 reference::noise_at(plan, ws, fi, 0, 1), ws.repivoted(fi)};
       expect_bitwise_eq(sweep[fi - r.begin], out[fi].noise);
     }
   }
@@ -321,8 +328,8 @@ TEST(BatchedPlan, MatchesOracleOnPivotDivergentDesigns) {
       SCOPED_TRACE("reused workspace, lane " + std::to_string(fi));
       expect_bitwise_eq(plan.s_params_at(reused, fi),
                         plan.s_params_at(fresh, fi));
-      expect_bitwise_eq(plan.noise_at(reused, fi, 0, 1),
-                        plan.noise_at(fresh, fi, 0, 1));
+      expect_bitwise_eq(reference::noise_at(plan, reused, fi, 0, 1),
+                        reference::noise_at(plan, fresh, fi, 0, 1));
     }
   });
   EXPECT_EQ(repivoted, 0u);
@@ -387,6 +394,107 @@ TEST(BatchedPlan, CollapsedPivotLaneTakesTheDensePath) {
   obs::set_enabled(was_enabled);
   if (obs::compiled_in()) {
     EXPECT_EQ(repivots() - before, 3u);
+  }
+}
+
+/// Bit equality, with any two NaNs equal (a NaN's payload is not a result).
+bool same_value_bits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(BatchedPlan, HealthCheckOnSpecialLanesKeepsTheRepivotedSet) {
+  // One extra admittance in the fig. 3 netlist whose value is special on
+  // most of the 16 plan lanes: NaN in either part, +-inf, -0, subnormal,
+  // tiny and huge values, and parts whose one-norm overflows.  Placed on
+  // a diagonal, between two nodes and as a VCCS (and as the VCCS of a
+  // two-node stage), it gives each case the set of dense-path lanes
+  // pinned below (recorded with the column-maxima rule
+  // (m > c || isnan(m)) ? m : c); every dense-path lane's
+  // S-parameters equal the oracle's bit for bit (NaN results compare as
+  // NaN).  An infinite shunt at the gate cuts the signal path, so the
+  // noise analysis of such a lane throws on both paths and is not run.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> grid = lna_grid();
+  const std::vector<Complex> special = {
+      {1e-3, 2e-3}, {nan, 1e-3}, {1e-3, nan}, {inf, 0.0},
+      {-inf, 1e-3}, {-0.0, -0.0}, {sub, -sub}, {1e300, -1e300},
+      {1.5e308, 1.5e308}, {1e-300, 0.0}, {0.0, inf}, {-1e-3, 0.0},
+      {2e-2, -3e-2}, {nan, nan}, {-0.0, 1e-3}, {1e154, 1e154}};
+  ASSERT_EQ(special.size(), grid.size());
+  const auto value = [grid, special](double f) {
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      if (grid[k] == f) return special[k];
+    }
+    return Complex{0.0, 0.0};
+  };
+  const device::Phemt dev = device::Phemt::reference_device();
+  const amplifier::LnaDesign lna(dev, amplifier::AmplifierConfig{},
+                                 amplifier::DesignVector{});
+  struct Case {
+    const char* where;
+    std::uint32_t pinned;  // bit k: lane k takes the dense path
+  };
+  // The fourth case is a two-node VCCS stage whose only off-diagonal
+  // entry (output row, input column) lies in a column whose pivot row has
+  // nothing right of the diagonal: the elimination never reads it, so
+  // only its column's maximum can flag a NaN there.
+  const Case cases[] = {{"diagonal (gate to ground)", 0x251eu},
+                        {"between gate and drain", 0x251eu},
+                        {"VCCS drain <- gate", 0xa59eu},
+                        {"VCCS stage, entry below an empty U row", 0x2006u}};
+  for (int c = 0; c < 4; ++c) {
+    SCOPED_TRACE(cases[c].where);
+    Netlist nl;
+    if (c < 3) {
+      nl = lna.build_netlist();
+      const NodeId gate = nl.find_node("gate");
+      const NodeId drain = nl.find_node("drain");
+      if (c == 0) {
+        nl.add_admittance(gate, kGround, value);
+      } else if (c == 1) {
+        nl.add_admittance(gate, drain, value);
+      } else {
+        nl.add_vccs(drain, kGround, gate, kGround, value);
+      }
+    } else {
+      // Without the infinite and huge lanes, which make this stage's
+      // matrix singular for the oracle's pivoting as well.
+      const auto bounded = [value](double f) {
+        const Complex v = value(f);
+        return std::abs(v.real()) >= 1e100 || std::abs(v.imag()) >= 1e100
+                   ? Complex{1e-3, 2e-3}
+                   : v;
+      };
+      const NodeId in = nl.add_node();
+      const NodeId out = nl.add_node();
+      nl.add_resistor(in, kGround, 100.0);
+      nl.add_resistor(out, kGround, 100.0);
+      nl.add_vccs(out, kGround, in, kGround, bounded);
+      nl.add_port(in);
+      nl.add_port(out);
+    }
+    const BatchedPlan plan(nl, grid);
+    EvalWorkspace ws;
+    plan.factor(ws, 0, grid.size());
+    plan.solve_ports(ws);
+    std::uint32_t mask = 0;
+    for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+      if (!ws.repivoted(fi)) continue;
+      mask |= std::uint32_t{1} << fi;
+      SCOPED_TRACE("dense lane " + std::to_string(fi));
+      const rf::SParams got = plan.s_params_at(ws, fi);
+      const rf::SParams want = s_params(nl, grid[fi]);
+      for (const auto& [g, w] :
+           {std::pair{got.s11, want.s11}, std::pair{got.s12, want.s12},
+            std::pair{got.s21, want.s21}, std::pair{got.s22, want.s22}}) {
+        EXPECT_TRUE(same_value_bits(g.real(), w.real()) &&
+                    same_value_bits(g.imag(), w.imag()));
+      }
+    }
+    EXPECT_EQ(mask, cases[c].pinned) << std::hex << mask;
   }
 }
 
@@ -493,12 +601,12 @@ TEST(BatchedPlan, TransferSubRangeMatchesFullRange) {
   plan.noise_sweep(sub, 0, 1, ns.data());
   for (std::size_t fi = 0; fi < band; ++fi) {
     SCOPED_TRACE("band lane " + std::to_string(fi));
-    expect_bitwise_eq(plan.noise_at(sub, fi, 0, 1),
-                      plan.noise_at(full, fi, 0, 1));
+    expect_bitwise_eq(reference::noise_at(plan, sub, fi, 0, 1),
+                      reference::noise_at(plan, full, fi, 0, 1));
     expect_bitwise_eq(ns[fi], nf[fi]);  // ...agrees on the shared prefix
   }
   // Lanes outside the solved transfer range refuse to answer.
-  EXPECT_THROW(plan.noise_at(sub, band, 0, 1), std::logic_error);
+  EXPECT_THROW(reference::noise_at(plan, sub, band, 0, 1), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -894,12 +1002,12 @@ TEST(BatchedPlan, PassiveTwoPortCsdEqualsItsClosureBitForBit) {
       if (g.passive_twoport == static_cast<std::size_t>(-1)) continue;
       ++compared;
       const BatchedPlan::NoiseView nv = plan.noise_view(gi);
-      ASSERT_EQ(nv.order, 2u);
+      ASSERT_EQ(nv.csd.order, 2u);
       for (std::size_t fi = 0; fi < grid.size(); ++fi) {
         const numeric::ComplexMatrix m = g.csd(grid[fi]);
         for (std::size_t e = 0; e < 4; ++e) {
           const Complex want = m(e / 2, e % 2);
-          const Complex got = nv.csd[4 * fi + e];
+          const Complex got = nv.csd.at(e / 2, e % 2, fi);
           EXPECT_TRUE(std::bit_cast<std::uint64_t>(got.real()) ==
                           std::bit_cast<std::uint64_t>(want.real()) &&
                       std::bit_cast<std::uint64_t>(got.imag()) ==
@@ -930,6 +1038,191 @@ TEST(BatchedPlan, SweepsMatchPerCallAnalyses) {
                   reference::kOracleTolerance);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The lane reduction: S-parameter sweep and mu lanes
+
+TEST(BatchedPlan, LaneSAndMuEqualTheScalarForms) {
+  // The S-parameter lane pass over sub-ranges of the fig. 3 grid equals
+  // s_params_at lane by lane, and the mu lane kernel equals rf::mu_source
+  // and rf::mu_load bit for bit on those lanes and on special S lanes:
+  // zero blocks (the denominator guard), NaN and infinite parts, and
+  // magnitudes whose |z|^2 overflows or falls subnormal (outside
+  // norm_is_accurate), at two lane offsets and across the kernel's
+  // 64-lane blocks.
+  const std::vector<double> grid = lna_grid();
+  const device::Phemt dev = device::Phemt::reference_device();
+  std::vector<rf::SParams> lanes;
+  for (const double vgs : {-0.45, -0.3}) {
+    amplifier::DesignVector d;
+    d.vgs = vgs;
+    const BatchedPlan plan(
+        amplifier::LnaDesign(dev, amplifier::AmplifierConfig{}, d)
+            .build_netlist(),
+        grid);
+    EvalWorkspace ws;
+    plan.factor(ws, 0, grid.size());
+    plan.solve_ports(ws);
+    for (const auto& [b, e] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, grid.size()}, {3, 11}, {7, 8}}) {
+      std::vector<double> re(4 * (e - b)), im(re.size());
+      const rf::SRows rows{re.data(), im.data(), e - b};
+      plan.s_params_sweep(ws, b, e, rows);
+      for (std::size_t fi = b; fi < e; ++fi) {
+        const rf::SParams one = plan.s_params_at(ws, fi);
+        const Complex got[4] = {rows.at(0, fi - b), rows.at(1, fi - b),
+                                rows.at(2, fi - b), rows.at(3, fi - b)};
+        const Complex want[4] = {one.s11, one.s12, one.s21, one.s22};
+        for (int t = 0; t < 4; ++t) {
+          EXPECT_TRUE(same_value_bits(got[t].real(), want[t].real()) &&
+                      same_value_bits(got[t].imag(), want[t].imag()))
+              << "lane " << fi << " of [" << b << ", " << e << ") term " << t;
+        }
+      }
+    }
+    EXPECT_THROW(plan.s_params_sweep(ws, 0, grid.size() + 1,
+                                     {nullptr, nullptr, 0}),
+                 std::logic_error);
+    for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+      lanes.push_back(plan.s_params_at(ws, fi));
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Complex specials[] = {{0.0, 0.0},    {-0.0, 0.0}, {nan, 0.3},
+                              {0.2, inf},    {1e160, -2e159}, {1e-160, 3e-161},
+                              {0.5, -0.25},  {1.0, 0.0},  {-1e154, 1e154}};
+  std::mt19937 rng(5u);
+  for (std::size_t k = 0; lanes.size() < 150; ++k) {
+    rf::SParams s = lanes[k % 32];
+    Complex* const entries[4] = {&s.s11, &s.s12, &s.s21, &s.s22};
+    *entries[rng() % 4] = specials[rng() % std::size(specials)];
+    if (k % 5 == 0) *entries[rng() % 4] = specials[rng() % std::size(specials)];
+    if (k % 17 == 0) s.s11 = s.s12 = s.s21 = s.s22 = Complex{0.0, 0.0};
+    lanes.push_back(s);
+  }
+  std::vector<double> re(4 * lanes.size()), im(re.size());
+  const rf::SRows rows{re.data(), im.data(), lanes.size()};
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    const Complex s[4] = {lanes[k].s11, lanes[k].s12, lanes[k].s21,
+                          lanes[k].s22};
+    for (std::size_t t = 0; t < 4; ++t) {
+      re[t * lanes.size() + k] = s[t].real();
+      im[t * lanes.size() + k] = s[t].imag();
+    }
+  }
+  int outside = 0;
+  for (const std::size_t offset : {0u, 5u}) {
+    const std::size_t n = lanes.size() - offset;
+    std::vector<double> mu_src(n), mu_ld(n);
+    rf::mu_lanes(rows.from(offset), n, mu_src.data(), mu_ld.data());
+    for (std::size_t k = 0; k < n; ++k) {
+      const rf::SParams& s = lanes[offset + k];
+      EXPECT_TRUE(same_value_bits(mu_src[k], rf::mu_source(s)) &&
+                  same_value_bits(mu_ld[k], rf::mu_load(s)))
+          << "lane " << offset + k << " at offset " << offset;
+      const Complex delta = s.s11 * s.s22 - s.s12 * s.s21;
+      outside += !rf::norm_is_accurate(std::norm(s.s12 * s.s21)) ||
+                 !rf::norm_is_accurate(
+                     std::norm(s.s22 - std::conj(s.s11) * delta));
+    }
+  }
+  EXPECT_GT(outside, 20);
+}
+
+// ---------------------------------------------------------------------------
+// Digest pin of every report byte
+
+/// FNV-1a over the bytes of every report: what the band pass produces on
+/// the pinned corpora, down to the last bit of every field.
+struct ReportDigest {
+  std::uint64_t h = 1469598103934665603ull;
+  void add_bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  }
+  void add(const amplifier::BandReport& r) {
+    for (const double v : {r.nf_avg_db, r.nf_max_db, r.gt_min_db, r.gt_avg_db,
+                           r.s11_worst_db, r.s22_worst_db, r.mu_min, r.id_a}) {
+      add_bytes(&v, sizeof v);
+    }
+  }
+  void add_marker(unsigned char m) { add_bytes(&m, 1); }
+};
+
+TEST(BatchedPlan, BandReportBytesArePinned) {
+  // Three corpora through BandEvaluator: the 64-design DE-step ring of
+  // BM_BandEvaluationDeStep (infeasible draws hashed as a marker), 64
+  // pseudo yield draws (design and board), and the ring again on an
+  // evaluator whose plan holds the scenario catalog's sub-band grids,
+  // every grid's report.  The digests hold the reports of the per-entry
+  // band pass the lane programs replaced; any moved bit of any report
+  // field fails here.
+  const device::Phemt dev = device::Phemt::reference_device();
+  amplifier::AmplifierConfig config;
+  const optimize::Bounds box = amplifier::DesignVector::bounds();
+  std::vector<amplifier::DesignVector> ring;
+  ReportDigest de;
+  {
+    amplifier::BandEvaluator evaluator(dev, config);
+    numeric::Rng rng(20261017u);
+    while (ring.size() < 64) {
+      std::vector<double> x = amplifier::DesignVector{}.to_vector();
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] += 0.02 * (box.upper[i] - box.lower[i]) * rng.normal();
+      }
+      const amplifier::DesignVector d =
+          amplifier::DesignVector::from_vector(box.clamp(x));
+      try {
+        de.add(evaluator.evaluate(d));
+        ring.push_back(d);
+      } catch (const std::exception&) {
+        de.add_marker(1);
+      }
+    }
+  }
+  ReportDigest yield;
+  {
+    amplifier::AmplifierConfig resolved = config;
+    resolved.resolve();
+    amplifier::BandEvaluator evaluator(dev, resolved);
+    const numeric::Rng root(12345);
+    for (std::uint64_t trial = 0; trial < 64; ++trial) {
+      const amplifier::TrialDraw draw = amplifier::pseudo_trial_draw(
+          root, trial, amplifier::DesignVector{}, resolved.substrate, {});
+      try {
+        yield.add(evaluator.evaluate(draw.design, draw.substrate));
+      } catch (const std::exception&) {
+        yield.add_marker(1);
+      }
+    }
+  }
+  ReportDigest scenario;
+  {
+    std::vector<std::vector<double>> sub_grids;
+    for (const mission::Scenario& s : mission::scenario_catalog()) {
+      for (const mission::WalkerShell& shell : s.shells) {
+        const std::vector<double> g = mission::sub_band_grid(shell.carrier_hz);
+        if (std::find(sub_grids.begin(), sub_grids.end(), g) ==
+            sub_grids.end()) {
+          sub_grids.push_back(g);
+        }
+      }
+    }
+    ASSERT_GT(sub_grids.size(), 1u);
+    amplifier::BandEvaluator evaluator(dev, config, {}, sub_grids);
+    for (const amplifier::DesignVector& d : ring) {
+      (void)evaluator.evaluate(d);
+      for (const amplifier::BandReport& r : evaluator.reports()) scenario.add(r);
+    }
+  }
+  EXPECT_EQ(de.h, 0x49a91a1001b0874eu) << std::hex << de.h;
+  EXPECT_EQ(yield.h, 0xb78b18684ae17376u) << std::hex << yield.h;
+  EXPECT_EQ(scenario.h, 0xbd774022bfcafa84u) << std::hex << scenario.h;
 }
 
 // ---------------------------------------------------------------------------

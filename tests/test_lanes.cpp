@@ -501,6 +501,19 @@ struct TermStore {
   std::size_t lanes;
 };
 
+/// Order x order CSD rows of `lanes` lanes in owned storage.
+struct CsdStore {
+  CsdStore(std::size_t order, std::size_t lanes)
+      : re(order * order * lanes), im(re.size()), order(order), lanes(lanes) {}
+  circuit::CsdRows rows() { return {re.data(), im.data(), lanes, order}; }
+  /// Entry e = i * order + j of lane k.
+  Complex at(std::size_t e, std::size_t k) const {
+    return {re[e * lanes + k], im[e * lanes + k]};
+  }
+  std::vector<double> re, im;
+  std::size_t order, lanes;
+};
+
 void expect_same_terms(const rf::YTermRows& a, std::size_t ka,
                        const rf::YTermRows& b, std::size_t kb,
                        const std::string& where) {
@@ -579,16 +592,17 @@ TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
                               {prop.beta_rad_m.data() + off, kLanes},
                               {prop.z0_ohm.data() + off, kLanes}, length,
                               line.rows());
-    std::vector<Complex> twiss(4 * kLanes);
+    CsdStore twiss(2, kLanes);
     circuit::passive_twoport_csd_lanes(line.rows(), kLanes, 296.0,
-                                       twiss.data());
+                                       twiss.rows());
 
     std::vector<double> zr(kLanes), zi(kLanes), lr(kLanes), li(kLanes);
     cap.impedance(f, zr.data(), zi.data());
     ind.impedance(f, lr.data(), li.data());
-    std::vector<Complex> y(kLanes), psd(kLanes);
-    circuit::lossy_admittance_lanes(lr, li.data(), y.data(), 296.0,
-                                    psd.data(), kLanes);
+    std::vector<double> yr(kLanes), yi(kLanes);
+    CsdStore psd(1, kLanes);
+    circuit::lossy_admittance_lanes(lr, li.data(), yr.data(), yi.data(),
+                                    296.0, psd.rows(), kLanes);
 
     TermStore fet(kLanes);
     device::fet_y(ip, ex, f, fet.rows());
@@ -596,8 +610,8 @@ TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
     const rf::NoiseRows noise{fmin.data(), rn.data(), gr.data(), gi.data(),
                               rf::kZ0};
     device::pospieszalski_noise(ip, ex, nt, f, noise);
-    std::vector<Complex> cy(4 * kLanes);
-    circuit::noise_correlation_y_lanes(fet.rows(), noise, kLanes, cy.data());
+    CsdStore cy(2, kLanes);
+    circuit::noise_correlation_y_lanes(fet.rows(), noise, kLanes, cy.rows());
 
     for (std::size_t k = 0; k < kLanes; ++k) {
       const std::size_t lane = off + k;
@@ -616,9 +630,9 @@ TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
           [&](double) { return microstrip::Line::y_from(p, length); },
           296.0)(fk);
       for (std::size_t e = 0; e < 4; ++e) {
-        EXPECT_TRUE(same_bits(twiss[4 * k + e].real(),
+        EXPECT_TRUE(same_bits(twiss.at(e, k).real(),
                               twiss_one(e / 2, e % 2).real()) &&
-                    same_bits(twiss[4 * k + e].imag(),
+                    same_bits(twiss.at(e, k).imag(),
                               twiss_one(e / 2, e % 2).imag()))
             << "Twiss CSD " << where;
       }
@@ -628,13 +642,14 @@ TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
           << "capacitor " << where;
       EXPECT_TRUE(same_bits(lr[k], zl.real()) && same_bits(li[k], zl.imag()))
           << "inductor " << where;
-      Complex y1, psd1;
+      double y1r, y1i;
+      circuit::CsdLane psd1;
       const double zl_re = zl.real(), zl_im = zl.imag();
-      circuit::lossy_admittance_lanes({&zl_re, 1}, &zl_im, &y1, 296.0, &psd1,
-                                      1);
-      EXPECT_TRUE(same_bits(y[k].real(), y1.real()) &&
-                  same_bits(y[k].imag(), y1.imag()) &&
-                  same_bits(psd[k].real(), psd1.real()))
+      circuit::lossy_admittance_lanes({&zl_re, 1}, &zl_im, &y1r, &y1i, 296.0,
+                                      psd1.rows(1), 1);
+      EXPECT_TRUE(same_bits(yr[k], y1r) && same_bits(yi[k], y1i) &&
+                  same_bits(psd.at(0, k).real(), psd1.re[0]) &&
+                  same_bits(psd.at(0, k).imag(), psd1.im[0]))
           << "lossy admittance " << where;
 
       rf::YTermLane fet_one;
@@ -648,9 +663,9 @@ TEST(LaneKernels, OneLaneAndSixteenLanesGiveTheSameBitsAtAnyOffset) {
       const numeric::ComplexMatrix cy_one =
           circuit::noise_correlation_y(device::fet_y(ip, ex, fk), np);
       for (std::size_t e = 0; e < 4; ++e) {
-        EXPECT_TRUE(same_bits(cy[4 * k + e].real(),
+        EXPECT_TRUE(same_bits(cy.at(e, k).real(),
                               cy_one(e / 2, e % 2).real()) &&
-                    same_bits(cy[4 * k + e].imag(),
+                    same_bits(cy.at(e, k).imag(),
                               cy_one(e / 2, e % 2).imag()))
             << "noise correlation " << where;
       }
@@ -805,37 +820,39 @@ TEST(LaneKernels, HexPinsOfThePassiveAndPhemtKernels) {
   const std::size_t n = grid.size();
 
   Digest passive;
-  std::vector<double> zr(n), zi(n);
-  std::vector<Complex> y(n), psd(n);
+  std::vector<double> zr(n), zi(n), yr(n), yi(n);
+  CsdStore psd(1, n);
   for (const double c : {0.5e-12, 2.2e-12, 33e-12, 100e-9}) {
     passives::make_capacitor(c, passives::Package::k0402,
                              c > 1e-9 ? passives::CapDielectric::kX7R
                                       : passives::CapDielectric::kC0G)
         .impedance(grid, zr.data(), zi.data());
-    circuit::lossy_admittance_lanes(zr, zi.data(), y.data(), 296.15,
-                                    psd.data(), n);
+    circuit::lossy_admittance_lanes(zr, zi.data(), yr.data(), yi.data(),
+                                    296.15, psd.rows(), n);
     for (std::size_t k = 0; k < n; ++k) {
       passive.add(zr[k]);
       passive.add(zi[k]);
-      passive.add(y[k]);
-      passive.add(psd[k]);
+      passive.add(yr[k]);
+      passive.add(yi[k]);
+      passive.add(psd.at(0, k));
     }
   }
-  expect_pin(y[3].real(), 0x1.291fc2153f194p-8, "100 nF X7R lane 3 Re y");
+  expect_pin(yr[3], 0x1.291fc2153f194p-8, "100 nF X7R lane 3 Re y");
   for (const double l : {1.5e-9, 8.2e-9, 47e-9}) {
     passives::make_inductor(l, passives::Package::k0603)
         .impedance(grid, zr.data(), zi.data());
-    circuit::lossy_admittance_lanes(zr, zi.data(), y.data(), 296.15,
-                                    psd.data(), n);
+    circuit::lossy_admittance_lanes(zr, zi.data(), yr.data(), yi.data(),
+                                    296.15, psd.rows(), n);
     for (std::size_t k = 0; k < n; ++k) {
       passive.add(zr[k]);
       passive.add(zi[k]);
-      passive.add(y[k]);
-      passive.add(psd[k]);
+      passive.add(yr[k]);
+      passive.add(yi[k]);
+      passive.add(psd.at(0, k));
     }
   }
   expect_pin(zr[9], 0x1.074e379fd0ee7p+4, "47 nH lane 9 Re z");
-  expect_pin(psd[12].real(), 0x1.2120da5c116afp-83, "47 nH lane 12 thermal CSD");
+  expect_pin(psd.at(0, 12).real(), 0x1.2120da5c116afp-83, "47 nH lane 12 thermal CSD");
   EXPECT_EQ(passive.h, 0x3c633a073de4c507u) << std::hex << passive.h;
 
   const device::Phemt dev = device::Phemt::reference_device();
@@ -844,7 +861,7 @@ TEST(LaneKernels, HexPinsOfThePassiveAndPhemtKernels) {
   std::vector<double> fmin(n), rn(n), gr(n), gi(n);
   const rf::NoiseRows noise{fmin.data(), rn.data(), gr.data(), gi.data(),
                             rf::kZ0};
-  std::vector<Complex> cy(4 * n);
+  CsdStore cy(2, n);
   for (const device::Bias bias : {device::Bias{-0.45, 2.0},
                                   device::Bias{-0.3, 2.7},
                                   device::Bias{-0.22, 3.4}}) {
@@ -852,7 +869,7 @@ TEST(LaneKernels, HexPinsOfThePassiveAndPhemtKernels) {
     device::fet_y(ip, dev.extrinsics(), grid, fet.rows());
     device::pospieszalski_noise(ip, dev.extrinsics(), dev.temperatures(), grid,
                                 noise);
-    circuit::noise_correlation_y_lanes(fet.rows(), noise, n, cy.data());
+    circuit::noise_correlation_y_lanes(fet.rows(), noise, n, cy.rows());
     for (std::size_t k = 0; k < n; ++k) {
       const rf::YParams yk = fet.rows().y(k, grid[k]);
       phemt.add(yk.y11);
@@ -863,7 +880,7 @@ TEST(LaneKernels, HexPinsOfThePassiveAndPhemtKernels) {
       phemt.add(rn[k]);
       phemt.add(gr[k]);
       phemt.add(gi[k]);
-      for (std::size_t e = 0; e < 4; ++e) phemt.add(cy[4 * k + e]);
+      for (std::size_t e = 0; e < 4; ++e) phemt.add(cy.at(e, k));
       const rf::SParams s =
           device::fet_s_params(ip, dev.extrinsics(), grid[k]);
       phemt.add(s.s11);
@@ -876,7 +893,7 @@ TEST(LaneKernels, HexPinsOfThePassiveAndPhemtKernels) {
   expect_pin(y5.y21.real(), 0x1.ebb3158751f39p-4, "pHEMT (-0.22 V, 3.4 V) lane 5 Re y21");
   expect_pin(y5.y12.imag(), -0x1.f1dd3c4c0f519p-13, "pHEMT lane 5 Im y12");
   expect_pin(gi[5], 0x1.29a55a564809ap-3, "pHEMT lane 5 Im gamma_opt");
-  expect_pin(cy[4 * 5 + 1].imag(), 0x1.8dd739d4430a5p-75, "pHEMT lane 5 Im CY12");
+  expect_pin(cy.at(1, 5).imag(), 0x1.8dd739d4430a5p-75, "pHEMT lane 5 Im CY12");
   EXPECT_EQ(phemt.h, 0xa4a688a23a5e1754u) << std::hex << phemt.h;
 }
 
