@@ -13,11 +13,18 @@
 //   --perf-smoke <baseline.json>
 //                   skip google-benchmark entirely: time the band-
 //                   evaluation kernel directly and exit non-zero when its
-//                   time relative to both host-speed references (the FET
-//                   kernel and the batched solve) is more than 25% above
-//                   the committed rows' ratios.
+//                   time relative to the two host-speed references (the
+//                   FET kernel and the batched solve) is on average more
+//                   than 15% above the committed gate rows (perf_smoke.*,
+//                   recorded by the same estimator), or when the gate
+//                   cannot detect its positive control (the band pass
+//                   repeated on every third call).
 //                   Setting GNSSLNA_SKIP_PERF_SMOKE skips the check (for
 //                   sanitizer builds, loaded CI hosts, foreign machines).
+//   --perf-smoke --record <out.json>
+//                   run the gate's estimator once and write its ratios as
+//                   the perf_smoke.* rows (the ratio in ns_per_op); the
+//                   committed rows are the median of five recordings.
 #define GNSSLNA_BENCH_COUNT_ALLOCS
 #include "bench_util.h"
 
@@ -332,7 +339,14 @@ struct BandAndYieldTimes {
   double yield_allocs_per_op = 0.0;
   double fet_ratio = 0.0;      ///< median per-alternation band/FET ratio
   double batched_ratio = 0.0;  ///< median per-alternation band/solve ratio
+  /// The positive control's band/FET and band/solve ratios (medians).
+  double control_fet_ratio = 0.0;
+  double control_batched_ratio = 0.0;
+  double control_ratio = 0.0;  ///< median per-alternation control/band
 };
+
+/// Alternations of the gate's estimator (each ratio is their median).
+constexpr int kGateAlternations = 21;
 
 /// The median of `v` (odd size).
 template <std::size_t N>
@@ -341,12 +355,15 @@ double median_of(std::array<double, N> v) {
   return v[N / 2];
 }
 
-/// The four kernels' batches alternate, and each ratio gate reads the
-/// median over 15 alternations of one batch over the batch beside it: a
-/// change of host speed moves both terms of one ratio alike, and the
-/// median ignores the few ratios a speed change straddles, where a ratio
-/// of two minima (or of batches timed seconds apart) swings with
-/// whichever kernel caught the fastest stretch.
+/// The five batches (the four kernels and the positive control) alternate,
+/// and each ratio gate reads the median over 21 alternations of one batch
+/// over the batch beside it: a change of host speed moves both terms of
+/// one ratio alike, and the median ignores the few ratios a speed change
+/// straddles, where a ratio of two minima (or of batches timed seconds
+/// apart) swings with whichever kernel caught the fastest stretch.  The
+/// control is the band kernel with one more band pass on every third call
+/// (+33% band work): a regression the gate must catch, timed through the
+/// same estimator in the same process.
 BandAndYieldTimes time_band_and_yield() {
   const device::Phemt dev = device::Phemt::reference_device();
   amplifier::AmplifierConfig config;
@@ -402,12 +419,23 @@ BandAndYieldTimes time_band_and_yield() {
     plan.solve_output_transfer(ws, 1);
   };
 
-  constexpr int kAlternations = 15, kMinBatches = 5;
-  constexpr int kBandIters = 400, kYieldIters = 300;
-  constexpr int kFetIters = 4000, kSolveIters = 150;
+  int control_calls = 0;
+  const auto control_call = [&] {
+    step_design(d);
+    (void)evaluator.evaluate(d);
+    if (++control_calls % 3 == 0) {
+      step_design(d);
+      (void)evaluator.evaluate(d);
+    }
+  };
+
+  constexpr int kAlternations = kGateAlternations, kMinBatches = 5;
+  constexpr int kBandIters = 900, kYieldIters = 600;
+  constexpr int kFetIters = 10000, kSolveIters = 600;
   BandAndYieldTimes t;
   std::array<double, kAlternations> yield_ratios{}, fet_ratios{},
-      batched_ratios{};
+      batched_ratios{}, control_fet_ratios{}, control_batched_ratios{},
+      control_ratios{};
   std::uint64_t band_allocs = 0, yield_allocs = 0;
   for (int a = 0; a < kAlternations; ++a) {
     const double band_ns = batch_ns(kBandIters, [&] {
@@ -417,9 +445,13 @@ BandAndYieldTimes time_band_and_yield() {
     const double yield_ns = batch_ns(kYieldIters, next_trial, &yield_allocs);
     const double fet_ns = batch_ns(kFetIters, fet_call);
     const double solve_ns = batch_ns(kSolveIters, solve_call);
+    const double control_ns = batch_ns(kBandIters, control_call);
     yield_ratios[a] = yield_ns / band_ns;
     fet_ratios[a] = band_ns / fet_ns;
     batched_ratios[a] = band_ns / solve_ns;
+    control_fet_ratios[a] = control_ns / fet_ns;
+    control_batched_ratios[a] = control_ns / solve_ns;
+    control_ratios[a] = control_ns / band_ns;
     if (a < kMinBatches) {
       t.band_ns = std::min(t.band_ns, band_ns);
       t.yield_ns = std::min(t.yield_ns, yield_ns);
@@ -430,6 +462,9 @@ BandAndYieldTimes time_band_and_yield() {
   t.yield_ratio = median_of(yield_ratios);
   t.fet_ratio = median_of(fet_ratios);
   t.batched_ratio = median_of(batched_ratios);
+  t.control_fet_ratio = median_of(control_fet_ratios);
+  t.control_batched_ratio = median_of(control_batched_ratios);
+  t.control_ratio = median_of(control_ratios);
   t.band_allocs_per_op =
       static_cast<double>(band_allocs) / (kAlternations * kBandIters);
   t.yield_allocs_per_op =
@@ -476,115 +511,136 @@ void print_band_counter_deltas() {
   }
 }
 
+// The gate's reference rows: its own estimator's medians, recorded with
+// --perf-smoke --record (the committed rows are the median of five
+// recordings), so the gate compares like with like.
+constexpr const char* kFetRow = "perf_smoke.band_over_fet";
+constexpr const char* kSolveRow = "perf_smoke.band_over_solve";
+constexpr const char* kYieldRow = "perf_smoke.yield_over_band";
+// The band gate's limit on the mean of its two ratios, each over its
+// recorded row: over 30 quiet and loaded runs the unmodified build read
+// 0.93-1.06 and the +33% positive control 1.23-1.41, while either ratio
+// alone drifted from its row by up to -12% / +5%.
+constexpr double kBandLimit = 1.15;
+// The yield gate's limit on its ratio over the recorded row.
+constexpr double kYieldLimit = 1.25;
+
+int record_gate_rows(const std::string& out_path) {
+  const BandAndYieldTimes t = time_band_and_yield();
+  std::printf("[perf_smoke] record: band/FET %.3fx, band/solve %.4fx, "
+              "yield/band %.4fx; control/band %.3fx\n",
+              t.fet_ratio, t.batched_ratio, t.yield_ratio, t.control_ratio);
+  bench::JsonRecorder recorder(out_path);
+  recorder.add(kFetRow, kGateAlternations, t.fet_ratio);
+  recorder.add(kSolveRow, kGateAlternations, t.batched_ratio);
+  recorder.add(kYieldRow, kGateAlternations, t.yield_ratio);
+  return recorder.write() ? 0 : 1;
+}
+
 int perf_smoke(const std::string& baseline_path) {
   if (std::getenv("GNSSLNA_SKIP_PERF_SMOKE") != nullptr) {
     std::printf("[perf_smoke] skipped (GNSSLNA_SKIP_PERF_SMOKE set)\n");
     return 0;
   }
   const auto entries = bench::load_bench_json(baseline_path);
-  const double baseline_ns =
-      bench::bench_json_ns(entries, "BM_BandEvaluation");
-  const double baseline_ref_ns =
-      bench::bench_json_ns(entries, "BM_FetSParams");
-  if (baseline_ns <= 0.0 || baseline_ref_ns <= 0.0) {
+  const double ref_fet = bench::bench_json_ns(entries, kFetRow);
+  const double ref_solve = bench::bench_json_ns(entries, kSolveRow);
+  const double ref_yield = bench::bench_json_ns(entries, kYieldRow);
+  if (ref_fet <= 0.0 || ref_solve <= 0.0 || ref_yield <= 0.0) {
     std::fprintf(stderr,
-                 "[perf_smoke] missing BM_BandEvaluation/BM_FetSParams "
-                 "entries in %s\n",
-                 baseline_path.c_str());
+                 "[perf_smoke] missing %s/%s/%s rows in %s (record them "
+                 "with --perf-smoke --record)\n",
+                 kFetRow, kSolveRow, kYieldRow, baseline_path.c_str());
     return 1;
   }
-  const double baseline_allocs = bench::bench_json_ns(
-      bench::load_bench_json_field(baseline_path, "allocs_per_op"),
-      "BM_BandEvaluation");
-  const BandAndYieldTimes band_and_yield = time_band_and_yield();
-  const double now_allocs = band_and_yield.band_allocs_per_op;
-  const double now_ns = band_and_yield.band_ns;
+  const auto allocs = bench::load_bench_json_field(baseline_path,
+                                                   "allocs_per_op");
+  const double baseline_allocs =
+      bench::bench_json_ns(allocs, "BM_BandEvaluation");
+  const double baseline_yield_allocs =
+      bench::bench_json_ns(allocs, "BM_YieldSampleMc");
+  const BandAndYieldTimes t = time_band_and_yield();
   // The band gate compares the band kernel against two in-process
   // references — the analytic FET kernel (untouched by the evaluation
   // plan) and the raw batched solve (the core the band path rides on),
   // each as the median of per-alternation ratios — so a uniformly slower
   // (or faster) host cancels out; only a regression of the band kernel
-  // itself moves both ratios, and it fails when both exceed 1.25x their
-  // committed ratios.  The absolute time is printed for context only: it
-  // carries the host speed of the session that recorded the rows.
-  const double ratio = band_and_yield.fet_ratio;
-  const double ratio_limit = 1.25 * baseline_ns / baseline_ref_ns;
-  const double baseline_batched_ns =
-      bench::bench_json_ns(entries, "BM_BatchedSolve");
-  const double batched_ratio = band_and_yield.batched_ratio;
-  const double batched_ratio_limit =
-      baseline_batched_ns > 0.0 ? 1.25 * baseline_ns / baseline_batched_ns
-                                : 1e300;
-  std::printf("[perf_smoke] band evaluation: %.0f ns/op (committed row "
-              "%.0f, not gated)\n",
-              now_ns, baseline_ns);
+  // itself moves both ratios.  It fails when the mean of the two ratios,
+  // each over its recorded row, exceeds kBandLimit.  The positive control
+  // must fail that same test, or the gate cannot see a regression of its
+  // size on this run.  The absolute time is printed for context only.
+  const auto band_score = [&](double fet_ratio, double batched_ratio) {
+    return 0.5 * (fet_ratio / ref_fet + batched_ratio / ref_solve);
+  };
+  const double score = band_score(t.fet_ratio, t.batched_ratio);
+  const double control_score =
+      band_score(t.control_fet_ratio, t.control_batched_ratio);
+  std::printf("[perf_smoke] band evaluation: %.0f ns/op (BM_BandEvaluation "
+              "row %.0f, not gated)\n",
+              t.band_ns, bench::bench_json_ns(entries, "BM_BandEvaluation"));
   std::printf("[perf_smoke] band evaluation vs FET reference kernel (median "
-              "of 15 alternations): %.0fx (limit %.0fx); vs batched-solve "
-              "kernel (median of 15): %.1fx (limit %.1fx)\n",
-              ratio, ratio_limit, batched_ratio, batched_ratio_limit);
-  const bool time_regressed =
-      ratio > ratio_limit && batched_ratio > batched_ratio_limit;
-  // Yield-engine per-sample gate: the cost of one yield trial is pinned
-  // as a RATIO to the band-evaluation kernel measured in the same
-  // process, as the median of per-alternation ratios, so host speed
-  // cancels; the baseline ratio comes from the committed BM_YieldSampleMc
-  // / BM_BandEvaluation entries.  Skipped (with a note) against baselines
-  // that predate the yield engine.
-  bool yield_regressed = false;
-  const double baseline_yield_ns =
-      bench::bench_json_ns(entries, "BM_YieldSampleMc");
-  if (baseline_yield_ns > 0.0) {
-    const double yield_allocs = band_and_yield.yield_allocs_per_op;
-    const double yield_ns = band_and_yield.yield_ns;
-    const double yield_ratio = band_and_yield.yield_ratio;
-    const double yield_ratio_limit = 1.25 * baseline_yield_ns / baseline_ns;
-    const double baseline_yield_allocs = bench::bench_json_ns(
-        bench::load_bench_json_field(baseline_path, "allocs_per_op"),
-        "BM_YieldSampleMc");
-    std::printf("[perf_smoke] yield sample: %.0f ns/op; vs band evaluation "
-                "(median of 15 alternations): %.2fx (limit %.2fx); "
-                "steady-state allocs/op %.3f "
-                "(baseline %.3f)\n",
-                yield_ns, yield_ratio, yield_ratio_limit, yield_allocs,
-                baseline_yield_allocs);
-    yield_regressed = yield_ratio > yield_ratio_limit ||
-                      (baseline_yield_allocs >= 0.0 &&
-                       yield_allocs > baseline_yield_allocs);
+              "of 21 alternations): %.1fx (row %.1fx); vs batched-solve "
+              "kernel: %.3fx (row %.3fx); mean over the rows %.3f (limit "
+              "%.2f)\n",
+              t.fet_ratio, ref_fet, t.batched_ratio, ref_solve, score,
+              kBandLimit);
+  const bool time_regressed = score > kBandLimit;
+  const bool control_detected = control_score > kBandLimit;
+  std::printf("[perf_smoke] positive control (band pass repeated on every "
+              "third call, %.2fx the band kernel): vs FET %.1fx, vs "
+              "batched solve %.3fx, mean over the rows %.3f -> %s\n",
+              t.control_ratio, t.control_fet_ratio, t.control_batched_ratio,
+              control_score, control_detected ? "detected" : "NOT detected");
+  // Yield-engine per-sample gate: the cost of one yield trial as a ratio
+  // to the band-evaluation kernel measured in the same process, against
+  // its recorded ratio, plus its steady-state allocations.
+  const double yield_limit = kYieldLimit * ref_yield;
+  std::printf("[perf_smoke] yield sample: %.0f ns/op; vs band evaluation "
+              "(median of 21 alternations): %.3fx (limit %.3fx); "
+              "steady-state allocs/op %.3f (baseline %.3f)\n",
+              t.yield_ns, t.yield_ratio, yield_limit, t.yield_allocs_per_op,
+              baseline_yield_allocs);
+  const bool yield_regressed =
+      t.yield_ratio > yield_limit ||
+      (baseline_yield_allocs >= 0.0 &&
+       t.yield_allocs_per_op > baseline_yield_allocs);
+  // Steady-state allocation regression: the batched path promises exactly
+  // zero; any nonzero count against a zero baseline is a hard failure
+  // regardless of timing noise.
+  const bool allocs_regressed =
+      baseline_allocs >= 0.0 && t.band_allocs_per_op > baseline_allocs;
+  if (time_regressed || !control_detected || allocs_regressed ||
+      yield_regressed) {
+    if (time_regressed) {
+      std::fprintf(stderr,
+                   "[perf_smoke] FAIL: band-evaluation kernel regressed "
+                   ">15%% vs its recorded ratios (mean of the two "
+                   "host-normalized references)\n");
+    }
+    if (!control_detected) {
+      std::fprintf(stderr,
+                   "[perf_smoke] FAIL: the gate cannot detect its positive "
+                   "control (the band pass repeated on every third call) "
+                   "on this run, so it could not detect a regression of "
+                   "that size either\n");
+    }
     if (yield_regressed) {
       std::fprintf(stderr,
                    "[perf_smoke] FAIL: yield-engine per-sample cost "
                    "regressed vs the band-evaluation kernel (or its "
                    "steady-state allocations grew)\n");
     }
-  } else {
-    std::printf(
-        "[perf_smoke] (no BM_YieldSampleMc baseline; yield gate skipped)\n");
-  }
-  // Steady-state allocation regression: the batched path promises exactly
-  // zero; any nonzero count against a zero baseline is a hard failure
-  // regardless of timing noise.
-  const bool allocs_regressed =
-      baseline_allocs >= 0.0 && now_allocs > baseline_allocs;
-  if (time_regressed || allocs_regressed || yield_regressed) {
-    if (time_regressed) {
-      std::fprintf(stderr,
-                   "[perf_smoke] FAIL: band-evaluation kernel regressed "
-                   ">25%% vs committed baseline (both host-normalized "
-                   "references)\n");
-    }
     if (allocs_regressed) {
       std::fprintf(stderr,
                    "[perf_smoke] FAIL: steady-state heap allocations "
                    "regressed: %.3f allocs/op vs baseline %.3f\n",
-                   now_allocs, baseline_allocs);
+                   t.band_allocs_per_op, baseline_allocs);
     }
-    std::fprintf(stderr,
-                 "[perf_smoke] allocs_per_op: now %.3f, baseline %.3f\n",
-                 now_allocs, baseline_allocs);
     print_band_counter_deltas();
     return 1;
   }
-  std::printf("[perf_smoke] OK (steady-state allocs/op: %.3f)\n", now_allocs);
+  std::printf("[perf_smoke] OK (steady-state allocs/op: %.3f)\n",
+              t.band_allocs_per_op);
   return 0;
 }
 
@@ -593,11 +649,13 @@ int perf_smoke(const std::string& baseline_path) {
 int main(int argc, char** argv) {
   // Pull out our own flags before google-benchmark sees the command line.
   std::vector<char*> args;
-  std::string json_path, smoke_baseline;
+  std::string json_path, smoke_baseline, record_path;
   bool smoke = false;
   for (int i = 0; i < argc; ++i) {
     if (i + 1 < argc && std::strcmp(argv[i], "--json") == 0) {
       json_path = argv[++i];
+    } else if (i + 1 < argc && std::strcmp(argv[i], "--record") == 0) {
+      record_path = argv[++i];
     } else if (std::strcmp(argv[i], "--perf-smoke") == 0) {
       smoke = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') smoke_baseline = argv[++i];
@@ -605,6 +663,7 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
+  if (smoke && !record_path.empty()) return record_gate_rows(record_path);
   if (smoke) {
     return perf_smoke(smoke_baseline.empty() ? "BENCH_kernels.json"
                                              : smoke_baseline);

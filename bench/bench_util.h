@@ -144,10 +144,11 @@ class JsonRecorder {
       const BenchRecord& r = records_[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"iterations\": %llu, "
-                   "\"ns_per_op\": %.1f, \"bytes_per_op\": %.1f, "
+                   "\"ns_per_op\": %.*f, \"bytes_per_op\": %.1f, "
                    "\"allocs_per_op\": %.2f, \"peak_rss_kb\": %.0f}%s\n",
                    r.name.c_str(),
-                   static_cast<unsigned long long>(r.iterations), r.ns_per_op,
+                   static_cast<unsigned long long>(r.iterations),
+                   r.ns_per_op < 100.0 ? 4 : 1, r.ns_per_op,
                    r.bytes_per_op, r.allocs_per_op, r.peak_rss_kb,
                    i + 1 < records_.size() ? "," : "");
     }

@@ -49,6 +49,9 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
   }
   ports_ = netlist.ports();
   unknowns_ = netlist.node_count() - 1;
+  if (unknowns_ == 0) {
+    throw std::invalid_argument("BatchedPlan: netlist has no unknowns");
+  }
   const std::size_t n = unknowns_;
   const std::size_t G = grid_.size();
 
@@ -160,51 +163,100 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     }
   }
 
-  // The noise program.
+  // The noise program, in store rows; a group without injections adds
+  // nothing and is left out.
   max_injections_ = 1;
+  const auto store_row = [&](NodeId node) {
+    return node == kGround ? kGroundRow : row_of_[node - 1];
+  };
   for (const NoiseTable& t : noise_) {
+    if (t.order == 0) continue;
     max_injections_ = std::max(max_injections_, t.order);
     noise_order_.push_back(static_cast<std::uint32_t>(t.order));
     noise_csd_.push_back(t.rows);
     for (const auto& [from, to] : t.injections) {
-      noise_from_.push_back(from == kGround
-                                ? kGroundRow
-                                : static_cast<std::uint32_t>(from - 1));
-      noise_to_.push_back(to == kGround ? kGroundRow
-                                        : static_cast<std::uint32_t>(to - 1));
+      noise_from_.push_back(store_row(from));
+      noise_to_.push_back(store_row(to));
     }
   }
 }
 
 void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
   const std::size_t n = unknowns_;
-  // Symbolic elimination in diagonal order: step k fills (i, j) wherever
-  // (i, k) and (k, j) are filled below and right of the pivot.  Every
+  // The elimination order, by greedy minimum degree on the assembled
+  // pattern plus the diagonal: each step eliminates the remaining unknown
+  // v with the fewest remaining neighbours (an entry in its row or its
+  // column), the lowest unknown on a tie, and fills (i, j) wherever (i, v)
+  // and (v, j) are filled among the remaining unknowns i, j.  Every
   // diagonal position is in the store: one that is structurally zero is a
   // fill position no update reaches, so its pivot stays 0 and fails the
   // health check in every lane, which sends every lane to the dense path.
-  std::vector<bool> filled = assembled;
-  for (std::size_t k = 0; k < n; ++k) filled[k * n + k] = true;
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (!filled[i * n + k]) continue;
-      for (std::size_t j = k + 1; j < n; ++j) {
-        if (filled[k * n + j]) filled[i * n + j] = true;
+  //
+  // The pattern in node order as bitsets of W words per row and per
+  // column (bit j of row i and bit i of column j: entry (i, j) is filled).
+  const std::size_t W = (n + 63) / 64;
+  const auto bit = [](std::size_t j) { return std::uint64_t{1} << (j % 64); };
+  std::vector<std::uint64_t> row_bits(n * W, 0), col_bits(n * W, 0);
+  std::vector<std::uint64_t> alive(W, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j && !assembled[i * n + j]) continue;
+      row_bits[i * W + j / 64] |= bit(j);
+      col_bits[j * W + i / 64] |= bit(i);
+    }
+    alive[i / 64] |= bit(i);
+  }
+  std::vector<std::uint32_t> order;
+  order.reserve(n);
+  row_of_.assign(n, 0);
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t v = n, v_degree = n + 1;
+    for (std::size_t c = 0; c < n; ++c) {
+      if ((alive[c / 64] & bit(c)) == 0) continue;
+      std::size_t degree = 0;  // counts c itself: the diagonal is filled
+      for (std::size_t w = 0; w < W; ++w) {
+        degree += static_cast<std::size_t>(std::popcount(
+            (row_bits[c * W + w] | col_bits[c * W + w]) & alive[w]));
       }
+      if (degree < v_degree) {
+        v = c;
+        v_degree = degree;
+      }
+    }
+    alive[v / 64] &= ~bit(v);
+    row_of_[v] = static_cast<std::uint32_t>(step);
+    order.push_back(static_cast<std::uint32_t>(v));
+    // Fill: every remaining i of column v gets row v's remaining entries,
+    // and every remaining j of row v gets column v's remaining entries.
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint64_t live = alive[k / 64] & bit(k);
+      const bool in_col = (col_bits[v * W + k / 64] & live) != 0;
+      const bool in_row = (row_bits[v * W + k / 64] & live) != 0;
+      for (std::size_t w = 0; w < W; ++w) {
+        if (in_col) row_bits[k * W + w] |= row_bits[v * W + w] & alive[w];
+        if (in_row) col_bits[k * W + w] |= col_bits[v * W + w] & alive[w];
+      }
+    }
+  }
+  // The filled pattern in store order, its positions numbered row-major.
+  std::vector<bool> pattern(n * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      pattern[r * n + c] =
+          (row_bits[order[r] * W + order[c] / 64] & bit(order[c])) != 0;
     }
   }
   std::vector<std::uint32_t> pos(n * n, 0);
   positions_ = 0;
   for (std::size_t s = 0; s < n * n; ++s) {
-    if (filled[s]) pos[s] = static_cast<std::uint32_t>(positions_++);
+    if (pattern[s]) pos[s] = static_cast<std::uint32_t>(positions_++);
   }
   diag_.assign(n, 0);
   for (std::size_t k = 0; k < n; ++k) diag_[k] = pos[k * n + k];
 
   // Line i of a row list is row i (entries ordered by column); of a column
   // list, column i (ordered by row).  `keep` selects the entries.
-  const auto build = [&](LineLists& lists, const std::vector<bool>& pattern,
-                         bool by_row, auto keep) {
+  const auto build = [&](LineLists& lists, bool by_row, auto keep) {
     lists = {};
     lists.pos.reserve(positions_);
     lists.index.reserve(positions_);
@@ -224,10 +276,10 @@ void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
   };
   const auto lower = [](std::size_t r, std::size_t c) { return r > c; };
   const auto upper = [](std::size_t r, std::size_t c) { return r < c; };
-  build(lower_rows_, filled, true, lower);
-  build(upper_rows_, filled, true, upper);
-  build(lower_cols_, filled, false, lower);
-  build(upper_cols_, filled, false, upper);
+  build(lower_rows_, true, lower);
+  build(upper_rows_, true, upper);
+  build(lower_cols_, false, lower);
+  build(upper_cols_, false, upper);
 
   std::size_t update_count = 0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -250,23 +302,86 @@ void BatchedPlan::compile_program(const std::vector<bool>& assembled) {
   // The assembly program: a counting sort of the scatter list by position,
   // which keeps each position's contributions in scatter order; a fill-in
   // position gets one entry, the zero pair (code 0).
+  const auto scatter_pos = [&](const Scatter& sc) {
+    return pos[row_of_[sc.slot / n] * n + row_of_[sc.slot % n]];
+  };
   asm_start_.assign(positions_ + 1, 0);
-  for (const Scatter& sc : scatter_) ++asm_start_[pos[sc.slot] + 1];
+  for (const Scatter& sc : scatter_) ++asm_start_[scatter_pos(sc) + 1];
   for (std::size_t p = 0; p < positions_; ++p) {
     asm_start_[p + 1] = std::max(asm_start_[p + 1], std::uint32_t{1}) +
                         asm_start_[p];
   }
   asm_code_.assign(asm_start_[positions_], 0);
   std::vector<std::uint32_t> next(asm_start_.begin(), asm_start_.end() - 1);
-  for (const Scatter& sc : scatter_) asm_code_[next[pos[sc.slot]]++] = sc.code;
+  for (const Scatter& sc : scatter_) {
+    asm_code_[next[scatter_pos(sc)]++] = sc.code;
+  }
   asm_col_.clear();
   std::vector<bool> column_seen(n, false);
   for (std::size_t s = 0; s < n * n; ++s) {
-    if (!filled[s]) continue;
+    if (!pattern[s]) continue;
     const std::size_t col = s % n;
     asm_col_.push_back(static_cast<std::uint32_t>(col << 1) |
                        (column_seen[col] ? 0u : 1u));
     column_seen[col] = true;
+  }
+
+  // The solves' row lists: reach through L from each port source, need
+  // through U from the port rows, reach through U^T from each port row.
+  // A row outside a list holds a structural zero the solve never changes.
+  // `reach` follows a list whose line i holds the rows j < i that row i
+  // reads (L by rows, U by columns).
+  const auto reach = [&](const LineLists& lists, std::size_t from) {
+    std::vector<bool> reached(n, false);
+    reached[from] = true;
+    for (std::size_t i = from + 1; i < n; ++i) {
+      for (std::uint32_t e = lists.start[i];
+           e < lists.start[i + 1] && !reached[i]; ++e) {
+        reached[i] = reached[lists.index[e]];
+      }
+    }
+    return reached;
+  };
+  const auto port_row = [&](std::size_t p) {
+    return row_of_[ports_[p].node - 1];
+  };
+  forward_rows_.clear();
+  back_rows_.clear();
+  if (ports_.size() == 2) {
+    std::vector<std::uint32_t> sides(n, 0);
+    for (std::size_t side = 0; side < 2; ++side) {
+      const std::vector<bool> reached = reach(lower_rows_, port_row(side));
+      for (std::size_t i = port_row(side) + 1; i < n; ++i) {
+        if (reached[i]) sides[i] |= 1u << side;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (sides[i] != 0) {
+        forward_rows_.push_back(static_cast<std::uint32_t>(i << 2) | sides[i]);
+      }
+    }
+    std::vector<bool> needed(n, false);
+    needed[port_row(0)] = needed[port_row(1)] = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!needed[i]) continue;
+      for (std::uint32_t e = upper_rows_.start[i]; e < upper_rows_.start[i + 1];
+           ++e) {
+        needed[upper_rows_.index[e]] = true;
+      }
+    }
+    for (std::size_t i = n; i-- > 0;) {
+      if (needed[i]) back_rows_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  transfer_rows_.clear();
+  transfer_start_.assign(1, 0);
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    const std::vector<bool> reached = reach(upper_cols_, port_row(p));
+    for (std::size_t i = port_row(p); i < n; ++i) {
+      if (reached[i]) transfer_rows_.push_back(static_cast<std::uint32_t>(i));
+    }
+    transfer_start_.push_back(
+        static_cast<std::uint32_t>(transfer_rows_.size()));
   }
 }
 
@@ -514,7 +629,8 @@ inline __attribute__((always_inline)) void mul_lanes(
 // Step k: check pivot (k, k) and U row k (final once steps < k have run),
 // store the pivot reciprocal, scale L column k and apply the rank-1 update
 // of each L entry with U row k at the targets the plan listed.  `dense`
-// gets 1 in every lane that fails a check; NaN fails every comparison.
+// gets 1 in every lane that fails a check and 0 in the others (step 0's
+// pivot check writes every lane first); NaN fails every comparison.
 template <std::size_t LF>
 inline __attribute__((always_inline)) void factor_lanes_body(
     const std::size_t n, const std::size_t L_rt,
@@ -533,7 +649,7 @@ inline __attribute__((always_inline)) void factor_lanes_body(
     for (std::size_t l = 0; l < L; ++l) {
       const double m = std::abs(zr[l]) + std::abs(zi[l]);
       const bool ok = m > kPivotRatio * ck[l] && m <= kGrowthBound * ck[l];
-      dense[l] = ok ? dense[l] : 1.0;
+      dense[l] = ok ? (k == 0 ? 0.0 : dense[l]) : 1.0;
       const double d = zr[l] * zr[l] + zi[l] * zi[l];
       const double s = 1.0 / d;
       pr[l] = zr[l] * s;
@@ -612,7 +728,6 @@ void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
   ws.factored_ = false;
   ws.lu_lane_ = kNoLane;
   const std::size_t L = ws.lanes_;
-  std::fill_n(ws.dense_, L, 0.0);
   assemble_kernel(positions_, L, grid_.size(), asm_start_.data(),
                   asm_code_.data(), asm_col_.data(),
                   rows_.data() + ws.f_begin_, ws.v_re_, ws.v_im_, ws.colmax_);
@@ -633,9 +748,16 @@ void BatchedPlan::factor(EvalWorkspace& ws, std::size_t f_begin,
 }
 
 // ---------------------------------------------------------------------------
-// Batched substitutions through the static factors (no permutation)
+// Batched substitutions through the static factors, over the compiled row
+// lists
 
 namespace {
+
+// One compiled row list of a solve, for the kernels.
+struct RowList {
+  const std::uint32_t* row;
+  std::size_t count;
+};
 
 // Forward and back substitution for the two port right-hand sides
 // v0 * e_src0 and v1 * e_src1 (laid out [rhs * n + row], substituted in
@@ -644,23 +766,26 @@ namespace {
 // reduced is accumulated in block-sized locals (registers once the lane
 // loops unroll) instead of being re-loaded and re-stored through x on
 // every term: the compiler cannot prove x[i] and x[j] never alias, the
-// locals make it structural.  A side's forward pass leaves every row above
-// its source zero, so it starts below its source: rows between the two
-// sources carry the earlier side alone, later rows both, each factor row
-// streamed from cache once for both.  LF pins the stride and block width
-// at compile time for the band evaluator's 16-lane grid (0 = runtime L
-// and W); every instantiation performs the same per-lane operations in the
+// locals make it structural.  The forward pass visits only the rows a
+// source reaches through L (`forward`: row << 2 | sides), each for the
+// sides that reach it, a factor row streamed from cache once for both;
+// back substitution visits only the rows the port rows need through U
+// (`back`, descending).  Every other row keeps the structural zero (or
+// source value) written first.  LF pins the stride and block width at
+// compile time for the band evaluator's 16-lane grid (0 = runtime L and
+// W); every instantiation performs the same per-lane operations in the
 // same order.
 constexpr std::size_t kBlock = 16;
 
 template <std::size_t LF>
 inline __attribute__((always_inline)) void substitute_ports_block(
     const std::size_t n, const std::size_t L_rt, const std::size_t W_rt,
-    const Lines lrows, const Lines urows, std::size_t src0,
-    std::size_t src1, const double v0, const double v1,
-    const double* const vr, const double* const vi, const double* const dr,
-    const double* const di, double* xr0, double* xi0, double* xr1,
-    double* xi1) {
+    const Lines lrows, const Lines urows, const RowList forward,
+    const RowList back, const std::size_t src0, const std::size_t src1,
+    const double v0, const double v1, const double* const vr,
+    const double* const vi, const double* const dr, const double* const di,
+    double* const xr0, double* const xi0, double* const xr1,
+    double* const xi1) {
   const std::size_t L = LF != 0 ? LF : L_rt;
   const std::size_t W = LF != 0 ? LF : W_rt;
   for (std::size_t i = 0; i < n; ++i) {
@@ -671,18 +796,18 @@ inline __attribute__((always_inline)) void substitute_ports_block(
       xi1[i * L + l] = 0.0;
     }
   }
-  if (src1 < src0) {  // side 0 is the one whose forward pass starts first
-    std::swap(src0, src1);
-    std::swap(xr0, xr1);
-    std::swap(xi0, xi1);
-  }
   double ar0[kBlock], ai0[kBlock], ar1[kBlock], ai1[kBlock];
-  // Forward substitution with unit-lower L.
-  for (std::size_t i = src0 + 1; i < n; ++i) {
-    const bool both = i > src1;
+  // Forward substitution with unit-lower L: side a is side 0 unless only
+  // side 1 reaches the row; side b is side 1 where both do.
+  for (std::size_t f = 0; f < forward.count; ++f) {
+    const std::size_t i = forward.row[f] >> 2;
+    const std::uint32_t sides = forward.row[f] & 3u;
+    const bool both = sides == 3u;
+    double* const yr = sides == 2u ? xr1 : xr0;
+    double* const yi = sides == 2u ? xi1 : xi0;
     for (std::size_t l = 0; l < W; ++l) {
-      ar0[l] = xr0[i * L + l];
-      ai0[l] = xi0[i * L + l];
+      ar0[l] = yr[i * L + l];
+      ai0[l] = yi[i * L + l];
     }
     if (both) {
       for (std::size_t l = 0; l < W; ++l) {
@@ -693,14 +818,14 @@ inline __attribute__((always_inline)) void substitute_ports_block(
     for (std::uint32_t e = lrows.start[i]; e < lrows.start[i + 1]; ++e) {
       const std::size_t p = std::size_t{lrows.pos[e]} * L;
       const std::size_t j = std::size_t{lrows.index[e]} * L;
-      sub_mul_lanes<LF>(W, ar0, ai0, vr + p, vi + p, xr0 + j, xi0 + j);
+      sub_mul_lanes<LF>(W, ar0, ai0, vr + p, vi + p, yr + j, yi + j);
       if (both) {
         sub_mul_lanes<LF>(W, ar1, ai1, vr + p, vi + p, xr1 + j, xi1 + j);
       }
     }
     for (std::size_t l = 0; l < W; ++l) {
-      xr0[i * L + l] = ar0[l];
-      xi0[i * L + l] = ai0[l];
+      yr[i * L + l] = ar0[l];
+      yi[i * L + l] = ai0[l];
     }
     if (both) {
       for (std::size_t l = 0; l < W; ++l) {
@@ -711,7 +836,8 @@ inline __attribute__((always_inline)) void substitute_ports_block(
   }
   // Back substitution with U; the reciprocal-diagonal multiply is applied
   // to the accumulators before the single store.
-  for (std::size_t ii = n; ii-- > 0;) {
+  for (std::size_t b = 0; b < back.count; ++b) {
+    const std::size_t ii = back.row[b];
     for (std::size_t l = 0; l < W; ++l) {
       ar0[l] = xr0[ii * L + l];
       ai0[l] = xi0[ii * L + l];
@@ -740,6 +866,7 @@ inline __attribute__((always_inline)) void substitute_ports_block(
 GNSSLNA_LANE_CLONES
 void substitute_ports_kernel(const std::size_t n, const std::size_t L,
                              const Lines lrows, const Lines urows,
+                             const RowList forward, const RowList back,
                              const std::size_t src0, const std::size_t src1,
                              const double v0, const double v1,
                              const double* const vr, const double* const vi,
@@ -747,41 +874,47 @@ void substitute_ports_kernel(const std::size_t n, const std::size_t L,
                              double* const xr0, double* const xi0,
                              double* const xr1, double* const xi1) {
   if (L == kBlock) {
-    substitute_ports_block<kBlock>(n, L, L, lrows, urows, src0, src1, v0, v1,
-                                   vr, vi, dr, di, xr0, xi0, xr1, xi1);
+    substitute_ports_block<kBlock>(n, L, L, lrows, urows, forward, back, src0,
+                                   src1, v0, v1, vr, vi, dr, di, xr0, xi0,
+                                   xr1, xi1);
     return;
   }
   for (std::size_t b = 0; b < L; b += kBlock) {
     substitute_ports_block<0>(n, L, std::min(kBlock, L - b), lrows, urows,
-                              src0, src1, v0, v1, vr + b, vi + b, dr + b,
-                              di + b, xr0 + b, xi0 + b, xr1 + b, xi1 + b);
+                              forward, back, src0, src1, v0, v1, vr + b,
+                              vi + b, dr + b, di + b, xr0 + b, xi0 + b,
+                              xr1 + b, xi1 + b);
   }
 }
 
 // Transposed substitution for e_out, in place: U^T forward with the
-// reciprocals, then unit L^T back, over SL lanes of stride L whose
-// pointers are offset to the first solved lane.  U^T's forward pass leaves
-// every row above out_row zero, so it starts there.  LF/SLF pin the stride
-// and width at compile time for the band evaluator's shapes (the full
-// 16-lane range and the 7-lane in-band slice).  Block-sized accumulators,
-// as in the port solve, measured slower here.
+// reciprocals over the rows out_row reaches through U^T (`reach`,
+// ascending from out_row; every other row stays zero), then unit L^T back
+// over every row, over SL lanes of stride L whose pointers are offset to
+// the first solved lane.  LF/SLF pin the stride and width at compile time
+// for the band evaluator's shapes (the full 16-lane range and the 7-lane
+// in-band slice).  Block-sized accumulators, as in the port solve,
+// measured slower here.
 template <std::size_t LF, std::size_t SLF>
 inline __attribute__((always_inline)) void transpose_substitute_body(
     const std::size_t n, const std::size_t L_rt, const std::size_t SL_rt,
-    const std::size_t out_row, const Lines ucols, const Lines lcols,
-    const double* const vr, const double* const vi, const double* const dr,
-    const double* const di, double* const wr, double* const wi) {
+    const std::size_t out_row, const RowList reach, const Lines ucols,
+    const Lines lcols, const double* const vr, const double* const vi,
+    const double* const dr, const double* const di, double* const wr,
+    double* const wi) {
   const std::size_t L = LF != 0 ? LF : L_rt;
   const std::size_t SL = SLF != 0 ? SLF : SL_rt;
   for (std::size_t i = 0; i < n; ++i) {
-    double* const tr = wr + i * L;
-    double* const ti = wi + i * L;
     const double b0 = i == out_row ? 1.0 : 0.0;
     for (std::size_t l = 0; l < SL; ++l) {
-      tr[l] = b0;
-      ti[l] = 0.0;
+      wr[i * L + l] = b0;
+      wi[i * L + l] = 0.0;
     }
-    if (i < out_row) continue;
+  }
+  for (std::size_t r = 0; r < reach.count; ++r) {
+    const std::size_t i = reach.row[r];
+    double* const tr = wr + i * L;
+    double* const ti = wi + i * L;
     for (std::uint32_t e = ucols.start[i]; e < ucols.start[i + 1]; ++e) {
       const std::size_t p = std::size_t{ucols.pos[e]} * L;
       const std::size_t j = std::size_t{ucols.index[e]} * L;
@@ -802,21 +935,22 @@ inline __attribute__((always_inline)) void transpose_substitute_body(
 GNSSLNA_LANE_CLONES
 void transpose_substitute_kernel(const std::size_t n, const std::size_t L,
                                  const std::size_t SL,
-                                 const std::size_t out_row, const Lines ucols,
+                                 const std::size_t out_row,
+                                 const RowList reach, const Lines ucols,
                                  const Lines lcols, const double* const vr,
                                  const double* const vi,
                                  const double* const dr,
                                  const double* const di, double* const wr,
                                  double* const wi) {
   if (L == 16 && SL == 16) {
-    transpose_substitute_body<16, 16>(n, L, SL, out_row, ucols, lcols, vr, vi,
-                                      dr, di, wr, wi);
+    transpose_substitute_body<16, 16>(n, L, SL, out_row, reach, ucols, lcols,
+                                      vr, vi, dr, di, wr, wi);
   } else if (L == 16 && SL == 7) {
-    transpose_substitute_body<16, 7>(n, L, SL, out_row, ucols, lcols, vr, vi,
-                                     dr, di, wr, wi);
+    transpose_substitute_body<16, 7>(n, L, SL, out_row, reach, ucols, lcols,
+                                     vr, vi, dr, di, wr, wi);
   } else {
-    transpose_substitute_body<0, 0>(n, L, SL, out_row, ucols, lcols, vr, vi,
-                                    dr, di, wr, wi);
+    transpose_substitute_body<0, 0>(n, L, SL, out_row, reach, ucols, lcols,
+                                    vr, vi, dr, di, wr, wi);
   }
 }
 
@@ -840,11 +974,15 @@ void BatchedPlan::solve_ports(EvalWorkspace& ws) const {
 
   GNSSLNA_OBS_SPAN("circuit.batch.solve");
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", 2 * L);
-  substitute_ports_kernel(n, L, lines(lower_rows_), lines(upper_rows_), src[0],
-                          src[1], v[0], v[1], ws.v_re_, ws.v_im_, ws.dinv_re_,
-                          ws.dinv_im_, ws.sol_re_, ws.sol_im_,
-                          ws.sol_re_ + n * L, ws.sol_im_ + n * L);
-  // Dense-path lanes: the oracle's solve_into for each port excitation.
+  substitute_ports_kernel(
+      n, L, lines(lower_rows_), lines(upper_rows_),
+      {forward_rows_.data(), forward_rows_.size()},
+      {back_rows_.data(), back_rows_.size()}, row_of_[src[0]],
+      row_of_[src[1]], v[0], v[1], ws.v_re_, ws.v_im_, ws.dinv_re_,
+      ws.dinv_im_, ws.sol_re_, ws.sol_im_, ws.sol_re_ + n * L,
+      ws.sol_im_ + n * L);
+  // Dense-path lanes: the oracle's solve_into for each port excitation,
+  // in node order, stored by store row.
   for (std::size_t l = 0; l < L; ++l) {
     if (ws.dense_[l] == 0.0) continue;
     dense_factor(ws, l);
@@ -853,8 +991,8 @@ void BatchedPlan::solve_ports(EvalWorkspace& ws) const {
       ws.rhs_[src[side]] = Complex{v[side], 0.0};
       ws.lu_.solve_into(ws.rhs_, ws.x_);
       for (std::size_t i = 0; i < n; ++i) {
-        ws.sol_re_[(side * n + i) * L + l] = ws.x_[i].real();
-        ws.sol_im_[(side * n + i) * L + l] = ws.x_[i].imag();
+        ws.sol_re_[(side * n + row_of_[i]) * L + l] = ws.x_[i].real();
+        ws.sol_im_[(side * n + row_of_[i]) * L + l] = ws.x_[i].imag();
       }
     }
   }
@@ -885,23 +1023,28 @@ void BatchedPlan::solve_output_transfer(EvalWorkspace& ws,
   const std::size_t L = ws.lanes_;
   const std::size_t s0 = f_begin - ws.f_begin_;  // lane sub-slice, relative
   const std::size_t SL = f_end - f_begin;
-  const std::size_t out_row = ports_[output_port].node - 1;
+  const std::size_t out = ports_[output_port].node - 1;
+  const std::uint32_t* const reach =
+      transfer_rows_.data() + transfer_start_[output_port];
 
   GNSSLNA_OBS_COUNT_N("circuit.batch.solves", SL);
-  transpose_substitute_kernel(n, L, SL, out_row, lines(upper_cols_),
-                              lines(lower_cols_), ws.v_re_ + s0, ws.v_im_ + s0,
-                              ws.dinv_re_ + s0, ws.dinv_im_ + s0,
-                              ws.w_re_ + s0, ws.w_im_ + s0);
-  // Dense-path lanes: the oracle's solve_transposed_into with e_out.
+  transpose_substitute_kernel(
+      n, L, SL, row_of_[out],
+      {reach, std::size_t{transfer_start_[output_port + 1] -
+                          transfer_start_[output_port]}},
+      lines(upper_cols_), lines(lower_cols_), ws.v_re_ + s0, ws.v_im_ + s0,
+      ws.dinv_re_ + s0, ws.dinv_im_ + s0, ws.w_re_ + s0, ws.w_im_ + s0);
+  // Dense-path lanes: the oracle's solve_transposed_into with e_out, in
+  // node order, stored by store row.
   for (std::size_t l = s0; l < s0 + SL; ++l) {
     if (ws.dense_[l] == 0.0) continue;
     dense_factor(ws, l);
     ws.rhs_.assign(n, Complex{0.0, 0.0});
-    ws.rhs_[out_row] = Complex{1.0, 0.0};
+    ws.rhs_[out] = Complex{1.0, 0.0};
     ws.lu_.solve_transposed_into(ws.rhs_, ws.x_, ws.work_);
     for (std::size_t i = 0; i < n; ++i) {
-      ws.w_re_[i * L + l] = ws.x_[i].real();
-      ws.w_im_[i * L + l] = ws.x_[i].imag();
+      ws.w_re_[row_of_[i] * L + l] = ws.x_[i].real();
+      ws.w_im_[row_of_[i] * L + l] = ws.x_[i].imag();
     }
   }
   ws.have_w_ = true;
@@ -930,7 +1073,7 @@ void BatchedPlan::s_params_sweep(const EvalWorkspace& ws, std::size_t f_begin,
   // S_ij = sol_j[port i] / sqrt(z0_i) - delta_ij, the complex-by-real
   // quotient and the subtraction component by component.
   for (std::size_t i = 0; i < 2; ++i) {
-    const std::size_t row = ports_[i].node - 1;
+    const std::size_t row = row_of_[ports_[i].node - 1];
     for (std::size_t j = 0; j < 2; ++j) {
       const double* const sr = ws.sol_re_ + (j * n + row) * L + l0;
       const double* const si = ws.sol_im_ + (j * n + row) * L + l0;
@@ -966,7 +1109,8 @@ Complex EvalWorkspace::transfer(std::size_t i, std::size_t fi) const {
     throw std::logic_error("EvalWorkspace::transfer: lane not solved");
   }
   const std::size_t l = fi - f_begin_;
-  return {w_re_[i * lanes_ + l], w_im_[i * lanes_ + l]};
+  const std::size_t row = plan_->row_of_[i];
+  return {w_re_[row * lanes_ + l], w_im_[row * lanes_ + l]};
 }
 
 namespace {
@@ -981,9 +1125,13 @@ namespace {
 // h_i * C_ij * conj(h_j) into naive re/im arithmetic and of
 // t * conj(h_j) into tr*hjr + ti*hji (IEEE subtraction of a negated
 // operand IS addition, bit for bit) - is circuit::noise_analysis's, in its
-// order.  `rows` is the plan's row buffer offset to the first lane, w the
-// solution offset to it; `acc` and `psd` are SL-lane scratch (the 7-lane
-// instantiation keeps them in registers and stores psd once).
+// order; the form and the PSD sum from +0.0.  `rows` is the plan's row
+// buffer offset to the first lane, w the solution offset to it; `acc` and
+// `psd` are SL-lane scratch.  The 7-lane instantiation keeps them in
+// registers, zeroes them there and stores psd once; the runtime-lane body
+// folds the +0.0 into their first writes instead (every group has an
+// injection, and there is at least one group), since a runtime-length
+// zeroing compiles to a memset call.
 template <std::size_t LF, std::size_t SLF>
 inline __attribute__((always_inline)) void noise_program_body(
     const std::size_t groups, const std::size_t L_rt, const std::size_t SL_rt,
@@ -999,7 +1147,10 @@ inline __attribute__((always_inline)) void noise_program_body(
   double acc_local[SLF != 0 ? SLF : 1], psd_local[SLF != 0 ? SLF : 1];
   double* const acc = SLF != 0 ? acc_local : acc_rt;
   double* const psd = SLF != 0 ? psd_local : psd_rt;
-  for (std::size_t l = 0; l < SL; ++l) psd[l] = 0.0;
+  constexpr bool kFold = SLF == 0;
+  if constexpr (!kFold) {
+    for (std::size_t l = 0; l < SL; ++l) psd[l] = 0.0;
+  }
   const std::uint32_t* f = from;
   const std::uint32_t* t = to;
   for (std::size_t g = 0; g < groups; ++g) {
@@ -1014,7 +1165,9 @@ inline __attribute__((always_inline)) void noise_program_body(
         hi[j * SL + l] = fi[l] - ti[l];
       }
     }
-    for (std::size_t l = 0; l < SL; ++l) acc[l] = 0.0;
+    if constexpr (!kFold) {
+      for (std::size_t l = 0; l < SL; ++l) acc[l] = 0.0;
+    }
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = 0; j < k; ++j) {
         const double* const cr = rows + csd[g] + (i * k + j) * 2 * G;
@@ -1023,14 +1176,17 @@ inline __attribute__((always_inline)) void noise_program_body(
         const double* const aii = hi + i * SL;
         const double* const ajr = hr + j * SL;
         const double* const aji = hi + j * SL;
+        const bool first = kFold && i == 0 && j == 0;
         for (std::size_t l = 0; l < SL; ++l) {
           const double mr = air[l] * cr[l] - aii[l] * ci[l];
           const double mi = air[l] * ci[l] + aii[l] * cr[l];
-          acc[l] += mr * ajr[l] + mi * aji[l];
+          acc[l] = (first ? 0.0 : acc[l]) + (mr * ajr[l] + mi * aji[l]);
         }
       }
     }
-    for (std::size_t l = 0; l < SL; ++l) psd[l] += acc[l];
+    for (std::size_t l = 0; l < SL; ++l) {
+      psd[l] = (kFold && g == 0 ? 0.0 : psd[l]) + acc[l];
+    }
   }
   if constexpr (SLF != 0) {
     for (std::size_t l = 0; l < SL; ++l) psd_rt[l] = psd[l];
@@ -1074,12 +1230,14 @@ void BatchedPlan::noise_sweep(const EvalWorkspace& ws, std::size_t input_port,
   const std::size_t L = ws.lanes_;
   const std::size_t s0 = ws.w_begin_ - ws.f_begin_;
   const std::size_t SL = ws.w_end_ - ws.w_begin_;
-  noise_program_kernel(noise_order_.size(), L, SL, grid_.size(),
-                       noise_order_.data(), noise_csd_.data(),
-                       noise_from_.data(), noise_to_.data(),
-                       rows_.data() + ws.w_begin_, rows_.data(),
-                       ws.w_re_ + s0, ws.w_im_ + s0, ws.nh_re_, ws.nh_im_,
-                       ws.nacc_, ws.npsd_, kGroundRow);
+  if (!noise_order_.empty()) {
+    noise_program_kernel(noise_order_.size(), L, SL, grid_.size(),
+                         noise_order_.data(), noise_csd_.data(),
+                         noise_from_.data(), noise_to_.data(),
+                         rows_.data() + ws.w_begin_, rows_.data(),
+                         ws.w_re_ + s0, ws.w_im_ + s0, ws.nh_re_, ws.nh_im_,
+                         ws.nacc_, ws.npsd_, kGroundRow);
+  }
 
   // Source noise and per-lane results, exactly noise_analysis's
   // expressions; the lane-invariant PSD prefix keeps its left-to-right
@@ -1088,9 +1246,10 @@ void BatchedPlan::noise_sweep(const EvalWorkspace& ws, std::size_t input_port,
   const Complex y_source{1.0 / in.z0, 0.0};
   const double psd_prefix = 4.0 * rf::kBoltzmann * t_source_k *
                             std::max(y_source.real(), 0.0);
-  const double* const sr = ws.w_re_ + (in.node - 1) * L + s0;
-  const double* const si = ws.w_im_ + (in.node - 1) * L + s0;
-  const double* const psd = ws.npsd_;
+  const double* const sr = ws.w_re_ + row_of_[in.node - 1] * L + s0;
+  const double* const si = ws.w_im_ + row_of_[in.node - 1] * L + s0;
+  // Without a noise group the network PSD is the zero row.
+  const double* const psd = noise_order_.empty() ? rows_.data() : ws.npsd_;
   for (std::size_t l = 0; l < SL; ++l) {
     const double ar = sr[l] - 0.0;
     const double ai = si[l] - 0.0;

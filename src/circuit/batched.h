@@ -16,26 +16,31 @@
 //
 // Structure: the MNA system is sparse (the fig. 3 amplifier has 47
 // structural nonzeros among 15 x 15 entries).  When the plan is built it
-// eliminates the assembled pattern symbolically in diagonal order and
-// compiles the result into one static program: a compact lane-major store
-// holding only the filled positions (67 for fig. 3), a flat list of
-// rank-1 update steps, and per-row and per-column substitution lists.
-// Assembly and the noise sweep are compiled too: a position-major list of
-// (row offset, sign) contributions, and a flat list of injection rows and
-// CSD rows per noise group.  factor, solve_ports, solve_output_transfer
-// and noise_sweep run these programs for any lane count with no pivot
-// search, row swap, permutation or per-element dispatch.  DESIGN.md
-// ("Batched evaluation core") describes the programs.
+// orders the elimination by greedy minimum degree on the assembled
+// pattern (ties to the lowest unknown), eliminates the pattern
+// symbolically in that order and compiles the result into one static
+// program: a compact lane-major store holding only the filled positions
+// (47 for fig. 3: the order fills none), a flat list of rank-1 update
+// steps, per-row and per-column substitution lists, and the row lists of
+// the solves (the rows the port sources reach through L, the rows the
+// port rows need through U, the rows the output row reaches through U^T).
+// Assembly and the noise sweep are compiled in that order too: a
+// position-major list of (row offset, sign) contributions, and a flat
+// list of injection rows and CSD rows per noise group.  factor,
+// solve_ports, solve_output_transfer and noise_sweep run these programs
+// for any lane count with no pivot search, row swap or per-element
+// dispatch; the only permutation is the fixed one of the compiled order.
+// DESIGN.md ("Batched evaluation core") describes the programs.
 //
 // Accuracy contract: results agree with the per-call analyses
 // (circuit::s_params / noise_analysis, the reference oracle of the tests)
 // within the written tolerance of tests/reference_band.h, not bit for bit
-// — diagonal order is not the oracle's partial pivoting.  Every lane is
+// — the static order is not the oracle's partial pivoting.  Every lane is
 // checked from values the factorization already holds: its pivots against
 // the maxima of their assembled columns, and every U entry against the
 // maximum of its column (element growth).  A lane that fails (every lane,
 // when a diagonal position is structurally zero) is re-assembled densely
-// in Netlist::assemble_terminated order and solved through
+// in Netlist::assemble_terminated (node) order and solved through
 // numeric::LuDecomposition: that lane equals the oracle bit for bit and is
 // counted in circuit.batch.repivots.  Each lane's arithmetic and its check
 // involve only that lane, so no result depends on which other lanes share
@@ -120,7 +125,8 @@ class EvalWorkspace {
            dense_[fi - f_begin_] != 0.0;
   }
 
-  /// Output-transfer solution at unknown i (node i + 1) of grid lane fi,
+  /// Output-transfer solution at unknown i (node i + 1, whatever row the
+  /// elimination order stores it in) of grid lane fi,
   /// for the lanes the last solve_output_transfer covered (for
   /// transfer_port(), at the plan's current revision); throws
   /// std::logic_error for any other lane.  Read-only access for
@@ -147,8 +153,8 @@ class EvalWorkspace {
   std::size_t w_end_ = 0;        //   actually covered (may be a sub-slice)
   std::size_t reported_hwm_ = 0; // arena bytes already reported to obs
 
-  // Arena-carved spans.  Store position p of lane l is p*lanes + l; vector
-  // entry i of lane l is i*lanes + l.
+  // Arena-carved spans.  Store position p of lane l is p*lanes + l; the
+  // vector entry of store row k of lane l is k*lanes + l.
   double* v_re_ = nullptr;       // assembled system -> static LU factors,
   double* v_im_ = nullptr;       //   filled positions only
   double* dinv_re_ = nullptr;    // stored pivot reciprocals, n lanes
@@ -180,13 +186,17 @@ class BatchedPlan {
   /// Compiles `netlist` over the grid, tabulating every element and noise
   /// group at every grid frequency (the values the closures return, laid
   /// out for batched assembly).  The netlist is not retained: later value
-  /// changes go through the direct table views below.
+  /// changes go through the direct table views below.  Throws
+  /// std::invalid_argument for a netlist without unknowns.
   BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz);
 
   const std::vector<double>& grid() const { return grid_; }
   std::size_t size() const { return grid_.size(); }
   const std::vector<Port>& ports() const { return ports_; }
   std::size_t unknowns() const { return unknowns_; }
+  /// Stored positions of the compiled LU program: the assembled pattern
+  /// plus the diagonal plus the fill of the elimination order.
+  std::size_t positions() const { return positions_; }
 
   /// Revision of the tabulated matrix values, drawn from one process-wide
   /// counter at construction and again whenever the values change, so no
@@ -296,6 +306,8 @@ class BatchedPlan {
                    double t_source_k = rf::kT0) const;
 
  private:
+  friend class EvalWorkspace;
+
   // One addition of Netlist::assemble_terminated, in its order (every
   // stamp bump, then every two-port term, then every port termination),
   // with ground-touching terms dropped: the dense path replays the list.
@@ -348,16 +360,19 @@ class BatchedPlan {
   std::vector<std::uint32_t> asm_start_, asm_col_;
   std::vector<std::size_t> asm_code_;
 
-  // The compiled noise program: per group its order and the offset of its
-  // CSD row pairs; per injection (groups back to back) the unknowns of its
-  // two nodes, kGroundRow for ground.
+  // The compiled noise program: per group with injections its order and
+  // the offset of its CSD row pairs; per injection (groups back to back)
+  // the store rows of its two nodes, kGroundRow for ground.
   static constexpr std::uint32_t kGroundRow = 0xffffffffu;
   std::vector<std::uint32_t> noise_order_;
   std::vector<std::size_t> noise_csd_;
   std::vector<std::uint32_t> noise_from_, noise_to_;
 
   // The static program: the assembled pattern plus the diagonal,
-  // eliminated in diagonal order, its filled positions numbered row-major.
+  // eliminated in the compiled order: unknown i is row and column
+  // row_of_[i] of the store (the step that eliminates it).  Filled
+  // positions are numbered row-major in store order.
+  std::vector<std::uint32_t> row_of_;
   std::size_t positions_ = 0;
   std::vector<std::uint32_t> diag_;  // position of (k, k)
   LineLists lower_rows_;  // L row i, columns < i ascending
@@ -367,6 +382,16 @@ class BatchedPlan {
   // Rank-1 update targets: step k, each L entry of column k, each U entry
   // of row k, in list order.
   std::vector<std::uint32_t> updates_;
+  // The solves' row lists, in store rows.  Port solve (two ports only):
+  // the forward rows either source reaches through L, ascending, each as
+  // row << 2 | sides (bit s: source s reaches it, its own row excluded),
+  // and the back-substitution rows the two port rows need through U,
+  // descending.  Transfer: per output port p, the rows its row reaches
+  // through U^T, ascending, at transfer_rows_[transfer_start_[p] ..
+  // transfer_start_[p + 1]).  Every other row of a solve's vector is a
+  // structural zero (or, after back substitution, a row no port reads).
+  std::vector<std::uint32_t> forward_rows_, back_rows_;
+  std::vector<std::uint32_t> transfer_rows_, transfer_start_;
   std::uint64_t revision_ = next_revision();
 };
 

@@ -6,8 +6,9 @@
 // factors the netlist from scratch through circuit::s_params and
 // circuit::noise_analysis, with partial pivoting, and the figures are
 // reduced in grid order with the same operations as band_report.  The
-// production pass eliminates in a static diagonal order instead, so the
-// two agree within kOracleTolerance (below), except on a lane the
+// production pass eliminates in the static order its plan compiled
+// (minimum degree on the assembled pattern, without pivoting) instead, so
+// the two agree within kOracleTolerance (below), except on a lane the
 // production pass re-solves on its dense path, which equals the oracle
 // bit for bit.  Oracle-vs-oracle and production-vs-production comparisons
 // stay exact (==).
@@ -37,9 +38,10 @@ namespace gnsslna::reference {
 ///   * noise PSDs and noise factor: relative, |x - x(oracle)| <= tol * |x(oracle)|;
 ///   * every dB figure (NF, GT, S11/S22 in dB) and mu: absolute, <= tol.
 /// The largest deviations measured on the corpus (DE-step and uniform-box
-/// fig. 3 designs on FR-4 and RO4350B, random ladders) are 1.1e-12 for S,
-/// 1.7e-12 for the PSDs, 6.2e-12 dB and 2.3e-12 for mu: the bound keeps a
-/// margin of at least 16x.
+/// fig. 3 designs on FR-4 and RO4350B, random ladders, the design walks of
+/// tests/test_batched.cpp) under the minimum-degree order are 7.2e-13 for
+/// S, 1.2e-12 for the PSDs, 5.5e-13 dB and 3.2e-13 for mu: the bound keeps
+/// a margin of at least 80x.
 inline constexpr double kOracleTolerance = 1e-10;
 
 inline void expect_near_oracle(const rf::SParams& a, const rf::SParams& oracle) {
@@ -85,9 +87,11 @@ inline void expect_near_oracle(const amplifier::BandReport& a,
 /// Two-port whose first unknown's self-admittance crosses zero at
 /// `resonance_hz`: node a (unknown 0) joins the input port node b through
 /// C and the output port node c through L, a series-resonant branch with
-/// j w C + 1 / (j w L) = 0 at resonance (b also has 200 ohm to ground).
-/// There the diagonal-order pivot (a, a) vanishes while the matrix stays
-/// regular and the branch shorts b to c (the oracle pivots on row b).
+/// j w C + 1 / (j w L) = 0 at resonance, beside 1 kohm from b to c (b also
+/// has 200 ohm to ground).  Every node then has two neighbours, so the
+/// minimum-degree order eliminates a first (the lowest unknown on a tie):
+/// at resonance its pivot (a, a) vanishes while the matrix stays regular
+/// and the branch shorts b to c (the oracle pivots on row b).
 inline circuit::Netlist collapsing_pivot_netlist(double resonance_hz) {
   const double l_h = 10e-9;
   const double w0 = 2.0 * std::numbers::pi * resonance_hz;
@@ -98,6 +102,7 @@ inline circuit::Netlist collapsing_pivot_netlist(double resonance_hz) {
   const circuit::NodeId c = nl.add_node();
   nl.add_capacitor(a, b, c_f);
   nl.add_inductor(a, c, l_h);
+  nl.add_resistor(b, c, 1000.0);
   nl.add_resistor(b, circuit::kGround, 200.0);
   nl.add_port(b);
   nl.add_port(c);

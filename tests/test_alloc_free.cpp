@@ -102,10 +102,10 @@ TEST(AllocFree, WorkspaceHighWaterMarkIsPinned) {
   DesignVector d;
   (void)ev.evaluate(d);
   const std::size_t after_first = ev.workspace_high_water();
-  // 16 lanes (7 band + 9 stability), 15 unknowns, 67 filled positions:
+  // 16 lanes (7 band + 9 stability), 15 unknowns, 47 filled positions:
   // compact store + pivot reciprocals + column maxima + dense-path flags +
   // port / transfer / noise-program lanes as laid out by BatchedPlan::bind.
-  EXPECT_EQ(after_first, 43136u);
+  EXPECT_EQ(after_first, 30720u);
 
   for (int i = 0; i < 20; ++i) {
     d.l_in_m += 1e-4;

@@ -1,7 +1,7 @@
 // BatchedPlan equivalence and EvalWorkspace property tests.
 //
-// The frequency-batched evaluation core eliminates in a static diagonal
-// order, so against the per-call analyses (circuit::s_params /
+// The frequency-batched evaluation core eliminates in a static
+// minimum-degree order, so against the per-call analyses (circuit::s_params /
 // noise_analysis, the reference oracle) it is held to the written
 // tolerance of reference_band.h, not to bit-identity; a lane it re-solves
 // on its dense path must equal the oracle exactly.  Every comparison of
@@ -301,8 +301,8 @@ TEST(BatchedPlan, MatchesOracleOnPivotDivergentDesigns) {
   // Differential-evolution-shaped moves of all 12 design variables around
   // the nominal fig. 3 design, on the 16-lane band + stability grid.  The
   // oracle's partial pivoting picks different pivot rows across these
-  // lanes; the static diagonal order serves every one of them, none
-  // needing the dense path.
+  // lanes; the static order serves every one of them, none needing the
+  // dense path.
   amplifier::AmplifierConfig config;
   config.resolve();
   const std::vector<double> grid = lna_grid();
@@ -339,8 +339,8 @@ TEST(BatchedPlan, OracleToleranceHoldsOnCorpus) {
   // The corpus that pins reference::kOracleTolerance: DE-step and
   // uniform-box fig. 3 designs on both catalog substrates (random netlists
   // and the long ladders are MatchesOracleOnRandomCorpus).  Uniform-box
-  // designs reach the rare lanes whose diagonal pivot is small (about 1 in
-  // 100 lanes); those must take the dense path and equal the oracle.
+  // designs reach the rare lanes whose static-order pivot is small; those
+  // must take the dense path and equal the oracle.
   const std::vector<double> grid = lna_grid();
   for (const microstrip::Substrate& substrate :
        {microstrip::Substrate::fr4(), microstrip::Substrate::ro4350b()}) {
@@ -364,9 +364,10 @@ TEST(BatchedPlan, OracleToleranceHoldsOnCorpus) {
 // The dense path
 
 TEST(BatchedPlan, CollapsedPivotLaneTakesTheDensePath) {
-  // One grid lane sits on the resonance that zeroes the first diagonal
-  // pivot: exactly that lane is flagged, counted once per factor and
-  // equals the oracle bit for bit; the others stay on the static program.
+  // One grid lane sits on the resonance that zeroes the first pivot of
+  // the static order: exactly that lane is flagged, counted once per
+  // factor and equals the oracle bit for bit; the others stay on the
+  // static program.
   const double f0 = 1.5e9;
   const Netlist nl = reference::collapsing_pivot_netlist(f0);
   const std::vector<double> grid = {0.9e9, 1.1e9, 1.3e9, f0,
@@ -575,6 +576,101 @@ TEST(BatchedPlan, StructurallySingularSystemThrows) {
   EXPECT_THROW(plan.factor(ws, 0, grid.size()), std::domain_error);
   EXPECT_FALSE(ws.factored());
   EXPECT_THROW((void)s_params(nl, grid[0]), std::domain_error);
+}
+
+// ---------------------------------------------------------------------------
+// The elimination order
+
+/// The assembled pattern of `nl` plus the diagonal, row-major over the
+/// unknowns: the entries of assemble_terminated that are nonzero at any
+/// frequency of `grid`.
+std::vector<bool> assembled_pattern(const Netlist& nl,
+                                    const std::vector<double>& grid) {
+  const std::size_t n = nl.node_count() - 1;
+  std::vector<bool> pattern(n * n, false);
+  for (const double f : grid) {
+    const numeric::ComplexMatrix a = nl.assemble_terminated(f);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        if (r == c || a(r, c) != Complex{0.0, 0.0}) pattern[r * n + c] = true;
+      }
+    }
+  }
+  return pattern;
+}
+
+/// Positions a symbolic elimination of `pattern` in diagonal (node) order
+/// stores: step k fills (i, j) wherever (i, k) and (k, j) are filled
+/// below and right of the pivot.
+std::size_t diagonal_order_positions(std::vector<bool> pattern) {
+  const auto n = static_cast<std::size_t>(
+      std::lround(std::sqrt(static_cast<double>(pattern.size()))));
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (!pattern[i * n + k]) continue;
+      for (std::size_t j = k + 1; j < n; ++j) {
+        if (pattern[k * n + j]) pattern[i * n + j] = true;
+      }
+    }
+  }
+  return static_cast<std::size_t>(
+      std::count(pattern.begin(), pattern.end(), true));
+}
+
+TEST(BatchedPlan, Fig3ProgramStoresNoFill) {
+  // DESIGN.md's figures: fig. 3 has 47 structural entries (the diagonal
+  // included), which diagonal order fills to 67; the compiled order
+  // stores the 47 alone.
+  const device::Phemt dev = device::Phemt::reference_device();
+  const amplifier::LnaDesign lna(dev, amplifier::AmplifierConfig{},
+                                 amplifier::DesignVector{});
+  const Netlist nl = lna.build_netlist();
+  const std::vector<double> grid = lna_grid();
+  const std::vector<bool> pattern = assembled_pattern(nl, grid);
+  ASSERT_EQ(nl.node_count() - 1, 15u);
+  EXPECT_EQ(std::count(pattern.begin(), pattern.end(), true), 47);
+  EXPECT_EQ(diagonal_order_positions(pattern), 67u);
+  EXPECT_EQ(BatchedPlan(nl, grid).positions(), 47u);
+}
+
+TEST(BatchedPlan, OrderNeverStoresMoreThanDiagonalOrder) {
+  // Every netlist the suite evaluates: the random ladders (the long ones
+  // included), the scenario plan with the catalog's sub-band grids and the
+  // collapsing-pivot fixture.
+  const auto check = [](const Netlist& nl, const std::vector<double>& grid) {
+    const std::vector<bool> pattern = assembled_pattern(nl, grid);
+    const BatchedPlan plan(nl, grid);
+    EXPECT_GE(plan.positions(),
+              static_cast<std::size_t>(
+                  std::count(pattern.begin(), pattern.end(), true)));
+    EXPECT_LE(plan.positions(), diagonal_order_positions(pattern));
+  };
+  std::mt19937 rng(20260807u);
+  const std::vector<double> ladder_grid = rf::linear_grid(0.8e9, 2.4e9, 5);
+  for (int k = 0; k < 200; ++k) {
+    SCOPED_TRACE("random netlist #" + std::to_string(k));
+    check(random_netlist(rng), ladder_grid);
+  }
+  for (const int sections : {63, 64, 129}) {
+    SCOPED_TRACE("ladder of " + std::to_string(sections) + " sections");
+    check(random_netlist(rng, sections), ladder_grid);
+  }
+  std::vector<double> scenario_grid = amplifier::LnaDesign::default_band();
+  for (const mission::Scenario& s : mission::scenario_catalog()) {
+    for (const mission::WalkerShell& shell : s.shells) {
+      const std::vector<double> g = mission::sub_band_grid(shell.carrier_hz);
+      scenario_grid.insert(scenario_grid.end(), g.begin(), g.end());
+    }
+  }
+  const std::vector<double> mu = amplifier::LnaDesign::stability_grid();
+  scenario_grid.insert(scenario_grid.end(), mu.begin(), mu.end());
+  amplifier::AmplifierConfig config;
+  config.resolve();
+  for_each_design(config, false, 20, 5u, [&](const Netlist& nl) {
+    check(nl, scenario_grid);
+  });
+  check(reference::collapsing_pivot_netlist(1.5e9),
+        {0.9e9, 1.1e9, 1.3e9, 1.5e9, 1.7e9});
 }
 
 // ---------------------------------------------------------------------------
@@ -1159,9 +1255,11 @@ TEST(BatchedPlan, BandReportBytesArePinned) {
   // BM_BandEvaluationDeStep (infeasible draws hashed as a marker), 64
   // pseudo yield draws (design and board), and the ring again on an
   // evaluator whose plan holds the scenario catalog's sub-band grids,
-  // every grid's report.  The digests hold the reports of the per-entry
-  // band pass the lane programs replaced; any moved bit of any report
-  // field fails here.
+  // every grid's report.  The digests hold the reports of the
+  // minimum-degree static program (re-pinned when the elimination order
+  // moved the last bits, after a 7,200-report corpus matched the
+  // diagonal-order reports within reference::kOracleTolerance); any moved
+  // bit of any report field fails here.
   const device::Phemt dev = device::Phemt::reference_device();
   amplifier::AmplifierConfig config;
   const optimize::Bounds box = amplifier::DesignVector::bounds();
@@ -1220,9 +1318,9 @@ TEST(BatchedPlan, BandReportBytesArePinned) {
       for (const amplifier::BandReport& r : evaluator.reports()) scenario.add(r);
     }
   }
-  EXPECT_EQ(de.h, 0x49a91a1001b0874eu) << std::hex << de.h;
-  EXPECT_EQ(yield.h, 0xb78b18684ae17376u) << std::hex << yield.h;
-  EXPECT_EQ(scenario.h, 0xbd774022bfcafa84u) << std::hex << scenario.h;
+  EXPECT_EQ(de.h, 0xebbe287db923695cu) << std::hex << de.h;
+  EXPECT_EQ(yield.h, 0x9c4c260d5571a07au) << std::hex << yield.h;
+  EXPECT_EQ(scenario.h, 0x7c6438545ed914cfu) << std::hex << scenario.h;
 }
 
 // ---------------------------------------------------------------------------

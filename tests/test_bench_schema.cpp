@@ -35,11 +35,17 @@ TEST(BenchSchema, CommittedKernelBaselineMatchesCurrentSchema) {
 }
 
 TEST(BenchSchema, CommittedBaselineHasTheGateKernel) {
-  // perf_smoke normalizes against BM_FetSParams; the baseline must carry it.
+  // perf_smoke reads its recorded ratios from the perf_smoke.* rows; the
+  // baseline must carry them, and the FET kernel's informational row.
   const std::string path = std::string(GNSSLNA_SOURCE_DIR) +
                            "/BENCH_kernels.json";
   const auto entries = bench::load_bench_json(path);
   EXPECT_GT(bench::bench_json_ns(entries, "BM_FetSParams"), 0.0);
+  for (const char* row :
+       {"perf_smoke.band_over_fet", "perf_smoke.band_over_solve",
+        "perf_smoke.yield_over_band"}) {
+    EXPECT_GT(bench::bench_json_ns(entries, row), 0.0) << row;
+  }
 }
 
 TEST(BenchSchema, RecorderOutputValidatesAndReadsBack) {
